@@ -48,6 +48,7 @@ from .fields import (
     forward_field,
     backward_field,
     interqubit_field,
+    drive_sweep,
     steady_forward,
     steady_backward,
     steady_ready,
@@ -60,6 +61,7 @@ from .fields import (
     reflected_resonance_peak,
     interqubit_resonance_peak,
     beat_note_series,
+    beat_note_fft,
     beat_note_spectrum,
 )
 
@@ -75,9 +77,10 @@ __all__ = [
     "Region", "FieldBranch", "SpaceTimeGrid", "FieldSlice",
     "space_time_grid", "set_kernel_convention", "kernel_convention",
     "incident_plane_wave", "forward_field", "backward_field",
-    "interqubit_field", "steady_forward", "steady_backward",
+    "interqubit_field", "drive_sweep", "steady_forward", "steady_backward",
     "steady_ready", "transmittance", "reflectance", "flux_defect",
     "nonmarkov_transmittance", "nonmarkov_reflectance",
     "transmitted_resonance_peak", "reflected_resonance_peak",
-    "interqubit_resonance_peak", "beat_note_series", "beat_note_spectrum",
+    "interqubit_resonance_peak", "beat_note_series", "beat_note_fft",
+    "beat_note_spectrum",
 ]

@@ -247,6 +247,16 @@ def _build_params(model_cfg) -> ModelParams:
                               omega_s=omega_s, amplitude=amplitude)
 
 
+def _count(cfg, section, key, default, minimum=1):
+    """Integer scenario value ``[section] key``, at least ``minimum``."""
+    value = cfg.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not float(value).is_integer() or value < minimum:
+        raise ScenarioError(f"{section}.{key} must be an integer >= "
+                            f"{minimum}, got {value!r}")
+    return int(value)
+
+
 def build_scenario(args):
     """Merge preset defaults and config overrides into one scenario dict."""
     if not args.preset and not args.config:
@@ -338,15 +348,20 @@ def write_json(path, lines, columns, rows):
         handle.write("\n")
 
 
+def _json_path(out):
+    return out[:-4] + ".json" if out.endswith(".csv") else out + ".json"
+
+
 def _emit(scenario, args, lines, columns, rows):
     out = scenario["out"]
-    write_csv(out, lines, columns, rows)
     written = [out]
-    if args.json:
-        json_path = out[:-4] + ".json" if out.endswith(".csv") \
-            else out + ".json"
-        write_json(json_path, lines, columns, rows)
-        written.append(json_path)
+    try:
+        write_csv(out, lines, columns, rows)
+        if args.json:
+            written.append(_json_path(out))
+            write_json(written[-1], lines, columns, rows)
+    except OSError as exc:
+        raise ScenarioError(f"cannot write output: {exc}") from exc
     return written
 
 
@@ -359,7 +374,7 @@ def cmd_spectrum(scenario, args):
     sweep = scenario["sweep"]
     lo = float(sweep.get("omega_min_over_omega_q", 0.98))
     hi = float(sweep.get("omega_max_over_omega_q", 1.02))
-    points = int(sweep.get("points", 2001))
+    points = _count(sweep, "sweep", "points", 2001)
     rates = collective_rates(p)
     ratio = np.linspace(lo, hi, points)
     omega = ratio * p.omega_q
@@ -387,35 +402,39 @@ _FIELD_COLUMNS = ["curve", "x_over_d", "omega_s_over_omega_q",
                   "energy_u", "energy_v", "energy_w"]
 
 
-def _field_rows_for(params, x_over_d, t, branch, label, ratio=None):
-    """Rows of the field table for one drive frequency and x array."""
-    d = params.distance
-    x = np.asarray(x_over_d, dtype=float) * d
+def _field_rows(params, x_over_d, ratios, omega, t, branch, label):
+    """Field-table rows for every drive carrier and x, drive by drive.
+
+    One engine call covers the whole outer product; ``omega`` holds the
+    carriers in rad/s and ``ratios`` their omega_s/omega_q column values.
+    """
+    x_over_d = np.asarray(x_over_d, dtype=float)
+    omega = np.asarray(omega, dtype=float)
+    x = x_over_d * params.distance
     grid = fields.space_time_grid(params, x, [t])
     rates = collective_rates(params)
-    if grid.region is fields.Region.BEHIND:
-        fs = fields.forward_field(grid, rates, params, branch=branch)
-        u = fs.u[0]
-        v = np.zeros_like(u)
-        w = u
-    elif grid.region is fields.Region.BEFORE:
-        fs = fields.backward_field(grid, rates, params, branch=branch)
-        v = fs.v[0]
-        u = fields.incident_plane_wave(x, t, params)
-        w = u + v
-    else:
-        fs = fields.interqubit_field(grid, rates, params, branch=branch)
-        u, v, w = fs.u[0], fs.v[0], fs.w[0]
+    slices = fields.drive_sweep(grid, rates, params, omega, branch=branch)
+    if grid.region is fields.Region.BEFORE:
+        incident = fields.incident_plane_wave(x, t, params, omega[:, None])
     amp2 = params.amplitude ** 2
-    if ratio is None:
-        ratio = params.omega_s / params.omega_q
     rows = []
-    for i, xod in enumerate(np.asarray(x_over_d, dtype=float)):
-        rows.append((label, xod, ratio,
-                     u[i].real, u[i].imag, v[i].real, v[i].imag,
-                     w[i].real, w[i].imag,
-                     abs(u[i]) ** 2 / amp2, abs(v[i]) ** 2 / amp2,
-                     abs(w[i]) ** 2 / amp2))
+    for k, (ratio, fs) in enumerate(zip(ratios, slices)):
+        if grid.region is fields.Region.BEHIND:
+            u = fs.u[0]
+            v = np.zeros_like(u)
+            w = u
+        elif grid.region is fields.Region.BEFORE:
+            v = fs.v[0]
+            u = incident[k]
+            w = u + v
+        else:
+            u, v, w = fs.u[0], fs.v[0], fs.w[0]
+        for i, xod in enumerate(x_over_d):
+            rows.append((label, xod, ratio,
+                         u[i].real, u[i].imag, v[i].real, v[i].imag,
+                         w[i].real, w[i].imag,
+                         abs(u[i]) ** 2 / amp2, abs(v[i]) ** 2 / amp2,
+                         abs(w[i]) ** 2 / amp2))
     return rows
 
 
@@ -441,26 +460,23 @@ def cmd_field(scenario, args):
             ratios = np.linspace(block["omega_lo"], block["omega_hi"],
                                  int(block["points"]))
             for xod in block["x_over_d"]:
-                label = "line:x=%gd" % xod
-                for ratio in ratios:
-                    drive = p.with_drive(ratio * p.omega_q)
-                    rows.extend(_field_rows_for(drive, [xod], t, branch,
-                                                label, ratio=float(ratio)))
+                rows.extend(_field_rows(p, [xod], ratios, ratios * p.omega_q,
+                                        t, branch, "line:x=%gd" % xod))
         elif kind == "scan":
             x_over_d = np.linspace(block["x_lo"], block["x_hi"],
                                    int(block["points"]))
             for ratio in block["omega_s_over_omega_q"]:
-                drive = p.with_drive(float(ratio) * p.omega_q)
-                label = "scan:ws=%g" % ratio
-                rows.extend(_field_rows_for(drive, x_over_d, t, branch,
-                                            label, ratio=float(ratio)))
+                rows.extend(_field_rows(p, x_over_d, [ratio],
+                                        [float(ratio) * p.omega_q], t, branch,
+                                        "scan:ws=%g" % ratio))
         elif kind == "fixed":
             # plain config path: the configured drive, a handful of x values
+            # (one call each, since they may lie in different regions)
             ratio = float(p.omega_s / p.omega_q)
             label = "fixed:ws=%g" % ratio
             for xod in block["x_over_d"]:
-                rows.extend(_field_rows_for(p, [float(xod)], t, branch,
-                                            label, ratio=ratio))
+                rows.extend(_field_rows(p, [float(xod)], [ratio],
+                                        [p.omega_s], t, branch, label))
         elif kind == "reflectance_limit":
             ratios = np.linspace(block["omega_lo"], block["omega_hi"],
                                  int(block["points"]))
@@ -490,8 +506,8 @@ def cmd_beating(scenario, args):
     detunings = cfg.get("detunings_over_omega_q", [0.01, 0.02])
     if not isinstance(detunings, list):
         detunings = [detunings]
-    n_periods = int(cfg.get("n_periods", 40))
-    n_samples = int(cfg.get("n_samples", 4096))
+    n_periods = _count(cfg, "beating", "n_periods", 40)
+    n_samples = _count(cfg, "beating", "n_samples", 4096, minimum=2)
     rows = []
     extra = ["x0_m = %.17g" % x0,
              "n_periods = %d" % n_periods, "n_samples = %d" % n_samples]
@@ -503,8 +519,7 @@ def cmd_beating(scenario, args):
         t, energy = fields.beat_note_series(drive, rates, x0,
                                             n_periods=n_periods,
                                             n_samples=n_samples)
-        _, _, peak, expected = fields.beat_note_spectrum(
-            drive, rates, x0, n_periods=n_periods, n_samples=n_samples)
+        _, _, peak, expected = fields.beat_note_fft(energy, drive, n_periods)
         amp2 = drive.amplitude ** 2
         for ti, ei in zip(t, energy):
             rows.append((label, ti, ei / amp2))
@@ -528,7 +543,7 @@ def cmd_peaks(scenario, args):
     cfg = scenario["peaks"]
     lo = float(cfg.get("x_min_over_d", -8.0))
     hi = float(cfg.get("x_max_over_d", -0.05))
-    points = int(cfg.get("points", 1591))
+    points = _count(cfg, "peaks", "points", 1591)
     t = float(cfg.get("t_s", 5.0e-6))
     x_over_d = np.linspace(lo, hi, points)
     x = x_over_d * p.distance
@@ -710,12 +725,13 @@ def cmd_oracle_check(scenario, args):
 
     failed = [r for r in results if not r["passed"]]
     if args.json:
-        out = scenario["out"]
-        json_path = out[:-4] + ".json" if out.endswith(".csv") \
-            else out + ".json"
-        with open(json_path, "w") as handle:
-            json.dump({"checks": results}, handle, indent=1)
-            handle.write("\n")
+        json_path = _json_path(scenario["out"])
+        try:
+            with open(json_path, "w") as handle:
+                json.dump({"checks": results}, handle, indent=1)
+                handle.write("\n")
+        except OSError as exc:
+            raise ScenarioError(f"cannot write output: {exc}") from exc
         print(f"wrote {json_path}")
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")
     return 1 if failed else 0

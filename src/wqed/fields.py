@@ -12,7 +12,8 @@ center ``a`` that is either a complex collective pole, the drive carrier,
 or the bare qubit frequency.  This module evaluates that kernel (through
 the scaled E1, so the decaying channels neither under- nor overflow),
 assembles the forward, backward, and inter-qubit fields in both their
-transient and long-time steady forms, and provides the scattering spectra
+transient and long-time steady forms (for one drive carrier, or for a
+whole sweep of carriers in one call), and provides the scattering spectra
 and closed-form resonance peak heights.
 
 The first E1 argument above follows from closing the frequency contour;
@@ -109,13 +110,10 @@ def _eval_chunked(fn, *arrays):
 def _wave_kernel_core(s1, t, a):
     """Master kernel for retarded coordinate s1 and elapsed time t.
 
-    Broadcasts over numpy arrays.  ``a`` is the complex center; its
-    imaginary part must be <= 0 (decaying channels), which is what the
+    Takes equal-length flat arrays.  ``a`` holds the complex centers; their
+    imaginary parts must be <= 0 (decaying channels), which is what the
     closing of the contour assumed.
     """
-    s1 = np.asarray(s1, dtype=float)
-    t = np.asarray(t, dtype=float)
-    s1, t = np.broadcast_arrays(s1, t)
     s2 = s1 - t
     if np.any(s1 == 0) or np.any(s2 == 0):
         raise ValueError(
@@ -141,15 +139,17 @@ def _wave_kernel_core(s1, t, a):
 
 
 def _wave_kernel(s1, t, a):
-    s1 = np.asarray(s1, dtype=float)
-    t = np.asarray(t, dtype=float)
-    s1b, tb = np.broadcast_arrays(s1, t)
-    shape = s1b.shape
-    flat_s = np.ascontiguousarray(s1b).ravel()
-    flat_t = np.ascontiguousarray(tb).ravel()
-    out = _eval_chunked(lambda ss, tt: _wave_kernel_core(ss, tt, a),
-                        flat_s, flat_t)
-    out = out.reshape(shape)
+    """Master kernel over the broadcast of s1, t and the center ``a``.
+
+    ``a`` is one complex center or an array of them, such as a drive axis
+    of carriers shaped to broadcast against a [time, position] grid.
+    """
+    s1, t, a = np.broadcast_arrays(np.asarray(s1, dtype=float),
+                                   np.asarray(t, dtype=float),
+                                   np.asarray(a, dtype=complex))
+    shape = s1.shape
+    flat = [np.ascontiguousarray(v).ravel() for v in (s1, t, a)]
+    out = _eval_chunked(_wave_kernel_core, *flat).reshape(shape)
     return out if shape else complex(out)
 
 
@@ -330,20 +330,29 @@ class FieldSlice:
     energy_w: np.ndarray | None = None
 
 
-def incident_plane_wave(x, t, params: ModelParams):
-    """Incident right-moving envelope A e^{i omega_s (x/v_g - t)}."""
+def incident_plane_wave(x, t, params: ModelParams, omega_s=None):
+    """Incident right-moving envelope A e^{i omega_s (x/v_g - t)}.
+
+    ``omega_s`` defaults to the parameters' drive carrier; an array of
+    carriers broadcasts against x and t.
+    """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
-    return params.amplitude * np.exp(
-        1j * params.omega_s * (x / params.v_g - t))
+    if omega_s is None:
+        omega_s = params.omega_s
+    return params.amplitude * np.exp(1j * omega_s * (x / params.v_g - t))
 
 
-def _scattered_sum(y1, y2, t, rates: CollectiveRates, params: ModelParams):
+def _scattered_sum(y1, y2, t, rates: CollectiveRates, params: ModelParams,
+                   omega_s, c_plus, c_minus):
     """Scattered envelope from kernels at shifted coordinates (y1, y2).
 
     For the forward field pass (x, x-d); for the backward field pass
     (-x, -(x-d)).  The channel pattern (symmetric adds the two shifts,
-    antisymmetric subtracts) is the same in both directions.
+    antisymmetric subtracts) is the same in both directions.  The drive
+    carrier ``omega_s`` and its weights ``c_plus``/``c_minus`` may carry a
+    leading drive axis; the pole kernels do not depend on the drive and
+    are evaluated once.
     """
     a_plus = params.omega_q - 1j * rates.gamma_plus
     a_minus = params.omega_q - 1j * rates.gamma_minus
@@ -352,11 +361,11 @@ def _scattered_sum(y1, y2, t, rates: CollectiveRates, params: ModelParams):
     k_plus_2 = _wave_kernel(y2 / v_g, t, a_plus)
     k_minus_1 = _wave_kernel(y1 / v_g, t, a_minus)
     k_minus_2 = _wave_kernel(y2 / v_g, t, a_minus)
-    k_s_1 = _wave_kernel(y1 / v_g, t, complex(params.omega_s))
-    k_s_2 = _wave_kernel(y2 / v_g, t, complex(params.omega_s))
+    k_s_1 = _wave_kernel(y1 / v_g, t, omega_s)
+    k_s_2 = _wave_kernel(y2 / v_g, t, omega_s)
     return -0.5 * params.coupling * (
-        rates.c_plus * (k_plus_1 + k_plus_2 - k_s_1 - k_s_2)
-        + rates.c_minus * (k_minus_1 - k_minus_2 - k_s_1 + k_s_2)
+        c_plus * (k_plus_1 + k_plus_2 - k_s_1 - k_s_2)
+        + c_minus * (k_minus_1 - k_minus_2 - k_s_1 + k_s_2)
     )
 
 
@@ -382,24 +391,23 @@ def _steady_plane(y, t, carrier, params: ModelParams):
     return np.exp(1j * carrier * (y / params.v_g - t)) * m
 
 
-def _steady_scattered(y1, y2, t, rates: CollectiveRates, params: ModelParams):
-    """Steady-state limit of ``_scattered_sum`` (same coordinate slots)."""
+def _steady_scattered(y1, y2, t, rates: CollectiveRates, params: ModelParams,
+                      omega_s, c_plus, c_minus):
+    """Steady-state limit of ``_scattered_sum`` (same arguments)."""
     g = params.coupling
     total = 0.5 * g * (
-        (rates.c_plus + rates.c_minus)
-        * _steady_plane(y1, t, params.omega_s, params)
-        + (rates.c_plus - rates.c_minus)
-        * _steady_plane(y2, t, params.omega_s, params)
+        (c_plus + c_minus) * _steady_plane(y1, t, omega_s, params)
+        + (c_plus - c_minus) * _steady_plane(y2, t, omega_s, params)
     )
     # A dark channel never decays: its kernel survives as a plane wave
-    # pinned at the bare qubit frequency.
+    # pinned at the bare qubit frequency, the same for every drive.
     if rates.regime is Regime.EVEN_PI:
-        total = total - 0.5 * g * rates.c_minus * (
+        total = total - 0.5 * g * c_minus * (
             _steady_plane(y1, t, params.omega_q, params)
             - _steady_plane(y2, t, params.omega_q, params)
         )
     elif rates.regime is Regime.ODD_PI:
-        total = total - 0.5 * g * rates.c_plus * (
+        total = total - 0.5 * g * c_plus * (
             _steady_plane(y1, t, params.omega_q, params)
             + _steady_plane(y2, t, params.omega_q, params)
         )
@@ -411,8 +419,9 @@ def steady_forward(x, t, rates: CollectiveRates, params: ModelParams):
     x = np.asarray(x, dtype=float)
     if np.any(x <= params.distance):
         raise ValueError("steady_forward expects x > d")
-    return incident_plane_wave(x, t, params) \
-        + _steady_scattered(x, x - params.distance, t, rates, params)
+    return incident_plane_wave(x, t, params) + _steady_scattered(
+        x, x - params.distance, t, rates, params,
+        params.omega_s, rates.c_plus, rates.c_minus)
 
 
 def steady_backward(x, t, rates: CollectiveRates, params: ModelParams):
@@ -420,36 +429,95 @@ def steady_backward(x, t, rates: CollectiveRates, params: ModelParams):
     x = np.asarray(x, dtype=float)
     if np.any(x >= 0):
         raise ValueError("steady_backward expects x < 0")
-    return _steady_scattered(-x, -(x - params.distance), t, rates, params)
+    return _steady_scattered(-x, -(x - params.distance), t, rates, params,
+                             params.omega_s, rates.c_plus, rates.c_minus)
+
+
+def _steady_gate(grid: SpaceTimeGrid, rates: CollectiveRates,
+                 params: ModelParams, omega_s):
+    """Per drive carrier in ``omega_s``: are the steady forms converged?
+
+    The exponential decay gate does not depend on the drive; the gate on
+    the algebraic 1/t tails uses min(omega_s, Omega) * lag.
+    """
+    span = np.max(np.abs(np.concatenate([grid.x, grid.x - params.distance])))
+    lag = grid.t.min() - span / params.v_g
+    if lag <= 0:
+        return np.zeros(np.shape(omega_s), dtype=bool)
+    positive = [r.real for r in (rates.gamma_plus, rates.gamma_minus)
+                if r.real > 0]
+    slowest = min(positive)
+    if np.exp(-slowest * lag) >= _STEADY_DECAY_GATE:
+        return np.zeros(np.shape(omega_s), dtype=bool)
+    return np.minimum(omega_s, params.omega_q) * lag > 1.0 / _STEADY_TAIL_GATE
 
 
 def steady_ready(grid: SpaceTimeGrid, rates: CollectiveRates,
                  params: ModelParams) -> bool:
     """Whether the steady forms are converged everywhere on the grid."""
-    span = np.max(np.abs(np.concatenate([grid.x, grid.x - params.distance])))
-    lag = grid.t.min() - span / params.v_g
-    if lag <= 0:
-        return False
-    positive = [r.real for r in (rates.gamma_plus, rates.gamma_minus)
-                if r.real > 0]
-    slowest = min(positive)
-    if np.exp(-slowest * lag) >= _STEADY_DECAY_GATE:
-        return False
-    if min(params.omega_s, params.omega_q) * lag <= 1.0 / _STEADY_TAIL_GATE:
-        return False
-    return True
-
-
-def _resolve_branch(grid, rates, params, branch) -> FieldBranch:
-    branch = FieldBranch(branch)
-    if branch is FieldBranch.AUTO:
-        return (FieldBranch.STEADY if steady_ready(grid, rates, params)
-                else FieldBranch.TRANSIENT)
-    return branch
+    return bool(_steady_gate(grid, rates, params, params.omega_s))
 
 
 # ---------------------------------------------------------------------------
 # assembled fields
+
+def _field_slices(grid: SpaceTimeGrid, rates: CollectiveRates,
+                  params: ModelParams, branch, right: bool, left: bool,
+                  omega_s=None) -> list[FieldSlice]:
+    """One FieldSlice per drive carrier, evaluated over all drives at once.
+
+    ``right`` assembles u (incident plus scattered), ``left`` assembles v,
+    and both together add w = u + v.  ``omega_s=None`` stands for the
+    parameters' own drive with the weights held in ``rates``; an array of
+    carriers gets its weights from ``coupling_weights`` in the regime of
+    ``rates``.  ``branch="auto"`` is resolved per drive.
+    """
+    if omega_s is None:
+        omega = np.array([params.omega_s])
+        c_plus, c_minus = np.array([rates.c_plus]), np.array([rates.c_minus])
+    else:
+        omega = np.asarray(omega_s, dtype=float)
+        if omega.ndim != 1 or not np.all(np.isfinite(omega)) \
+                or np.any(omega <= 0):
+            raise ValueError("drive carriers must be a 1-d array of "
+                             "positive finite frequencies")
+        c_plus, c_minus = coupling_weights(params, rates.regime, omega)
+    branch = FieldBranch(branch)
+    if branch is FieldBranch.AUTO:
+        steady = _steady_gate(grid, rates, params, omega)
+    else:
+        steady = np.full(omega.shape, branch is FieldBranch.STEADY)
+    # leading drive axis against the [time, position] grid
+    drive = [np.asarray(a).reshape(-1, 1, 1) for a in (omega, c_plus, c_minus)]
+    tt = grid.t[:, None]
+    xx = grid.x[None, :]
+    d = params.distance
+
+    def scattered(y1, y2):
+        out = np.empty((omega.size, grid.t.size, grid.x.size), dtype=complex)
+        for form, pick in ((_steady_scattered, steady),
+                           (_scattered_sum, ~steady)):
+            if pick.any():
+                out[pick] = form(y1, y2, tt, rates, params,
+                                 *(a[pick] for a in drive))
+        return out
+
+    envelopes = {}
+    if right:
+        envelopes["u"] = incident_plane_wave(xx, tt, params, drive[0]) \
+            + scattered(xx, xx - d)
+    if left:
+        envelopes["v"] = scattered(-xx, -(xx - d))
+    if right and left:
+        envelopes["w"] = envelopes["u"] + envelopes["v"]
+    envelopes.update({f"energy_{key}": np.abs(value) ** 2
+                      for key, value in envelopes.items()})
+    return [FieldSlice(
+        grid=grid, regime=rates.regime,
+        branch=FieldBranch.STEADY if is_steady else FieldBranch.TRANSIENT,
+        **{key: value[k] for key, value in envelopes.items()})
+        for k, is_steady in enumerate(steady)]
+
 
 def forward_field(grid: SpaceTimeGrid, rates: CollectiveRates,
                   params: ModelParams, branch="auto") -> FieldSlice:
@@ -471,18 +539,7 @@ def forward_field(grid: SpaceTimeGrid, rates: CollectiveRates,
     """
     if grid.region is Region.BEFORE:
         raise ValueError("forward field is defined between or behind the qubits")
-    use = _resolve_branch(grid, rates, params, branch)
-    tt = grid.t[:, None]
-    xx = grid.x[None, :]
-    if use is FieldBranch.STEADY:
-        scattered = _steady_scattered(xx, xx - params.distance, tt,
-                                      rates, params)
-    else:
-        scattered = _scattered_sum(xx, xx - params.distance, tt,
-                                   rates, params)
-    u = incident_plane_wave(xx, tt, params) + scattered
-    return FieldSlice(grid=grid, branch=use, regime=rates.regime,
-                      u=u, energy_u=np.abs(u) ** 2)
+    return _field_slices(grid, rates, params, branch, True, False)[0]
 
 
 def backward_field(grid: SpaceTimeGrid, rates: CollectiveRates,
@@ -490,15 +547,7 @@ def backward_field(grid: SpaceTimeGrid, rates: CollectiveRates,
     """Left-moving field v(x, t) before or between the qubits."""
     if grid.region is Region.BEHIND:
         raise ValueError("backward field is defined before or between the qubits")
-    use = _resolve_branch(grid, rates, params, branch)
-    tt = grid.t[:, None]
-    xx = grid.x[None, :]
-    if use is FieldBranch.STEADY:
-        v = _steady_scattered(-xx, -(xx - params.distance), tt, rates, params)
-    else:
-        v = _scattered_sum(-xx, -(xx - params.distance), tt, rates, params)
-    return FieldSlice(grid=grid, branch=use, regime=rates.regime,
-                      v=v, energy_v=np.abs(v) ** 2)
+    return _field_slices(grid, rates, params, branch, False, True)[0]
 
 
 def interqubit_field(grid: SpaceTimeGrid, rates: CollectiveRates,
@@ -506,23 +555,38 @@ def interqubit_field(grid: SpaceTimeGrid, rates: CollectiveRates,
     """Total field w = u + v between the qubits (0 < x < d)."""
     if grid.region is not Region.BETWEEN:
         raise ValueError("inter-qubit field needs a Between grid")
-    use = _resolve_branch(grid, rates, params, branch)
-    tt = grid.t[:, None]
-    xx = grid.x[None, :]
-    if use is FieldBranch.STEADY:
-        scattered_u = _steady_scattered(xx, xx - params.distance, tt,
-                                        rates, params)
-        v = _steady_scattered(-xx, -(xx - params.distance), tt, rates, params)
-    else:
-        scattered_u = _scattered_sum(xx, xx - params.distance, tt,
-                                     rates, params)
-        v = _scattered_sum(-xx, -(xx - params.distance), tt, rates, params)
-    u = incident_plane_wave(xx, tt, params) + scattered_u
-    w = u + v
-    return FieldSlice(grid=grid, branch=use, regime=rates.regime,
-                      u=u, v=v, w=w,
-                      energy_u=np.abs(u) ** 2, energy_v=np.abs(v) ** 2,
-                      energy_w=np.abs(w) ** 2)
+    return _field_slices(grid, rates, params, branch, True, True)[0]
+
+
+def drive_sweep(grid: SpaceTimeGrid, rates: CollectiveRates,
+                params: ModelParams, omega_s,
+                branch="auto") -> list[FieldSlice]:
+    """The field of the grid's region for every drive carrier in one call.
+
+    Entry k is what ``forward_field`` (behind the pair), ``backward_field``
+    (before it) or ``interqubit_field`` (between the qubits) returns for
+    ``params.with_drive(omega_s[k])`` and its own collective rates, but
+    the grid, the channel rates and every drive-independent kernel are
+    evaluated once for the whole sweep.  ``rates`` supplies the regime and
+    channel rates; its drive weights are not used.
+
+    Parameters
+    ----------
+    grid : SpaceTimeGrid
+    rates : CollectiveRates
+    params : ModelParams
+    omega_s : array_like
+        1-d array of drive carriers in rad/s.
+    branch : str or FieldBranch
+        As for ``forward_field``; "auto" is resolved per drive.
+
+    Returns
+    -------
+    list of FieldSlice, one per carrier.
+    """
+    return _field_slices(grid, rates, params, branch,
+                         grid.region is not Region.BEFORE,
+                         grid.region is not Region.BEHIND, omega_s)
 
 
 # ---------------------------------------------------------------------------
@@ -678,6 +742,22 @@ def beat_note_series(params: ModelParams, rates: CollectiveRates,
     return t, np.abs(u) ** 2
 
 
+def beat_note_fft(energy, params: ModelParams, n_periods: int = 40):
+    """FFT of a beat-note series from ``beat_note_series``.
+
+    ``energy`` samples a window of ``n_periods`` detuning beats uniformly.
+    Returns (frequencies, |spectrum|, peak_frequency, expected_frequency)
+    with frequencies in Hz.
+    """
+    energy = np.asarray(energy, dtype=float)
+    detune = params.omega_s - params.omega_q
+    window = n_periods * 2.0 * np.pi / abs(detune)
+    spectrum = np.fft.rfft(energy - energy.mean())
+    freqs = np.fft.rfftfreq(energy.size, d=window / energy.size)
+    peak = freqs[int(np.argmax(np.abs(spectrum)))]
+    return freqs, np.abs(spectrum), float(peak), abs(detune) / (2.0 * np.pi)
+
+
 def beat_note_spectrum(params: ModelParams, rates: CollectiveRates,
                        x0: float, n_periods: int = 40, n_samples: int = 4096):
     """FFT of the steady |u(x0, t)|^2 over ``n_periods`` detuning beats.
@@ -689,9 +769,4 @@ def beat_note_spectrum(params: ModelParams, rates: CollectiveRates,
     """
     _, energy = beat_note_series(params, rates, x0,
                                  n_periods=n_periods, n_samples=n_samples)
-    detune = params.omega_s - params.omega_q
-    window = n_periods * 2.0 * np.pi / abs(detune)
-    spectrum = np.fft.rfft(energy - energy.mean())
-    freqs = np.fft.rfftfreq(n_samples, d=window / n_samples)
-    peak = freqs[int(np.argmax(np.abs(spectrum)))]
-    return freqs, np.abs(spectrum), float(peak), abs(detune) / (2.0 * np.pi)
+    return beat_note_fft(energy, params, n_periods)

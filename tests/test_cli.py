@@ -1,14 +1,22 @@
 """Command-line interface: presets, configs, determinism, error reporting."""
 
 import json
+import lzma
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wqed import cli
+
+# stored figure datasets, written by the per-point field code
+REFERENCE_DIR = Path(__file__).resolve().parents[1] / "benchmarks/reference"
+# a decimal number as %.17g writes it; everything between numbers is text
+NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
 
 def run_cli(argv, tmp_path, monkeypatch):
@@ -196,3 +204,54 @@ def test_console_entry_point_installed():
     proc = subprocess.run([sys.executable, "-m", "wqed.cli", "--version"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize("preset", ["fig6", "fig9", "fig10", "fig11"])
+def test_field_preset_matches_stored_reference(preset, tmp_path, monkeypatch):
+    # whole drive sweeps per block must reproduce the point-by-point data:
+    # same text between the numbers, numbers within 1e-12 * max(|ref|, 1)
+    code = run_cli(["field", "--preset", preset, "--out", "got.csv"],
+                   tmp_path, monkeypatch)
+    assert code == 0
+    got = (tmp_path / "got.csv").read_text().splitlines()
+    ref = lzma.decompress((REFERENCE_DIR / f"{preset}.csv.xz").read_bytes())
+    ref = ref.decode().splitlines()
+    assert len(got) == len(ref)
+    for g, r in zip(got, ref):
+        if g == r:
+            continue
+        g_parts, r_parts = NUMBER.split(g), NUMBER.split(r)
+        assert g_parts[::2] == r_parts[::2], g
+        for gn, rn in zip(g_parts[1::2], r_parts[1::2]):
+            assert abs(float(gn) - float(rn)) \
+                <= 1e-12 * max(abs(float(rn)), 1.0), (gn, rn)
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    ("spectrum", "sweep", "points", "2.7"),
+    ("spectrum", "sweep", "points", "0"),
+    ("peaks", "peaks", "points", "-4"),
+    ("beating", "beating", "n_periods", "0.5"),
+    ("beating", "beating", "n_samples", "1"),
+])
+def test_integer_keys_are_validated(command, section, key, value, tmp_path,
+                                    monkeypatch, capsys):
+    config = tmp_path / "bad.ini"
+    config.write_text(f"[{section}]\n{key} = {value}\n")
+    preset = {"spectrum": "fig2", "peaks": "fig8", "beating": "fig7"}[command]
+    code = run_cli([command, "--preset", preset, "--config", str(config),
+                    "--out", "bad.csv"], tmp_path, monkeypatch)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{section}.{key}" in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "bad.csv").exists()
+
+
+def test_unwritable_output_exits_with_input_error(tmp_path, monkeypatch,
+                                                 capsys):
+    out = tmp_path / "missing_dir" / "x.csv"
+    code = run_cli(["peaks", "--preset", "fig8", "--out", str(out)],
+                   tmp_path, monkeypatch)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "cannot write output" in err and len(err.strip().splitlines()) == 1
