@@ -42,8 +42,7 @@ from .fields import (
     SpaceTimeGrid,
     FieldSlice,
     space_time_grid,
-    set_kernel_convention,
-    kernel_convention,
+    closed_kernel,
     incident_plane_wave,
     forward_field,
     backward_field,
@@ -75,7 +74,7 @@ __all__ = [
     "QubitState", "SpectralAmplitude", "phase_integral",
     "qubit_amplitudes", "channel_time_integrals", "spectral_amplitudes",
     "Region", "FieldBranch", "SpaceTimeGrid", "FieldSlice",
-    "space_time_grid", "set_kernel_convention", "kernel_convention",
+    "space_time_grid", "closed_kernel",
     "incident_plane_wave", "forward_field", "backward_field",
     "interqubit_field", "drive_sweep", "steady_forward", "steady_backward",
     "steady_ready", "transmittance", "reflectance", "flux_defect",

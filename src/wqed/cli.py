@@ -30,8 +30,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import json
+import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -352,17 +355,38 @@ def _json_path(out):
     return out[:-4] + ".json" if out.endswith(".csv") else out + ".json"
 
 
-def _emit(scenario, args, lines, columns, rows):
-    out = scenario["out"]
-    written = [out]
+def _write_outputs(outputs):
+    """Write every (path, writer) pair through a temporary file.
+
+    Each ``writer(temp)`` writes into the target directory; the files are
+    moved onto their paths only after every write succeeded, so a failed
+    run leaves no partial output and clobbers none.
+    """
+    temps = []
     try:
-        write_csv(out, lines, columns, rows)
-        if args.json:
-            written.append(_json_path(out))
-            write_json(written[-1], lines, columns, rows)
+        for path, writer in outputs:
+            if os.path.isdir(path):
+                raise IsADirectoryError(f"{path} is a directory")
+            temps.append(f"{path}.{os.getpid()}.tmp")
+            writer(temps[-1])
+        for temp, (path, _) in zip(temps, outputs):
+            os.replace(temp, path)
     except OSError as exc:
         raise ScenarioError(f"cannot write output: {exc}") from exc
-    return written
+    finally:
+        for temp in temps:
+            with contextlib.suppress(OSError):
+                os.remove(temp)
+    return [path for path, _ in outputs]
+
+
+def _emit(scenario, args, lines, columns, rows):
+    outputs = [(scenario["out"],
+                lambda path: write_csv(path, lines, columns, rows))]
+    if args.json:
+        outputs.append((_json_path(scenario["out"]),
+                        lambda path: write_json(path, lines, columns, rows)))
+    return _write_outputs(outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -573,22 +597,6 @@ def _check(name, err, tol):
             "passed": bool(err < tol)}
 
 
-def closed_kernel(kernel_id, x_shift, t, rates, params):
-    """Closed-form counterpart of ``oracle.quad_kernel`` by kernel id."""
-    forward = kernel_id.startswith("fwd")
-    if "decay" in kernel_id:
-        gamma_c = rates.gamma_plus if kernel_id.endswith("plus") \
-            else rates.gamma_minus
-        omega_c = params.omega_q - 1j * gamma_c
-        fn = fields.decay_kernel_fwd if forward else fields.decay_kernel_bwd
-        return fn(x_shift, t, omega_c, params)
-    if "drive" in kernel_id:
-        fn = fields.drive_kernel_fwd if forward else fields.drive_kernel_bwd
-        return fn(x_shift, t, params)
-    return fields.resonant_kernel("fwd" if forward else "bwd",
-                                  x_shift, t, params)
-
-
 def cmd_oracle_check(scenario, args):
     """Validation suite: closed forms against the brute-force oracles."""
     from . import amplitudes, oracle, specfun
@@ -637,7 +645,7 @@ def cmd_oracle_check(scenario, args):
             x_shift = rng.uniform(-4.0, -0.1) * d
         else:
             x_shift = rng.uniform(1.1, 5.0) * d
-        closed = closed_kernel(kernel_id, x_shift, t, rates, p)
+        closed = fields.closed_kernel(kernel_id, x_shift, t, rates, p)
         brute = oracle.quad_kernel(kernel_id, x_shift, t, p, rates)
         scale = max(abs(brute), 1.0e-3)
         worst = max(worst, abs(complex(closed) - brute) / scale)
@@ -725,14 +733,10 @@ def cmd_oracle_check(scenario, args):
 
     failed = [r for r in results if not r["passed"]]
     if args.json:
-        json_path = _json_path(scenario["out"])
-        try:
-            with open(json_path, "w") as handle:
-                json.dump({"checks": results}, handle, indent=1)
-                handle.write("\n")
-        except OSError as exc:
-            raise ScenarioError(f"cannot write output: {exc}") from exc
-        print(f"wrote {json_path}")
+        report = json.dumps({"checks": results}, indent=1) + "\n"
+        written = _write_outputs([(_json_path(scenario["out"]),
+                                   lambda path: Path(path).write_text(report))])
+        print(f"wrote {written[0]}")
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")
     return 1 if failed else 0
 

@@ -16,11 +16,10 @@ transient and long-time steady forms (for one drive carrier, or for a
 whole sweep of carriers in one call), and provides the scattering spectra
 and closed-form resonance peak heights.
 
-The first E1 argument above follows from closing the frequency contour;
-an alternative reading with the argument a*s1 instead of i*a*s1 circulates
-and can be selected with ``set_kernel_convention("printed")``.  The
-acceptance suite resolves the choice empirically against the quadrature
-oracle; the default "rotated" convention is the one that survives.
+The first E1 argument above, i*a*s1, follows from closing the frequency
+contour.  An alternative reading with the argument a*s1 circulates; the
+test suite keeps it as a helper and scores both writings against the
+quadrature oracle, which only this one passes.
 """
 
 from __future__ import annotations
@@ -38,9 +37,6 @@ from .specfun import cosine_integral, e1_scaled, si_lower
 
 TWO_PI_I = 2j * np.pi
 
-KERNEL_CONVENTIONS = ("rotated", "printed")
-_kernel_convention = "rotated"
-
 # Steady-state acceptance gates: transients must have decayed to this level
 # and the algebraic 1/t tails must be below this before "auto" picks the
 # steady branch.
@@ -52,27 +48,13 @@ _STEADY_TAIL_GATE = 1e-6
 # divergence dominates and the field value is an artifact.
 EXCLUSION_FRACTION = 0.05
 
+# Kernel grids this large are split into _PIECES equal pieces, evaluated
+# serially or on a pool.  The split must not follow WQED_THREADS: numpy's
+# temporary elision (complex temporaries of 256 KiB and more) runs
+# products such as ``term * (-z)`` in place with swapped operands and
+# other rounding, so the piece sizes fix the last bit.
 _PARALLEL_THRESHOLD = 16384
-
-
-def set_kernel_convention(name: str) -> None:
-    """Select the E1-argument convention of the damped kernels.
-
-    "rotated" (default) uses E1(i a s1) for the launch term, as the
-    contour derivation gives; "printed" uses E1(a s1).  The latter is only
-    evaluable for positive shifted coordinates (elsewhere the argument
-    lands on E1's branch cut) and fails the quadrature cross-check, but is
-    kept selectable so the comparison stays reproducible.
-    """
-    global _kernel_convention
-    if name not in KERNEL_CONVENTIONS:
-        raise ValueError(f"unknown kernel convention {name!r}")
-    _kernel_convention = name
-
-
-def kernel_convention() -> str:
-    """Currently selected E1-argument convention."""
-    return _kernel_convention
+_PIECES = min(4, os.cpu_count() or 1)
 
 
 def _thread_count() -> int:
@@ -82,23 +64,24 @@ def _thread_count() -> int:
             return max(1, int(env))
         except ValueError:
             return 1
-    return min(4, os.cpu_count() or 1)
+    return _PIECES
 
 
 def _eval_chunked(fn, *arrays):
-    """Apply ``fn`` over equal index chunks of flat arrays, maybe threaded.
+    """Apply ``fn`` over equal index pieces of flat arrays, maybe threaded.
 
-    numpy releases the GIL inside the heavy kernels, so a small thread
-    pool helps on big grids; chunks are reassembled in index order, so the
-    result is bit-identical to the serial evaluation.
+    numpy releases the GIL inside the heavy kernels, so a small pool helps
+    on big grids; the result is bit-identical for every ``WQED_THREADS``.
     """
     n = arrays[0].size
-    threads = _thread_count()
-    if threads <= 1 or n < _PARALLEL_THRESHOLD:
+    if n < _PARALLEL_THRESHOLD:
         return fn(*arrays)
-    bounds = np.linspace(0, n, threads + 1, dtype=int)
+    bounds = np.linspace(0, n, _PIECES + 1, dtype=int)
     pieces = [tuple(a[lo:hi] for a in arrays)
-              for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+              for lo, hi in zip(bounds[:-1], bounds[1:])]
+    threads = _thread_count()
+    if threads <= 1:
+        return np.concatenate([fn(*piece) for piece in pieces])
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(lambda piece: fn(*piece), pieces))
     return np.concatenate(results)
@@ -120,16 +103,7 @@ def _wave_kernel_core(s1, t, a):
             "kernel singularity: a shifted coordinate or the light front "
             "passes exactly through a grid point"
         )
-    if _kernel_convention == "rotated":
-        launch = np.exp(-1j * a * t) * e1_scaled(1j * a * s1)
-    else:
-        arg = a * np.asarray(s1, dtype=complex)
-        if np.any((arg.imag == 0) & (arg.real <= 0)) or np.any(s1 < 0):
-            raise ValueError(
-                "printed kernel convention undefined for non-positive "
-                "shifted coordinates (E1 branch cut)"
-            )
-        launch = np.exp(-1j * a * t + (1j - 1.0) * a * s1) * e1_scaled(arg)
+    launch = np.exp(-1j * a * t) * e1_scaled(1j * a * s1)
     front = -e1_scaled(1j * a * s2)
     # Winding bookkeeping of the two contour closings; in the physical
     # region s2 < 0 this reduces to +2*pi*i for s1 > 0 and nothing else.
@@ -153,49 +127,25 @@ def _wave_kernel(s1, t, a):
     return out if shape else complex(out)
 
 
-def decay_kernel_fwd(x_shift, t, omega_c, params: ModelParams):
-    """Forward-propagating damped kernel at complex center ``omega_c``.
+def closed_kernel(kernel_id: str, x_shift, t, rates: CollectiveRates,
+                  params: ModelParams):
+    """Master kernel by id, the closed form of ``oracle.quad_kernel``.
 
-    Parameters
-    ----------
-    x_shift : float or array_like
-        Shifted coordinate (x or x - d) in meters.
-    t : float or array_like
-        Elapsed time in seconds.
-    omega_c : complex
-        Channel center Omega - i*gamma_channel.
-    params : ModelParams
+    ``kernel_id`` is "fwd" (s1 = x_shift/v_g) or "bwd" (s1 = -x_shift/v_g),
+    an underscore, and the center: "decay_plus"/"decay_minus" for the
+    collective poles Omega - i*gamma_+-, "drive" for omega_s, "resonant"
+    for the bare Omega; any other id raises ValueError.  ``x_shift`` (x or
+    x - d, meters) and ``t`` (seconds) broadcast against each other.
     """
-    return _wave_kernel(np.asarray(x_shift) / params.v_g, t, complex(omega_c))
-
-
-def decay_kernel_bwd(x_shift, t, omega_c, params: ModelParams):
-    """Backward-propagating damped kernel at complex center ``omega_c``."""
-    return _wave_kernel(-np.asarray(x_shift) / params.v_g, t, complex(omega_c))
-
-
-def drive_kernel_fwd(x_shift, t, params: ModelParams):
-    """Forward kernel at the (real) drive carrier."""
-    return _wave_kernel(np.asarray(x_shift) / params.v_g, t,
-                        complex(params.omega_s))
-
-
-def drive_kernel_bwd(x_shift, t, params: ModelParams):
-    """Backward kernel at the (real) drive carrier."""
-    return _wave_kernel(-np.asarray(x_shift) / params.v_g, t,
-                        complex(params.omega_s))
-
-
-def resonant_kernel(direction: str, x_shift, t, params: ModelParams):
-    """Kernel pinned at the bare qubit frequency (dark-channel carrier).
-
-    ``direction`` is "fwd" or "bwd".
-    """
-    if direction not in ("fwd", "bwd"):
-        raise ValueError("direction must be 'fwd' or 'bwd'")
+    centers = {"decay_plus": params.omega_q - 1j * rates.gamma_plus,
+               "decay_minus": params.omega_q - 1j * rates.gamma_minus,
+               "drive": params.omega_s, "resonant": params.omega_q}
+    direction, _, center = str(kernel_id).partition("_")
+    if direction not in ("fwd", "bwd") or center not in centers:
+        raise ValueError(f"unknown kernel id {kernel_id!r}")
     sign = 1.0 if direction == "fwd" else -1.0
     return _wave_kernel(sign * np.asarray(x_shift) / params.v_g, t,
-                        complex(params.omega_q))
+                        centers[center])
 
 
 def _wave_kernel_trig(s1, t, omega):

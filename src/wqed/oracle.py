@@ -28,18 +28,6 @@ KERNEL_IDS = (
     "bwd_decay_plus", "bwd_decay_minus", "bwd_drive", "bwd_resonant",
 )
 
-# kernel id -> (direction sign for s1 = sign * x_shift / v_g, center key)
-_KERNEL_TABLE = {
-    "fwd_decay_plus": (+1, "plus"),
-    "fwd_decay_minus": (+1, "minus"),
-    "fwd_drive": (+1, "drive"),
-    "fwd_resonant": (+1, "resonant"),
-    "bwd_decay_plus": (-1, "plus"),
-    "bwd_decay_minus": (-1, "minus"),
-    "bwd_drive": (-1, "drive"),
-    "bwd_resonant": (-1, "resonant"),
-}
-
 
 @dataclass(frozen=True)
 class QuadSpec:
@@ -60,14 +48,14 @@ class QuadSpec:
 
 def _kernel_center(kernel_id: str, params: ModelParams,
                    rates: CollectiveRates | None) -> complex:
-    key = _KERNEL_TABLE[kernel_id][1]
+    key = kernel_id.split("_", 1)[1]
     if key == "drive":
         return complex(params.omega_s)
     if key == "resonant":
         return complex(params.omega_q)
     if rates is None:
         raise ValueError(f"kernel {kernel_id!r} needs collective rates")
-    gamma = rates.gamma_plus if key == "plus" else rates.gamma_minus
+    gamma = rates.gamma_plus if key == "decay_plus" else rates.gamma_minus
     return params.omega_q - 1j * gamma
 
 
@@ -109,12 +97,12 @@ def quad_kernel(kernel_id: str, x_shift: float, t: float,
     -------
     complex
     """
-    if kernel_id not in _KERNEL_TABLE:
+    if kernel_id not in KERNEL_IDS:
         raise ValueError(f"unknown kernel id {kernel_id!r}")
     spec_q = quad or QuadSpec()
     if t <= 0:
         raise ValueError("t must be positive")
-    sign = _KERNEL_TABLE[kernel_id][0]
+    sign = 1 if kernel_id.startswith("fwd") else -1
     s1 = sign * x_shift / params.v_g
     s2 = s1 - t
     if s1 == 0 or s2 == 0:
@@ -165,32 +153,27 @@ def quad_kernel(kernel_id: str, x_shift: float, t: float,
     return complex(total + tail)
 
 
+def _quad_field(direction: str, x: float, t: float, rates: CollectiveRates,
+                params: ModelParams, quad: QuadSpec | None) -> complex:
+    """Scattered field at (x, t) from the ``direction`` ("fwd"/"bwd") kernels."""
+    kp1, kp2, km1, km2, ks1, ks2 = (
+        quad_kernel(f"{direction}_{center}", shift, t, params, rates, quad)
+        for center in ("decay_plus", "decay_minus", "drive")
+        for shift in (x, x - params.distance))
+    return -0.5 * params.coupling * (rates.c_plus * (kp1 + kp2 - ks1 - ks2)
+                                     + rates.c_minus * (km1 - km2 - ks1 + ks2))
+
+
 def quad_field_forward(x: float, t: float, rates: CollectiveRates,
                        params: ModelParams, quad: QuadSpec | None = None) -> complex:
     """Scattered forward field at (x, t) assembled from quadrature kernels."""
-    g = params.coupling
-    kp1 = quad_kernel("fwd_decay_plus", x, t, params, rates, quad)
-    kp2 = quad_kernel("fwd_decay_plus", x - params.distance, t, params, rates, quad)
-    km1 = quad_kernel("fwd_decay_minus", x, t, params, rates, quad)
-    km2 = quad_kernel("fwd_decay_minus", x - params.distance, t, params, rates, quad)
-    ks1 = quad_kernel("fwd_drive", x, t, params, rates, quad)
-    ks2 = quad_kernel("fwd_drive", x - params.distance, t, params, rates, quad)
-    return -0.5 * g * (rates.c_plus * (kp1 + kp2 - ks1 - ks2)
-                       + rates.c_minus * (km1 - km2 - ks1 + ks2))
+    return _quad_field("fwd", x, t, rates, params, quad)
 
 
 def quad_field_backward(x: float, t: float, rates: CollectiveRates,
                         params: ModelParams, quad: QuadSpec | None = None) -> complex:
     """Scattered backward field at (x, t) assembled from quadrature kernels."""
-    g = params.coupling
-    kp1 = quad_kernel("bwd_decay_plus", x, t, params, rates, quad)
-    kp2 = quad_kernel("bwd_decay_plus", x - params.distance, t, params, rates, quad)
-    km1 = quad_kernel("bwd_decay_minus", x, t, params, rates, quad)
-    km2 = quad_kernel("bwd_decay_minus", x - params.distance, t, params, rates, quad)
-    ks1 = quad_kernel("bwd_drive", x, t, params, rates, quad)
-    ks2 = quad_kernel("bwd_drive", x - params.distance, t, params, rates, quad)
-    return -0.5 * g * (rates.c_plus * (kp1 + kp2 - ks1 - ks2)
-                       + rates.c_minus * (km1 - km2 - ks1 + ks2))
+    return _quad_field("bwd", x, t, rates, params, quad)
 
 
 # ---------------------------------------------------------------------------

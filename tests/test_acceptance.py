@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from wqed import fields, specfun
-from wqed.cli import closed_kernel
 from wqed.model import ModelParams, collective_rates
 from wqed.amplitudes import qubit_amplitudes
 from wqed.oracle import KERNEL_IDS, continuum_evolve, markov_ode, quad_kernel
@@ -63,10 +62,11 @@ def test_markov_lattice_agreement_and_departure():
     assert elapsed < 1.0
 
 
-def test_kernel_ensemble_against_quadrature():
-    # 200 random (kernel, x, t) samples across the three regimes; if the
-    # exponential-integral argument convention were wrong, the ensemble
-    # must fail, the convention is flipped, and the ensemble rerun
+def test_kernel_ensemble_against_quadrature(printed_kernel):
+    # 200 random (kernel, x, t) samples across the three regimes; each
+    # quadrature value is computed once and scores both writings of the
+    # first exponential-integral argument: the rotated one (the engine's)
+    # must pass, the printed one must fail in each direction
     start = time.perf_counter()
     presets = {
         tag: ModelParams.from_phase(OMEGA_Q, 0.01 * OMEGA_Q, phase,
@@ -74,47 +74,32 @@ def test_kernel_ensemble_against_quadrature():
         for tag, phase in (("generic", 0.8), ("even", 2.0), ("odd", 5.0))
     }
     rates = {tag: collective_rates(p) for tag, p in presets.items()}
-
-    def draw_samples():
-        rng = np.random.default_rng(20260822)
-        tags = tuple(presets)
-        for i in range(200):
-            tag = tags[i % 3]
-            p = presets[tag]
-            kernel_id = KERNEL_IDS[i % len(KERNEL_IDS)]
-            t = rng.uniform(0.2, 2.0) * 40.0 / p.gamma
-            if kernel_id.startswith("bwd"):
-                x_shift = rng.uniform(-4.0, -0.1) * p.distance
-            else:
-                x_shift = rng.uniform(1.1, 5.0) * p.distance
-            yield tag, kernel_id, x_shift, t
-
-    def ensemble_error():
-        worst = 0.0
-        for tag, kernel_id, x_shift, t in draw_samples():
-            closed = closed_kernel(kernel_id, x_shift, t,
-                                   rates[tag], presets[tag])
-            brute = quad_kernel(kernel_id, x_shift, t, presets[tag],
-                                rates[tag])
-            scale = max(abs(brute), 1e-3)
-            worst = max(worst, abs(complex(closed) - brute) / scale)
-        return worst
-
-    convention = fields.kernel_convention()
-    try:
-        worst = ensemble_error()
-        if worst > 1e-3:
-            # flip to the alternative writing and insist the ensemble heals
-            other = "printed" if convention == "rotated" else "rotated"
-            fields.set_kernel_convention(other)
-            convention = other
-            worst = ensemble_error()
-    finally:
-        chosen = convention
-        fields.set_kernel_convention("rotated")
+    rng = np.random.default_rng(20260822)
+    tags = tuple(presets)
+    writings = {"rotated": fields.closed_kernel, "printed": printed_kernel}
+    worst = {(name, way): 0.0 for name in writings for way in ("fwd", "bwd")}
+    for i in range(200):
+        tag = tags[i % 3]
+        p, r = presets[tag], rates[tag]
+        kernel_id = KERNEL_IDS[i % len(KERNEL_IDS)]
+        t = rng.uniform(0.2, 2.0) * 40.0 / p.gamma
+        if kernel_id.startswith("bwd"):
+            x_shift = rng.uniform(-4.0, -0.1) * p.distance
+        else:
+            x_shift = rng.uniform(1.1, 5.0) * p.distance
+        brute = quad_kernel(kernel_id, x_shift, t, p, r)
+        scale = max(abs(brute), 1e-3)
+        for name, kernel in writings.items():
+            err = abs(complex(kernel(kernel_id, x_shift, t, r, p)) - brute)
+            key = (name, kernel_id[:3])
+            worst[key] = max(worst[key], err / scale)
     elapsed = time.perf_counter() - start
-    _verdict("kernel ensemble vs quadrature (200 samples)", worst, 1e-3,
-             f"convention '{chosen}', {elapsed:.1f} s")
+    _verdict("kernel ensemble vs quadrature (200 samples)",
+             max(worst["rotated", "fwd"], worst["rotated", "bwd"]), 1e-3,
+             f"printed writing {worst['printed', 'fwd']:.3e} forward, "
+             f"{worst['printed', 'bwd']:.3e} backward, each must exceed "
+             f"1e-3; {elapsed:.1f} s")
+    assert min(worst["printed", "fwd"], worst["printed", "bwd"]) > 1e-3
     assert elapsed < 120.0
 
 

@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wqed import cli
+from wqed import cli, fields
+from wqed.model import ModelParams, collective_rates
 
 # stored figure datasets, written by the per-point field code
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "benchmarks/reference"
@@ -59,14 +60,33 @@ def test_spectrum_output_is_deterministic(tmp_path, monkeypatch):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
-def test_field_output_thread_invariant(tmp_path, monkeypatch):
-    monkeypatch.setenv("WQED_THREADS", "1")
-    run_cli(["field", "--preset", "fig6", "--out", "t1.csv"],
-            tmp_path, monkeypatch)
-    monkeypatch.setenv("WQED_THREADS", "4")
-    run_cli(["field", "--preset", "fig6", "--out", "t4.csv"],
-            tmp_path, monkeypatch)
-    assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t4.csv").read_bytes()
+def test_field_output_thread_invariant(monkeypatch):
+    # WQED_THREADS must not move a byte: a 16,384-point transient grid (the
+    # pool threshold) whose launch E1 arguments all take the series branch,
+    # evaluated serially and on two threads; the two-thread run used the pool
+    omega_q = 2.0 * np.pi * 5.0e9
+    p = ModelParams.from_phase(omega_q, 0.01 * omega_q, 0.5,
+                               omega_s=1.007 * omega_q)
+    rates = collective_rates(p)
+    x = np.linspace(1.1, 3.0, 128) * p.distance
+    t = 3.5 * p.distance / p.v_g * np.linspace(1.01, 3.0, 128)
+    grid = fields.space_time_grid(p, x, t)
+    assert grid.x.size * grid.t.size >= fields._PARALLEL_THRESHOLD
+    pools = []
+    real_pool = fields.ThreadPoolExecutor
+
+    def counting_pool(*args, **kwargs):
+        pools.append(kwargs["max_workers"])
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(fields, "ThreadPoolExecutor", counting_pool)
+    u = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("WQED_THREADS", threads)
+        u[threads] = fields.forward_field(grid, rates, p, "transient").u
+        assert len(pools) == (0 if threads == "1" else 6)
+    assert pools == [2] * 6
+    assert u["1"].tobytes() == u["2"].tobytes()
 
 
 def test_json_mirror_written(tmp_path, monkeypatch):
@@ -255,3 +275,40 @@ def test_unwritable_output_exits_with_input_error(tmp_path, monkeypatch,
     assert code == 2
     err = capsys.readouterr().err
     assert "cannot write output" in err and len(err.strip().splitlines()) == 1
+
+
+def test_failed_run_leaves_no_output_and_clobbers_none(tmp_path, monkeypatch,
+                                                       capsys):
+    # the JSON mirror cannot be written: the CSV must not appear, an old
+    # one must survive, and no temporary file may be left behind
+    for name, old_csv in (("fresh", None), ("kept", "old data\n")):
+        out = tmp_path / name
+        out.mkdir()
+        (out / "x.json").mkdir()
+        if old_csv:
+            (out / "x.csv").write_text(old_csv)
+        code = run_cli(["peaks", "--preset", "fig8", "--json",
+                        "--out", str(out / "x.csv")], tmp_path, monkeypatch)
+        assert code == 2
+        assert "cannot write output" in capsys.readouterr().err
+        expected = ["x.json"] + (["x.csv"] if old_csv else [])
+        assert sorted(p.name for p in out.iterdir()) == sorted(expected)
+        if old_csv:
+            assert (out / "x.csv").read_text() == old_csv
+
+    # a write that fails halfway through: same guarantees
+    def failing_write_json(path, lines, columns, rows):
+        with open(path, "w") as handle:
+            handle.write("{")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_json", failing_write_json)
+    out = tmp_path / "half"
+    out.mkdir()
+    (out / "x.csv").write_text("old data\n")
+    code = run_cli(["peaks", "--preset", "fig8", "--json",
+                    "--out", str(out / "x.csv")], tmp_path, monkeypatch)
+    assert code == 2
+    assert "disk full" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["x.csv"]
+    assert (out / "x.csv").read_text() == "old data\n"

@@ -4,15 +4,14 @@ Every closed kernel is the frequency integral of the mode phase against a
 damped or sharp pole factor; the quadrature oracle evaluates that integral
 with phase-resolved panels and an analytic tail.  These tests sweep all
 eight kernels in the three interference regimes, exercise the wavefront
-winding correction, and pin down the argument convention of the
-exponential-integral writing.
+winding correction, and pin down which writing of the first
+exponential-integral argument is the right one.
 """
 
 import numpy as np
 import pytest
 
 from wqed import fields
-from wqed.cli import closed_kernel
 from wqed.model import ModelParams, collective_rates
 from wqed.oracle import KERNEL_IDS, QuadSpec, quad_kernel
 
@@ -36,7 +35,7 @@ def test_closed_kernels_match_quadrature(tag, kernel_id):
         x_shift = rng.uniform(-4.0, -0.1) * p.distance
     else:
         x_shift = rng.uniform(1.1, 5.0) * p.distance
-    closed = closed_kernel(kernel_id, x_shift, t, r, p)
+    closed = fields.closed_kernel(kernel_id, x_shift, t, r, p)
     brute = quad_kernel(kernel_id, x_shift, t, p, r)
     scale = max(abs(brute), 1e-3)
     assert abs(complex(closed) - brute) / scale < 1e-3
@@ -52,7 +51,7 @@ def test_closed_kernels_tight_agreement_with_long_tail():
     worst = 0.0
     for kernel_id, x_over_d in (("fwd_decay_plus", 2.0), ("bwd_drive", -1.5)):
         x_shift = x_over_d * p.distance
-        closed = closed_kernel(kernel_id, x_shift, t, r, p)
+        closed = fields.closed_kernel(kernel_id, x_shift, t, r, p)
         brute = quad_kernel(kernel_id, x_shift, t, p, r, quad)
         worst = max(worst, abs(complex(closed) - brute) / abs(brute))
     assert worst < 1e-5
@@ -66,7 +65,7 @@ def test_kernel_winding_across_the_wavefront():
     x_shift = 2.0 * p.distance
     t_front = x_shift / p.v_g
     for t in (0.8 * t_front, 1.25 * t_front):
-        closed = closed_kernel("fwd_decay_plus", x_shift, t, r, p)
+        closed = fields.closed_kernel("fwd_decay_plus", x_shift, t, r, p)
         brute = quad_kernel("fwd_decay_plus", x_shift, t, p, r)
         assert abs(complex(closed) - brute) / max(abs(brute), 1e-3) < 1e-3
 
@@ -80,37 +79,44 @@ def test_wavefront_jump_is_i_pi():
     x_shift = 3.0 * p.distance
     t_front = x_shift / p.v_g
     eps = 1e-5
-    after = complex(closed_kernel("fwd_decay_plus", x_shift,
-                                  t_front * (1.0 + eps), r, p))
-    before = complex(closed_kernel("fwd_decay_plus", x_shift,
-                                   t_front * (1.0 - eps), r, p))
+    after = complex(fields.closed_kernel("fwd_decay_plus", x_shift,
+                                         t_front * (1.0 + eps), r, p))
+    before = complex(fields.closed_kernel("fwd_decay_plus", x_shift,
+                                          t_front * (1.0 - eps), r, p))
     jump = after - before
     assert abs(jump - 1j * np.pi) < 0.01 * np.pi
 
 
-def test_kernel_convention_flip_breaks_agreement():
-    # the rotated-argument convention is the validated one; the printed
-    # variant must disagree with quadrature far beyond the tolerance
+def test_kernel_convention_flip_breaks_agreement(printed_kernel):
+    # the rotated E1 argument i*a*s1 is the validated writing; the printed
+    # one, a*s1, must disagree with quadrature far beyond the tolerance
     p = _preset("generic")
     r = collective_rates(p)
     x_shift = 2.3 * p.distance
     t = 18.0 / p.gamma
-    assert fields.kernel_convention() == "rotated"
-    try:
-        ref = quad_kernel("fwd_decay_plus", x_shift, t, p, r)
-        good = closed_kernel("fwd_decay_plus", x_shift, t, r, p)
-        fields.set_kernel_convention("printed")
-        bad = closed_kernel("fwd_decay_plus", x_shift, t, r, p)
-    finally:
-        fields.set_kernel_convention("rotated")
+    ref = quad_kernel("fwd_decay_plus", x_shift, t, p, r)
+    good = fields.closed_kernel("fwd_decay_plus", x_shift, t, r, p)
+    bad = printed_kernel("fwd_decay_plus", x_shift, t, r, p)
     assert abs(complex(good) - ref) / abs(ref) < 1e-3
     assert abs(complex(bad) - ref) / abs(ref) > 1e-2
 
 
-def test_kernel_convention_rejects_unknown_name():
-    with pytest.raises(ValueError):
-        fields.set_kernel_convention("sideways")
-    assert fields.kernel_convention() == "rotated"
+@pytest.mark.parametrize("kernel_id",
+                         KERNEL_IDS + ("sideways", "fwd_", "up_drive"))
+def test_engine_and_oracle_accept_the_same_kernel_ids(kernel_id):
+    # both sides accept exactly the ids in KERNEL_IDS and refuse the rest
+    p = _preset("generic")
+    r = collective_rates(p)
+    x_shift = 1.5 * p.distance
+    t = 2.0 * x_shift / p.v_g
+    if kernel_id in KERNEL_IDS:
+        assert np.isfinite(fields.closed_kernel(kernel_id, x_shift, t, r, p))
+        assert np.isfinite(quad_kernel(kernel_id, x_shift, t, p, r))
+    else:
+        with pytest.raises(ValueError, match="unknown kernel id"):
+            fields.closed_kernel(kernel_id, x_shift, t, r, p)
+        with pytest.raises(ValueError, match="unknown kernel id"):
+            quad_kernel(kernel_id, x_shift, t, p, r)
 
 
 def test_drive_kernel_matches_trig_writing():
