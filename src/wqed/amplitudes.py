@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CollectiveRates, ModelParams, Regime, snapped_phase_factor
+from .model import CollectiveRates, ModelParams, snapped_phase_factor
 
 
 @dataclass(frozen=True)

@@ -796,7 +796,7 @@ def main(argv=None):
         else:
             scenario = build_scenario(args)
         return _DISPATCH[args.command](scenario, args)
-    except (ScenarioError, ValueError) as exc:
+    except (ScenarioError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -90,20 +90,15 @@ def _eval_chunked(fn, *arrays):
 # ---------------------------------------------------------------------------
 # the master kernel
 
-def _wave_kernel_core(s1, t, a):
+def _wave_kernel_core(s1, t, a, launch):
     """Master kernel for retarded coordinate s1 and elapsed time t.
 
     Takes equal-length flat arrays.  ``a`` holds the complex centers; their
     imaginary parts must be <= 0 (decaying channels), which is what the
-    closing of the contour assumed.
+    closing of the contour assumed.  ``launch`` is the launch term
+    e^{-iat} E1s(i a s1), which the caller evaluates off the grid.
     """
     s2 = s1 - t
-    if np.any(s1 == 0) or np.any(s2 == 0):
-        raise ValueError(
-            "kernel singularity: a shifted coordinate or the light front "
-            "passes exactly through a grid point"
-        )
-    launch = np.exp(-1j * a * t) * e1_scaled(1j * a * s1)
     front = -e1_scaled(1j * a * s2)
     # Winding bookkeeping of the two contour closings; in the physical
     # region s2 < 0 this reduces to +2*pi*i for s1 > 0 and nothing else.
@@ -116,13 +111,22 @@ def _wave_kernel(s1, t, a):
     """Master kernel over the broadcast of s1, t and the center ``a``.
 
     ``a`` is one complex center or an array of them, such as a drive axis
-    of carriers shaped to broadcast against a [time, position] grid.
+    of carriers shaped to broadcast against a [time, position] grid.  The
+    launch term e^{-iat} E1s(i a s1) is a product of two factors that are
+    evaluated on the broadcast of ``a`` with t and with s1 alone: on such
+    a grid once per time and once per position, not once per point.
     """
-    s1, t, a = np.broadcast_arrays(np.asarray(s1, dtype=float),
-                                   np.asarray(t, dtype=float),
-                                   np.asarray(a, dtype=complex))
-    shape = s1.shape
-    flat = [np.ascontiguousarray(v).ravel() for v in (s1, t, a)]
+    s1 = np.asarray(s1, dtype=float)
+    t = np.asarray(t, dtype=float)
+    a = np.asarray(a, dtype=complex)
+    shape = np.broadcast_shapes(s1.shape, t.shape, a.shape)
+    if np.any(s1 == 0) or np.any(s1 - t == 0):
+        raise ValueError(
+            "kernel singularity: a shifted coordinate or the light front "
+            "passes exactly through a grid point"
+        )
+    launch = np.exp(-1j * a * t) * e1_scaled(1j * a * s1)
+    flat = [np.broadcast_to(v, shape).ravel() for v in (s1, t, a, launch)]
     out = _eval_chunked(_wave_kernel_core, *flat).reshape(shape)
     return out if shape else complex(out)
 

@@ -8,12 +8,14 @@ overflow and underflow once Re z reaches a few hundred (here it can reach a
 few thousand), so that scaled product is computed directly and is the
 workhorse of this module.
 
-Two evaluation branches are used, switching at |z| = 6: the ascending power
-series near the origin, and a modified Lentz continued fraction farther
-out.  The series loses roughly e^|z| * eps to cancellation, which is why
-the switch sits at 6 and not further out; the continued fraction needs only
-a few dozen terms there and computes the scaled product without any
-exponential.  All functions accept scalars or numpy arrays.
+Two evaluation branches are used: the ascending power series for |z| <= 6
+and Re z <= 0.5, which loses roughly e^(|z| + Re z) * eps to cancellation,
+and a continued fraction everywhere else.  The continued fraction computes
+the scaled product without any exponential, by backward recurrence from a
+depth picked by |z|, with a truncation bound that sends an argument round
+again at twice the depth; past a depth limit (reached only near the
+negative real axis) it raises RuntimeError.  All functions accept scalars
+or numpy arrays.
 """
 
 from __future__ import annotations
@@ -25,12 +27,19 @@ EULER_GAMMA = 0.57721566490153286061
 
 HALF_PI = np.pi / 2.0
 
-# Switch radius between the ascending series and the continued fraction.
+# Series branch of E1: |z| <= _SERIES_RADIUS and Re z <= _SERIES_MAX_REAL.
+# Its relative rounding error is about 5e-14 at the corner |z| = 6,
+# Re z = 0.5, but 7e-12 at z = 6.
 _SERIES_RADIUS = 6.0
+_SERIES_MAX_REAL = 0.5
 _SERIES_MAX_TERMS = 120
+# Start depth of the continued fraction: _CF_DEPTHS[k] for |z| below
+# _CF_BANDS[k], the last depth beyond the last band.
+_CF_BANDS = (10.0, 20.0, 60.0, 300.0)
+_CF_DEPTHS = (48, 32, 20, 12, 8)
 _CF_MAX_ITER = 5000
-_CF_EPS = 1e-15
-_CF_TINY = 1e-300
+# Largest truncation bound accepted without evaluating deeper.
+_CF_EPS = 1e-16
 
 
 def _as_complex_array(z):
@@ -52,44 +61,59 @@ def _e1_series(z):
     return -EULER_GAMMA - np.log(z) + total
 
 
-def _e1s_continued_fraction(z):
-    """Modified Lentz evaluation of e^z E1(z) for |z| above the switch.
+def _cf_backward(z, depth):
+    """Depth-``depth`` backward evaluation of the E1 continued fraction.
 
-    The Lentz recurrence walks the standard continued fraction
-    e^z E1(z) = 1/(z+1-) 1/(z+3-) 4/(z+5-) 9/(z+7-) ..., which converges
-    for every z off the negative real axis and involves no exponentials.
+    Runs t_N = z + 2N + 1, t_j = z + 2j + 1 - (j+1)^2/t_{j+1} down to t_0
+    and returns 1/t_0 together with the first-order bound on its relative
+    truncation error,
+    |prod_{j<N} (j+1)^2/t_{j+1}^2| * |1/t_0| * (N+1)^2/|z + 2N + 3|.
     """
-    b = z + 1.0
-    # Zero denominators get nudged per the usual Lentz prescription.
-    b = np.where(b == 0, _CF_TINY, b)
-    c = np.full_like(z, 1.0 / _CF_TINY)
-    d = 1.0 / b
-    h = d.copy()
-    active = np.ones(z.shape, dtype=bool)
-    for i in range(1, _CF_MAX_ITER + 1):
-        a = -float(i * i)
-        b = b + 2.0
-        d_new = a * d[active] + b[active]
-        d_new = np.where(d_new == 0, _CF_TINY, d_new)
-        c_new = b[active] + a / c[active]
-        c_new = np.where(c_new == 0, _CF_TINY, c_new)
-        d_new = 1.0 / d_new
-        delta = c_new * d_new
-        h[active] = h[active] * delta
-        d[active] = d_new
-        c[active] = c_new
-        still = np.abs(delta - 1.0) >= _CF_EPS
-        if not still.any():
-            active[active] = False
-            break
-        active[active] = still
-    if active.any():
-        raise RuntimeError(
-            "continued fraction for e^z E1(z) failed to converge "
-            f"within {_CF_MAX_ITER} terms (worst |z| = "
-            f"{np.abs(z[active]).min():.3g})"
-        )
-    return h
+    t = z + (2 * depth + 1)
+    gain = np.ones_like(z)
+    for j in range(depth - 1, -1, -1):
+        q = (j + 1) / t
+        gain *= q
+        gain *= q
+        q *= j + 1
+        t = z + (2 * j + 1)
+        t -= q
+    h = 1.0 / t
+    bound = np.abs(gain * h) * (depth + 1) ** 2 / np.abs(z + (2 * depth + 3))
+    return h, bound
+
+
+def _e1s_continued_fraction(z):
+    """Backward evaluation of e^z E1(z) for a flat array off the series.
+
+    The standard continued fraction
+    e^z E1(z) = 1/(z+1-) 1/(z+3-) 4/(z+5-) 9/(z+7-) ...
+    converges for every z off the negative real axis.  Each |z| band starts
+    at its depth in ``_CF_DEPTHS``; elements whose truncation bound is not
+    below ``_CF_EPS`` go round again at twice the depth, up to
+    ``_CF_MAX_ITER``.  Each value depends on its own argument only.
+    """
+    z = np.ravel(z)
+    out = np.empty_like(z)
+    band = np.searchsorted(_CF_BANDS, np.abs(z), side="right")
+    for k, depth in enumerate(_CF_DEPTHS):
+        idx = np.flatnonzero(band == k)
+        while idx.size:
+            if depth > _CF_MAX_ITER:
+                raise RuntimeError(
+                    "continued fraction for e^z E1(z) failed to converge "
+                    f"within {_CF_MAX_ITER} terms (worst |z| = "
+                    f"{np.abs(z[idx]).min():.3g})"
+                )
+            out[idx], bound = _cf_backward(z[idx], depth)
+            # "not below" also sends a NaN bound round again
+            idx = idx[~(bound < _CF_EPS)]
+            depth *= 2
+    return out
+
+
+def _takes_series(z):
+    return (np.abs(z) <= _SERIES_RADIUS) & (z.real <= _SERIES_MAX_REAL)
 
 
 def _validate_off_cut(z):
@@ -123,7 +147,7 @@ def e1_scaled(z):
     _validate_off_cut(arr)
     flat = arr.ravel()
     out = np.empty_like(flat)
-    small = np.abs(flat) <= _SERIES_RADIUS
+    small = _takes_series(flat)
     if small.any():
         zs = flat[small]
         out[small] = np.exp(zs) * _e1_series(zs)
@@ -153,7 +177,7 @@ def exp_integral_e1(z):
     _validate_off_cut(arr)
     flat = arr.ravel()
     out = np.empty_like(flat)
-    small = np.abs(flat) <= _SERIES_RADIUS
+    small = _takes_series(flat)
     if small.any():
         out[small] = _e1_series(flat[small])
     if (~small).any():

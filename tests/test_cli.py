@@ -2,7 +2,6 @@
 
 import json
 import lzma
-import os
 import re
 import subprocess
 import sys
@@ -11,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wqed import cli, fields
+from wqed import cli, fields, specfun
 from wqed.model import ModelParams, collective_rates
 
 # stored figure datasets, written by the per-point field code
@@ -62,14 +61,16 @@ def test_spectrum_output_is_deterministic(tmp_path, monkeypatch):
 
 def test_field_output_thread_invariant(monkeypatch):
     # WQED_THREADS must not move a byte: a 16,384-point transient grid (the
-    # pool threshold) whose launch E1 arguments all take the series branch,
-    # evaluated serially and on two threads; the two-thread run used the pool
+    # pool threshold) just behind the light front, so that the pooled front
+    # E1 arguments of the three kernels at s1 = x/v_g (|a s2| < 5.94) all
+    # take the series branch, evaluated serially and on two threads; the
+    # two-thread run used the pool
     omega_q = 2.0 * np.pi * 5.0e9
     p = ModelParams.from_phase(omega_q, 0.01 * omega_q, 0.5,
                                omega_s=1.007 * omega_q)
     rates = collective_rates(p)
     x = np.linspace(1.1, 3.0, 128) * p.distance
-    t = 3.5 * p.distance / p.v_g * np.linspace(1.01, 3.0, 128)
+    t = p.distance / p.v_g * np.linspace(3.05, 4.85, 128)
     grid = fields.space_time_grid(p, x, t)
     assert grid.x.size * grid.t.size >= fields._PARALLEL_THRESHOLD
     pools = []
@@ -312,3 +313,20 @@ def test_failed_run_leaves_no_output_and_clobbers_none(tmp_path, monkeypatch,
     assert "disk full" in capsys.readouterr().err
     assert [p.name for p in out.iterdir()] == ["x.csv"]
     assert (out / "x.csv").read_text() == "old data\n"
+
+
+def test_special_function_failure_exits_with_runtime_error(tmp_path,
+                                                          monkeypatch, capsys):
+    # a continued fraction that does not converge is exit 2 with one line
+    # on stderr, not a traceback, and no output file appears
+    def no_convergence(z):
+        raise RuntimeError("continued fraction failed to converge")
+
+    monkeypatch.setattr(specfun, "_e1s_continued_fraction", no_convergence)
+    code = run_cli(["peaks", "--preset", "fig8", "--out", "x.csv"],
+                   tmp_path, monkeypatch)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "converge" in err
+    assert len(err.strip().splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []

@@ -134,3 +134,46 @@ def test_drive_kernel_matches_trig_writing():
         trig = fields._wave_kernel_trig(s1, t, center)
         err = np.abs(swept[k] - trig) / np.maximum(np.abs(trig), 1.0)
         assert err.max() < 1e-11
+
+
+def _hoist_grid():
+    # 16 times x 200 positions behind the pair, transient throughout
+    p = _preset("generic")
+    x = np.linspace(1.1, 3.0, 200) * p.distance
+    t = 3.5 * p.distance / p.v_g * np.linspace(1.01, 3.0, 16)
+    return p, x, t
+
+
+@pytest.mark.parametrize("center", ["decay", "drive", "resonant"])
+def test_launch_term_evaluated_off_the_time_axis(center):
+    # the kernel on a [time, position] broadcast, whose launch term takes
+    # its E1 once per position and its phase once per time, equals the
+    # kernel on the already-broadcast flat arrays, where every point takes
+    # its own
+    p, x, t = _hoist_grid()
+    r = collective_rates(p)
+    a = {"decay": p.omega_q - 1j * r.gamma_plus, "drive": p.omega_s,
+         "resonant": p.omega_q}[center]
+    for s1 in (x / p.v_g, -x / p.v_g):
+        grid = fields._wave_kernel(s1[None, :], t[:, None], a)
+        s1_flat, t_flat = np.broadcast_arrays(s1[None, :], t[:, None])
+        flat = fields._wave_kernel(s1_flat.ravel(), t_flat.ravel(), a)
+        np.testing.assert_allclose(grid.ravel(), flat, rtol=1e-13, atol=0)
+
+
+def test_transient_field_takes_six_e1_arguments_per_point(monkeypatch):
+    # six kernels per point: each evaluates its front E1 on the whole grid
+    # and its launch E1 once per position
+    p, x, t = _hoist_grid()
+    grid = fields.space_time_grid(p, x, t)
+    counted = []
+    real_e1 = fields.e1_scaled
+
+    def counting_e1(z):
+        counted.append(np.size(z))
+        return real_e1(z)
+
+    monkeypatch.setattr(fields, "e1_scaled", counting_e1)
+    fields.forward_field(grid, collective_rates(p), p, "transient")
+    n_t, n_x = t.size, x.size
+    assert sum(counted) <= 6 * (n_t * n_x + n_x)

@@ -1,7 +1,9 @@
 """Sine, cosine, and exponential integrals: identities, references, branches."""
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wqed import specfun
 from wqed.oracle import e1_scaled_quad
@@ -127,3 +129,63 @@ def test_series_and_continued_fraction_overlap():
     series = np.exp(z) * specfun._e1_series(z)
     fraction = specfun._e1s_continued_fraction(z)
     assert np.max(np.abs(series / fraction - 1.0)) < 1e-8
+
+
+def _mp_e1_scaled(z):
+    with mpmath.workdps(30):
+        w = mpmath.mpc(z.real, z.imag)
+        return complex(mpmath.exp(w) * mpmath.e1(w))
+
+
+def _polar(log10_radius, angle):
+    return complex(10.0 ** log10_radius * np.exp(1j * angle))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(log10_radius=st.floats(-3.0, 5.0),
+       angle=st.floats(-(np.pi / 2 + 0.1), np.pi / 2 + 0.1))
+def test_scaled_exp_integral_against_mpmath(log10_radius, angle):
+    z = _polar(log10_radius, angle)
+    ref = _mp_e1_scaled(z)
+    assert abs(specfun.e1_scaled(z) - ref) <= 1e-13 * abs(ref)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(log10_radius=st.floats(-3.0, 5.0),
+       angle=st.floats(-(np.pi - 0.05), np.pi - 0.05))
+def test_scaled_exp_integral_is_right_or_raises(log10_radius, angle):
+    # near the branch cut the continued fraction may give up, but it must
+    # never hand back a value outside the tolerance
+    z = _polar(log10_radius, angle)
+    try:
+        got = specfun.e1_scaled(z)
+    except RuntimeError:
+        return
+    ref = _mp_e1_scaled(z)
+    assert abs(got - ref) <= 1e-13 * abs(ref)
+
+
+@pytest.mark.parametrize("radius", [6.01, 10.0, 20.0, 60.0])
+def test_continued_fraction_converges_where_it_always_did(radius):
+    # a grid reaching towards the cut just outside the series, where the
+    # recurrence needs its deepest passes (|z| = 6.01 at angle 3.0 takes
+    # depth 3,072 of the 5,000 allowed); none may raise
+    angles = np.array([0.0, np.pi / 2, np.pi / 2 + 0.1, 2.0, 2.5, 3.0])
+    z = radius * np.exp(1j * angles)
+    got = specfun.e1_scaled(z)
+    ref = np.array([_mp_e1_scaled(v) for v in z])
+    assert np.max(np.abs(got / ref - 1.0)) <= 1e-13
+
+
+def test_continued_fraction_raises_at_the_cut():
+    with pytest.raises(RuntimeError, match="failed to converge"):
+        specfun.e1_scaled(6.5 * np.exp(1j * (np.pi - 1e-4)))
+
+
+def test_continued_fraction_values_do_not_depend_on_the_batch():
+    rng = np.random.default_rng(29)
+    z = rng.uniform(6.5, 400.0, 64) * np.exp(1j * rng.uniform(-2.5, 2.5, 64))
+    batch = specfun._e1s_continued_fraction(z)
+    single = np.array([specfun._e1s_continued_fraction(z[k:k + 1])[0]
+                       for k in range(z.size)])
+    assert batch.tobytes() == single.tobytes()
