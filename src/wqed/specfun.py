@@ -212,17 +212,16 @@ def _si_ci_series(x):
 
 
 def _si_ci_large(x):
-    """Si and Ci for x above the switch radius via E1 on the imaginary axis.
+    """si(x) = Si(x) - pi/2 and Ci(x) above the switch radius, via E1(ix).
 
-    Uses E1(ix) = -Ci(x) + i (Si(x) - pi/2), evaluated through the scaled
-    continued fraction; the unwinding factor e^{-ix} has unit modulus so
-    nothing can overflow.
+    Uses E1(ix) = -Ci(x) + i si(x), evaluated through the scaled continued
+    fraction; the unwinding factor e^{-ix} has unit modulus so nothing can
+    overflow.  si is returned unshifted: it decays like 1/x, and adding
+    pi/2 only to take it off again would cost it its relative accuracy.
     """
     z = 1j * x
     e1 = np.exp(-z) * _e1s_continued_fraction(z.astype(np.complex128))
-    ci = -e1.real
-    si = e1.imag + HALF_PI
-    return si, ci
+    return e1.imag, -e1.real
 
 
 def sine_integral(x):
@@ -248,7 +247,7 @@ def sine_integral(x):
         out[small] = _si_ci_series(mag[small])[0]
     large = mag > _SERIES_RADIUS
     if large.any():
-        out[large] = _si_ci_large(mag[large])[0]
+        out[large] = _si_ci_large(mag[large])[0] + HALF_PI
     out = np.sign(arr) * out
     return out[0] if scalar else out
 
@@ -258,9 +257,21 @@ def si_lower(x):
 
     This is the variant appearing in the steady-state field formulas; it
     tends to 0 as x -> +inf and to -pi as x -> -inf, and satisfies
-    si(x) + si(-x) = -pi identically.
+    si(x) + si(-x) = -pi identically.  Beyond the switch radius si(|x|)
+    is taken straight from E1(i|x|), with no pi/2 to cancel, and si(-|x|)
+    from the reflection.
     """
-    return sine_integral(x) - HALF_PI
+    arr = np.asarray(x, dtype=np.float64)
+    scalar = arr.ndim == 0
+    arr = np.atleast_1d(arr)
+    mag = np.abs(arr)
+    large = np.isfinite(arr) & (mag > _SERIES_RADIUS)
+    out = np.empty_like(arr)
+    out[~large] = sine_integral(arr[~large]) - HALF_PI
+    if large.any():
+        si = _si_ci_large(mag[large])[0]
+        out[large] = np.where(arr[large] > 0, si, -np.pi - si)
+    return out[0] if scalar else out
 
 
 def cosine_integral(x):

@@ -10,7 +10,12 @@ import pytest
 
 from wqed import fields
 from wqed.model import ModelParams, collective_rates
-from wqed.oracle import _kernel_center
+from wqed.oracle import (
+    QuadSpec,
+    _kernel_center,
+    _tail_inverse_omega,
+    _tail_inverse_omega_sq,
+)
 from wqed.specfun import e1_scaled
 
 OMEGA_Q = 2.0 * np.pi * 5.0e9
@@ -78,3 +83,46 @@ def _printed_kernel(kernel_id, x_shift, t, rates, params):
 def printed_kernel():
     """The closed kernel in the printed writing, which quadrature rules out."""
     return _printed_kernel
+
+
+def _per_node_quad_kernel(kernel_id, x_shift, t, params, rates=None):
+    """``oracle.quad_kernel`` in its per-node writing, as a reference.
+
+    Same panels, nodes, weights and analytic tail as the oracle's default
+    ``QuadSpec``, but every node evaluates phi(omega - a, t) e^{i omega s2}
+    with its own two complex exponentials instead of the factored phases.
+    """
+    spec_q = QuadSpec()
+    s1 = (1.0 if kernel_id.startswith("fwd") else -1.0) * x_shift / params.v_g
+    s2 = s1 - t
+    a = _kernel_center(kernel_id, params, rates)
+    cutoff = spec_q.cutoff_factor * max(params.omega_q, params.omega_s, abs(a))
+    h = 2.0 * np.pi / (spec_q.points_per_period * max(abs(s1), abs(s2), t))
+    if a.imag < 0:
+        h = min(h, -a.imag / 4.0)
+    n_panels = int(np.ceil(cutoff / h))
+    width = cutoff / n_panels
+    ref_x, ref_w = np.polynomial.legendre.leggauss(spec_q.panel_order)
+    ref_x = 0.5 * (ref_x + 1.0)
+    ref_w = 0.5 * ref_w * width
+    total = 0.0 + 0.0j
+    for start in range(0, n_panels, 32768):
+        left = (np.arange(start, min(start + 32768, n_panels)) * width)[:, None]
+        omega = left + ref_x[None, :] * width
+        z = omega - a
+        zt = z * t
+        small = np.abs(zt) < 1e-8
+        phi = np.where(small, 1j * t * (1.0 + 0.5j * zt),
+                       (np.exp(1j * zt) - 1.0) / np.where(small, 1.0, z))
+        total += np.sum(phi * np.exp(1j * omega * s2) * ref_w[None, :])
+    tail = np.exp(-1j * a * t) * (_tail_inverse_omega(s1, cutoff)
+                                  + a * _tail_inverse_omega_sq(s1, cutoff)) \
+        - (_tail_inverse_omega(s2, cutoff)
+           + a * _tail_inverse_omega_sq(s2, cutoff))
+    return complex(total + tail)
+
+
+@pytest.fixture(scope="session")
+def per_node_quad_kernel():
+    """The panel quadrature with two exponentials per node."""
+    return _per_node_quad_kernel

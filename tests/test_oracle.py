@@ -14,6 +14,7 @@ from scipy.special import sici
 from wqed import fields
 from wqed.model import ModelParams, collective_rates
 from wqed.oracle import (
+    KERNEL_IDS,
     QuadSpec,
     continuum_evolve,
     gaussian_spectrum,
@@ -34,6 +35,47 @@ def test_markov_ode_step_doubling(weak_generic):
     err = max(abs(coarse.beta_1[-1] - fine.beta_1[-1]),
               abs(coarse.beta_2[-1] - fine.beta_2[-1]))
     assert err < 1e-10
+
+
+def test_markov_ode_refuses_steps_above_the_error_budget():
+    # 20 steps over 20/Gamma miss the 1e-9 local budget about 100-fold
+    # (50 steps miss it by only 1%, too close to be a stable check)
+    p = ModelParams.from_phase(OMEGA_Q, 0.01 * OMEGA_Q, 0.8,
+                               omega_s=1.005 * OMEGA_Q)
+    with pytest.raises(RuntimeError, match="above budget"):
+        markov_ode(p, 20.0 / p.gamma, n_steps=20)
+
+
+@pytest.mark.parametrize("phase", [0.8, 2.0, 5.0], ids=["generic", "even", "odd"])
+def test_factored_quadrature_matches_per_node_writing(phase, per_node_quad_kernel):
+    # the per-panel phase factoring regroups the products of the same
+    # integrand on the same nodes, so only rounding may separate the two
+    p = ModelParams.from_phase(OMEGA_Q, 0.01 * OMEGA_Q, phase,
+                               omega_s=1.005 * OMEGA_Q)
+    r = collective_rates(p)
+    rng = np.random.default_rng(int(phase * 10))
+    for kernel_id in KERNEL_IDS:
+        t = rng.uniform(0.2, 2.0) * 40.0 / p.gamma
+        if kernel_id.startswith("bwd"):
+            x_shift = rng.uniform(-4.0, -0.1) * p.distance
+        else:
+            x_shift = rng.uniform(1.1, 5.0) * p.distance
+        ref = per_node_quad_kernel(kernel_id, x_shift, t, p, r)
+        got = quad_kernel(kernel_id, x_shift, t, p, r)
+        assert abs(got - ref) <= 1e-9 * max(abs(ref), 1e-3), kernel_id
+
+
+@pytest.mark.parametrize("kernel_id", ["fwd_drive", "bwd_decay_plus"])
+def test_factored_quadrature_matches_per_node_writing_at_tiny_times(
+        kernel_id, weak_generic, per_node_quad_kernel):
+    # at t = 1e-19 s every node below 1e11 rad/s has |(omega - a) t| < 1e-8,
+    # so both writings take the first-order expansion of phi there
+    p = weak_generic.with_drive(1.005 * weak_generic.omega_q)
+    r = collective_rates(p)
+    x_shift = (2.0 if kernel_id.startswith("fwd") else -1.5) * p.distance
+    ref = per_node_quad_kernel(kernel_id, x_shift, 1e-19, p, r)
+    got = quad_kernel(kernel_id, x_shift, 1e-19, p, r)
+    assert abs(got - ref) <= 1e-9 * max(abs(ref), 1e-3)
 
 
 def test_quad_kernel_sharpens_with_cutoff(weak_generic):

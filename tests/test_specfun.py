@@ -165,6 +165,30 @@ def test_scaled_exp_integral_is_right_or_raises(log10_radius, angle):
     assert abs(got - ref) <= 1e-13 * abs(ref)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(log10_x=st.floats(-3.0, 5.0))
+def test_sine_and_cosine_integrals_against_mpmath(log10_x):
+    x = 10.0 ** log10_x
+    with mpmath.workdps(30):
+        si_ref, ci_ref = mpmath.si(x), mpmath.ci(x)
+        si_neg = -si_ref - mpmath.pi / 2
+    assert abs(specfun.sine_integral(x) - si_ref) <= 1e-14 * max(abs(si_ref), 1)
+    assert abs(specfun.cosine_integral(x) - ci_ref) <= 1e-14 * max(abs(ci_ref), 1)
+    assert abs(specfun.si_lower(-x) - si_neg) <= 1e-14 * max(abs(si_neg), 1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(log10_x=st.floats(np.log10(6.0), 5.0, exclude_min=True))
+def test_si_lower_keeps_its_accuracy_beyond_the_switch_radius(log10_x):
+    # si(x) = Si(x) - pi/2 decays like 1/x; it must be as accurate as the
+    # E1(ix) = -Ci(x) + i si(x) it is read from, not as pi/2 is
+    x = 10.0 ** log10_x
+    with mpmath.workdps(30):
+        ref = mpmath.si(x) - mpmath.pi / 2
+        scale = abs(mpmath.e1(mpmath.mpc(0, x)))
+    assert abs(specfun.si_lower(x) - ref) <= 1e-14 * scale
+
+
 @pytest.mark.parametrize("radius", [6.01, 10.0, 20.0, 60.0])
 def test_continued_fraction_converges_where_it_always_did(radius):
     # a grid reaching towards the cut just outside the series, where the
