@@ -22,8 +22,7 @@ Scenarios are INI files (flat ``key = value`` under sections); named
 presets embed the parameter sets of the survey figures.  Output is CSV
 with ``#``-prefixed metadata lines, and every run with the same scenario
 produces byte-identical output (fixed 17-significant-digit floats, no
-timestamps).  The environment variable WQED_THREADS caps the evaluation
-thread pool.
+timestamps).
 """
 
 from __future__ import annotations

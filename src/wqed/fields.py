@@ -25,8 +25,6 @@ quadrature oracle, which only this one passes.
 from __future__ import annotations
 
 import enum
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,87 +46,38 @@ _STEADY_TAIL_GATE = 1e-6
 # divergence dominates and the field value is an artifact.
 EXCLUSION_FRACTION = 0.05
 
-# Kernel grids this large are split into _PIECES equal pieces, evaluated
-# serially or on a pool.  The split must not follow WQED_THREADS: numpy's
-# temporary elision (complex temporaries of 256 KiB and more) runs
-# products such as ``term * (-z)`` in place with swapped operands and
-# other rounding, so the piece sizes fix the last bit.
-_PARALLEL_THRESHOLD = 16384
-_PIECES = min(4, os.cpu_count() or 1)
-
-
-def _thread_count() -> int:
-    env = os.environ.get("WQED_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return _PIECES
-
-
-def _eval_chunked(fn, *arrays):
-    """Apply ``fn`` over equal index pieces of flat arrays, maybe threaded.
-
-    numpy releases the GIL inside the heavy kernels, so a small pool helps
-    on big grids; the result is bit-identical for every ``WQED_THREADS``.
-    """
-    n = arrays[0].size
-    if n < _PARALLEL_THRESHOLD:
-        return fn(*arrays)
-    bounds = np.linspace(0, n, _PIECES + 1, dtype=int)
-    pieces = [tuple(a[lo:hi] for a in arrays)
-              for lo, hi in zip(bounds[:-1], bounds[1:])]
-    threads = _thread_count()
-    if threads <= 1:
-        return np.concatenate([fn(*piece) for piece in pieces])
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(lambda piece: fn(*piece), pieces))
-    return np.concatenate(results)
-
-
 # ---------------------------------------------------------------------------
 # the master kernel
-
-def _wave_kernel_core(s1, t, a, launch):
-    """Master kernel for retarded coordinate s1 and elapsed time t.
-
-    Takes equal-length flat arrays.  ``a`` holds the complex centers; their
-    imaginary parts must be <= 0 (decaying channels), which is what the
-    closing of the contour assumed.  ``launch`` is the launch term
-    e^{-iat} E1s(i a s1), which the caller evaluates off the grid.
-    """
-    s2 = s1 - t
-    front = -e1_scaled(1j * a * s2)
-    # Winding bookkeeping of the two contour closings; in the physical
-    # region s2 < 0 this reduces to +2*pi*i for s1 > 0 and nothing else.
-    circ = TWO_PI_I * np.exp(1j * a * s2) \
-        * ((s2 < 0).astype(float) - (s1 < 0).astype(float))
-    return launch + front + circ
-
 
 def _wave_kernel(s1, t, a):
     """Master kernel over the broadcast of s1, t and the center ``a``.
 
-    ``a`` is one complex center or an array of them, such as a drive axis
-    of carriers shaped to broadcast against a [time, position] grid.  The
-    launch term e^{-iat} E1s(i a s1) is a product of two factors that are
-    evaluated on the broadcast of ``a`` with t and with s1 alone: on such
-    a grid once per time and once per position, not once per point.
+    s1 is the retarded coordinate and t the elapsed time.  ``a`` is one
+    complex center or an array of them, such as a drive axis of carriers
+    shaped to broadcast against a [time, position] grid; their imaginary
+    parts must be <= 0 (decaying channels), which is what the closing of
+    the contour assumed.  The launch term e^{-iat} E1s(i a s1) is a product
+    of two factors that are evaluated on the broadcast of ``a`` with t and
+    with s1 alone: on such a grid once per time and once per position, not
+    once per point.
     """
     s1 = np.asarray(s1, dtype=float)
     t = np.asarray(t, dtype=float)
     a = np.asarray(a, dtype=complex)
-    shape = np.broadcast_shapes(s1.shape, t.shape, a.shape)
-    if np.any(s1 == 0) or np.any(s1 - t == 0):
+    s2 = s1 - t
+    if np.any(s1 == 0) or np.any(s2 == 0):
         raise ValueError(
             "kernel singularity: a shifted coordinate or the light front "
             "passes exactly through a grid point"
         )
     launch = np.exp(-1j * a * t) * e1_scaled(1j * a * s1)
-    flat = [np.broadcast_to(v, shape).ravel() for v in (s1, t, a, launch)]
-    out = _eval_chunked(_wave_kernel_core, *flat).reshape(shape)
-    return out if shape else complex(out)
+    front = -e1_scaled(1j * a * s2)
+    # Winding bookkeeping of the two contour closings; in the physical
+    # region s2 < 0 this reduces to +2*pi*i for s1 > 0 and nothing else.
+    circ = TWO_PI_I * np.exp(1j * a * s2) \
+        * ((s2 < 0).astype(float) - (s1 < 0).astype(float))
+    out = launch + front + circ
+    return out if np.ndim(out) else complex(out)
 
 
 def closed_kernel(kernel_id: str, x_shift, t, rates: CollectiveRates,

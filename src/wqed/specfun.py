@@ -10,12 +10,15 @@ workhorse of this module.
 
 Two evaluation branches are used: the ascending power series for |z| <= 6
 and Re z <= 0.5, which loses roughly e^(|z| + Re z) * eps to cancellation,
-and a continued fraction everywhere else.  The continued fraction computes
-the scaled product without any exponential, by backward recurrence from a
-depth picked by |z|, with a truncation bound that sends an argument round
-again at twice the depth; past a depth limit (reached only near the
-negative real axis) it raises RuntimeError.  All functions accept scalars
-or numpy arrays.
+and a continued fraction everywhere else.  The series is summed by Horner
+in -z over 39 terms, the count its truncation bound needs at |z| = 6, for
+every argument alike.  The continued fraction computes the scaled product
+without any exponential, by backward recurrence from a start depth fitted
+by |z| band to the depth its truncation bound needs near the imaginary
+axis, where the field kernels take their arguments; an argument whose
+bound is not met goes round again at twice the depth, and past a depth
+limit (reached only near the negative real axis) it raises RuntimeError.
+All functions accept scalars or numpy arrays.
 """
 
 from __future__ import annotations
@@ -32,11 +35,22 @@ HALF_PI = np.pi / 2.0
 # Re z = 0.5, but 7e-12 at z = 6.
 _SERIES_RADIUS = 6.0
 _SERIES_MAX_REAL = 0.5
+# Term cap of the si/ci series.
 _SERIES_MAX_TERMS = 120
+# Horner coefficients 1/(k k!), k = _SERIES_TERMS down to 1.  39 terms put
+# the first term left out, r^40/(40 * 40!), below 1e-18 at r = 6; one
+# count for every argument keeps each value independent of its batch.
+_SERIES_TERMS = 39
+_SERIES_COEFS = (1.0 / (np.arange(1, _SERIES_TERMS + 1)
+                        * np.cumprod(np.arange(1.0, _SERIES_TERMS + 1))))[::-1]
 # Start depth of the continued fraction: _CF_DEPTHS[k] for |z| below
-# _CF_BANDS[k], the last depth beyond the last band.
-_CF_BANDS = (10.0, 20.0, 60.0, 300.0)
-_CF_DEPTHS = (48, 32, 20, 12, 8)
+# _CF_BANDS[k], the last depth beyond the last band.  Each is the depth
+# at which the bound falls below _CF_EPS everywhere in its band with
+# |arg z| <= pi/2 + 0.1 (the field kernels' rays), plus at most one;
+# arguments nearer the cut go round again at twice the depth.
+_CF_BANDS = (8.0, 10.0, 15.0, 20.0, 30.0, 40.0, 60.0, 100.0, 150.0, 300.0,
+             1000.0)
+_CF_DEPTHS = (36, 28, 22, 16, 12, 10, 8, 6, 5, 4, 3, 2)
 _CF_MAX_ITER = 5000
 # Largest truncation bound accepted without evaluating deeper.
 _CF_EPS = 1e-16
@@ -49,16 +63,17 @@ def _as_complex_array(z):
 
 
 def _e1_series(z):
-    """Ascending series of E1 for small |z|, principal branch."""
+    """Ascending series of E1 for small |z|, principal branch.
+
+    E1(z) = -gamma - ln z - sum_k w^k/(k k!) with w = -z, summed by Horner.
+    """
+    w = -z
     total = np.zeros_like(z)
-    term = np.ones_like(z)
-    for k in range(1, _SERIES_MAX_TERMS + 1):
-        # term_k = (-1)^{k+1} z^k / (k * k!), built recursively.
-        term = term * (-z) / k
-        total = total - term / k
-        if np.all(np.abs(term) < 1e-20 * (1.0 + np.abs(total))):
-            break
-    return -EULER_GAMMA - np.log(z) + total
+    for c in _SERIES_COEFS:
+        # not ``*=``: numpy multiplies in place on one-element arrays with
+        # other rounding, so scalar calls would differ from batches
+        total = (total + c) * w
+    return -EULER_GAMMA - np.log(z) - total
 
 
 def _cf_backward(z, depth):

@@ -7,11 +7,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from wqed import cli, fields, specfun
-from wqed.model import ModelParams, collective_rates
+from wqed import cli, specfun
 
 # stored figure datasets, written by the per-point field code
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "benchmarks/reference"
@@ -57,37 +55,6 @@ def test_spectrum_output_is_deterministic(tmp_path, monkeypatch):
     run_cli(["spectrum", "--preset", "fig2", "--out", "b.csv"],
             tmp_path, monkeypatch)
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-
-
-def test_field_output_thread_invariant(monkeypatch):
-    # WQED_THREADS must not move a byte: a 16,384-point transient grid (the
-    # pool threshold) just behind the light front, so that the pooled front
-    # E1 arguments of the three kernels at s1 = x/v_g (|a s2| < 5.94) all
-    # take the series branch, evaluated serially and on two threads; the
-    # two-thread run used the pool
-    omega_q = 2.0 * np.pi * 5.0e9
-    p = ModelParams.from_phase(omega_q, 0.01 * omega_q, 0.5,
-                               omega_s=1.007 * omega_q)
-    rates = collective_rates(p)
-    x = np.linspace(1.1, 3.0, 128) * p.distance
-    t = p.distance / p.v_g * np.linspace(3.05, 4.85, 128)
-    grid = fields.space_time_grid(p, x, t)
-    assert grid.x.size * grid.t.size >= fields._PARALLEL_THRESHOLD
-    pools = []
-    real_pool = fields.ThreadPoolExecutor
-
-    def counting_pool(*args, **kwargs):
-        pools.append(kwargs["max_workers"])
-        return real_pool(*args, **kwargs)
-
-    monkeypatch.setattr(fields, "ThreadPoolExecutor", counting_pool)
-    u = {}
-    for threads in ("1", "2"):
-        monkeypatch.setenv("WQED_THREADS", threads)
-        u[threads] = fields.forward_field(grid, rates, p, "transient").u
-        assert len(pools) == (0 if threads == "1" else 6)
-    assert pools == [2] * 6
-    assert u["1"].tobytes() == u["2"].tobytes()
 
 
 def test_json_mirror_written(tmp_path, monkeypatch):

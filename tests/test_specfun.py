@@ -189,16 +189,65 @@ def test_si_lower_keeps_its_accuracy_beyond_the_switch_radius(log10_x):
     assert abs(specfun.si_lower(x) - ref) <= 1e-14 * scale
 
 
-@pytest.mark.parametrize("radius", [6.01, 10.0, 20.0, 60.0])
+@pytest.mark.parametrize("radius", [6.01, *specfun._CF_BANDS])
 def test_continued_fraction_converges_where_it_always_did(radius):
-    # a grid reaching towards the cut just outside the series, where the
-    # recurrence needs its deepest passes (|z| = 6.01 at angle 3.0 takes
-    # depth 3,072 of the 5,000 allowed); none may raise
+    # a grid reaching towards the cut at the lower edge of every start-depth
+    # band, where the recurrence needs its deepest passes (|z| = 6.01 at
+    # angle 3.0 takes depth 2,304 of the 5,000 allowed); none may raise
     angles = np.array([0.0, np.pi / 2, np.pi / 2 + 0.1, 2.0, 2.5, 3.0])
     z = radius * np.exp(1j * angles)
     got = specfun.e1_scaled(z)
     ref = np.array([_mp_e1_scaled(v) for v in z])
     assert np.max(np.abs(got / ref - 1.0)) <= 1e-13
+
+
+def test_start_depths_serve_the_kernel_rays_in_one_round(monkeypatch):
+    # the field kernels take E1 within 0.1 of the imaginary axis; there each
+    # band's start depth must meet the truncation bound at once, so every
+    # band runs _cf_backward exactly once, at its start depth
+    radius = np.geomspace(6.0, 1e4, 400)
+    angles = np.concatenate([np.linspace(np.pi / 2 - 0.1, np.pi / 2 + 0.1, 9),
+                             np.linspace(-np.pi / 2 - 0.1, -np.pi / 2 + 0.1, 9)])
+    z = (radius[:, None] * np.exp(1j * angles[None, :])).ravel()
+    depths = []
+    real_backward = specfun._cf_backward
+
+    def counting_backward(z, depth):
+        depths.append(depth)
+        return real_backward(z, depth)
+
+    monkeypatch.setattr(specfun, "_cf_backward", counting_backward)
+    specfun._e1s_continued_fraction(z)
+    assert depths == list(specfun._CF_DEPTHS)
+
+
+def test_series_region_against_mpmath():
+    # dense polar grid over the series branch, |z| in [1e-3, 6] with
+    # Re z <= 0.5; the outer ring reaches the worst corner |z| = 6,
+    # Re z = 0.5, where the Horner term count is tightest
+    angles = np.linspace(-np.pi + 0.01, np.pi - 0.01, 157)
+    for radius in np.geomspace(1e-3, 6.0, 25):
+        z = radius * np.exp(1j * angles)
+        if radius > 0.5:
+            corner = complex(0.5, np.sqrt(radius ** 2 - 0.25))
+            z = np.append(z, [corner, corner.conjugate()])
+        # drops Re z > 0.5, and points a rounding beyond |z| = 6
+        z = z[specfun._takes_series(z)]
+        assert z.size >= 50
+        ref = np.array([_mp_e1_scaled(v) for v in z])
+        got = specfun.e1_scaled(z)
+        assert np.max(np.abs(got / ref - 1.0)) <= 1e-13
+        got = np.exp(z) * specfun.exp_integral_e1(z)
+        assert np.max(np.abs(got / ref - 1.0)) <= 1e-13
+
+
+def test_series_values_do_not_depend_on_the_batch():
+    rng = np.random.default_rng(31)
+    z = rng.uniform(1e-3, 6.0, 256) * np.exp(1j * rng.uniform(-3.1, 3.1, 256))
+    z = z[specfun._takes_series(z)]
+    batch = specfun.e1_scaled(z)
+    single = np.array([specfun.e1_scaled(v) for v in z])
+    assert batch.tobytes() == single.tobytes()
 
 
 def test_continued_fraction_raises_at_the_cut():
