@@ -15,8 +15,8 @@ peaks
     Reflected resonance-peak value against distance from the first
     qubit, closed formula next to the directly evaluated steady field.
 oracle-check
-    Runs the oracle-vs-closed-form validation suite and exits nonzero
-    on any tolerance failure.
+    Runs the closed-form-vs-oracle checks of ``wqed.validation`` and
+    exits 1 on any tolerance failure.
 
 Scenarios are INI files (flat ``key = value`` under sections); named
 presets embed the parameter sets of the survey figures.  Output is CSV
@@ -589,155 +589,27 @@ def cmd_peaks(scenario, args):
 # ---------------------------------------------------------------------------
 # oracle-check
 
-def _check(name, err, tol):
-    status = "PASS" if err < tol else "FAIL"
-    print(f"{status} {name}: max_err={err:.3e} (tol {tol:.1e})")
-    return {"name": name, "max_err": float(err), "tol": float(tol),
-            "passed": bool(err < tol)}
-
-
 def cmd_oracle_check(scenario, args):
-    """Validation suite: closed forms against the brute-force oracles."""
-    from . import amplitudes, oracle, specfun
+    """Run the ``wqed.validation`` table of closed-form-vs-oracle checks."""
+    from . import validation
 
+    rng = np.random.default_rng(validation.SEED)
     results = []
-    rng = np.random.default_rng(20260822)
-    omega_q = 2.0 * np.pi * 5.0e9
-    gamma = 0.01 * omega_q
-
-    # special functions: identities, asymptotics, reference value
-    x = rng.uniform(0.05, 60.0, 400)
-    err = np.max(np.abs(specfun.si_lower(x) + specfun.si_lower(-x) + np.pi))
-    results.append(_check("si reflection identity", err, 1.0e-12))
-    # the two-term expansions truncate at O(1/x^3), so sample x >= 30
-    big = rng.uniform(30.0, 100.0, 200)
-    asym_si = -np.cos(big) / big - np.sin(big) / big ** 2
-    asym_ci = np.sin(big) / big - np.cos(big) / big ** 2
-    err = max(np.max(np.abs(specfun.si_lower(big) - asym_si)),
-              np.max(np.abs(specfun.cosine_integral(big) - asym_ci)))
-    results.append(_check("si/ci large-argument asymptotics", err, 1.0e-4))
-    radius = rng.uniform(150.0, 400.0, 100)
-    angle = rng.uniform(-2.0, 2.0, 100)
-    z = radius * np.exp(1j * angle)
-    asym_e1 = np.exp(-z) / z * (1.0 - 1.0 / z)
-    err = np.max(np.abs(specfun.exp_integral_e1(z) / asym_e1 - 1.0))
-    results.append(_check("E1 large-argument asymptotics", err, 1.0e-4))
-    err = abs(specfun.exp_integral_e1(1.0) - 0.21938393439552029)
-    results.append(_check("E1(1) reference value", err, 1.0e-6))
-
-    # damped kernels against oscillatory quadrature
-    params = {}
-    for tag, phase in (("generic", 0.8), ("even", 2.0), ("odd", 5.0)):
-        params[tag] = ModelParams.from_phase(
-            omega_q, gamma, phase, omega_s=1.005 * omega_q)
-    rates_for = {tag: collective_rates(p) for tag, p in params.items()}
-    n_samples = 12 if not args.full else 24
-    worst = 0.0
-    for i in range(n_samples):
-        tag = ("generic", "even", "odd")[i % 3]
-        p = params[tag]
-        rates = rates_for[tag]
-        kernel_id = oracle.KERNEL_IDS[i % len(oracle.KERNEL_IDS)]
-        d = p.distance
-        t = rng.uniform(0.2, 2.0) * 40.0 / gamma
-        if kernel_id.startswith("bwd"):
-            x_shift = rng.uniform(-4.0, -0.1) * d
-        else:
-            x_shift = rng.uniform(1.1, 5.0) * d
-        closed = fields.closed_kernel(kernel_id, x_shift, t, rates, p)
-        brute = oracle.quad_kernel(kernel_id, x_shift, t, p, rates)
-        scale = max(abs(brute), 1.0e-3)
-        worst = max(worst, abs(complex(closed) - brute) / scale)
-    results.append(_check(f"damped kernels vs quadrature ({n_samples} samples)",
-                          worst, 1.0e-3))
-
-    # qubit amplitudes against the independent ODE integration
-    worst = 0.0
-    for tag in ("generic", "even"):
-        p = params[tag]
-        rates = rates_for[tag]
-        ode = oracle.markov_ode(p, 20.0 / gamma, keep_every=50)
-        state = amplitudes.qubit_amplitudes(rates, p, ode.t)
-        worst = max(worst,
-                    float(np.max(np.abs(state.beta_1 - ode.beta_1))),
-                    float(np.max(np.abs(state.beta_2 - ode.beta_2))))
-    results.append(_check("qubit amplitudes vs Markov ODE", worst, 1.0e-6))
-
-    # resonance-peak formulas against directly evaluated steady fields
-    p = params["generic"].with_drive(omega_q)
-    rates = collective_rates(p)
-    t_late = 5.0e-6
-    x_b = np.array([-2.0, -4.0, -6.0]) * p.distance
-    direct = np.abs(fields.steady_backward(x_b, t_late, rates, p)) ** 2
-    formula = fields.reflected_resonance_peak(x_b, p)
-    worst = float(np.max(np.abs(direct - formula)))
-    x_f = np.array([3.0, 5.0]) * p.distance
-    direct = np.abs(fields.steady_forward(x_f, t_late, rates, p)) ** 2
-    formula = fields.transmitted_resonance_peak(x_f, p)
-    worst = max(worst, float(np.max(np.abs(direct - formula))))
-    results.append(_check("resonance peaks vs steady fields", worst, 1.0e-8))
-
-    if args.full:
-        # spectral amplitudes against time quadrature
-        p = params["generic"]
-        rates = rates_for["generic"]
-        worst = 0.0
-        for omega in (0.995 * omega_q, 1.01 * omega_q):
-            spec = amplitudes.spectral_amplitudes(
-                rates, p, np.asarray([omega]), 10.0 / gamma)
-            fwd, bwd = oracle.quad_spectral(omega, 10.0 / gamma, rates, p)
-            worst = max(worst, abs(spec.forward[0] - fwd),
-                        abs(spec.backward[0] - bwd))
-        results.append(_check("spectral amplitudes vs quadrature",
-                              worst, 1.0e-9))
-
-        # memory-kernel coefficients against the half-line limits
-        from scipy.special import sici
-        p5 = params["odd"]
-        g2 = p5.coupling ** 2
-        kd = p5.qubit_phase
-        self_c, cross_c = oracle.memory_kernel_coefficients(
-            400.0 / omega_q, p5)
-        si_v, ci_v = sici(kd)
-        exact = 2.0 * g2 * (np.pi * np.cos(kd)
-                            + 1j * (np.cos(kd) * ci_v
-                                    + np.sin(kd) * (si_v + np.pi / 2)))
-        half = 0.5 * p5.gamma
-        err = max(abs(self_c.real - half) / half,
-                  abs(cross_c - exact) / half)
-        results.append(_check("memory kernel vs half-line limit",
-                              err, 5.0e-3))
-
-        # continuum evolution: norm drift and fluxes vs exact lattice T/R
-        pulse = ModelParams.from_phase(omega_q, gamma, 5.0,
-                                       omega_s=omega_q + 5.0 * gamma,
-                                       pulse_width=gamma)
-        launch = 8.0 / gamma
-        res = oracle.continuum_evolve(pulse, launch + 25.0 / gamma,
-                                      n_modes=4096, launch_delay=launch)
-        drift = float(np.max(np.abs(res.norm - res.norm[0])))
-        results.append(_check("continuum norm drift", drift, 1.0e-3))
-        grid = res.grid
-        phi2 = np.abs(oracle.gaussian_spectrum(pulse, grid.omega)) ** 2
-        weight = phi2 * grid.weights
-        weight /= weight.sum()
-        t_bar = float(np.sum(
-            weight * fields.nonmarkov_transmittance(grid.omega, pulse)))
-        r_bar = float(np.sum(
-            weight * fields.nonmarkov_reflectance(grid.omega, pulse)))
-        err = max(abs(res.transmitted_flux - t_bar),
-                  abs(res.reflected_flux - r_bar))
-        results.append(_check("continuum fluxes vs exact lattice T/R",
-                              err, 2.0e-3))
-
-    failed = [r for r in results if not r["passed"]]
+    for name, tol, measure in validation.checks(args.full):
+        err = float(measure(rng))
+        passed = err < tol
+        print(f"{'PASS' if passed else 'FAIL'} {name}: "
+              f"max_err={err:.3e} (tol {tol:.1e})")
+        results.append({"name": name, "max_err": err, "tol": tol,
+                        "passed": passed})
     if args.json:
         report = json.dumps({"checks": results}, indent=1) + "\n"
         written = _write_outputs([(_json_path(scenario["out"]),
                                    lambda path: Path(path).write_text(report))])
         print(f"wrote {written[0]}")
-    print(f"{len(results) - len(failed)}/{len(results)} checks passed")
-    return 1 if failed else 0
+    n_passed = sum(r["passed"] for r in results)
+    print(f"{n_passed}/{len(results)} checks passed")
+    return 0 if n_passed == len(results) else 1
 
 
 # ---------------------------------------------------------------------------

@@ -195,12 +195,7 @@ def snapped_phase_factor(params: ModelParams, regime: Regime, omega):
         return np.exp(1j * eps)
     if regime is Regime.ODD_PI:
         return -np.exp(1j * eps)
-    return np.exp(1j * np.asarray(self_phase(params, omega)))
-
-
-def self_phase(params: ModelParams, omega):
-    """Raw propagation phase k_omega * d (no snapping)."""
-    return np.asarray(omega) * params.distance / params.v_g
+    return np.exp(1j * params.phase_across(omega))
 
 
 @dataclass(frozen=True)
@@ -219,14 +214,6 @@ class CollectiveRates:
     c_plus: complex
     c_minus: complex
     regime: Regime
-
-    @property
-    def rates(self):
-        return self.gamma_plus, self.gamma_minus
-
-    @property
-    def weights(self):
-        return self.c_plus, self.c_minus
 
 
 def channel_rates(params: ModelParams, regime: Regime):
@@ -260,7 +247,7 @@ def coupling_weights(params: ModelParams, regime: Regime, omega):
     detune = params.omega_q - omega
 
     if regime is Regime.GENERIC:
-        phase = np.exp(1j * self_phase(params, omega))
+        phase = np.exp(1j * params.phase_across(omega))
         c_plus = a_g * (1.0 + phase) / (detune - 1j * gamma_plus)
         c_minus = a_g * (1.0 - phase) / (detune - 1j * gamma_minus)
         return c_plus, c_minus

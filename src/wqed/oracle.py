@@ -534,3 +534,21 @@ def memory_kernel_coefficients(t: float, params: ModelParams,
         self_total += np.sum(mem * ref_w[None, :])
         cross_total += np.sum(np.cos(kd) * mem * ref_w[None, :])
     return 2.0 * g2 * self_total, 2.0 * g2 * cross_total
+
+
+def half_line_limits(params: ModelParams):
+    """Late-time limits (self, cross) of ``memory_kernel_coefficients``.
+
+    The self coefficient's real part settles on Gamma/2.  The cross
+    coefficient settles on its positive-frequency (half-line) value
+    2 g^2 (pi cos kd + i (cos kd Ci(kd) + sin kd (Si(kd) + pi/2))) at
+    kd = k_Omega d, which keeps the principal-value part the Markov
+    coupling (Gamma/2) e^{i k_Omega d} drops.
+    """
+    g2 = params.coupling ** 2
+    kd = params.qubit_phase
+    si_v, ci_v = special.sici(kd)
+    cross = 2.0 * g2 * (np.pi * np.cos(kd)
+                        + 1j * (np.cos(kd) * ci_v
+                                + np.sin(kd) * (si_v + np.pi / 2)))
+    return 0.5 * params.gamma, cross

@@ -10,10 +10,9 @@ import time
 import numpy as np
 import pytest
 
-from wqed import fields, specfun
+from wqed import fields, validation
 from wqed.model import ModelParams, collective_rates
-from wqed.amplitudes import qubit_amplitudes
-from wqed.oracle import KERNEL_IDS, continuum_evolve, markov_ode, quad_kernel
+from wqed.oracle import continuum_evolve
 
 OMEGA_Q = 2.0 * np.pi * 5.0e9
 
@@ -68,31 +67,9 @@ def test_kernel_ensemble_against_quadrature(printed_kernel):
     # first exponential-integral argument: the rotated one (the engine's)
     # must pass, the printed one must fail in each direction
     start = time.perf_counter()
-    presets = {
-        tag: ModelParams.from_phase(OMEGA_Q, 0.01 * OMEGA_Q, phase,
-                                    omega_s=1.005 * OMEGA_Q)
-        for tag, phase in (("generic", 0.8), ("even", 2.0), ("odd", 5.0))
-    }
-    rates = {tag: collective_rates(p) for tag, p in presets.items()}
-    rng = np.random.default_rng(20260822)
-    tags = tuple(presets)
-    writings = {"rotated": fields.closed_kernel, "printed": printed_kernel}
-    worst = {(name, way): 0.0 for name in writings for way in ("fwd", "bwd")}
-    for i in range(200):
-        tag = tags[i % 3]
-        p, r = presets[tag], rates[tag]
-        kernel_id = KERNEL_IDS[i % len(KERNEL_IDS)]
-        t = rng.uniform(0.2, 2.0) * 40.0 / p.gamma
-        if kernel_id.startswith("bwd"):
-            x_shift = rng.uniform(-4.0, -0.1) * p.distance
-        else:
-            x_shift = rng.uniform(1.1, 5.0) * p.distance
-        brute = quad_kernel(kernel_id, x_shift, t, p, r)
-        scale = max(abs(brute), 1e-3)
-        for name, kernel in writings.items():
-            err = abs(complex(kernel(kernel_id, x_shift, t, r, p)) - brute)
-            key = (name, kernel_id[:3])
-            worst[key] = max(worst[key], err / scale)
+    worst = validation.kernel_errors(
+        np.random.default_rng(20260822), 200,
+        {"rotated": fields.closed_kernel, "printed": printed_kernel})
     elapsed = time.perf_counter() - start
     _verdict("kernel ensemble vs quadrature (200 samples)",
              max(worst["rotated", "fwd"], worst["rotated", "bwd"]), 1e-3,
@@ -104,16 +81,10 @@ def test_kernel_ensemble_against_quadrature(printed_kernel):
 
 
 def test_qubit_amplitudes_vs_ode():
-    worst = 0.0
-    for phase in (0.5, 2.0):
-        p = ModelParams.from_phase(OMEGA_Q, 0.01 * OMEGA_Q, phase)
-        r = collective_rates(p)
-        ode = markov_ode(p, 20.0 / p.gamma, keep_every=50)
-        closed = qubit_amplitudes(r, p, ode.t)
-        worst = max(worst,
-                    float(np.max(np.abs(closed.beta_1 - ode.beta_1))),
-                    float(np.max(np.abs(closed.beta_2 - ode.beta_2))))
-    _verdict("qubit amplitudes vs Markov ODE", worst, 1e-6)
+    cases = [ModelParams.from_phase(OMEGA_Q, 0.01 * OMEGA_Q, phase)
+             for phase in (0.5, 2.0)]
+    _verdict("qubit amplitudes vs Markov ODE",
+             validation.amplitudes_vs_ode(cases), 1e-6)
 
 
 def test_beating_spectrum_hits_the_detuning_bin():
@@ -151,7 +122,7 @@ def test_continuum_norm_conservation():
     p = ModelParams.from_phase(OMEGA_Q, 0.01 * OMEGA_Q, 0.5,
                                pulse_width=0.005 * OMEGA_Q)
     res = continuum_evolve(p, 20.0 / p.gamma, n_modes=4096)
-    drift = float(np.max(np.abs(res.norm - res.norm[0])))
+    drift = validation.norm_drift(res)
     elapsed = time.perf_counter() - start
     _verdict("continuum norm drift over 20 lifetimes", drift, 1e-3,
              f"4096 modes, {elapsed:.1f} s")
@@ -160,22 +131,10 @@ def test_continuum_norm_conservation():
 
 def test_special_function_suite():
     rng = np.random.default_rng(19)
-    x = rng.uniform(1e-3, 80.0, 1000)
-    reflection = np.max(np.abs(specfun.si_lower(x) + specfun.si_lower(-x)
-                               + np.pi))
-    parity = np.max(np.abs(specfun.sine_integral(-x)
-                           + specfun.sine_integral(x)))
-    identity_err = max(reflection, parity)
-    big = rng.uniform(30.0, 100.0, 500)
-    asym1 = max(
-        np.max(np.abs(specfun.si_lower(big)
-                      - (-np.cos(big) / big - np.sin(big) / big ** 2))),
-        np.max(np.abs(specfun.cosine_integral(big)
-                      - (np.sin(big) / big - np.cos(big) / big ** 2))))
-    z = rng.uniform(150.0, 400.0, 300) * np.exp(1j * rng.uniform(-2.0, 2.0, 300))
-    asym2 = np.max(np.abs(specfun.exp_integral_e1(z)
-                          / (np.exp(-z) / z * (1.0 - 1.0 / z)) - 1.0))
-    reference = abs(specfun.exp_integral_e1(1.0) - 0.2193839)
+    identity_err = validation.si_identities(rng, 1000)
+    asymptotics = max(validation.si_ci_asymptotics(rng, 500),
+                      validation.e1_asymptotics(rng, 300))
     _verdict("reflection/parity identities", identity_err, 1e-12)
-    _verdict("large-argument asymptotics", max(asym1, asym2), 1e-4)
-    _verdict("exponential-integral reference point", reference, 1e-6)
+    _verdict("large-argument asymptotics", asymptotics, 1e-4)
+    _verdict("exponential-integral reference point",
+             validation.e1_reference(), 1e-6)

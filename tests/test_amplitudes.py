@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from wqed import validation
 from wqed.model import collective_rates
 from wqed.amplitudes import (
     phase_integral,
@@ -10,7 +11,6 @@ from wqed.amplitudes import (
     channel_time_integrals,
     spectral_amplitudes,
 )
-from wqed.oracle import markov_ode, quad_spectral
 
 
 def test_phase_integral_matches_direct_quotient():
@@ -45,22 +45,12 @@ def test_qubit_amplitudes_reject_negative_times(weak_generic):
 
 def test_qubit_amplitudes_match_ode_generic(weak_generic):
     p = weak_generic.with_drive(1.005 * weak_generic.omega_q)
-    r = collective_rates(p)
-    ode = markov_ode(p, 20.0 / p.gamma, keep_every=50)
-    closed = qubit_amplitudes(r, p, ode.t)
-    err = max(np.max(np.abs(closed.beta_1 - ode.beta_1)),
-              np.max(np.abs(closed.beta_2 - ode.beta_2)))
-    assert err < 1e-6
+    assert validation.amplitudes_vs_ode([p]) < 1e-6
 
 
 def test_qubit_amplitudes_match_ode_even(weak_even):
     p = weak_even.with_drive(1.01 * weak_even.omega_q)
-    r = collective_rates(p)
-    ode = markov_ode(p, 20.0 / p.gamma, keep_every=50)
-    closed = qubit_amplitudes(r, p, ode.t)
-    err = max(np.max(np.abs(closed.beta_1 - ode.beta_1)),
-              np.max(np.abs(closed.beta_2 - ode.beta_2)))
-    assert err < 1e-6
+    assert validation.amplitudes_vs_ode([p]) < 1e-6
 
 
 def test_subradiant_beat_survives_at_even_phase(weak_even, weak_generic):
@@ -96,13 +86,8 @@ def test_channel_time_integrals_build_from_phase_integrals(weak_generic):
 
 def test_spectral_amplitudes_match_time_quadrature(weak_generic):
     p = weak_generic.with_drive(1.005 * weak_generic.omega_q)
-    r = collective_rates(p)
-    t = 10.0 / p.gamma
-    for omega in (0.995 * p.omega_q, 1.01 * p.omega_q):
-        spec = spectral_amplitudes(r, p, np.asarray([omega]), t)
-        fwd, bwd = quad_spectral(omega, t, r, p)
-        assert abs(spec.forward[0] - fwd) < 1e-9
-        assert abs(spec.backward[0] - bwd) < 1e-9
+    omegas = (0.995 * p.omega_q, 1.01 * p.omega_q)
+    assert validation.spectral_vs_quadrature(p, omegas, 10.0 / p.gamma) < 1e-9
 
 
 def test_spectral_amplitudes_forward_backward_coincide_at_resonance(weak_odd):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from wqed import cli, specfun
+from wqed import cli, specfun, validation
 
 # stored figure datasets, written by the per-point field code
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "benchmarks/reference"
@@ -182,10 +182,27 @@ def test_exclusion_zone_violation_reported(tmp_path, monkeypatch, capsys):
 
 def test_quick_oracle_check_passes(tmp_path, monkeypatch, capsys):
     code = run_cli(["oracle-check"], tmp_path, monkeypatch)
-    out = capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
     assert code == 0
-    assert "FAIL" not in out
-    assert out.count("PASS") >= 6
+    # one PASS line per row of the check table, in table order
+    assert [line.split(": max_err=")[0] for line in lines[:-1]] \
+        == [f"PASS {name}" for name, _, _ in validation.checks()]
+    assert lines[-1] == "7/7 checks passed"
+
+
+def test_failed_oracle_check_exits_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(validation, "checks", lambda full=False: [
+        ("cheap pass", 1.0, lambda rng: 0.5),
+        ("cheap fail", 1.0, lambda rng: 2.0)])
+    code = run_cli(["oracle-check", "--json"], tmp_path, monkeypatch)
+    out = capsys.readouterr().out
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] \
+        == ["FAIL cheap fail: max_err=2.000e+00 (tol 1.0e+00)"]
+    assert out.splitlines()[-1] == "1/2 checks passed"
+    report = (tmp_path / "oracle-check.json").read_text()
+    assert '"passed": false' in report
+    assert [c["passed"] for c in json.loads(report)["checks"]] == [True, False]
 
 
 def test_console_entry_point_installed():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from wqed import fields
+from wqed import fields, validation
 from wqed.model import collective_rates
 from wqed.oracle import quad_field_backward, quad_field_forward
 
@@ -164,18 +164,8 @@ def test_interqubit_slice_is_additive(weak_generic):
 def test_resonance_peaks_match_steady_energies(all_presets):
     # closed resonance-peak formulas against the steady fields they
     # summarize, in every regime that has a dedicated formula
-    t = 5.0e-6
-    for tag in ("generic", "even"):
-        p = all_presets[tag]
-        r = collective_rates(p)
-        x_b = np.array([-2.0, -4.0, -6.0]) * p.distance
-        direct = np.abs(fields.steady_backward(x_b, t, r, p)) ** 2
-        formula = fields.reflected_resonance_peak(x_b, p)
-        assert np.max(np.abs(direct - formula)) < 1e-8, tag
-        x_f = np.array([3.0, 5.0]) * p.distance
-        direct = np.abs(fields.steady_forward(x_f, t, r, p)) ** 2
-        formula = fields.transmitted_resonance_peak(x_f, p)
-        assert np.max(np.abs(direct - formula)) < 1e-8, tag
+    cases = [all_presets["generic"], all_presets["even"]]
+    assert validation.peaks_vs_steady(cases) < 1e-8
 
 
 def test_resonance_peak_refuses_odd_regime(weak_odd):

@@ -9,18 +9,17 @@ lattice transmittance.
 
 import numpy as np
 import pytest
-from scipy.special import sici
 
-from wqed import fields
+from wqed import validation
 from wqed.model import ModelParams, collective_rates
 from wqed.oracle import (
     KERNEL_IDS,
     QuadSpec,
     continuum_evolve,
     gaussian_spectrum,
+    half_line_limits,
     make_continuum_grid,
     markov_ode,
-    memory_kernel_coefficients,
     quad_kernel,
 )
 
@@ -97,20 +96,11 @@ def test_memory_kernel_reaches_half_line_limits(strong_odd):
     # coefficient on the positive-frequency (half-line) value, which keeps
     # the principal-value correction the Markov form drops
     p = strong_odd
-    g2 = p.coupling ** 2
-    kd = p.qubit_phase
-    self_c, cross_c = memory_kernel_coefficients(400.0 / p.omega_q, p)
-    si_v, ci_v = sici(kd)
-    exact = 2.0 * g2 * (np.pi * np.cos(kd)
-                        + 1j * (np.cos(kd) * ci_v
-                                + np.sin(kd) * (si_v + np.pi / 2)))
-    half = 0.5 * p.gamma
-    assert abs(self_c.real - half) / half < 5e-3
-    assert abs(cross_c - exact) / half < 5e-3
+    assert validation.memory_vs_half_line(p) < 5e-3
     # at k_Omega*d = 5*pi the half-line value is also close to the Markov
     # coupling (Gamma/2) e^{i k d}: the residual integral decays with kd
-    markov = half * np.exp(1j * kd)
-    assert abs(exact - markov) / half < 5e-3
+    half, cross = half_line_limits(p)
+    assert abs(cross - half * np.exp(1j * p.qubit_phase)) / half < 5e-3
 
 
 def test_continuum_grid_covers_pulse_and_normalizes():
@@ -143,8 +133,7 @@ def test_continuum_preserves_norm(weak_generic):
                            weak_generic.distance,
                            pulse_width=0.5 * weak_generic.gamma)
     res = continuum_evolve(p, 5.0 / p.gamma, n_modes=1024)
-    drift = np.max(np.abs(res.norm - res.norm[0]))
-    assert drift < 1e-6
+    assert validation.norm_drift(res) < 1e-6
 
 
 def test_continuum_scatters_onto_exact_lattice_fluxes():
@@ -158,12 +147,6 @@ def test_continuum_scatters_onto_exact_lattice_fluxes():
     launch = 8.0 / gam
     res = continuum_evolve(p, launch + 15.0 / gam, n_modes=2048,
                            launch_delay=launch)
-    grid = res.grid
-    weight = np.abs(gaussian_spectrum(p, grid.omega)) ** 2 * grid.weights
-    weight /= weight.sum()
-    t_bar = float(np.sum(weight * fields.nonmarkov_transmittance(grid.omega, p)))
-    r_bar = float(np.sum(weight * fields.nonmarkov_reflectance(grid.omega, p)))
-    assert abs(res.transmitted_flux - t_bar) < 2e-3
-    assert abs(res.reflected_flux - r_bar) < 2e-3
+    assert validation.fluxes_vs_lattice(res, p) < 2e-3
     # the qubits have emptied out by the end of the run
     assert abs(res.beta_1[-1]) ** 2 + abs(res.beta_2[-1]) ** 2 < 1e-6

@@ -1,0 +1,58 @@
+"""The check table behind ``wqed oracle-check`` and the layering it keeps."""
+
+import ast
+import dataclasses
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from wqed import amplitudes, validation
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_amplitude_measures_catch_wrong_amplitudes(monkeypatch, weak_generic):
+    # amplitudes 2% too large and a zeroed backward spectral amplitude are
+    # off by less than the tolerances in absolute terms (6.4e-7 and
+    # 6.2e-10 here), so the measures score them relative to the oracle values
+    qubit = amplitudes.qubit_amplitudes
+    spectral = amplitudes.spectral_amplitudes
+
+    def scaled_qubit(*args):
+        state = qubit(*args)
+        return dataclasses.replace(state, beta_1=1.02 * state.beta_1,
+                                   beta_2=1.02 * state.beta_2)
+
+    def zeroed_backward(*args):
+        spec = spectral(*args)
+        return dataclasses.replace(spec, backward=np.zeros_like(spec.backward))
+
+    monkeypatch.setattr(amplitudes, "qubit_amplitudes", scaled_qubit)
+    monkeypatch.setattr(amplitudes, "spectral_amplitudes", zeroed_backward)
+    tols = {name: tol for name, tol, _ in validation.checks(full=True)}
+    p = weak_generic.with_drive(1.005 * weak_generic.omega_q)
+    assert validation.amplitudes_vs_ode([p]) \
+        > tols["qubit amplitudes vs Markov ODE"]
+    assert validation.spectral_vs_quadrature(p, [0.995 * p.omega_q],
+                                             10.0 / p.gamma) \
+        > tols["spectral amplitudes vs quadrature"]
+
+
+def test_scipy_stays_in_the_oracle_layer():
+    importers = []
+    for path in sorted((SRC / "wqed").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [alias.name for alias in node.names] \
+                if isinstance(node, ast.Import) else \
+                [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            if any(name.split(".")[0] == "scipy" for name in names):
+                importers.append(path.stem)
+    assert sorted(set(importers)) == ["oracle"]
+    # and the CLI module loads none of it
+    probe = "import sys, wqed.cli; print(sorted(m for m in sys.modules " \
+            "if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, cwd=SRC, check=True)
+    assert proc.stdout.strip() == "[]"
