@@ -19,7 +19,6 @@ from .model import (
     classify_regime,
     channel_rates,
     collective_rates,
-    gaussian_amplitude,
 )
 from .specfun import (
     exp_integral_e1,
@@ -48,12 +47,9 @@ from .fields import (
     backward_field,
     interqubit_field,
     drive_sweep,
-    steady_forward,
-    steady_backward,
     steady_ready,
     transmittance,
     reflectance,
-    flux_defect,
     nonmarkov_transmittance,
     nonmarkov_reflectance,
     transmitted_resonance_peak,
@@ -61,14 +57,12 @@ from .fields import (
     interqubit_resonance_peak,
     beat_note_series,
     beat_note_fft,
-    beat_note_spectrum,
 )
 
 __all__ = [
     "__version__",
     "ModelParams", "CollectiveRates", "Regime",
     "classify_regime", "channel_rates", "collective_rates",
-    "gaussian_amplitude",
     "exp_integral_e1", "e1_scaled", "sine_integral", "si_lower",
     "cosine_integral",
     "QubitState", "SpectralAmplitude", "phase_integral",
@@ -76,10 +70,9 @@ __all__ = [
     "Region", "FieldBranch", "SpaceTimeGrid", "FieldSlice",
     "space_time_grid", "closed_kernel",
     "incident_plane_wave", "forward_field", "backward_field",
-    "interqubit_field", "drive_sweep", "steady_forward", "steady_backward",
-    "steady_ready", "transmittance", "reflectance", "flux_defect",
+    "interqubit_field", "drive_sweep", "steady_ready",
+    "transmittance", "reflectance",
     "nonmarkov_transmittance", "nonmarkov_reflectance",
     "transmitted_resonance_peak", "reflected_resonance_peak",
     "interqubit_resonance_peak", "beat_note_series", "beat_note_fft",
-    "beat_note_spectrum",
 ]

@@ -214,46 +214,53 @@ def read_scenario(path):
     return scenario
 
 
-def _build_params(model_cfg) -> ModelParams:
+def _build_params(cfg) -> ModelParams:
     """Resolve the [model] mapping into ModelParams (radians internally)."""
-    cfg = dict(model_cfg)
+    def number(key, default=None):
+        return _number(cfg, "model", key, default)
+
     if "omega_q_rad_s" in cfg:
-        omega_q = float(cfg.pop("omega_q_rad_s"))
-        cfg.pop("omega_q_ghz", None)
+        omega_q = number("omega_q_rad_s")
     elif "omega_q_ghz" in cfg:
-        omega_q = 2.0 * np.pi * 1.0e9 * float(cfg.pop("omega_q_ghz"))
+        omega_q = 2.0 * np.pi * 1.0e9 * number("omega_q_ghz")
     else:
         raise ScenarioError("model needs omega_q_ghz or omega_q_rad_s")
     if "gamma_rad_s" in cfg:
-        gamma = float(cfg.pop("gamma_rad_s"))
-        cfg.pop("gamma_ratio", None)
+        gamma = number("gamma_rad_s")
     elif "gamma_ratio" in cfg:
-        gamma = float(cfg.pop("gamma_ratio")) * omega_q
+        gamma = number("gamma_ratio") * omega_q
     else:
         raise ScenarioError("model needs gamma_ratio or gamma_rad_s")
-    v_g = float(cfg.pop("v_g_m_s", 3.0e8))
+    v_g = number("v_g_m_s", 3.0e8)
     if "distance_m" in cfg:
-        distance = float(cfg.pop("distance_m"))
-        cfg.pop("phase_over_pi", None)
+        distance = number("distance_m")
     elif "phase_over_pi" in cfg:
-        distance = float(cfg.pop("phase_over_pi")) * np.pi * v_g / omega_q
+        distance = number("phase_over_pi") * np.pi * v_g / omega_q
     else:
         raise ScenarioError("model needs distance_m or phase_over_pi")
     if "omega_s_rad_s" in cfg:
-        omega_s = float(cfg.pop("omega_s_rad_s"))
-        cfg.pop("omega_s_over_omega_q", None)
+        omega_s = number("omega_s_rad_s")
     else:
-        omega_s = float(cfg.pop("omega_s_over_omega_q", 1.0)) * omega_q
-    amplitude = float(cfg.pop("amplitude", 1.0))
+        omega_s = number("omega_s_over_omega_q", 1.0) * omega_q
     return ModelParams.create(omega_q, gamma, distance, v_g=v_g,
-                              omega_s=omega_s, amplitude=amplitude)
+                              omega_s=omega_s,
+                              amplitude=number("amplitude", 1.0))
+
+
+def _number(cfg, section, key, default):
+    """Finite real scenario value ``[section] key``."""
+    value = cfg.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not np.isfinite(value):
+        raise ScenarioError(f"{section}.{key} must be a finite number, "
+                            f"got {value!r}")
+    return float(value)
 
 
 def _count(cfg, section, key, default, minimum=1):
     """Integer scenario value ``[section] key``, at least ``minimum``."""
-    value = cfg.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not float(value).is_integer() or value < minimum:
+    value = _number(cfg, section, key, default)
+    if not value.is_integer() or value < minimum:
         raise ScenarioError(f"{section}.{key} must be an integer >= "
                             f"{minimum}, got {value!r}")
     return int(value)
@@ -395,8 +402,8 @@ def cmd_spectrum(scenario, args):
     """Markov vs exact transmittance/reflectance sweep."""
     p = scenario["params"]
     sweep = scenario["sweep"]
-    lo = float(sweep.get("omega_min_over_omega_q", 0.98))
-    hi = float(sweep.get("omega_max_over_omega_q", 1.02))
+    lo = _number(sweep, "sweep", "omega_min_over_omega_q", 0.98)
+    hi = _number(sweep, "sweep", "omega_max_over_omega_q", 1.02)
     points = _count(sweep, "sweep", "points", 2001)
     rates = collective_rates(p)
     ratio = np.linspace(lo, hi, points)
@@ -465,7 +472,7 @@ def cmd_field(scenario, args):
     """Field envelopes and normalized energies over position/frequency."""
     p = scenario["params"]
     grid_cfg = scenario["grid"]
-    t = float(grid_cfg.get("t_s", 5.0e-6))
+    t = _number(grid_cfg, "grid", "t_s", 5.0e-6)
     branch = str(grid_cfg.get("branch", "auto"))
     blocks = scenario["blocks"]
     if blocks is None:
@@ -525,7 +532,7 @@ def cmd_beating(scenario, args):
     """Steady transmitted energy time series and FFT beat peaks."""
     p = scenario["params"]
     cfg = scenario["beating"]
-    x0 = float(cfg.get("x0_over_d", 2.0)) * p.distance
+    x0 = _number(cfg, "beating", "x0_over_d", 2.0) * p.distance
     detunings = cfg.get("detunings_over_omega_q", [0.01, 0.02])
     if not isinstance(detunings, list):
         detunings = [detunings]
@@ -564,16 +571,17 @@ def cmd_peaks(scenario, args):
     """Reflected resonance-peak value vs distance, formula and direct."""
     p = scenario["params"]
     cfg = scenario["peaks"]
-    lo = float(cfg.get("x_min_over_d", -8.0))
-    hi = float(cfg.get("x_max_over_d", -0.05))
+    lo = _number(cfg, "peaks", "x_min_over_d", -8.0)
+    hi = _number(cfg, "peaks", "x_max_over_d", -0.05)
     points = _count(cfg, "peaks", "points", 1591)
-    t = float(cfg.get("t_s", 5.0e-6))
+    t = _number(cfg, "peaks", "t_s", 5.0e-6)
     x_over_d = np.linspace(lo, hi, points)
     x = x_over_d * p.distance
+    grid = fields.space_time_grid(p, x, [t], region=fields.Region.BEFORE)
+    (steady,) = fields.drive_sweep(grid, collective_rates(p), p, [p.omega_s],
+                                   branch="steady")
+    direct = np.abs(steady.v[0]) ** 2 / p.amplitude ** 2
     peak_formula = fields.reflected_resonance_peak(x, p)
-    rates = collective_rates(p)
-    v = fields.steady_backward(x, t, rates, p)
-    direct = np.abs(v) ** 2 / p.amplitude ** 2
     columns = ["x_over_d", "peak_value", "energy_at_resonance"]
     rows = list(zip(x_over_d, peak_formula, direct))
     extra = ["t_s = %.17g" % t,

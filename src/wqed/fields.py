@@ -218,8 +218,7 @@ class FieldSlice:
     """Field envelopes on a grid; arrays are indexed [time, position].
 
     ``u`` is the right-moving envelope (incident plus scattered), ``v``
-    the left-moving one, ``w`` their sum where both exist.  The energy
-    arrays are the corresponding |field|^2 densities.
+    the left-moving one, ``w`` their sum where both exist.
     """
 
     grid: SpaceTimeGrid
@@ -228,9 +227,6 @@ class FieldSlice:
     u: np.ndarray | None = None
     v: np.ndarray | None = None
     w: np.ndarray | None = None
-    energy_u: np.ndarray | None = None
-    energy_v: np.ndarray | None = None
-    energy_w: np.ndarray | None = None
 
 
 def incident_plane_wave(x, t, params: ModelParams, omega_s=None):
@@ -317,25 +313,6 @@ def _steady_scattered(y1, y2, t, rates: CollectiveRates, params: ModelParams,
     return total
 
 
-def steady_forward(x, t, rates: CollectiveRates, params: ModelParams):
-    """Steady-state right-moving field behind the pair (x > d)."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= params.distance):
-        raise ValueError("steady_forward expects x > d")
-    return incident_plane_wave(x, t, params) + _steady_scattered(
-        x, x - params.distance, t, rates, params,
-        params.omega_s, rates.c_plus, rates.c_minus)
-
-
-def steady_backward(x, t, rates: CollectiveRates, params: ModelParams):
-    """Steady-state left-moving field before the pair (x < 0)."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x >= 0):
-        raise ValueError("steady_backward expects x < 0")
-    return _steady_scattered(-x, -(x - params.distance), t, rates, params,
-                             params.omega_s, rates.c_plus, rates.c_minus)
-
-
 def _steady_gate(grid: SpaceTimeGrid, rates: CollectiveRates,
                  params: ModelParams, omega_s):
     """Per drive carrier in ``omega_s``: are the steady forms converged?
@@ -413,8 +390,6 @@ def _field_slices(grid: SpaceTimeGrid, rates: CollectiveRates,
         envelopes["v"] = scattered(-xx, -(xx - d))
     if right and left:
         envelopes["w"] = envelopes["u"] + envelopes["v"]
-    envelopes.update({f"energy_{key}": np.abs(value) ** 2
-                      for key, value in envelopes.items()})
     return [FieldSlice(
         grid=grid, regime=rates.regime,
         branch=FieldBranch.STEADY if is_steady else FieldBranch.TRANSIENT,
@@ -438,7 +413,7 @@ def forward_field(grid: SpaceTimeGrid, rates: CollectiveRates,
 
     Returns
     -------
-    FieldSlice with ``u`` and ``energy_u`` filled.
+    FieldSlice with ``u`` filled.
     """
     if grid.region is Region.BEFORE:
         raise ValueError("forward field is defined between or behind the qubits")
@@ -521,20 +496,24 @@ def reflectance(omega, rates: CollectiveRates, params: ModelParams):
         * np.abs(bracket) ** 2
 
 
-def flux_defect(omega, rates: CollectiveRates, params: ModelParams):
-    """T + R - 1; a diagnostic, nonzero outside the weak-coupling window."""
-    return transmittance(omega, rates, params) \
-        + reflectance(omega, rates, params) - 1.0
+def _lattice_denominator(omega, params: ModelParams):
+    """(Gamma/2, omega - Omega, k_omega d, denominator, zero guard).
 
-
-def nonmarkov_transmittance(omega, params: ModelParams):
-    """Transmission with the inter-qubit retardation kept exactly."""
+    The exact lattice amplitudes share the denominator
+    (omega - Omega + i Gamma/2)^2 + (Gamma/2)^2 e^{2 i k_omega d}; the
+    guard marks where it vanishes, so callers can substitute a limit.
+    """
     omega = np.asarray(omega, dtype=float)
     half = 0.5 * params.gamma
     detune = omega - params.omega_q
     kd = params.phase_across(omega)
     denom = (detune + 1j * half) ** 2 + half ** 2 * np.exp(2j * kd)
-    guard = np.abs(denom) == 0
+    return half, detune, kd, denom, np.abs(denom) == 0
+
+
+def nonmarkov_transmittance(omega, params: ModelParams):
+    """Transmission with the inter-qubit retardation kept exactly."""
+    _, detune, _, denom, guard = _lattice_denominator(omega, params)
     amp = np.where(guard, 0.0,
                    detune ** 2 / np.where(guard, 1.0, denom))
     return np.abs(amp) ** 2
@@ -542,12 +521,7 @@ def nonmarkov_transmittance(omega, params: ModelParams):
 
 def nonmarkov_reflectance(omega, params: ModelParams):
     """Reflection with the inter-qubit retardation kept exactly."""
-    omega = np.asarray(omega, dtype=float)
-    half = 0.5 * params.gamma
-    detune = omega - params.omega_q
-    kd = params.phase_across(omega)
-    denom = (detune + 1j * half) ** 2 + half ** 2 * np.exp(2j * kd)
-    guard = np.abs(denom) == 0
+    half, detune, kd, denom, guard = _lattice_denominator(omega, params)
     num = detune * np.cos(kd) + half * np.sin(kd)
     amp = np.where(guard, 1.0,
                    params.gamma * num / np.where(guard, 1.0, denom))
@@ -557,8 +531,7 @@ def nonmarkov_reflectance(omega, params: ModelParams):
 # ---------------------------------------------------------------------------
 # closed-form resonance peaks of the steady energy density
 
-def transmitted_resonance_peak(x, params: ModelParams,
-                               regime: Regime | None = None):
+def transmitted_resonance_peak(x, params: ModelParams):
     """Steady |u|^2/A^2 behind the pair for a resonant drive.
 
     Generic regime: (ci^2 + si^2)(Omega x / v_g) / (4 pi^2).
@@ -568,8 +541,7 @@ def transmitted_resonance_peak(x, params: ModelParams,
     x = np.asarray(x, dtype=float)
     if np.any(x <= params.distance):
         raise ValueError("transmitted peak formula needs x > d")
-    if regime is None:
-        regime = classify_regime(params)
+    regime = classify_regime(params)
     w = params.omega_q * x / params.v_g
     ci = cosine_integral(w)
     si = si_lower(w)
@@ -583,8 +555,7 @@ def transmitted_resonance_peak(x, params: ModelParams,
     raise ValueError("no closed transmitted-peak formula in the odd-pi regime")
 
 
-def reflected_resonance_peak(x, params: ModelParams,
-                             regime: Regime | None = None):
+def reflected_resonance_peak(x, params: ModelParams):
     """Steady |v|^2/A^2 before the pair for a resonant drive.
 
     Generic: 1 + si(w)/pi + (ci^2 + si^2)(w)/(4 pi^2) with w = Omega|x|/v_g.
@@ -593,8 +564,7 @@ def reflected_resonance_peak(x, params: ModelParams,
     x = np.asarray(x, dtype=float)
     if np.any(x >= 0):
         raise ValueError("reflected peak formula needs x < 0")
-    if regime is None:
-        regime = classify_regime(params)
+    regime = classify_regime(params)
     w = params.omega_q * np.abs(x) / params.v_g
     ci = cosine_integral(w)
     si = si_lower(w)
@@ -630,9 +600,10 @@ def beat_note_series(params: ModelParams, rates: CollectiveRates,
                      x0: float, n_periods: int = 40, n_samples: int = 4096):
     """Steady |u(x0, t)|^2 sampled uniformly over ``n_periods`` beats.
 
-    The window starts just after the incident front has passed x0 (the
-    steady forms presume x0 < v_g t) and spans ``n_periods`` periods of
-    the drive detuning.  Returns (t, energy).
+    The window starts just after the incident front has passed x0 and
+    spans ``n_periods`` periods of the drive detuning.  The samples form
+    a Behind grid, so x0 must lie behind the pair and outside the
+    exclusion zone.  Returns (t, energy).
     """
     detune = params.omega_s - params.omega_q
     if detune == 0:
@@ -641,8 +612,9 @@ def beat_note_series(params: ModelParams, rates: CollectiveRates,
     t0 = 1.05 * x0 / params.v_g
     window = n_periods * period
     t = t0 + np.linspace(0.0, window, n_samples, endpoint=False)
-    u = steady_forward(np.asarray([x0]), t[:, None], rates, params)[:, 0]
-    return t, np.abs(u) ** 2
+    grid = space_time_grid(params, [x0], t, region=Region.BEHIND)
+    u = _field_slices(grid, rates, params, FieldBranch.STEADY, True, False)[0].u
+    return t, np.abs(u[:, 0]) ** 2
 
 
 def beat_note_fft(energy, params: ModelParams, n_periods: int = 40):
@@ -660,16 +632,3 @@ def beat_note_fft(energy, params: ModelParams, n_periods: int = 40):
     peak = freqs[int(np.argmax(np.abs(spectrum)))]
     return freqs, np.abs(spectrum), float(peak), abs(detune) / (2.0 * np.pi)
 
-
-def beat_note_spectrum(params: ModelParams, rates: CollectiveRates,
-                       x0: float, n_periods: int = 40, n_samples: int = 4096):
-    """FFT of the steady |u(x0, t)|^2 over ``n_periods`` detuning beats.
-
-    Off resonance the steady energy density behind the pair oscillates at
-    the drive detuning; this samples a uniform window (starting just after
-    the front has passed x0) and returns (frequencies, |spectrum|,
-    peak_frequency, expected_frequency) with frequencies in Hz.
-    """
-    _, energy = beat_note_series(params, rates, x0,
-                                 n_periods=n_periods, n_samples=n_samples)
-    return beat_note_fft(energy, params, n_periods)

@@ -105,10 +105,6 @@ class ModelParams:
         """Guided wavelength at the qubit frequency."""
         return 2.0 * np.pi * self.v_g / self.omega_q
 
-    def wavenumber(self, omega):
-        """Dispersionless wavenumber k = omega / v_g."""
-        return np.asarray(omega) / self.v_g
-
     def phase_across(self, omega):
         """Propagation phase k_omega * d accumulated between the qubits."""
         return np.asarray(omega) * self.distance / self.v_g
@@ -122,11 +118,6 @@ class ModelParams:
     def drive_phase(self) -> float:
         """k_omega_s * d at the drive carrier."""
         return self.omega_s * self.distance / self.v_g
-
-    @property
-    def drive_detuning(self) -> float:
-        """omega_s - omega_q."""
-        return self.omega_s - self.omega_q
 
     def with_drive(self, omega_s) -> "ModelParams":
         """Copy of the parameters with a different drive carrier."""
@@ -146,14 +137,6 @@ class ModelParams:
                    pulse_width=pulse_width)
 
     @classmethod
-    def from_coupling(cls, omega_q, coupling, distance, v_g=3.0e8,
-                      omega_s=None, amplitude=1.0, pulse_width=None) -> "ModelParams":
-        """Build parameters from the raw coupling g, Gamma = 4 pi g^2."""
-        gamma = 4.0 * np.pi * float(coupling) ** 2
-        return cls.create(omega_q, gamma, distance, v_g=v_g, omega_s=omega_s,
-                          amplitude=amplitude, pulse_width=pulse_width)
-
-    @classmethod
     def from_phase(cls, omega_q, gamma, phase_over_pi, v_g=3.0e8,
                    omega_s=None, amplitude=1.0, pulse_width=None) -> "ModelParams":
         """Build parameters with the separation fixed by k_Omega*d/pi."""
@@ -162,23 +145,16 @@ class ModelParams:
                           amplitude=amplitude, pulse_width=pulse_width)
 
 
-def gaussian_amplitude(pulse_width: float) -> float:
-    """Spectral amplitude A = (2 pi)^{1/4} sqrt(Delta) of a unit-norm Gaussian."""
-    if pulse_width <= 0:
-        raise ValueError("pulse_width must be positive")
-    return float((2.0 * np.pi) ** 0.25 * np.sqrt(pulse_width))
-
-
-def classify_regime(params: ModelParams, tol: float = PHASE_SNAP_TOL) -> Regime:
+def classify_regime(params: ModelParams) -> Regime:
     """Classify the interference regime of k_Omega * d.
 
-    Within ``tol`` (radians) of an even multiple of pi the antisymmetric
-    channel is dark (EvenPi); within ``tol`` of an odd multiple the
-    symmetric channel is dark (OddPi); anything else is Generic.
+    Within ``PHASE_SNAP_TOL`` (radians) of an even multiple of pi the
+    antisymmetric channel is dark (EvenPi); within it of an odd multiple
+    the symmetric channel is dark (OddPi); anything else is Generic.
     """
     kd = params.qubit_phase
     n = int(np.round(kd / np.pi))
-    if abs(kd - n * np.pi) <= tol and n != 0:
+    if abs(kd - n * np.pi) <= PHASE_SNAP_TOL and n != 0:
         return Regime.EVEN_PI if n % 2 == 0 else Regime.ODD_PI
     return Regime.GENERIC
 
@@ -264,24 +240,12 @@ def coupling_weights(params: ModelParams, regime: Regime, omega):
     return dark, bright
 
 
-def collective_rates(params: ModelParams, regime: Regime | None = None,
-                     tol: float = PHASE_SNAP_TOL) -> CollectiveRates:
+def collective_rates(params: ModelParams) -> CollectiveRates:
     """Assemble the collective channels for the drive carrier.
 
-    Parameters
-    ----------
-    params : ModelParams
-    regime : Regime or None
-        Interference regime; classified from the parameters when None.
-    tol : float
-        Snap tolerance passed to the classifier.
-
-    Returns
-    -------
-    CollectiveRates
+    The interference regime is classified from the parameters.
     """
-    if regime is None:
-        regime = classify_regime(params, tol=tol)
+    regime = classify_regime(params)
     gamma_plus, gamma_minus = channel_rates(params, regime)
     c_plus, c_minus = coupling_weights(params, regime, params.omega_s)
     return CollectiveRates(gamma_plus=complex(gamma_plus),

@@ -103,13 +103,15 @@ def peaks_vs_steady(cases):
     worst = 0.0
     for p in cases:
         rates = model.collective_rates(p)
-        for steady, peak, x_over_d in (
-                (fields.steady_backward, fields.reflected_resonance_peak,
+        for field, name, peak, x_over_d in (
+                (fields.backward_field, "v", fields.reflected_resonance_peak,
                  [-2.0, -4.0, -6.0]),
-                (fields.steady_forward, fields.transmitted_resonance_peak,
+                (fields.forward_field, "u", fields.transmitted_resonance_peak,
                  [3.0, 5.0])):
             x = np.array(x_over_d) * p.distance
-            direct = np.abs(steady(x, 5.0e-6, rates, p)) ** 2
+            grid = fields.space_time_grid(p, x, [5.0e-6])
+            steady = getattr(field(grid, rates, p, branch="steady"), name)
+            direct = np.abs(steady[0]) ** 2
             worst = max(worst, float(np.max(np.abs(direct - peak(x, p)))))
     return worst
 

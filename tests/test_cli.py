@@ -232,6 +232,26 @@ def test_field_preset_matches_stored_reference(preset, tmp_path, monkeypatch):
                 <= 1e-12 * max(abs(float(rn)), 1.0), (gn, rn)
 
 
+PRESET_OF = {"spectrum": "fig2", "field": "fig6", "peaks": "fig8",
+             "beating": "fig7"}
+
+
+def refused_error(command, config_text, tmp_path, monkeypatch, capsys):
+    """Run ``command``'s preset with a config override that must be refused.
+
+    Asserts exit 2, no output file and one stderr line; returns that line.
+    """
+    config = tmp_path / "bad.ini"
+    config.write_text(config_text)
+    code = run_cli([command, "--preset", PRESET_OF[command], "--config",
+                    str(config), "--out", "bad.csv"], tmp_path, monkeypatch)
+    assert code == 2
+    assert not (tmp_path / "bad.csv").exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    return err[0]
+
+
 @pytest.mark.parametrize("command, section, key, value", [
     ("spectrum", "sweep", "points", "2.7"),
     ("spectrum", "sweep", "points", "0"),
@@ -241,15 +261,9 @@ def test_field_preset_matches_stored_reference(preset, tmp_path, monkeypatch):
 ])
 def test_integer_keys_are_validated(command, section, key, value, tmp_path,
                                     monkeypatch, capsys):
-    config = tmp_path / "bad.ini"
-    config.write_text(f"[{section}]\n{key} = {value}\n")
-    preset = {"spectrum": "fig2", "peaks": "fig8", "beating": "fig7"}[command]
-    code = run_cli([command, "--preset", preset, "--config", str(config),
-                    "--out", "bad.csv"], tmp_path, monkeypatch)
-    assert code == 2
-    err = capsys.readouterr().err
-    assert f"{section}.{key}" in err and len(err.strip().splitlines()) == 1
-    assert not (tmp_path / "bad.csv").exists()
+    err = refused_error(command, f"[{section}]\n{key} = {value}\n",
+                        tmp_path, monkeypatch, capsys)
+    assert f"{section}.{key}" in err
 
 
 def test_unwritable_output_exits_with_input_error(tmp_path, monkeypatch,
@@ -314,3 +328,30 @@ def test_special_function_failure_exits_with_runtime_error(tmp_path,
     assert err.startswith("error: ") and "converge" in err
     assert len(err.strip().splitlines()) == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    ("spectrum", "sweep", "omega_min_over_omega_q", "0.9, 0.95"),
+    ("spectrum", "model", "gamma_ratio", "0.01, 0.02"),
+    ("field", "grid", "t_s", "1e-6, 2e-6"),
+    ("peaks", "peaks", "t_s", "soon"),
+])
+def test_scalar_keys_are_validated(command, section, key, value, tmp_path,
+                                   monkeypatch, capsys):
+    err = refused_error(command, f"[{section}]\n{key} = {value}\n",
+                        tmp_path, monkeypatch, capsys)
+    assert f"{section}.{key}" in err
+
+
+@pytest.mark.parametrize("command, overrides, reason", [
+    ("peaks", "x_max_over_d = -0.01", "excluded"),
+    ("peaks", "x_min_over_d = -1\nx_max_over_d = -0.1\nt_s = 1e-12",
+     "not yet reachable"),
+    ("beating", "x0_over_d = 1.01", "excluded"),
+    ("beating", "x0_over_d = 0.5", "Between, not Behind"),
+])
+def test_peaks_and_beating_points_are_validated_like_field_grids(
+        command, overrides, reason, tmp_path, monkeypatch, capsys):
+    err = refused_error(command, f"[{command}]\n{overrides}\n",
+                        tmp_path, monkeypatch, capsys)
+    assert reason in err

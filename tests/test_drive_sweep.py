@@ -81,7 +81,7 @@ def test_one_drive_sweep_is_the_public_field(weak_even):
     for branch in ("transient", "steady"):
         whole = fields.interqubit_field(grid, r, p, branch=branch)
         (swept,) = fields.drive_sweep(grid, r, p, [p.omega_s], branch=branch)
-        for name in ("u", "v", "w", "energy_w"):
+        for name in ("u", "v", "w"):
             np.testing.assert_array_equal(getattr(swept, name),
                                           getattr(whole, name))
 

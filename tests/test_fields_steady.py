@@ -81,7 +81,7 @@ def test_forward_transient_approaches_steady(weak_generic):
     t = 1.0e-4  # far beyond both steady gates
     grid = fields.space_time_grid(p, x, [t])
     transient = fields.forward_field(grid, r, p, branch="transient").u
-    steady = fields.steady_forward(x, np.array([[t]]), r, p)
+    steady = fields.forward_field(grid, r, p, branch="steady").u
     assert np.max(np.abs(transient - steady)) < 1e-6
 
 
@@ -92,7 +92,7 @@ def test_backward_transient_approaches_steady(weak_generic):
     t = 1.0e-4
     grid = fields.space_time_grid(p, x, [t])
     transient = fields.backward_field(grid, r, p, branch="transient").v
-    steady = fields.steady_backward(x, np.array([[t]]), r, p)
+    steady = fields.backward_field(grid, r, p, branch="steady").v
     assert np.max(np.abs(transient - steady)) < 1e-4
 
 
@@ -156,9 +156,6 @@ def test_interqubit_slice_is_additive(weak_generic):
     grid = fields.space_time_grid(p, x, [5e-6])
     sl = fields.interqubit_field(grid, r, p, branch="steady")
     np.testing.assert_allclose(sl.w, sl.u + sl.v, rtol=0, atol=1e-14)
-    assert np.all(sl.energy_w >= 0)
-    np.testing.assert_allclose(
-        sl.energy_w, np.abs(sl.w) ** 2 / p.amplitude ** 2, rtol=1e-12)
 
 
 def test_resonance_peaks_match_steady_energies(all_presets):
@@ -183,7 +180,7 @@ def test_interqubit_resonance_peak_matches_steady_energy(weak_generic):
     grid = fields.space_time_grid(p, x, [5e-6])
     sl = fields.interqubit_field(grid, r, p, branch="steady")
     formula = fields.interqubit_resonance_peak(x, p)
-    assert np.max(np.abs(sl.energy_w[0] - formula)) < 1e-8
+    assert np.max(np.abs(np.abs(sl.w[0]) ** 2 - formula)) < 1e-8
 
 
 def test_reflected_peak_exceeds_unity_then_relaxes(weak_generic):
@@ -199,8 +196,9 @@ def test_reflected_peak_exceeds_unity_then_relaxes(weak_generic):
 def test_beat_note_spectrum_peaks_at_detuning(weak_even):
     p = weak_even.with_drive(1.01 * weak_even.omega_q)
     r = collective_rates(p)
-    freqs, mag, peak, expected = fields.beat_note_spectrum(
-        p, r, 2.0 * p.distance, n_periods=40, n_samples=4096)
+    _, energy = fields.beat_note_series(p, r, 2.0 * p.distance,
+                                        n_periods=40, n_samples=4096)
+    freqs, mag, peak, expected = fields.beat_note_fft(energy, p, 40)
     bin_width = freqs[1] - freqs[0]
     assert abs(peak - expected) <= bin_width
     assert expected == pytest.approx(0.01 * p.omega_q / (2 * np.pi))

@@ -45,3 +45,15 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_package_exports_are_its_imports():
+    # the scan above counts every ``__all__`` name as used, so a stale
+    # export would pass it: ``__all__`` must be exactly what is imported
+    import wqed
+
+    tree = ast.parse((ROOT / "src" / "wqed" / "__init__.py").read_text())
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert all(hasattr(wqed, name) for name in wqed.__all__)
+    assert sorted(wqed.__all__) == sorted(imported)
