@@ -247,14 +247,26 @@ def _build_params(cfg) -> ModelParams:
                               amplitude=number("amplitude", 1.0))
 
 
-def _number(cfg, section, key, default):
-    """Finite real scenario value ``[section] key``."""
-    value = cfg.get(key, default)
+def _finite(value, section, key):
+    """``value`` of ``[section] key`` as a float, if it is a finite number."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
             or not np.isfinite(value):
         raise ScenarioError(f"{section}.{key} must be a finite number, "
                             f"got {value!r}")
     return float(value)
+
+
+def _number(cfg, section, key, default):
+    """Finite real scenario value ``[section] key``."""
+    return _finite(cfg.get(key, default), section, key)
+
+
+def _numbers(cfg, section, key, default):
+    """Finite real list ``[section] key``; one value is a list of one."""
+    values = cfg.get(key, default)
+    if not isinstance(values, list):
+        values = [values]
+    return [_finite(value, section, key) for value in values]
 
 
 def _count(cfg, section, key, default, minimum=1):
@@ -439,26 +451,13 @@ def _field_rows(params, x_over_d, ratios, omega, t, branch, label):
     carriers in rad/s and ``ratios`` their omega_s/omega_q column values.
     """
     x_over_d = np.asarray(x_over_d, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    x = x_over_d * params.distance
-    grid = fields.space_time_grid(params, x, [t])
-    rates = collective_rates(params)
-    slices = fields.drive_sweep(grid, rates, params, omega, branch=branch)
-    if grid.region is fields.Region.BEFORE:
-        incident = fields.incident_plane_wave(x, t, params, omega[:, None])
+    grid = fields.space_time_grid(params, x_over_d * params.distance, [t])
+    slices = fields.drive_sweep(grid, collective_rates(params), params,
+                                omega, branch=branch)
     amp2 = params.amplitude ** 2
     rows = []
-    for k, (ratio, fs) in enumerate(zip(ratios, slices)):
-        if grid.region is fields.Region.BEHIND:
-            u = fs.u[0]
-            v = np.zeros_like(u)
-            w = u
-        elif grid.region is fields.Region.BEFORE:
-            v = fs.v[0]
-            u = incident[k]
-            w = u + v
-        else:
-            u, v, w = fs.u[0], fs.v[0], fs.w[0]
+    for ratio, fs in zip(ratios, slices):
+        u, v, w = fs.u[0], fs.v[0], fs.w[0]
         for i, xod in enumerate(x_over_d):
             rows.append((label, xod, ratio,
                          u[i].real, u[i].imag, v[i].real, v[i].imag,
@@ -469,20 +468,26 @@ def _field_rows(params, x_over_d, ratios, omega, t, branch, label):
 
 
 def cmd_field(scenario, args):
-    """Field envelopes and normalized energies over position/frequency."""
+    """Field envelopes and normalized energies over position/frequency.
+
+    A configured ``[grid] x_over_d`` replaces a preset's blocks with one
+    row per position at the configured drive.
+    """
     p = scenario["params"]
     grid_cfg = scenario["grid"]
     t = _number(grid_cfg, "grid", "t_s", 5.0e-6)
-    branch = str(grid_cfg.get("branch", "auto"))
+    branch = grid_cfg.get("branch", "auto")
+    names = [str(b) for b in fields.FieldBranch]
+    if branch not in names:
+        raise ScenarioError(f"grid.branch must be one of {', '.join(names)}, "
+                            f"got {branch!r}")
     blocks = scenario["blocks"]
-    if blocks is None:
-        x_over_d = grid_cfg.get("x_over_d")
-        if x_over_d is None:
-            raise ScenarioError("field command needs grid.x_over_d "
-                                "(or a figure preset)")
-        if not isinstance(x_over_d, list):
-            x_over_d = [x_over_d]
-        blocks = [{"kind": "fixed", "x_over_d": x_over_d}]
+    if "x_over_d" in grid_cfg:
+        blocks = [{"kind": "fixed",
+                   "x_over_d": _numbers(grid_cfg, "grid", "x_over_d", None)}]
+    elif blocks is None:
+        raise ScenarioError("field command needs grid.x_over_d "
+                            "(or a figure preset)")
     rows = []
     for block in blocks:
         kind = block["kind"]
@@ -500,14 +505,14 @@ def cmd_field(scenario, args):
                                         [float(ratio) * p.omega_q], t, branch,
                                         "scan:ws=%g" % ratio))
         elif kind == "fixed":
-            # plain config path: the configured drive, a handful of x values
-            # (one call each, since they may lie in different regions)
+            # the configured drive at a handful of x values (one call each,
+            # since they may lie in different regions)
             ratio = float(p.omega_s / p.omega_q)
             label = "fixed:ws=%g" % ratio
             for xod in block["x_over_d"]:
-                rows.extend(_field_rows(p, [float(xod)], [ratio],
-                                        [p.omega_s], t, branch, label))
-        elif kind == "reflectance_limit":
+                rows.extend(_field_rows(p, [xod], [ratio], [p.omega_s], t,
+                                        branch, label))
+        else:   # the x = -inf reflectance limit
             ratios = np.linspace(block["omega_lo"], block["omega_hi"],
                                  int(block["points"]))
             omega = ratios * p.omega_q
@@ -518,8 +523,6 @@ def cmd_field(scenario, args):
                 rows.append(("line:x=-inf", -np.inf, ratio,
                              nan, nan, nan, nan, nan, nan,
                              nan, float(r_val), nan))
-        else:
-            raise ScenarioError(f"unknown field block kind '{kind}'")
     extra = ["t_s = %.17g" % t, f"branch = {branch}",
              "energies normalized by amplitude^2"]
     written = _emit(scenario, args, _header_lines(scenario, extra),
@@ -533,9 +536,8 @@ def cmd_beating(scenario, args):
     p = scenario["params"]
     cfg = scenario["beating"]
     x0 = _number(cfg, "beating", "x0_over_d", 2.0) * p.distance
-    detunings = cfg.get("detunings_over_omega_q", [0.01, 0.02])
-    if not isinstance(detunings, list):
-        detunings = [detunings]
+    detunings = _numbers(cfg, "beating", "detunings_over_omega_q",
+                         [0.01, 0.02])
     n_periods = _count(cfg, "beating", "n_periods", 40)
     n_samples = _count(cfg, "beating", "n_samples", 4096, minimum=2)
     rows = []
@@ -543,7 +545,7 @@ def cmd_beating(scenario, args):
              "n_periods = %d" % n_periods, "n_samples = %d" % n_samples]
     peaks = []
     for det in detunings:
-        drive = p.with_drive((1.0 + float(det)) * p.omega_q)
+        drive = p.with_drive((1.0 + det) * p.omega_q)
         rates = collective_rates(drive)
         label = "det=%g" % det
         t, energy = fields.beat_note_series(drive, rates, x0,

@@ -10,11 +10,16 @@ single master kernel
 with s2 = s1 - t, evaluated at s1 = +-(shifted coordinate)/v_g and at a
 center ``a`` that is either a complex collective pole, the drive carrier,
 or the bare qubit frequency.  This module evaluates that kernel (through
-the scaled E1, so the decaying channels neither under- nor overflow),
-assembles the forward, backward, and inter-qubit fields in both their
-transient and long-time steady forms (for one drive carrier, or for a
-whole sweep of carriers in one call), and provides the scattering spectra
-and closed-form resonance peak heights.
+the scaled E1, so the decaying channels neither under- nor overflow) and
+its t -> inf limit: a decaying pole leaves nothing, a real center (the
+drive carrier, or the bare Omega of a channel that is dark in a pinned
+regime) leaves a plane wave.  One channel sum turns either of the two into
+the scattered field, so the transient and the steady field are assembled
+the same way.  ``drive_sweep`` assembles the field on a grid for a whole
+sweep of drive carriers in one call, and every slice carries the
+right-moving envelope u, the left-moving v and their sum w.  The module
+also provides the scattering spectra and closed-form resonance peak
+heights.
 
 The first E1 argument above, i*a*s1, follows from closing the frequency
 contour.  An alternative reading with the argument a*s1 circulates; the
@@ -101,29 +106,50 @@ def closed_kernel(kernel_id: str, x_shift, t, rates: CollectiveRates,
                         centers[center])
 
 
+def _kernel_limit(s1, t, a):
+    """What ``_wave_kernel`` leaves once its transients have died out.
+
+    A decaying center (Im a < 0) leaves nothing.  A real center, such as a
+    drive carrier or the bare Omega of a dark channel, leaves the plane
+    e^{i a (s1 - t)} M(a s1), where M(w) = 2 pi i - ci(w) + i si(w) on the
+    outgoing side (w > 0) and -(ci(|w|) + i si(|w|)) on the other.  ``a``
+    is one center or an array of them that are all decaying or all real,
+    and broadcasts against s1 and t as in ``_wave_kernel``.
+    """
+    a = np.asarray(a, dtype=complex)
+    if np.all(a.imag < 0):
+        return 0.0
+    a = a.real
+    s1 = np.asarray(s1, dtype=float)
+    t = np.asarray(t, dtype=float)
+    w = a * s1
+    if np.any(w == 0):
+        raise ValueError("kernel singularity at a qubit position")
+    mag = np.abs(w)
+    ci = cosine_integral(mag)
+    si = si_lower(mag)
+    m = np.where(w > 0, TWO_PI_I - ci + 1j * si, -(ci + 1j * si))
+    return np.exp(1j * a * (s1 - t)) * m
+
+
 def _wave_kernel_trig(s1, t, omega):
     """Second writing of the real-center kernel, via sine/cosine integrals.
 
-    Mathematically identical to ``_wave_kernel`` at a real center; the
-    numerical path is completely different (real ci/si of absolute-value
-    arguments instead of the complex continued fraction), which makes the
-    agreement between the two a strong internal consistency check.
+    Mathematically identical to ``_wave_kernel`` at a real center: the
+    steady limit ``_kernel_limit`` plus the front term, which decays as the
+    light front recedes.  The numerical path is completely different (real
+    ci/si of absolute-value arguments instead of the complex continued
+    fraction), which makes the agreement between the two a strong internal
+    consistency check.
     """
-    s1 = np.asarray(s1, dtype=float)
-    t = np.asarray(t, dtype=float)
-    s1, t = np.broadcast_arrays(s1, t)
+    s1, t = np.broadcast_arrays(np.asarray(s1, dtype=float),
+                                np.asarray(t, dtype=float))
     s2 = s1 - t
     if np.any(s2 >= 0):
         raise ValueError("trig writing implemented for the causal region s1 < t")
-    if np.any(s1 == 0):
-        raise ValueError("kernel singularity at a qubit position")
-    w1 = omega * np.abs(s1)
     w2 = omega * np.abs(s2)
-    launch = np.where(s1 > 0,
-                      TWO_PI_I - cosine_integral(w1) + 1j * si_lower(w1),
-                      -cosine_integral(w1) - 1j * si_lower(w1))
-    front = cosine_integral(w2) + 1j * si_lower(w2)
-    return np.exp(1j * omega * s2) * (launch + front)
+    front = np.exp(1j * omega * s2) * (cosine_integral(w2) + 1j * si_lower(w2))
+    return _kernel_limit(s1, t, omega) + front
 
 
 # ---------------------------------------------------------------------------
@@ -217,16 +243,18 @@ def space_time_grid(params: ModelParams, x, t,
 class FieldSlice:
     """Field envelopes on a grid; arrays are indexed [time, position].
 
-    ``u`` is the right-moving envelope (incident plus scattered), ``v``
-    the left-moving one, ``w`` their sum where both exist.
+    ``u`` is the right-moving envelope: the incident wave, plus the
+    forward-scattered field unless the grid lies before the pair.  ``v``
+    is the left-moving, backward-scattered envelope, zero behind the pair.
+    ``w`` is their sum.
     """
 
     grid: SpaceTimeGrid
     branch: FieldBranch
     regime: Regime
-    u: np.ndarray | None = None
-    v: np.ndarray | None = None
-    w: np.ndarray | None = None
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
 
 
 def incident_plane_wave(x, t, params: ModelParams, omega_s=None):
@@ -242,26 +270,27 @@ def incident_plane_wave(x, t, params: ModelParams, omega_s=None):
     return params.amplitude * np.exp(1j * omega_s * (x / params.v_g - t))
 
 
-def _scattered_sum(y1, y2, t, rates: CollectiveRates, params: ModelParams,
-                   omega_s, c_plus, c_minus):
+def _scattered_sum(kernel, y1, y2, t, rates: CollectiveRates,
+                   params: ModelParams, omega_s, c_plus, c_minus):
     """Scattered envelope from kernels at shifted coordinates (y1, y2).
 
-    For the forward field pass (x, x-d); for the backward field pass
-    (-x, -(x-d)).  The channel pattern (symmetric adds the two shifts,
-    antisymmetric subtracts) is the same in both directions.  The drive
-    carrier ``omega_s`` and its weights ``c_plus``/``c_minus`` may carry a
-    leading drive axis; the pole kernels do not depend on the drive and
-    are evaluated once.
+    ``kernel`` is ``_wave_kernel`` for the transient field and
+    ``_kernel_limit`` for the steady one.  For the forward field pass
+    (x, x-d); for the backward field pass (-x, -(x-d)).  The channel
+    pattern (symmetric adds the two shifts, antisymmetric subtracts) is the
+    same in both directions.  The drive carrier ``omega_s`` and its weights
+    ``c_plus``/``c_minus`` may carry a leading drive axis; the pole kernels
+    do not depend on the drive and are evaluated once.
     """
     a_plus = params.omega_q - 1j * rates.gamma_plus
     a_minus = params.omega_q - 1j * rates.gamma_minus
     v_g = params.v_g
-    k_plus_1 = _wave_kernel(y1 / v_g, t, a_plus)
-    k_plus_2 = _wave_kernel(y2 / v_g, t, a_plus)
-    k_minus_1 = _wave_kernel(y1 / v_g, t, a_minus)
-    k_minus_2 = _wave_kernel(y2 / v_g, t, a_minus)
-    k_s_1 = _wave_kernel(y1 / v_g, t, omega_s)
-    k_s_2 = _wave_kernel(y2 / v_g, t, omega_s)
+    k_plus_1 = kernel(y1 / v_g, t, a_plus)
+    k_plus_2 = kernel(y2 / v_g, t, a_plus)
+    k_minus_1 = kernel(y1 / v_g, t, a_minus)
+    k_minus_2 = kernel(y2 / v_g, t, a_minus)
+    k_s_1 = kernel(y1 / v_g, t, omega_s)
+    k_s_2 = kernel(y2 / v_g, t, omega_s)
     return -0.5 * params.coupling * (
         c_plus * (k_plus_1 + k_plus_2 - k_s_1 - k_s_2)
         + c_minus * (k_minus_1 - k_minus_2 - k_s_1 + k_s_2)
@@ -269,49 +298,7 @@ def _scattered_sum(y1, y2, t, rates: CollectiveRates, params: ModelParams,
 
 
 # ---------------------------------------------------------------------------
-# steady-state forms
-
-def _steady_plane(y, t, carrier, params: ModelParams):
-    """Long-time plane-wave component e^{i a (y/v - t)} M(a y / v).
-
-    M(w) collects what survives of the kernel when every transient has
-    decayed: 2 pi i - ci(w) + i si(w) on the outgoing side (w > 0) and
-    -(ci(|w|) + i si(|w|)) on the other.
-    """
-    y = np.asarray(y, dtype=float)
-    t = np.asarray(t, dtype=float)
-    w = carrier * y / params.v_g
-    if np.any(w == 0):
-        raise ValueError("steady field singular at a qubit position")
-    mag = np.abs(w)
-    ci = cosine_integral(mag)
-    si = si_lower(mag)
-    m = np.where(w > 0, TWO_PI_I - ci + 1j * si, -(ci + 1j * si))
-    return np.exp(1j * carrier * (y / params.v_g - t)) * m
-
-
-def _steady_scattered(y1, y2, t, rates: CollectiveRates, params: ModelParams,
-                      omega_s, c_plus, c_minus):
-    """Steady-state limit of ``_scattered_sum`` (same arguments)."""
-    g = params.coupling
-    total = 0.5 * g * (
-        (c_plus + c_minus) * _steady_plane(y1, t, omega_s, params)
-        + (c_plus - c_minus) * _steady_plane(y2, t, omega_s, params)
-    )
-    # A dark channel never decays: its kernel survives as a plane wave
-    # pinned at the bare qubit frequency, the same for every drive.
-    if rates.regime is Regime.EVEN_PI:
-        total = total - 0.5 * g * c_minus * (
-            _steady_plane(y1, t, params.omega_q, params)
-            - _steady_plane(y2, t, params.omega_q, params)
-        )
-    elif rates.regime is Regime.ODD_PI:
-        total = total - 0.5 * g * c_plus * (
-            _steady_plane(y1, t, params.omega_q, params)
-            + _steady_plane(y2, t, params.omega_q, params)
-        )
-    return total
-
+# steady-state gate
 
 def _steady_gate(grid: SpaceTimeGrid, rates: CollectiveRates,
                  params: ModelParams, omega_s):
@@ -341,27 +328,39 @@ def steady_ready(grid: SpaceTimeGrid, rates: CollectiveRates,
 # ---------------------------------------------------------------------------
 # assembled fields
 
-def _field_slices(grid: SpaceTimeGrid, rates: CollectiveRates,
-                  params: ModelParams, branch, right: bool, left: bool,
-                  omega_s=None) -> list[FieldSlice]:
-    """One FieldSlice per drive carrier, evaluated over all drives at once.
+def drive_sweep(grid: SpaceTimeGrid, rates: CollectiveRates,
+                params: ModelParams, omega_s,
+                branch="auto") -> list[FieldSlice]:
+    """The field on the grid for every drive carrier in one call.
 
-    ``right`` assembles u (incident plus scattered), ``left`` assembles v,
-    and both together add w = u + v.  ``omega_s=None`` stands for the
-    parameters' own drive with the weights held in ``rates``; an array of
-    carriers gets its weights from ``coupling_weights`` in the regime of
-    ``rates``.  ``branch="auto"`` is resolved per drive.
+    Entry k is the field for ``params.with_drive(omega_s[k])`` and its own
+    collective rates, but the grid, the channel rates and every
+    drive-independent kernel are evaluated once for the whole sweep.
+    ``rates`` supplies the regime and channel rates; the drive weights
+    come from ``coupling_weights`` at each carrier.
+
+    Parameters
+    ----------
+    grid : SpaceTimeGrid
+    rates : CollectiveRates
+    params : ModelParams
+    omega_s : array_like
+        1-d array of drive carriers in rad/s.
+    branch : str or FieldBranch
+        "transient" for the exact finite-time forms, "steady" for the
+        long-time limit, "auto" to pick steady, carrier by carrier, once
+        it is converged.
+
+    Returns
+    -------
+    list of FieldSlice, one per carrier, with ``u``, ``v`` and ``w``.
     """
-    if omega_s is None:
-        omega = np.array([params.omega_s])
-        c_plus, c_minus = np.array([rates.c_plus]), np.array([rates.c_minus])
-    else:
-        omega = np.asarray(omega_s, dtype=float)
-        if omega.ndim != 1 or not np.all(np.isfinite(omega)) \
-                or np.any(omega <= 0):
-            raise ValueError("drive carriers must be a 1-d array of "
-                             "positive finite frequencies")
-        c_plus, c_minus = coupling_weights(params, rates.regime, omega)
+    omega = np.asarray(omega_s, dtype=float)
+    if omega.ndim != 1 or not np.all(np.isfinite(omega)) \
+            or np.any(omega <= 0):
+        raise ValueError("drive carriers must be a 1-d array of "
+                         "positive finite frequencies")
+    c_plus, c_minus = coupling_weights(params, rates.regime, omega)
     branch = FieldBranch(branch)
     if branch is FieldBranch.AUTO:
         steady = _steady_gate(grid, rates, params, omega)
@@ -375,25 +374,24 @@ def _field_slices(grid: SpaceTimeGrid, rates: CollectiveRates,
 
     def scattered(y1, y2):
         out = np.empty((omega.size, grid.t.size, grid.x.size), dtype=complex)
-        for form, pick in ((_steady_scattered, steady),
-                           (_scattered_sum, ~steady)):
+        for kernel, pick in ((_kernel_limit, steady), (_wave_kernel, ~steady)):
             if pick.any():
-                out[pick] = form(y1, y2, tt, rates, params,
-                                 *(a[pick] for a in drive))
+                out[pick] = _scattered_sum(kernel, y1, y2, tt, rates, params,
+                                           *(a[pick] for a in drive))
         return out
 
-    envelopes = {}
-    if right:
-        envelopes["u"] = incident_plane_wave(xx, tt, params, drive[0]) \
-            + scattered(xx, xx - d)
-    if left:
-        envelopes["v"] = scattered(-xx, -(xx - d))
-    if right and left:
-        envelopes["w"] = envelopes["u"] + envelopes["v"]
+    u = incident_plane_wave(xx, tt, params, drive[0])
+    if grid.region is not Region.BEFORE:
+        u = u + scattered(xx, xx - d)
+    if grid.region is Region.BEHIND:
+        v = np.zeros_like(u)
+    else:
+        v = scattered(-xx, -(xx - d))
+    w = u + v
     return [FieldSlice(
         grid=grid, regime=rates.regime,
         branch=FieldBranch.STEADY if is_steady else FieldBranch.TRANSIENT,
-        **{key: value[k] for key, value in envelopes.items()})
+        u=u[k], v=v[k], w=w[k])
         for k, is_steady in enumerate(steady)]
 
 
@@ -401,23 +399,12 @@ def forward_field(grid: SpaceTimeGrid, rates: CollectiveRates,
                   params: ModelParams, branch="auto") -> FieldSlice:
     """Right-moving field u(x, t) between or behind the qubits.
 
-    Parameters
-    ----------
-    grid : SpaceTimeGrid
-        Region must be Between or Behind.
-    rates : CollectiveRates
-    params : ModelParams
-    branch : str or FieldBranch
-        "transient" for the exact finite-time forms, "steady" for the
-        long-time limit, "auto" to pick steady once it is converged.
-
-    Returns
-    -------
-    FieldSlice with ``u`` filled.
+    The one-carrier case of ``drive_sweep`` at ``params.omega_s``; the
+    grid's region must be Between or Behind.
     """
     if grid.region is Region.BEFORE:
         raise ValueError("forward field is defined between or behind the qubits")
-    return _field_slices(grid, rates, params, branch, True, False)[0]
+    return drive_sweep(grid, rates, params, [params.omega_s], branch)[0]
 
 
 def backward_field(grid: SpaceTimeGrid, rates: CollectiveRates,
@@ -425,7 +412,7 @@ def backward_field(grid: SpaceTimeGrid, rates: CollectiveRates,
     """Left-moving field v(x, t) before or between the qubits."""
     if grid.region is Region.BEHIND:
         raise ValueError("backward field is defined before or between the qubits")
-    return _field_slices(grid, rates, params, branch, False, True)[0]
+    return drive_sweep(grid, rates, params, [params.omega_s], branch)[0]
 
 
 def interqubit_field(grid: SpaceTimeGrid, rates: CollectiveRates,
@@ -433,38 +420,7 @@ def interqubit_field(grid: SpaceTimeGrid, rates: CollectiveRates,
     """Total field w = u + v between the qubits (0 < x < d)."""
     if grid.region is not Region.BETWEEN:
         raise ValueError("inter-qubit field needs a Between grid")
-    return _field_slices(grid, rates, params, branch, True, True)[0]
-
-
-def drive_sweep(grid: SpaceTimeGrid, rates: CollectiveRates,
-                params: ModelParams, omega_s,
-                branch="auto") -> list[FieldSlice]:
-    """The field of the grid's region for every drive carrier in one call.
-
-    Entry k is what ``forward_field`` (behind the pair), ``backward_field``
-    (before it) or ``interqubit_field`` (between the qubits) returns for
-    ``params.with_drive(omega_s[k])`` and its own collective rates, but
-    the grid, the channel rates and every drive-independent kernel are
-    evaluated once for the whole sweep.  ``rates`` supplies the regime and
-    channel rates; its drive weights are not used.
-
-    Parameters
-    ----------
-    grid : SpaceTimeGrid
-    rates : CollectiveRates
-    params : ModelParams
-    omega_s : array_like
-        1-d array of drive carriers in rad/s.
-    branch : str or FieldBranch
-        As for ``forward_field``; "auto" is resolved per drive.
-
-    Returns
-    -------
-    list of FieldSlice, one per carrier.
-    """
-    return _field_slices(grid, rates, params, branch,
-                         grid.region is not Region.BEFORE,
-                         grid.region is not Region.BEHIND, omega_s)
+    return drive_sweep(grid, rates, params, [params.omega_s], branch)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +569,7 @@ def beat_note_series(params: ModelParams, rates: CollectiveRates,
     window = n_periods * period
     t = t0 + np.linspace(0.0, window, n_samples, endpoint=False)
     grid = space_time_grid(params, [x0], t, region=Region.BEHIND)
-    u = _field_slices(grid, rates, params, FieldBranch.STEADY, True, False)[0].u
+    u = drive_sweep(grid, rates, params, [params.omega_s], "steady")[0].u
     return t, np.abs(u[:, 0]) ** 2
 
 

@@ -31,21 +31,14 @@ KERNEL_IDS = (
 )
 
 
-@dataclass(frozen=True)
-class QuadSpec:
-    """Knobs of the panel quadrature.
-
-    ``cutoff_factor`` sets the hard frequency cutoff as a multiple of the
-    largest scale in the problem; beyond it the integrand's 1/omega and
-    a/omega^2 tails are added in closed form.  ``points_per_period``
-    controls the panel width against the fastest oscillation present.
-    """
-
-    cutoff_factor: float = 20.0
-    points_per_period: int = 16
-    panel_order: int = 8
-    max_nodes: float = 2.0e7
-    chunk_nodes: int = 65536
+# Panel quadrature: each panel is at most 1/POINTS_PER_PERIOD of the
+# fastest oscillation present wide and holds PANEL_ORDER Gauss-Legendre
+# nodes; a kernel needing more than MAX_NODES nodes is refused, and the
+# nodes are summed CHUNK_NODES at a time.
+POINTS_PER_PERIOD = 16
+PANEL_ORDER = 8
+MAX_NODES = 2.0e7
+CHUNK_NODES = 65536
 
 
 def _kernel_center(kernel_id: str, params: ModelParams,
@@ -75,7 +68,7 @@ def _tail_inverse_omega_sq(s: float, cutoff: float) -> complex:
 
 def quad_kernel(kernel_id: str, x_shift: float, t: float,
                 params: ModelParams, rates: CollectiveRates | None = None,
-                quad: QuadSpec | None = None) -> complex:
+                cutoff_factor: float = 20.0) -> complex:
     """Defining frequency integral of one wave kernel, by brute force.
 
     Evaluates int_0^inf phi(omega - a, t) e^{i omega (s1 - t)} domega with
@@ -98,7 +91,10 @@ def quad_kernel(kernel_id: str, x_shift: float, t: float,
     params : ModelParams
     rates : CollectiveRates, optional
         Required for the decay kernels.
-    quad : QuadSpec, optional
+    cutoff_factor : float
+        Hard frequency cutoff as a multiple of the largest frequency in the
+        problem; beyond it the integrand's 1/omega and a/omega^2 tails are
+        added in closed form.
 
     Returns
     -------
@@ -106,7 +102,6 @@ def quad_kernel(kernel_id: str, x_shift: float, t: float,
     """
     if kernel_id not in KERNEL_IDS:
         raise ValueError(f"unknown kernel id {kernel_id!r}")
-    spec_q = quad or QuadSpec()
     if t <= 0:
         raise ValueError("t must be positive")
     sign = 1 if kernel_id.startswith("fwd") else -1
@@ -117,21 +112,20 @@ def quad_kernel(kernel_id: str, x_shift: float, t: float,
                          "or the light front vanishes exactly")
     a = _kernel_center(kernel_id, params, rates)
 
-    cutoff = spec_q.cutoff_factor * max(params.omega_q, params.omega_s, abs(a))
+    cutoff = cutoff_factor * max(params.omega_q, params.omega_s, abs(a))
     fastest = max(abs(s1), abs(s2), t)
-    h = 2.0 * np.pi / (spec_q.points_per_period * fastest)
+    h = 2.0 * np.pi / (POINTS_PER_PERIOD * fastest)
     line_width = -a.imag
     if line_width > 0:
         h = min(h, line_width / 4.0)
     n_panels = int(np.ceil(cutoff / h))
-    order = spec_q.panel_order
-    if n_panels * order > spec_q.max_nodes:
+    if n_panels * PANEL_ORDER > MAX_NODES:
         raise ValueError(
-            f"quadrature would need {n_panels * order:.3g} nodes "
-            f"(> {spec_q.max_nodes:.3g}); reduce t or the cutoff"
+            f"quadrature would need {n_panels * PANEL_ORDER:.3g} nodes "
+            f"(> {MAX_NODES:.3g}); reduce t or the cutoff"
         )
     width = cutoff / n_panels
-    ref_x, ref_w = np.polynomial.legendre.leggauss(order)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(PANEL_ORDER)
     off = 0.5 * (ref_x + 1.0) * width    # node offsets inside a panel
     ref_w = 0.5 * ref_w * width
     lead = np.exp(-1j * a * t) * np.exp(1j * off * s1) * ref_w   # node factors
@@ -139,7 +133,7 @@ def quad_kernel(kernel_id: str, x_shift: float, t: float,
     reach = 2e-8 / t    # |z t| < 1e-8 only this close to a (with margin)
 
     total = 0.0 + 0.0j
-    panels_per_chunk = max(1, spec_q.chunk_nodes // order)
+    panels_per_chunk = CHUNK_NODES // PANEL_ORDER
     for start in range(0, n_panels, panels_per_chunk):
         left = np.arange(start, min(start + panels_per_chunk, n_panels)) * width
         z = (left - a)[:, None] + off
@@ -161,10 +155,10 @@ def quad_kernel(kernel_id: str, x_shift: float, t: float,
 
 
 def _quad_field(direction: str, x: float, t: float, rates: CollectiveRates,
-                params: ModelParams, quad: QuadSpec | None) -> complex:
+                params: ModelParams) -> complex:
     """Scattered field at (x, t) from the ``direction`` ("fwd"/"bwd") kernels."""
     kp1, kp2, km1, km2, ks1, ks2 = (
-        quad_kernel(f"{direction}_{center}", shift, t, params, rates, quad)
+        quad_kernel(f"{direction}_{center}", shift, t, params, rates)
         for center in ("decay_plus", "decay_minus", "drive")
         for shift in (x, x - params.distance))
     return -0.5 * params.coupling * (rates.c_plus * (kp1 + kp2 - ks1 - ks2)
@@ -172,15 +166,15 @@ def _quad_field(direction: str, x: float, t: float, rates: CollectiveRates,
 
 
 def quad_field_forward(x: float, t: float, rates: CollectiveRates,
-                       params: ModelParams, quad: QuadSpec | None = None) -> complex:
+                       params: ModelParams) -> complex:
     """Scattered forward field at (x, t) assembled from quadrature kernels."""
-    return _quad_field("fwd", x, t, rates, params, quad)
+    return _quad_field("fwd", x, t, rates, params)
 
 
 def quad_field_backward(x: float, t: float, rates: CollectiveRates,
-                        params: ModelParams, quad: QuadSpec | None = None) -> complex:
+                        params: ModelParams) -> complex:
     """Scattered backward field at (x, t) assembled from quadrature kernels."""
-    return _quad_field("bwd", x, t, rates, params, quad)
+    return _quad_field("bwd", x, t, rates, params)
 
 
 # ---------------------------------------------------------------------------
@@ -328,23 +322,20 @@ class ContinuumGrid:
     omega: np.ndarray
     weights: np.ndarray
 
-    @property
-    def n_modes(self) -> int:
-        return self.omega.size
+
+# The comb spans at least COMB_SPAN * Omega, widened if needed to cover the
+# incident Gaussian out to COMB_PULSE_WIDTHS widths on either side.
+COMB_SPAN = (0.5, 1.5)
+COMB_PULSE_WIDTHS = 8.0
 
 
-def make_continuum_grid(params: ModelParams, n_modes: int = 4096,
-                        span=(0.5, 1.5), width_factor: float = 8.0) -> ContinuumGrid:
-    """Uniform frequency comb covering the qubit line and the pulse.
-
-    Spans at least [span[0], span[1]] * Omega, widened if needed so the
-    incident Gaussian is covered out to ``width_factor`` widths.
-    """
-    lo = span[0] * params.omega_q
-    hi = span[1] * params.omega_q
+def make_continuum_grid(params: ModelParams, n_modes: int = 4096) -> ContinuumGrid:
+    """Uniform frequency comb covering the qubit line and the pulse."""
+    lo = COMB_SPAN[0] * params.omega_q
+    hi = COMB_SPAN[1] * params.omega_q
     if params.pulse_width is not None:
-        lo = min(lo, params.omega_s - width_factor * params.pulse_width)
-        hi = max(hi, params.omega_s + width_factor * params.pulse_width)
+        lo = min(lo, params.omega_s - COMB_PULSE_WIDTHS * params.pulse_width)
+        hi = max(hi, params.omega_s + COMB_PULSE_WIDTHS * params.pulse_width)
     if lo <= 0:
         raise ValueError("continuum grid would reach non-positive frequencies")
     omega = np.linspace(lo, hi, n_modes)
@@ -352,6 +343,12 @@ def make_continuum_grid(params: ModelParams, n_modes: int = 4096,
     weights[0] *= 0.5
     weights[-1] *= 0.5
     return ContinuumGrid(omega=omega, weights=weights)
+
+
+# The RK4 step is CONTINUUM_STEP over the largest rotating-frame frequency
+# on the comb, and every CONTINUUM_KEEP_EVERY-th step is kept.
+CONTINUUM_STEP = 0.02
+CONTINUUM_KEEP_EVERY = 200
 
 
 @dataclass
@@ -387,8 +384,7 @@ def gaussian_spectrum(params: ModelParams, omega):
 
 
 def continuum_evolve(params: ModelParams, t_final: float,
-                     n_modes: int = 4096, grid: ContinuumGrid | None = None,
-                     dt: float | None = None, keep_every: int = 200,
+                     n_modes: int = 4096,
                      launch_delay: float = 0.0) -> ContinuumResult:
     """RK4 evolution of the full single-excitation Schroedinger equation.
 
@@ -404,13 +400,7 @@ def continuum_evolve(params: ModelParams, t_final: float,
         corresponding unit-norm Gaussian.
     t_final : float
     n_modes : int
-        Comb size when ``grid`` is not given.
-    grid : ContinuumGrid, optional
-    dt : float, optional
-        RK4 step; defaults to 0.02 over the largest rotating-frame
-        frequency on the comb.
-    keep_every : int
-        Trajectory storage stride.
+        Size of the ``make_continuum_grid`` comb.
     launch_delay : float
         Time at which the packet centre crosses the first qubit.  Zero
         starts the packet on top of the qubit (the sudden-switch-on
@@ -421,13 +411,11 @@ def continuum_evolve(params: ModelParams, t_final: float,
     -------
     ContinuumResult
     """
-    if grid is None:
-        grid = make_continuum_grid(params, n_modes=n_modes)
+    grid = make_continuum_grid(params, n_modes=n_modes)
     omega, w = grid.omega, grid.weights
     g = params.coupling
     rot = omega - params.omega_q
-    if dt is None:
-        dt = 0.02 / np.max(np.abs(rot))
+    dt = CONTINUUM_STEP / np.max(np.abs(rot))
     n_steps = int(np.ceil(t_final / dt))
     dt = t_final / n_steps
 
@@ -480,7 +468,7 @@ def continuum_evolve(params: ModelParams, t_final: float,
         gam = gam + dt / 6.0 * (kg1 + 2 * kg2 + 2 * kg3 + kg4)
         delt = delt + dt / 6.0 * (kd1 + 2 * kd2 + 2 * kd3 + kd4)
         t = step * dt
-        if step % keep_every == 0 or step == n_steps:
+        if step % CONTINUUM_KEEP_EVERY == 0 or step == n_steps:
             times.append(t)
             b1s.append(beta[0])
             b2s.append(beta[1])
@@ -493,9 +481,13 @@ def continuum_evolve(params: ModelParams, t_final: float,
 # ---------------------------------------------------------------------------
 # memory-kernel check behind the Markov reduction
 
-def memory_kernel_coefficients(t: float, params: ModelParams,
-                               cutoff_factor: float = 20.0,
-                               points_per_period: int = 16):
+# Hard frequency cutoff of the memory-kernel integrals, in units of Omega;
+# the panels follow the kernel quadrature's POINTS_PER_PERIOD and
+# PANEL_ORDER.
+MEMORY_CUTOFF_FACTOR = 20.0
+
+
+def memory_kernel_coefficients(t: float, params: ModelParams):
     """Numeric damping coefficients of the exact qubit memory kernel.
 
     Returns (self_coef, cross_coef): twice the frequency integrals of
@@ -505,19 +497,18 @@ def memory_kernel_coefficients(t: float, params: ModelParams,
     shift absorbed into Omega) and (Gamma/2) e^{i k_Omega d}.
     """
     g2 = params.coupling ** 2
-    cutoff = cutoff_factor * params.omega_q
+    cutoff = MEMORY_CUTOFF_FACTOR * params.omega_q
     fastest = max(t, params.distance / params.v_g)
-    h = 2.0 * np.pi / (points_per_period * fastest)
+    h = 2.0 * np.pi / (POINTS_PER_PERIOD * fastest)
     n_panels = int(np.ceil(cutoff / h))
-    order = 8
-    ref_x, ref_w = np.polynomial.legendre.leggauss(order)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(PANEL_ORDER)
     ref_x = 0.5 * (ref_x + 1.0)
     width = cutoff / n_panels
     ref_w = 0.5 * ref_w * width
 
     self_total = 0.0 + 0.0j
     cross_total = 0.0 + 0.0j
-    chunk = max(1, 262144 // order)
+    chunk = 262144 // PANEL_ORDER
     for start in range(0, n_panels, chunk):
         stop = min(start + chunk, n_panels)
         left = (np.arange(start, stop) * width)[:, None]

@@ -11,7 +11,8 @@ import pytest
 from wqed import fields
 from wqed.model import ModelParams, collective_rates
 from wqed.oracle import (
-    QuadSpec,
+    PANEL_ORDER,
+    POINTS_PER_PERIOD,
     _kernel_center,
     _tail_inverse_omega,
     _tail_inverse_omega_sq,
@@ -88,21 +89,20 @@ def printed_kernel():
 def _per_node_quad_kernel(kernel_id, x_shift, t, params, rates=None):
     """``oracle.quad_kernel`` in its per-node writing, as a reference.
 
-    Same panels, nodes, weights and analytic tail as the oracle's default
-    ``QuadSpec``, but every node evaluates phi(omega - a, t) e^{i omega s2}
+    Same panels, nodes, weights and analytic tail as the oracle at its
+    default cutoff, but every node evaluates phi(omega - a, t) e^{i omega s2}
     with its own two complex exponentials instead of the factored phases.
     """
-    spec_q = QuadSpec()
     s1 = (1.0 if kernel_id.startswith("fwd") else -1.0) * x_shift / params.v_g
     s2 = s1 - t
     a = _kernel_center(kernel_id, params, rates)
-    cutoff = spec_q.cutoff_factor * max(params.omega_q, params.omega_s, abs(a))
-    h = 2.0 * np.pi / (spec_q.points_per_period * max(abs(s1), abs(s2), t))
+    cutoff = 20.0 * max(params.omega_q, params.omega_s, abs(a))
+    h = 2.0 * np.pi / (POINTS_PER_PERIOD * max(abs(s1), abs(s2), t))
     if a.imag < 0:
         h = min(h, -a.imag / 4.0)
     n_panels = int(np.ceil(cutoff / h))
     width = cutoff / n_panels
-    ref_x, ref_w = np.polynomial.legendre.leggauss(spec_q.panel_order)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(PANEL_ORDER)
     ref_x = 0.5 * (ref_x + 1.0)
     ref_w = 0.5 * ref_w * width
     total = 0.0 + 0.0j

@@ -133,6 +133,66 @@ def test_field_config_with_fixed_positions(tmp_path, monkeypatch):
     assert sorted(float(r[x_col]) for r in rows) == [-2.0, 3.0]
 
 
+def test_grid_positions_replace_the_preset_blocks(tmp_path, monkeypatch):
+    # a configured x_over_d replaces the preset's blocks; the preset's
+    # model, t_s and branch stay
+    config = tmp_path / "field.ini"
+    config.write_text("[grid]\nx_over_d = 3.0\n")
+    code = run_cli(["field", "--preset", "fig6", "--config", str(config),
+                    "--out", "one.csv"], tmp_path, monkeypatch)
+    assert code == 0
+    meta, header, rows = read_csv(tmp_path / "one.csv")
+    assert len(rows) == 1
+    assert rows[0][0] == "fixed:ws=1"
+    assert float(rows[0][header.index("x_over_d")]) == 3.0
+    assert "t_s = 5.0000000000000004e-06" in meta
+    assert "branch = steady" in meta
+
+
+MODEL_RATIOS = {"omega_q": "omega_q_ghz = 5.0", "gamma": "gamma_ratio = 0.01",
+                "distance": "phase_over_pi = 0.5",
+                "omega_s": "omega_s_over_omega_q = 1.007"}
+MODEL_UNITS = {"omega_q": "omega_q_rad_s = 31415926535.89793",
+               "gamma": "gamma_rad_s = 314159265.35897934",
+               "distance": "distance_m = 0.015",
+               "omega_s": "omega_s_rad_s = 31635838021.64921"}
+
+
+def test_model_in_rad_s_and_metres_matches_ratios(tmp_path, monkeypatch):
+    # the same parameters written in SI units and as ratios give the same
+    # spectrum, and [output] path names the file when --out is not given
+    sweep = "[sweep]\npoints = 41\n"
+    for name, spelling in (("ratios", MODEL_RATIOS), ("units", MODEL_UNITS)):
+        (tmp_path / f"{name}.ini").write_text(
+            "[model]\n" + "\n".join(spelling.values()) + "\n" + sweep
+            + f"[output]\npath = {name}.csv\n")
+        code = run_cli(["spectrum", "--config", str(tmp_path / f"{name}.ini")],
+                       tmp_path, monkeypatch)
+        assert code == 0
+    _, _, ratios = read_csv(tmp_path / "ratios.csv")
+    _, _, units = read_csv(tmp_path / "units.csv")
+    assert len(units) == len(ratios) == 41
+    for got, want in zip(units, ratios):
+        for g, w in zip(got, want):
+            assert abs(float(g) - float(w)) <= 1e-12 * max(abs(float(w)), 1.0)
+
+
+@pytest.mark.parametrize("missing, spellings", [
+    ("omega_q", ("omega_q_ghz", "omega_q_rad_s")),
+    ("gamma", ("gamma_ratio", "gamma_rad_s")),
+    ("distance", ("distance_m", "phase_over_pi"))])
+def test_model_needs_each_pair(missing, spellings, tmp_path, monkeypatch,
+                               capsys):
+    config = tmp_path / "model.ini"
+    config.write_text("[model]\n" + "\n".join(
+        v for k, v in MODEL_RATIOS.items() if k != missing) + "\n")
+    code = run_cli(["spectrum", "--config", str(config)], tmp_path,
+                   monkeypatch)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert all(name in err for name in spellings)
+
+
 def test_unknown_section_is_rejected(tmp_path, monkeypatch, capsys):
     config = tmp_path / "bad.ini"
     config.write_text("[model]\ngamma_ratio = 0.01\n[turbo]\nboost = 1\n")
@@ -335,6 +395,9 @@ def test_special_function_failure_exits_with_runtime_error(tmp_path,
     ("spectrum", "model", "gamma_ratio", "0.01, 0.02"),
     ("field", "grid", "t_s", "1e-6, 2e-6"),
     ("peaks", "peaks", "t_s", "soon"),
+    ("beating", "beating", "detunings_over_omega_q", "0.01, abc"),
+    ("field", "grid", "x_over_d", "3.0, abc"),
+    ("field", "grid", "branch", "sideways"),
 ])
 def test_scalar_keys_are_validated(command, section, key, value, tmp_path,
                                    monkeypatch, capsys):

@@ -13,7 +13,7 @@ import pytest
 
 from wqed import fields
 from wqed.model import ModelParams, collective_rates
-from wqed.oracle import KERNEL_IDS, QuadSpec, quad_kernel
+from wqed.oracle import KERNEL_IDS, quad_kernel
 
 OMEGA_Q = 2.0 * np.pi * 5.0e9
 
@@ -46,13 +46,12 @@ def test_closed_kernels_tight_agreement_with_long_tail():
     # agreement drops well below the routine tolerance
     p = _preset("generic")
     r = collective_rates(p)
-    quad = QuadSpec(cutoff_factor=40.0)
     t = 20.0 / p.gamma
     worst = 0.0
     for kernel_id, x_over_d in (("fwd_decay_plus", 2.0), ("bwd_drive", -1.5)):
         x_shift = x_over_d * p.distance
         closed = fields.closed_kernel(kernel_id, x_shift, t, r, p)
-        brute = quad_kernel(kernel_id, x_shift, t, p, r, quad)
+        brute = quad_kernel(kernel_id, x_shift, t, p, r, cutoff_factor=40.0)
         worst = max(worst, abs(complex(closed) - brute) / abs(brute))
     assert worst < 1e-5
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wqed import fields, validation
-from wqed.model import collective_rates
+from wqed.model import ModelParams, collective_rates
 from wqed.oracle import quad_field_backward, quad_field_forward
 
 
@@ -94,6 +94,54 @@ def test_backward_transient_approaches_steady(weak_generic):
     transient = fields.backward_field(grid, r, p, branch="transient").v
     steady = fields.backward_field(grid, r, p, branch="steady").v
     assert np.max(np.abs(transient - steady)) < 1e-4
+
+
+# positions in units of d and the envelope checked in each region
+LATE_REGIONS = {"behind": ([1.5, 3.0, 5.0], "u"),
+                "before": ([-5.0, -2.0, -0.5], "v"),
+                "between": ([0.2, 0.5, 0.8], "w")}
+
+
+@pytest.mark.parametrize("phase", [0.8, 2.0, 1.0, 5.0, 1.0 + 5e-9 / np.pi],
+                         ids=["generic", "even", "odd", "odd5", "near_odd"])
+@pytest.mark.parametrize("region", sorted(LATE_REGIONS))
+def test_steady_is_the_late_time_limit_in_every_regime(phase, region):
+    # the steady field is each kernel's t -> inf limit, so long after both
+    # gates the transient field must have settled on it; in the pinned
+    # regimes that includes the plane left by the dark channel's real pole.
+    # 5e-9 rad off pi the regime is Generic, but the symmetric channel's
+    # width Gamma/2 (1 + cos kd) rounds to an exact zero, so its pole is
+    # real and leaves a plane too
+    x_over_d, envelope = LATE_REGIONS[region]
+    omega_q = 2.0 * np.pi * 5.0e9
+    p = ModelParams.from_phase(omega_q, 0.01 * omega_q, phase,
+                               omega_s=1.004 * omega_q)
+    r = collective_rates(p)
+    grid = fields.space_time_grid(p, np.array(x_over_d) * p.distance, [1e-4])
+    (transient,) = fields.drive_sweep(grid, r, p, [p.omega_s], "transient")
+    (steady,) = fields.drive_sweep(grid, r, p, [p.omega_s], "steady")
+    diff = getattr(transient, envelope) - getattr(steady, envelope)
+    assert np.max(np.abs(diff)) < 1e-8
+
+
+def test_every_slice_carries_u_v_and_w(weak_even):
+    # u is the incident wave plus the forward-scattered field (incident
+    # only before the pair), v the backward-scattered field (zero behind
+    # the pair), and w = u + v, in every region
+    p = weak_even.with_drive(1.004 * weak_even.omega_q)
+    r = collective_rates(p)
+    for x_over_d in ([-2.0, -0.5], [0.3, 0.7], [1.5, 3.0]):
+        grid = fields.space_time_grid(p, np.array(x_over_d) * p.distance,
+                                      [3e-7, 5e-6])
+        sl = fields.drive_sweep(grid, r, p, [p.omega_s])[0]
+        incident = fields.incident_plane_wave(grid.x[None, :],
+                                              grid.t[:, None], p)
+        if grid.region is fields.Region.BEFORE:
+            np.testing.assert_array_equal(sl.u, incident)
+        if grid.region is fields.Region.BEHIND:
+            np.testing.assert_array_equal(sl.v, 0.0)
+        assert sl.u.shape == sl.v.shape == sl.w.shape == (2, 2)
+        np.testing.assert_array_equal(sl.w, sl.u + sl.v)
 
 
 def test_steady_ready_tracks_both_gates(weak_generic):
