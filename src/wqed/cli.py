@@ -31,6 +31,7 @@ import argparse
 import configparser
 import contextlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -357,15 +358,27 @@ def write_csv(path, lines, columns, rows):
             handle.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _json_cell(value):
+    """A finite number as itself, anything else as its CSV text.
+
+    Strict JSON has no NaN or infinity, so those cells carry the text
+    the CSV writes for them ("nan", "inf", "-inf").
+    """
+    if isinstance(value, str):
+        return value
+    value = float(value)
+    return value if math.isfinite(value) else _fmt(value)
+
+
 def write_json(path, lines, columns, rows):
     payload = {
         "meta": list(lines),
         "columns": list(columns),
-        "rows": [[v if isinstance(v, str) else float(v) for v in row]
-                 for row in rows],
+        "rows": [[_json_cell(v) for v in row] for row in rows],
     }
     with open(path, "w") as handle:
-        json.dump(payload, handle, indent=1, sort_keys=False)
+        json.dump(payload, handle, indent=1, sort_keys=False,
+                  allow_nan=False)
         handle.write("\n")
 
 
@@ -610,10 +623,11 @@ def cmd_oracle_check(scenario, args):
         passed = err < tol
         print(f"{'PASS' if passed else 'FAIL'} {name}: "
               f"max_err={err:.3e} (tol {tol:.1e})")
-        results.append({"name": name, "max_err": err, "tol": tol,
-                        "passed": passed})
+        results.append({"name": name, "max_err": _json_cell(err),
+                        "tol": tol, "passed": passed})
     if args.json:
-        report = json.dumps({"checks": results}, indent=1) + "\n"
+        report = json.dumps({"checks": results}, indent=1,
+                            allow_nan=False) + "\n"
         written = _write_outputs([(_json_path(scenario["out"]),
                                    lambda path: Path(path).write_text(report))])
         print(f"wrote {written[0]}")

@@ -137,10 +137,10 @@ def _wave_kernel_trig(s1, t, omega):
 
     Mathematically identical to ``_wave_kernel`` at a real center: the
     steady limit ``_kernel_limit`` plus the front term, which decays as the
-    light front recedes.  The numerical path is completely different (real
-    ci/si of absolute-value arguments instead of the complex continued
-    fraction), which makes the agreement between the two a strong internal
-    consistency check.
+    light front recedes.  ci and si are read from the same E1 as the
+    kernel's, at the absolute values of its arguments, so the agreement
+    between the two checks the algebra of the steady limit and the front
+    term; the special functions themselves are pinned against mpmath.
     """
     s1, t = np.broadcast_arrays(np.asarray(s1, dtype=float),
                                 np.asarray(t, dtype=float))
@@ -251,7 +251,6 @@ class FieldSlice:
 
     grid: SpaceTimeGrid
     branch: FieldBranch
-    regime: Regime
     u: np.ndarray
     v: np.ndarray
     w: np.ndarray
@@ -389,9 +388,8 @@ def drive_sweep(grid: SpaceTimeGrid, rates: CollectiveRates,
         v = scattered(-xx, -(xx - d))
     w = u + v
     return [FieldSlice(
-        grid=grid, regime=rates.regime,
-        branch=FieldBranch.STEADY if is_steady else FieldBranch.TRANSIENT,
-        u=u[k], v=v[k], w=w[k])
+        grid=grid, u=u[k], v=v[k], w=w[k],
+        branch=FieldBranch.STEADY if is_steady else FieldBranch.TRANSIENT)
         for k, is_steady in enumerate(steady)]
 
 
@@ -487,28 +485,40 @@ def nonmarkov_reflectance(omega, params: ModelParams):
 # ---------------------------------------------------------------------------
 # closed-form resonance peaks of the steady energy density
 
+def _resonant_e1(x, params: ModelParams, peak: str):
+    """E = -ci + i si of the resonance peaks at positions ``x``.
+
+    Generic regime: E at w = Omega|x|/v_g.  Even-pi regime: the two shifted
+    coordinates contribute coherently, and E is the mean of its values at
+    x and at x - d.  The odd-pi regime has no closed ``peak`` formula and
+    raises ValueError.
+    """
+    regime = classify_regime(params)
+    if regime is Regime.ODD_PI:
+        raise ValueError(f"no closed {peak}-peak formula in the odd-pi regime")
+
+    def e1_at(shift):
+        w = params.omega_q * np.abs(shift) / params.v_g
+        return -cosine_integral(w) + 1j * si_lower(w)
+
+    if regime is Regime.GENERIC:
+        return e1_at(x)
+    return 0.5 * (e1_at(x) + e1_at(x - params.distance))
+
+
 def transmitted_resonance_peak(x, params: ModelParams):
     """Steady |u|^2/A^2 behind the pair for a resonant drive.
 
     Generic regime: (ci^2 + si^2)(Omega x / v_g) / (4 pi^2).
     Even-pi regime: the two shifted coordinates contribute coherently,
-    ((ci + ci_d)^2 + (si + si_d)^2) / (16 pi^2).
+    ((ci + ci_d)^2 + (si + si_d)^2) / (16 pi^2).  Both are |E|^2/(4 pi^2)
+    with E = -ci + i si, or its mean over the two coordinates.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x <= params.distance):
         raise ValueError("transmitted peak formula needs x > d")
-    regime = classify_regime(params)
-    w = params.omega_q * x / params.v_g
-    ci = cosine_integral(w)
-    si = si_lower(w)
-    if regime is Regime.GENERIC:
-        return (ci ** 2 + si ** 2) / (4.0 * np.pi ** 2)
-    if regime is Regime.EVEN_PI:
-        wd = params.omega_q * (x - params.distance) / params.v_g
-        ci_d = cosine_integral(wd)
-        si_d = si_lower(wd)
-        return ((ci + ci_d) ** 2 + (si + si_d) ** 2) / (16.0 * np.pi ** 2)
-    raise ValueError("no closed transmitted-peak formula in the odd-pi regime")
+    return np.abs(_resonant_e1(x, params, "transmitted")) ** 2 \
+        / (4.0 * np.pi ** 2)
 
 
 def reflected_resonance_peak(x, params: ModelParams):
@@ -516,33 +526,26 @@ def reflected_resonance_peak(x, params: ModelParams):
 
     Generic: 1 + si(w)/pi + (ci^2 + si^2)(w)/(4 pi^2) with w = Omega|x|/v_g.
     Even-pi: coherent two-coordinate version with 1/(2 pi) and 1/(16 pi^2).
+    Both are |1 + E/(2 pi i)|^2 with E as in ``_resonant_e1``.
     """
     x = np.asarray(x, dtype=float)
     if np.any(x >= 0):
         raise ValueError("reflected peak formula needs x < 0")
-    regime = classify_regime(params)
-    w = params.omega_q * np.abs(x) / params.v_g
-    ci = cosine_integral(w)
-    si = si_lower(w)
-    if regime is Regime.GENERIC:
-        return 1.0 + si / np.pi + (ci ** 2 + si ** 2) / (4.0 * np.pi ** 2)
-    if regime is Regime.EVEN_PI:
-        wd = params.omega_q * np.abs(x - params.distance) / params.v_g
-        ci_d = cosine_integral(wd)
-        si_d = si_lower(wd)
-        return 1.0 + (si + si_d) / (2.0 * np.pi) \
-            + ((ci + ci_d) ** 2 + (si + si_d) ** 2) / (16.0 * np.pi ** 2)
-    raise ValueError("no closed reflected-peak formula in the odd-pi regime")
+    return np.abs(1.0 + _resonant_e1(x, params, "reflected")
+                  / TWO_PI_I) ** 2
 
 
 def interqubit_resonance_peak(x, params: ModelParams):
     """Steady |w|^2/A^2 between the qubits at resonance (generic regime).
 
-    (1/pi^2) * (ci(w) cos w + si(w) sin w)^2 with w = Omega x / v_g.
+    (1/pi^2) * (ci(w) cos w + si(w) sin w)^2 with w = Omega x / v_g.  The
+    even- and odd-pi regimes have no closed form here and raise ValueError.
     """
     x = np.asarray(x, dtype=float)
     if np.any((x <= 0) | (x >= params.distance)):
         raise ValueError("inter-qubit peak formula needs 0 < x < d")
+    if classify_regime(params) is not Regime.GENERIC:
+        raise ValueError("inter-qubit peak formula needs the generic regime")
     w = params.omega_q * x / params.v_g
     ci = cosine_integral(w)
     si = si_lower(w)

@@ -18,7 +18,14 @@ by |z| band to the depth its truncation bound needs near the imaginary
 axis, where the field kernels take their arguments; an argument whose
 bound is not met goes round again at twice the depth, and past a depth
 limit (reached only near the negative real axis) it raises RuntimeError.
-All functions accept scalars or numpy arrays.
+One private dispatcher picks the branch for E1 and for e^z E1 alike.
+
+The sine and cosine integrals have no algorithm of their own: they are
+read from E1(ix) = -Ci(x) + i si(x), with si(x) = Si(x) - pi/2, through
+that dispatcher, so the imaginary axis up to x = 6 takes the series and
+beyond it the continued fraction.  Only Si below x = 6 is read from the
+Horner sum directly, as -Im of the sum at ix, without the pi/2 that
+would cancel against it.  All functions accept scalars or numpy arrays.
 """
 
 from __future__ import annotations
@@ -35,8 +42,6 @@ HALF_PI = np.pi / 2.0
 # Re z = 0.5, but 7e-12 at z = 6.
 _SERIES_RADIUS = 6.0
 _SERIES_MAX_REAL = 0.5
-# Term cap of the si/ci series.
-_SERIES_MAX_TERMS = 120
 # Horner coefficients 1/(k k!), k = _SERIES_TERMS down to 1.  39 terms put
 # the first term left out, r^40/(40 * 40!), below 1e-18 at r = 6; one
 # count for every argument keeps each value independent of its batch.
@@ -56,24 +61,23 @@ _CF_MAX_ITER = 5000
 _CF_EPS = 1e-16
 
 
-def _as_complex_array(z):
-    arr = np.asarray(z, dtype=np.complex128)
-    scalar = arr.ndim == 0
-    return np.atleast_1d(arr), scalar
-
-
-def _e1_series(z):
-    """Ascending series of E1 for small |z|, principal branch.
-
-    E1(z) = -gamma - ln z - sum_k w^k/(k k!) with w = -z, summed by Horner.
-    """
+def _horner_sum(z):
+    """sum_k (-z)^k/(k k!) over k = 1 .. _SERIES_TERMS, by Horner in -z."""
     w = -z
     total = np.zeros_like(z)
     for c in _SERIES_COEFS:
         # not ``*=``: numpy multiplies in place on one-element arrays with
         # other rounding, so scalar calls would differ from batches
         total = (total + c) * w
-    return -EULER_GAMMA - np.log(z) - total
+    return total
+
+
+def _e1_series(z):
+    """Ascending series of E1 for small |z|, principal branch.
+
+    E1(z) = -gamma - ln z - sum_k (-z)^k/(k k!).
+    """
+    return -EULER_GAMMA - np.log(z) - _horner_sum(z)
 
 
 def _cf_backward(z, depth):
@@ -141,6 +145,28 @@ def _validate_off_cut(z):
         raise ValueError("E1 argument must be finite")
 
 
+def _e1(z, scaled):
+    """E1(z), or e^z E1(z) when ``scaled``, at scalars or arrays.
+
+    The series gives E1 and the continued fraction e^z E1, so the two
+    writings differ only in which branch takes the factor e^{+-z}.
+    """
+    arr = np.asarray(z, dtype=np.complex128)
+    scalar = arr.ndim == 0
+    flat = arr.ravel()
+    _validate_off_cut(flat)
+    out = np.empty_like(flat)
+    small = _takes_series(flat)
+    if small.any():
+        zs = flat[small]
+        out[small] = np.exp(zs) * _e1_series(zs) if scaled else _e1_series(zs)
+    if (~small).any():
+        zl = flat[~small]
+        fraction = _e1s_continued_fraction(zl)
+        out[~small] = fraction if scaled else np.exp(-zl) * fraction
+    return out[0] if scalar else out.reshape(arr.shape)
+
+
 def e1_scaled(z):
     """Scaled exponential integral e^z E1(z), principal branch.
 
@@ -158,18 +184,7 @@ def e1_scaled(z):
     -------
     complex scalar or ndarray
     """
-    arr, scalar = _as_complex_array(z)
-    _validate_off_cut(arr)
-    flat = arr.ravel()
-    out = np.empty_like(flat)
-    small = _takes_series(flat)
-    if small.any():
-        zs = flat[small]
-        out[small] = np.exp(zs) * _e1_series(zs)
-    if (~small).any():
-        out[~small] = _e1s_continued_fraction(flat[~small])
-    out = out.reshape(arr.shape)
-    return out[0] if scalar else out
+    return _e1(z, scaled=True)
 
 
 def exp_integral_e1(z):
@@ -188,55 +203,17 @@ def exp_integral_e1(z):
     -------
     complex scalar or ndarray
     """
-    arr, scalar = _as_complex_array(z)
-    _validate_off_cut(arr)
-    flat = arr.ravel()
-    out = np.empty_like(flat)
-    small = _takes_series(flat)
-    if small.any():
-        out[small] = _e1_series(flat[small])
-    if (~small).any():
-        zl = flat[~small]
-        out[~small] = np.exp(-zl) * _e1s_continued_fraction(zl)
-    out = out.reshape(arr.shape)
-    return out[0] if scalar else out
+    return _e1(z, scaled=False)
 
 
-def _si_ci_series(x):
-    """Ascending series of (Si(x), Cin-part) for 0 < x <= switch radius.
+# Si, Ci and si are read from E1(ix) = -Ci(x) + i si(x) through ``_e1``,
+# never through ``exp_integral_e1``: callers may rebind the public names.
 
-    Returns Si(x) and the sum gamma + ln x + sum_k (-1)^k x^{2k}/(2k (2k)!)
-    which equals Ci(x).
-    """
-    x2 = x * x
-    si = np.array(x, copy=True)
-    term_si = np.array(x, copy=True)
-    ci_sum = np.zeros_like(x)
-    term_ci = np.ones_like(x)
-    for k in range(1, _SERIES_MAX_TERMS + 1):
-        two_k = 2 * k
-        # Even terms feed Ci, odd terms feed Si; both built recursively.
-        term_ci = -term_ci * x2 / ((two_k - 1) * two_k)
-        ci_sum = ci_sum + term_ci / two_k
-        term_si = -term_si * x2 / (two_k * (two_k + 1))
-        si = si + term_si / (two_k + 1)
-        if np.all(np.abs(term_si) < 1e-20) and np.all(np.abs(term_ci) < 1e-20):
-            break
-    ci = EULER_GAMMA + np.log(x) + ci_sum
-    return si, ci
-
-
-def _si_ci_large(x):
-    """si(x) = Si(x) - pi/2 and Ci(x) above the switch radius, via E1(ix).
-
-    Uses E1(ix) = -Ci(x) + i si(x), evaluated through the scaled continued
-    fraction; the unwinding factor e^{-ix} has unit modulus so nothing can
-    overflow.  si is returned unshifted: it decays like 1/x, and adding
-    pi/2 only to take it off again would cost it its relative accuracy.
-    """
-    z = 1j * x
-    e1 = np.exp(-z) * _e1s_continued_fraction(z.astype(np.complex128))
-    return e1.imag, -e1.real
+def _finite_real(x, name):
+    arr = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} argument must be finite")
+    return np.atleast_1d(arr), arr.ndim == 0
 
 
 def sine_integral(x):
@@ -250,19 +227,17 @@ def sine_integral(x):
     -------
     float scalar or ndarray
     """
-    arr = np.asarray(x, dtype=np.float64)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("sine_integral argument must be finite")
+    arr, scalar = _finite_real(x, "sine_integral")
     mag = np.abs(arr)
     out = np.zeros_like(mag)
+    # On the series branch Si(x) = -Im of the Horner sum at ix itself:
+    # si + pi/2 would lose Si's relative accuracy as x -> 0.
     small = (mag > 0) & (mag <= _SERIES_RADIUS)
     if small.any():
-        out[small] = _si_ci_series(mag[small])[0]
+        out[small] = -_horner_sum(1j * mag[small]).imag
     large = mag > _SERIES_RADIUS
     if large.any():
-        out[large] = _si_ci_large(mag[large])[0] + HALF_PI
+        out[large] = _e1(1j * mag[large], scaled=False).imag + HALF_PI
     out = np.sign(arr) * out
     return out[0] if scalar else out
 
@@ -272,20 +247,16 @@ def si_lower(x):
 
     This is the variant appearing in the steady-state field formulas; it
     tends to 0 as x -> +inf and to -pi as x -> -inf, and satisfies
-    si(x) + si(-x) = -pi identically.  Beyond the switch radius si(|x|)
-    is taken straight from E1(i|x|), with no pi/2 to cancel, and si(-|x|)
-    from the reflection.
+    si(x) + si(-x) = -pi identically.  si(|x|) is taken straight from
+    E1(i|x|), with no pi/2 to cancel, and si(-|x|) from the reflection.
     """
-    arr = np.asarray(x, dtype=np.float64)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
+    arr, scalar = _finite_real(x, "si_lower")
     mag = np.abs(arr)
-    large = np.isfinite(arr) & (mag > _SERIES_RADIUS)
-    out = np.empty_like(arr)
-    out[~large] = sine_integral(arr[~large]) - HALF_PI
-    if large.any():
-        si = _si_ci_large(mag[large])[0]
-        out[large] = np.where(arr[large] > 0, si, -np.pi - si)
+    out = np.full_like(mag, -HALF_PI)
+    nonzero = mag > 0
+    if nonzero.any():
+        si = _e1(1j * mag[nonzero], scaled=False).imag
+        out[nonzero] = np.where(arr[nonzero] > 0, si, -np.pi - si)
     return out[0] if scalar else out
 
 
@@ -304,17 +275,8 @@ def cosine_integral(x):
     -------
     float scalar or ndarray
     """
-    arr = np.asarray(x, dtype=np.float64)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("cosine_integral argument must be finite")
+    arr, scalar = _finite_real(x, "cosine_integral")
     if np.any(arr <= 0):
         raise ValueError("cosine_integral requires strictly positive arguments")
-    out = np.empty_like(arr)
-    small = arr <= _SERIES_RADIUS
-    if small.any():
-        out[small] = _si_ci_series(arr[small])[1]
-    if (~small).any():
-        out[~small] = _si_ci_large(arr[~small])[1]
+    out = -_e1(1j * arr, scaled=False).real
     return out[0] if scalar else out

@@ -68,6 +68,27 @@ def test_json_mirror_written(tmp_path, monkeypatch):
     assert any("peak" in c for c in payload["columns"])
 
 
+def test_json_mirror_is_strict_json(tmp_path, monkeypatch):
+    # fig10's x = -inf reflectance rows hold nan and -inf cells; the JSON
+    # mirror must carry the CSV's text for them, not the NaN/-Infinity
+    # tokens that strict parsers reject
+    code = run_cli(["field", "--preset", "fig10", "--json"],
+                   tmp_path, monkeypatch)
+    assert code == 0
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    payload = json.loads((tmp_path / "fig10.json").read_text(),
+                         parse_constant=refuse)
+    _, _, rows = read_csv(tmp_path / "fig10.csv")
+    limit = [(got, want) for got, want in zip(payload["rows"], rows)
+             if want[1] == "-inf"]
+    assert limit and "nan" in limit[0][0]
+    for got, want in limit:
+        assert got == [float(c) if NUMBER.fullmatch(c) else c for c in want]
+
+
 def test_beating_preset_reports_expected_peaks(tmp_path, monkeypatch, capsys):
     code = run_cli(["beating", "--preset", "fig7"], tmp_path, monkeypatch)
     assert code == 0

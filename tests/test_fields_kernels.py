@@ -120,8 +120,10 @@ def test_engine_and_oracle_accept_the_same_kernel_ids(kernel_id):
 
 def test_drive_kernel_matches_trig_writing():
     # the kernel at an array of real centers (the drive axis of a sweep)
-    # against the independent sine/cosine-integral writing, center by
-    # center, in the causal region s1 < t on both sides of the qubit
+    # against its sine/cosine-integral writing, center by center, in the
+    # causal region s1 < t on both sides of the qubit: both read the same
+    # E1, so this checks the algebra of the steady limit plus the front
+    # term, and test_specfun pins the special functions against mpmath
     rng = np.random.default_rng(7)
     omega = np.linspace(0.9, 1.1, 9) * OMEGA_Q
     s1 = np.concatenate([rng.uniform(0.05, 5.0, 6),

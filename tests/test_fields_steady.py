@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wqed import fields, validation
 from wqed.model import ModelParams, collective_rates
@@ -124,6 +125,27 @@ def test_steady_is_the_late_time_limit_in_every_regime(phase, region):
     assert np.max(np.abs(diff)) < 1e-8
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(t=st.floats(2e-9, 1e-7), detuning=st.floats(-0.01, 0.01))
+def test_transient_field_is_continuous_across_the_snap(n, side, t, detuning):
+    # 0.99e-9 rad off n pi the regime is pinned, 1.01e-9 rad off it is
+    # Generic; the transient u at x = 1.5 d may move only as much as the
+    # 0.02e-9 rad between the two phases moves it
+    omega_q = 2.0 * np.pi * 5.0e9
+
+    def u(offset):
+        p = ModelParams.from_phase(omega_q, 0.01 * omega_q,
+                                   n + side * offset / np.pi,
+                                   omega_s=(1.0 + detuning) * omega_q)
+        grid = fields.space_time_grid(p, [1.5 * p.distance], [t])
+        return fields.forward_field(grid, collective_rates(p), p,
+                                    "transient").u[0, 0]
+
+    assert abs(u(1.01e-9) - u(0.99e-9)) < 1e-8
+
+
 def test_every_slice_carries_u_v_and_w(weak_even):
     # u is the incident wave plus the forward-scattered field (incident
     # only before the pair), v the backward-scattered field (zero behind
@@ -219,6 +241,16 @@ def test_resonance_peak_refuses_odd_regime(weak_odd):
     x = np.array([-2.0]) * weak_odd.distance
     with pytest.raises(ValueError):
         fields.reflected_resonance_peak(x, weak_odd)
+
+
+def test_interqubit_resonance_peak_refuses_pinned_regimes(weak_even,
+                                                          weak_odd):
+    # the inter-qubit formula is the generic one; in a pinned regime it
+    # would silently return a wrong curve (0.0041 against a steady 1.077
+    # at kd = 2 pi, x = 0.25 d)
+    for p in (weak_even, weak_odd):
+        with pytest.raises(ValueError, match="generic regime"):
+            fields.interqubit_resonance_peak(np.array([0.25]) * p.distance, p)
 
 
 def test_interqubit_resonance_peak_matches_steady_energy(weak_generic):

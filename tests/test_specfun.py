@@ -189,6 +189,29 @@ def test_si_lower_keeps_its_accuracy_beyond_the_switch_radius(log10_x):
     assert abs(specfun.si_lower(x) - ref) <= 1e-14 * scale
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(log10_x=st.floats(-8.0, 0.0))
+def test_sine_integral_keeps_its_relative_accuracy_near_zero(log10_x):
+    # Si(x) ~ x: read as si(x) + pi/2 it would be off by 6e-9 relative at
+    # x = 1e-8, so the series branch takes it from the Horner sum directly
+    x = 10.0 ** log10_x
+    with mpmath.workdps(30):
+        ref = mpmath.si(x)
+    assert abs(specfun.sine_integral(x) - ref) <= 1e-14 * abs(ref)
+
+
+@pytest.mark.parametrize("fn", [specfun.sine_integral, specfun.si_lower,
+                                specfun.cosine_integral])
+def test_real_integrals_do_not_depend_on_the_batch(fn):
+    # both E1 branches along the imaginary axis, and the switch between
+    rng = np.random.default_rng(37)
+    x = np.concatenate([10.0 ** rng.uniform(-4.0, 4.0, 200),
+                        [specfun._SERIES_RADIUS, np.nextafter(6.0, 7.0)]])
+    batch = fn(x)
+    single = np.array([fn(v) for v in x])
+    assert batch.tobytes() == single.tobytes()
+
+
 @pytest.mark.parametrize("radius", [6.01, *specfun._CF_BANDS])
 def test_continued_fraction_converges_where_it_always_did(radius):
     # a grid reaching towards the cut at the lower edge of every start-depth

@@ -1,12 +1,33 @@
 """Transmittance, reflectance, flux bookkeeping, and the exact-lattice forms."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wqed import fields
 from wqed.model import ModelParams, collective_rates
 
 OMEGA_Q = 2.0 * np.pi * 5.0e9
+
+gamma_ratios = st.floats(0.005, 0.1)
+# k_Omega d / pi anywhere in (0, 6] (from 1e-6 up, so that d is no
+# subnormal), or 1e-10 to 1e-6 rad either side of an n pi, where the
+# regime snaps within 1e-9 rad and is Generic beyond
+any_phase = st.floats(1e-6, 6.0)
+near_n_pi = st.builds(
+    lambda n, sign, log10_offset: n + sign * 10.0 ** log10_offset / np.pi,
+    st.integers(1, 6), st.sampled_from([-1.0, 1.0]), st.floats(-10.0, -6.0))
+phases = st.one_of(any_phase, near_n_pi)
+
+
+def _params(gamma_ratio, phase_over_pi):
+    with warnings.catch_warnings():
+        # Gamma/Omega = 0.1 sits on the strong-coupling warning's edge
+        warnings.simplefilter("ignore", UserWarning)
+        return ModelParams.from_phase(OMEGA_Q, gamma_ratio * OMEGA_Q,
+                                      phase_over_pi)
 
 
 @pytest.mark.parametrize("phase_over_pi", [0.5, 1.0, 2.0, 5.0])
@@ -17,6 +38,21 @@ def test_resonance_is_a_perfect_mirror(phase_over_pi):
     r_res = fields.reflectance(p.omega_q, r, p)
     assert abs(t_res) < 1e-12
     assert abs(r_res - 1.0) < 1e-12
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(gamma_ratio=gamma_ratios, phase=phases)
+def test_resonance_is_a_perfect_mirror_at_any_phase(gamma_ratio, phase):
+    # both the Markov and the exact-lattice forms, snapped or not
+    p = _params(gamma_ratio, phase)
+    r = collective_rates(p)
+    for t_res, r_res in (
+            (fields.transmittance(p.omega_q, r, p),
+             fields.reflectance(p.omega_q, r, p)),
+            (fields.nonmarkov_transmittance(p.omega_q, p),
+             fields.nonmarkov_reflectance(p.omega_q, p))):
+        assert abs(t_res) < 1e-12
+        assert abs(r_res - 1.0) < 1e-12
 
 
 def test_far_detuning_is_transparent(weak_generic):
@@ -65,6 +101,17 @@ def test_exact_lattice_conserves_flux_identically(weak_generic, strong_odd):
         total = fields.nonmarkov_transmittance(omega, p) \
             + fields.nonmarkov_reflectance(omega, p)
         assert np.max(np.abs(total - 1.0)) < 1e-12
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(gamma_ratio=gamma_ratios, phase=any_phase, probe=st.floats(0.8, 1.2))
+def test_exact_lattice_conserves_flux_at_any_parameters(gamma_ratio, phase,
+                                                        probe):
+    p = _params(gamma_ratio, phase)
+    omega = probe * p.omega_q
+    total = fields.nonmarkov_transmittance(omega, p) \
+        + fields.nonmarkov_reflectance(omega, p)
+    assert abs(total - 1.0) < 1e-12
 
 
 def test_exact_lattice_resonance_values(weak_generic, strong_odd):
