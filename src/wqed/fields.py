@@ -132,26 +132,6 @@ def _kernel_limit(s1, t, a):
     return np.exp(1j * a * (s1 - t)) * m
 
 
-def _wave_kernel_trig(s1, t, omega):
-    """Second writing of the real-center kernel, via sine/cosine integrals.
-
-    Mathematically identical to ``_wave_kernel`` at a real center: the
-    steady limit ``_kernel_limit`` plus the front term, which decays as the
-    light front recedes.  ci and si are read from the same E1 as the
-    kernel's, at the absolute values of its arguments, so the agreement
-    between the two checks the algebra of the steady limit and the front
-    term; the special functions themselves are pinned against mpmath.
-    """
-    s1, t = np.broadcast_arrays(np.asarray(s1, dtype=float),
-                                np.asarray(t, dtype=float))
-    s2 = s1 - t
-    if np.any(s2 >= 0):
-        raise ValueError("trig writing implemented for the causal region s1 < t")
-    w2 = omega * np.abs(s2)
-    front = np.exp(1j * omega * s2) * (cosine_integral(w2) + 1j * si_lower(w2))
-    return _kernel_limit(s1, t, omega) + front
-
-
 # ---------------------------------------------------------------------------
 # space-time grids and field slices
 

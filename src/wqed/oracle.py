@@ -6,9 +6,12 @@ panels with an analytic high-frequency tail (scipy's sine/cosine integrals,
 an implementation independent of the hand-built ones), the driven two-qubit
 system is integrated in time by a plain RK4 on complex scalars, and the
 full qubit+continuum Schroedinger equation is evolved on a discretized
-frequency comb.  Slow and dumb on purpose (the quadrature only factors its
-phases per panel); every closed form in the package is required to agree
-with these to stated tolerances.
+frequency comb.  Each keeps its plain discretization (panels and nodes,
+RK4 step, comb); only the order of its arithmetic is regrouped for speed:
+the quadrature sums node columns against tabulated panel phases, the
+Markov RK4 applies its step as one affine map, and the continuum RK4 reads
+its stage overlaps from comb sums.  Every closed form in the package is
+required to agree with these to stated tolerances.
 """
 
 from __future__ import annotations
@@ -34,11 +37,14 @@ KERNEL_IDS = (
 # Panel quadrature: each panel is at most 1/POINTS_PER_PERIOD of the
 # fastest oscillation present wide and holds PANEL_ORDER Gauss-Legendre
 # nodes; a kernel needing more than MAX_NODES nodes is refused, and the
-# nodes are summed CHUNK_NODES at a time.
+# nodes are summed CHUNK_NODES at a time.  Panel phases come from a coarse
+# table of one exponential per PHASE_FINE panels times a fine table of
+# PHASE_FINE entries.
 POINTS_PER_PERIOD = 16
 PANEL_ORDER = 8
 MAX_NODES = 2.0e7
 CHUNK_NODES = 65536
+PHASE_FINE = 64
 
 
 def _kernel_center(kernel_id: str, params: ModelParams,
@@ -66,6 +72,21 @@ def _tail_inverse_omega_sq(s: float, cutoff: float) -> complex:
     return np.exp(1j * cutoff * s) / cutoff + 1j * s * _tail_inverse_omega(s, cutoff)
 
 
+def _panel_phases(s: float, width: float, first: int, count: int) -> np.ndarray:
+    """e^{i s width p} for the panels p = first, ..., first + count - 1.
+
+    Writing p = first + PHASE_FINE q + j, each phase is a coarse factor
+    e^{i s width (first + PHASE_FINE q)} times a fine one e^{i s width j}:
+    one exponential per PHASE_FINE panels instead of one per panel.  The
+    coarse factor is e^{i s left} at every PHASE_FINE-th panel edge,
+    computed as the per-panel exponential would compute it.
+    """
+    fine = np.exp(1j * s * (np.arange(PHASE_FINE) * width))
+    starts = first + PHASE_FINE * np.arange(-(-count // PHASE_FINE))
+    coarse = np.exp(1j * s * (starts * width))
+    return (coarse[:, None] * fine).ravel()[:count]
+
+
 def quad_kernel(kernel_id: str, x_shift: float, t: float,
                 params: ModelParams, rates: CollectiveRates | None = None,
                 cutoff_factor: float = 20.0) -> complex:
@@ -76,9 +97,15 @@ def quad_kernel(kernel_id: str, x_shift: float, t: float,
     kernel's direction, and the center a picked by ``kernel_id``.
     The integrand is (e^{-iat} e^{i omega s1} - e^{i omega s2})/(omega - a),
     and a node at omega = left + off splits each phase into a panel factor
-    e^{i left s} and a node factor e^{i off s} that carries the weight: two
-    exponentials per panel, not per node.  Same integral, same nodes, no E1
-    and no closed-form algebra, so it stays independent of the engine.
+    e^{i left s} and a node factor e^{i off s} that carries the weight.
+    The sum is then regrouped by node column: for each of the PANEL_ORDER
+    offsets, two dots of the panel phase vectors with 1/(left - a + off),
+    so no (panels x nodes) array is formed.  The panel phases come from
+    coarse and fine tables (``_panel_phases``).  A chunk of panels within
+    reach of a real center keeps the per-node sum with the first-order
+    expansion of phi where |(omega - a) t| < 1e-8.  Same integral, same
+    nodes, no E1 and no closed-form algebra, so it stays independent of
+    the engine.
 
     Parameters
     ----------
@@ -135,16 +162,24 @@ def quad_kernel(kernel_id: str, x_shift: float, t: float,
     total = 0.0 + 0.0j
     panels_per_chunk = CHUNK_NODES // PANEL_ORDER
     for start in range(0, n_panels, panels_per_chunk):
-        left = np.arange(start, min(start + panels_per_chunk, n_panels)) * width
-        z = (left - a)[:, None] + off
-        behind = np.exp(1j * s2 * left)[:, None] * trail
-        vals = (np.exp(1j * s1 * left)[:, None] * lead - behind) / z
+        count = min(panels_per_chunk, n_panels - start)
+        left = np.arange(start, start + count) * width
+        ahead = _panel_phases(s1, width, start, count)
+        behind = _panel_phases(s2, width, start, count)
+        base = left - a
         near = left[0] - reach < a.real < left[-1] + width + reach
         if near and abs(a.imag) < reach:
+            z = base[:, None] + off
+            trailing = behind[:, None] * trail
+            vals = (ahead[:, None] * lead - trailing) / z
             zt = z * t
             small = np.abs(zt) < 1e-8
-            vals[small] = 1j * t * (1.0 + 0.5j * zt[small]) * behind[small]
-        total += np.sum(vals)
+            vals[small] = 1j * t * (1.0 + 0.5j * zt[small]) * trailing[small]
+            total += np.sum(vals)
+            continue
+        for lead_n, trail_n, off_n in zip(lead, trail, off):
+            r = np.reciprocal(base + off_n)
+            total += lead_n * np.dot(ahead, r) - trail_n * np.dot(behind, r)
 
     # Analytic tail: 1/(omega - a) ~ 1/omega + a/omega^2 beyond the cutoff.
     tail = np.exp(-1j * a * t) * (_tail_inverse_omega(s1, cutoff)
@@ -208,7 +243,12 @@ def markov_ode(params: ModelParams, t_final: float, n_steps: int | None = None,
 
     Uses the raw propagation phases (no regime snapping) and the analytic
     delta-pulse drive, so it shares no algebra with the closed qubit
-    amplitudes it is used to check.
+    amplitudes it is used to check.  The system is linear and its drive
+    is proportional to e^{-i Delta t}, so one RK4 step is affine:
+    y_{n+1} = A y_n + e^{-i Delta t_n} c.  The columns of A are the RK4
+    step with the drive off from the unit states, and c is the step from
+    rest at t = 0; the loop then applies that map, and every 64th step is
+    checked by step doubling with the RK4 stages themselves.
 
     Parameters
     ----------
@@ -216,10 +256,10 @@ def markov_ode(params: ModelParams, t_final: float, n_steps: int | None = None,
     t_final : float
         End time in seconds.
     n_steps : int, optional
-        Fixed RK4 step count; defaults to resolving both the decay rate
-        and the drive detuning with step 0.005 of the fastest scale.
+        Fixed RK4 step count, >= 1; defaults to resolving both the decay
+        rate and the drive detuning with step 0.005 of the fastest scale.
     keep_every : int
-        Store every that-many-th step (plus both endpoints).
+        Store every that-many-th step (plus both endpoints), >= 1.
 
     Returns
     -------
@@ -227,6 +267,10 @@ def markov_ode(params: ModelParams, t_final: float, n_steps: int | None = None,
     """
     if t_final <= 0:
         raise ValueError("t_final must be positive")
+    if n_steps is not None and n_steps < 1:
+        raise ValueError(f"n_steps must be at least 1, got {n_steps}")
+    if keep_every < 1:
+        raise ValueError(f"keep_every must be at least 1, got {keep_every}")
     gamma, g = params.gamma, params.coupling
     detuning = params.omega_s - params.omega_q
     if n_steps is None:
@@ -238,29 +282,37 @@ def markov_ode(params: ModelParams, t_final: float, n_steps: int | None = None,
     phase_s = complex(np.exp(1j * params.drive_phase))   # e^{i k_omega_s d}, raw
     amp = -1j * g * params.amplitude
 
-    def rhs(t, b1, b2):
+    def rhs(t, b1, b2, amp):
         drive = amp * cmath.exp(-1j * detuning * t)
         return (drive - 0.5 * gamma * b1 - 0.5 * gamma * phase_q * b2,
                 drive * phase_s - 0.5 * gamma * b2 - 0.5 * gamma * phase_q * b1)
 
-    def rk4(t, b1, b2, h):
-        k1 = rhs(t, b1, b2)
-        k2 = rhs(t + 0.5 * h, b1 + 0.5 * h * k1[0], b2 + 0.5 * h * k1[1])
-        k3 = rhs(t + 0.5 * h, b1 + 0.5 * h * k2[0], b2 + 0.5 * h * k2[1])
-        k4 = rhs(t + h, b1 + h * k3[0], b2 + h * k3[1])
+    def rk4(t, b1, b2, h, amp):
+        k1 = rhs(t, b1, b2, amp)
+        k2 = rhs(t + 0.5 * h, b1 + 0.5 * h * k1[0], b2 + 0.5 * h * k1[1], amp)
+        k3 = rhs(t + 0.5 * h, b1 + 0.5 * h * k2[0], b2 + 0.5 * h * k2[1], amp)
+        k4 = rhs(t + h, b1 + h * k3[0], b2 + h * k3[1], amp)
         return (b1 + h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
                 b2 + h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]))
+
+    # the affine step map: columns of A from the unit states without
+    # drive, c from rest at t = 0 with it
+    a11, a21 = rk4(0.0, 1.0, 0.0, dt, 0.0)
+    a12, a22 = rk4(0.0, 0.0, 1.0, dt, 0.0)
+    c1, c2 = rk4(0.0, 0.0, 0.0, dt, amp)
 
     b1 = b2 = 0j
     times, saved = [0.0], [(b1, b2)]
     t = 0.0
     scale = abs(amp) / max(0.5 * gamma, abs(detuning), 1.0 / t_final)
     for step in range(1, n_steps + 1):
-        n1, n2 = rk4(t, b1, b2, dt)
+        drive = cmath.exp(-1j * detuning * t)
+        n1 = a11 * b1 + a12 * b2 + drive * c1
+        n2 = a21 * b1 + a22 * b2 + drive * c2
         if step % 64 == 1:
             # step-doubling local error estimate on this step
             half = 0.5 * dt
-            f1, f2 = rk4(t + half, *rk4(t, b1, b2, half), half)
+            f1, f2 = rk4(t + half, *rk4(t, b1, b2, half, amp), half, amp)
             err = max(abs(f1 - n1), abs(f2 - n2))
             if err > 1e-9 * max(scale, 1e-300):
                 raise RuntimeError(
@@ -331,6 +383,8 @@ COMB_PULSE_WIDTHS = 8.0
 
 def make_continuum_grid(params: ModelParams, n_modes: int = 4096) -> ContinuumGrid:
     """Uniform frequency comb covering the qubit line and the pulse."""
+    if n_modes < 2:
+        raise ValueError(f"n_modes must be at least 2, got {n_modes}")
     lo = COMB_SPAN[0] * params.omega_q
     hi = COMB_SPAN[1] * params.omega_q
     if params.pulse_width is not None:
@@ -393,14 +447,23 @@ def continuum_evolve(params: ModelParams, t_final: float,
     comb weights enter both the norm and the qubit equations), so any norm
     drift in the result measures pure integrator truncation.
 
+    Each classical RK4 step is regrouped, not changed.  A stage's field
+    slopes are a qubit-state combination times conj R(t_s), with
+    R(t) = e^{-i (omega - Omega) t}, so their overlaps with the next
+    stage's R are comb sums fixed at the start, at stage gaps 0 and dt/2.
+    What is left per step is six dots of the step-start fields with R at
+    t, t + dt/2 and t + dt, and one update of the fields.  R advances by
+    multiplication and is refreshed by an exact exponential every 64 steps.
+
     Parameters
     ----------
     params : ModelParams
         ``pulse_width`` must be set; the initial forward spectrum is the
         corresponding unit-norm Gaussian.
     t_final : float
+        End time in seconds, > 0.
     n_modes : int
-        Size of the ``make_continuum_grid`` comb.
+        Size of the ``make_continuum_grid`` comb, >= 2.
     launch_delay : float
         Time at which the packet centre crosses the first qubit.  Zero
         starts the packet on top of the qubit (the sudden-switch-on
@@ -411,6 +474,8 @@ def continuum_evolve(params: ModelParams, t_final: float,
     -------
     ContinuumResult
     """
+    if t_final <= 0:
+        raise ValueError("t_final must be positive")
     grid = make_continuum_grid(params, n_modes=n_modes)
     omega, w = grid.omega, grid.weights
     g = params.coupling
@@ -433,20 +498,26 @@ def continuum_evolve(params: ModelParams, t_final: float,
     fwd_phase = np.exp(1j * kd)      # e^{+i k d}
     bwd_phase = np.conj(fwd_phase)
 
+    # The field slopes of the stage at t_s with qubit state B are
+    # -ig (B_1 + B_2 Q) conj R(t_s) for gamma (P for delta), with
+    # R(t) = e^{-i rot t}, P = e^{ikd} and Q = conj P.  The qubit slope they
+    # add at a time tau later is M(tau) B, M = -g^2 [[2S, C], [C, 2S]], from
+    # the comb sums S = sum w e^{-i rot tau} and
+    # C = sum w (P + Q) e^{-i rot tau}; each later stage sits dt/2 or 0
+    # after the stage before it.
+    shifts = np.exp(-1j * np.outer([0.0, 0.5 * dt, dt], rot))   # R(t+tau)/R(t)
+    back_shifts = np.conj(shifts)
+
+    def stage_overlap(shift):
+        comb = w * shift
+        s, c = np.sum(comb), np.sum(comb * (fwd_phase + bwd_phase))
+        return -g * g * np.array([[2.0 * s, c], [c, 2.0 * s]])
+
+    m_half, m_same = stage_overlap(shifts[1]), stage_overlap(shifts[0])
+
     beta = np.zeros(2, dtype=np.complex128)
     gam = gamma0.copy()
     delt = np.zeros_like(gam)
-
-    def rhs(t, b, gm, dl):
-        rotator = np.exp(-1j * rot * t)
-        overlap_plain = np.sum(w * (gm + dl) * rotator)
-        overlap_shift = np.sum(w * (gm * fwd_phase + dl * bwd_phase) * rotator)
-        db1 = -1j * g * overlap_plain
-        db2 = -1j * g * overlap_shift
-        src = np.conj(rotator)
-        dgm = -1j * g * (b[0] + b[1] * bwd_phase) * src
-        ddl = -1j * g * (b[0] + b[1] * fwd_phase) * src
-        return np.array([db1, db2]), dgm, ddl
 
     def norm_of(b, gm, dl):
         return float(np.abs(b[0]) ** 2 + np.abs(b[1]) ** 2
@@ -457,16 +528,30 @@ def continuum_evolve(params: ModelParams, t_final: float,
     norms = [norm_of(beta, gam, delt)]
     t = 0.0
     for step in range(1, n_steps + 1):
-        kb1, kg1, kd1 = rhs(t, beta, gam, delt)
-        kb2, kg2, kd2 = rhs(t + 0.5 * dt, beta + 0.5 * dt * kb1,
-                            gam + 0.5 * dt * kg1, delt + 0.5 * dt * kd1)
-        kb3, kg3, kd3 = rhs(t + 0.5 * dt, beta + 0.5 * dt * kb2,
-                            gam + 0.5 * dt * kg2, delt + 0.5 * dt * kd2)
-        kb4, kg4, kd4 = rhs(t + dt, beta + dt * kb3,
-                            gam + dt * kg3, delt + dt * kd3)
+        if step % 64 == 1:
+            rotator = np.exp(-1j * rot * t)    # exact refresh of R(t)
+        # the step-start fields' overlaps with R at t, t + dt/2 and t + dt
+        weighted = w * rotator
+        d = -1j * g * np.stack([
+            shifts @ (weighted * (gam + delt)),
+            shifts @ (weighted * (gam * fwd_phase + delt * bwd_phase))])
+        kb1 = d[:, 0]
+        b2 = beta + 0.5 * dt * kb1
+        kb2 = d[:, 1] + 0.5 * dt * (m_half @ beta)
+        b3 = beta + 0.5 * dt * kb2
+        kb3 = d[:, 1] + 0.5 * dt * (m_same @ b2)
+        b4 = beta + dt * kb3
+        kb4 = d[:, 2] + dt * (m_half @ b3)
+        # the four stage slopes of the fields, on conj R at t, t + dt/2, t + dt
+        coef = (-1j * g * dt / 6.0) * np.stack([beta, 2.0 * (b2 + b3), b4],
+                                                axis=1)
+        back = np.conj(rotator)
+        plain = back * (coef[0] @ back_shifts)
+        shifted = back * (coef[1] @ back_shifts)
+        gam = gam + plain + shifted * bwd_phase
+        delt = delt + plain + shifted * fwd_phase
         beta = beta + dt / 6.0 * (kb1 + 2 * kb2 + 2 * kb3 + kb4)
-        gam = gam + dt / 6.0 * (kg1 + 2 * kg2 + 2 * kg3 + kg4)
-        delt = delt + dt / 6.0 * (kd1 + 2 * kd2 + 2 * kd3 + kd4)
+        rotator = rotator * shifts[2]
         t = step * dt
         if step % CONTINUUM_KEEP_EVERY == 0 or step == n_steps:
             times.append(t)

@@ -5,19 +5,27 @@ All presets use the superconducting-circuit scale Omega/2pi = 5 GHz and a
 times at nanoseconds.
 """
 
+import cmath
+
 import numpy as np
 import pytest
 
 from wqed import fields
+from wqed.amplitudes import QubitState
 from wqed.model import ModelParams, collective_rates
 from wqed.oracle import (
+    CONTINUUM_KEEP_EVERY,
+    CONTINUUM_STEP,
     PANEL_ORDER,
     POINTS_PER_PERIOD,
+    ContinuumResult,
     _kernel_center,
     _tail_inverse_omega,
     _tail_inverse_omega_sq,
+    gaussian_spectrum,
+    make_continuum_grid,
 )
-from wqed.specfun import e1_scaled
+from wqed.specfun import cosine_integral, e1_scaled, si_lower
 
 OMEGA_Q = 2.0 * np.pi * 5.0e9
 
@@ -86,6 +94,33 @@ def printed_kernel():
     return _printed_kernel
 
 
+def _wave_kernel_trig(s1, t, omega):
+    """Second writing of the real-center kernel, via sine/cosine integrals.
+
+    Mathematically identical to ``fields._wave_kernel`` at a real center:
+    the steady limit ``fields._kernel_limit`` plus the front term, which
+    decays as the light front recedes.  ci and si are read from the same E1
+    as the kernel's, at the absolute values of its arguments, so the
+    agreement between the two checks the algebra of the steady limit and
+    the front term; the special functions themselves are pinned against
+    mpmath.
+    """
+    s1, t = np.broadcast_arrays(np.asarray(s1, dtype=float),
+                                np.asarray(t, dtype=float))
+    s2 = s1 - t
+    if np.any(s2 >= 0):
+        raise ValueError("trig writing implemented for the causal region s1 < t")
+    w2 = omega * np.abs(s2)
+    front = np.exp(1j * omega * s2) * (cosine_integral(w2) + 1j * si_lower(w2))
+    return fields._kernel_limit(s1, t, omega) + front
+
+
+@pytest.fixture(scope="session")
+def wave_kernel_trig():
+    """The real-center kernel as its steady limit plus the front term."""
+    return _wave_kernel_trig
+
+
 def _per_node_quad_kernel(kernel_id, x_shift, t, params, rates=None):
     """``oracle.quad_kernel`` in its per-node writing, as a reference.
 
@@ -126,3 +161,111 @@ def _per_node_quad_kernel(kernel_id, x_shift, t, params, rates=None):
 def per_node_quad_kernel():
     """The panel quadrature with two exponentials per node."""
     return _per_node_quad_kernel
+
+
+def _per_call_markov_ode(params, t_final, n_steps, keep_every=1):
+    """``oracle.markov_ode`` in its per-call writing, as a reference.
+
+    The same RK4 on the same system, stepped by evaluating the four stages
+    of every step instead of applying the affine step map; no error check.
+    """
+    gamma, g = params.gamma, params.coupling
+    detuning = params.omega_s - params.omega_q
+    dt = t_final / n_steps
+    phase_q = complex(np.exp(1j * params.qubit_phase))
+    phase_s = complex(np.exp(1j * params.drive_phase))
+    amp = -1j * g * params.amplitude
+
+    def rhs(t, b1, b2):
+        drive = amp * cmath.exp(-1j * detuning * t)
+        return (drive - 0.5 * gamma * b1 - 0.5 * gamma * phase_q * b2,
+                drive * phase_s - 0.5 * gamma * b2 - 0.5 * gamma * phase_q * b1)
+
+    def rk4(t, b1, b2, h):
+        k1 = rhs(t, b1, b2)
+        k2 = rhs(t + 0.5 * h, b1 + 0.5 * h * k1[0], b2 + 0.5 * h * k1[1])
+        k3 = rhs(t + 0.5 * h, b1 + 0.5 * h * k2[0], b2 + 0.5 * h * k2[1])
+        k4 = rhs(t + h, b1 + h * k3[0], b2 + h * k3[1])
+        return (b1 + h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
+                b2 + h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]))
+
+    b1 = b2 = 0j
+    times, saved = [0.0], [(b1, b2)]
+    for step in range(1, n_steps + 1):
+        b1, b2 = rk4((step - 1) * dt, b1, b2, dt)
+        if step % keep_every == 0 or step == n_steps:
+            times.append(step * dt)
+            saved.append((b1, b2))
+    saved = np.array(saved)
+    return QubitState(t=np.array(times), beta_1=saved[:, 0], beta_2=saved[:, 1])
+
+
+@pytest.fixture(scope="session")
+def per_call_markov_ode():
+    """The Markov RK4 with its four stages evaluated on every step."""
+    return _per_call_markov_ode
+
+
+def _rhs_continuum_evolve(params, t_final, n_modes, launch_delay=0.0):
+    """``oracle.continuum_evolve`` in its right-hand-side writing.
+
+    The same comb, step, initial packet and classical RK4, with every stage
+    evaluating the full right-hand side over the comb (one exponential per
+    mode per stage) instead of the comb sums.
+    """
+    grid = make_continuum_grid(params, n_modes=n_modes)
+    omega, w = grid.omega, grid.weights
+    g = params.coupling
+    rot = omega - params.omega_q
+    dt = CONTINUUM_STEP / np.max(np.abs(rot))
+    n_steps = int(np.ceil(t_final / dt))
+    dt = t_final / n_steps
+    gam = gaussian_spectrum(params, omega).astype(np.complex128)
+    if launch_delay:
+        gam *= np.exp(1j * omega * launch_delay)
+    fwd_phase = np.exp(1j * omega * params.distance / params.v_g)
+    bwd_phase = np.conj(fwd_phase)
+    beta = np.zeros(2, dtype=np.complex128)
+    delt = np.zeros_like(gam)
+
+    def rhs(t, b, gm, dl):
+        rotator = np.exp(-1j * rot * t)
+        overlap_plain = np.sum(w * (gm + dl) * rotator)
+        overlap_shift = np.sum(w * (gm * fwd_phase + dl * bwd_phase) * rotator)
+        src = np.conj(rotator)
+        return (np.array([-1j * g * overlap_plain, -1j * g * overlap_shift]),
+                -1j * g * (b[0] + b[1] * bwd_phase) * src,
+                -1j * g * (b[0] + b[1] * fwd_phase) * src)
+
+    def norm_of(b, gm, dl):
+        return float(np.abs(b[0]) ** 2 + np.abs(b[1]) ** 2
+                     + np.sum(w * (np.abs(gm) ** 2 + np.abs(dl) ** 2)))
+
+    times, b1s, b2s = [0.0], [beta[0]], [beta[1]]
+    norms = [norm_of(beta, gam, delt)]
+    for step in range(1, n_steps + 1):
+        t = (step - 1) * dt
+        kb1, kg1, kd1 = rhs(t, beta, gam, delt)
+        kb2, kg2, kd2 = rhs(t + 0.5 * dt, beta + 0.5 * dt * kb1,
+                            gam + 0.5 * dt * kg1, delt + 0.5 * dt * kd1)
+        kb3, kg3, kd3 = rhs(t + 0.5 * dt, beta + 0.5 * dt * kb2,
+                            gam + 0.5 * dt * kg2, delt + 0.5 * dt * kd2)
+        kb4, kg4, kd4 = rhs(t + dt, beta + dt * kb3,
+                            gam + dt * kg3, delt + dt * kd3)
+        beta = beta + dt / 6.0 * (kb1 + 2 * kb2 + 2 * kb3 + kb4)
+        gam = gam + dt / 6.0 * (kg1 + 2 * kg2 + 2 * kg3 + kg4)
+        delt = delt + dt / 6.0 * (kd1 + 2 * kd2 + 2 * kd3 + kd4)
+        if step % CONTINUUM_KEEP_EVERY == 0 or step == n_steps:
+            times.append(step * dt)
+            b1s.append(beta[0])
+            b2s.append(beta[1])
+            norms.append(norm_of(beta, gam, delt))
+    return ContinuumResult(t=np.array(times), beta_1=np.array(b1s),
+                           beta_2=np.array(b2s), norm=np.array(norms),
+                           grid=grid, gamma_final=gam, delta_final=delt)
+
+
+@pytest.fixture(scope="session")
+def rhs_continuum_evolve():
+    """The continuum RK4 with the full right-hand side at every stage."""
+    return _rhs_continuum_evolve

@@ -118,7 +118,7 @@ def test_engine_and_oracle_accept_the_same_kernel_ids(kernel_id):
             quad_kernel(kernel_id, x_shift, t, p, r)
 
 
-def test_drive_kernel_matches_trig_writing():
+def test_drive_kernel_matches_trig_writing(wave_kernel_trig):
     # the kernel at an array of real centers (the drive axis of a sweep)
     # against its sine/cosine-integral writing, center by center, in the
     # causal region s1 < t on both sides of the qubit: both read the same
@@ -132,7 +132,7 @@ def test_drive_kernel_matches_trig_writing():
     swept = fields._wave_kernel(s1, t, omega[:, None, None])
     assert swept.shape == (omega.size, t.size, s1.size)
     for k, center in enumerate(omega):
-        trig = fields._wave_kernel_trig(s1, t, center)
+        trig = wave_kernel_trig(s1, t, center)
         err = np.abs(swept[k] - trig) / np.maximum(np.abs(trig), 1.0)
         assert err.max() < 1e-11
 

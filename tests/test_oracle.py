@@ -45,6 +45,69 @@ def test_markov_ode_refuses_steps_above_the_error_budget():
 
 
 @pytest.mark.parametrize("phase", [0.8, 2.0, 5.0], ids=["generic", "even", "odd"])
+def test_affine_markov_step_matches_per_call_writing(phase, per_call_markov_ode):
+    # the affine step map is the same RK4 step on a linear system, so only
+    # rounding may separate it from evaluating the four stages every step
+    # (measured at most 5.1e-14 of max |beta| over 20 lifetimes)
+    p = ModelParams.from_phase(OMEGA_Q, 0.01 * OMEGA_Q, phase,
+                               omega_s=1.005 * OMEGA_Q)
+    got = markov_ode(p, 20.0 / p.gamma, n_steps=4000, keep_every=50)
+    ref = per_call_markov_ode(p, 20.0 / p.gamma, n_steps=4000, keep_every=50)
+    np.testing.assert_array_equal(got.t, ref.t)
+    size = max(np.max(np.abs(ref.beta_1)), np.max(np.abs(ref.beta_2)))
+    err = max(np.max(np.abs(got.beta_1 - ref.beta_1)),
+              np.max(np.abs(got.beta_2 - ref.beta_2)))
+    assert err <= 1e-12 * size
+
+
+@pytest.mark.parametrize("launch", [0.0, 3.0], ids=["on_qubit", "upstream"])
+def test_comb_sum_continuum_matches_rhs_writing(launch, rhs_continuum_evolve):
+    # the comb sums regroup the same RK4 stages on the same comb, and R is
+    # refreshed exactly every 64 steps, so only rounding may separate the two
+    # writings (measured at most 1.1e-14 of each quantity's largest value
+    # over 1,000 steps)
+    gam = 0.1 * OMEGA_Q
+    p = ModelParams.from_phase(OMEGA_Q, gam, 5.0, omega_s=OMEGA_Q + 2.0 * gam,
+                               pulse_width=gam)
+    got = continuum_evolve(p, 2.0 / gam, n_modes=512,
+                           launch_delay=launch / gam)
+    ref = rhs_continuum_evolve(p, 2.0 / gam, 512, launch_delay=launch / gam)
+    np.testing.assert_array_equal(got.t, ref.t)
+    for name in ("beta_1", "beta_2", "norm", "gamma_final", "delta_final"):
+        want = getattr(ref, name)
+        err = np.max(np.abs(getattr(got, name) - want))
+        assert err <= 1e-12 * np.max(np.abs(want)), name
+
+
+@pytest.mark.parametrize("n_steps", [-5, 0])
+def test_markov_ode_rejects_nonpositive_step_counts(n_steps, weak_generic):
+    with pytest.raises(ValueError, match="n_steps"):
+        markov_ode(weak_generic, 1.0 / weak_generic.gamma, n_steps=n_steps)
+
+
+@pytest.mark.parametrize("keep_every", [-1, 0])
+def test_markov_ode_rejects_nonpositive_keep_every(keep_every, weak_generic):
+    with pytest.raises(ValueError, match="keep_every"):
+        markov_ode(weak_generic, 1.0 / weak_generic.gamma, n_steps=10,
+                   keep_every=keep_every)
+
+
+@pytest.mark.parametrize("t_final", [0.0, -1e-9])
+def test_continuum_rejects_nonpositive_t_final(t_final, weak_generic):
+    p = ModelParams.create(weak_generic.omega_q, weak_generic.gamma,
+                           weak_generic.distance,
+                           pulse_width=0.5 * weak_generic.gamma)
+    with pytest.raises(ValueError, match="t_final"):
+        continuum_evolve(p, t_final, n_modes=256)
+
+
+@pytest.mark.parametrize("n_modes", [0, 1])
+def test_continuum_grid_needs_two_modes(n_modes, weak_generic):
+    with pytest.raises(ValueError, match="n_modes"):
+        make_continuum_grid(weak_generic, n_modes=n_modes)
+
+
+@pytest.mark.parametrize("phase", [0.8, 2.0, 5.0], ids=["generic", "even", "odd"])
 def test_factored_quadrature_matches_per_node_writing(phase, per_node_quad_kernel):
     # the per-panel phase factoring regroups the products of the same
     # integrand on the same nodes, so only rounding may separate the two
