@@ -22,7 +22,8 @@ Scenarios are INI files (flat ``key = value`` under sections); named
 presets embed the parameter sets of the survey figures.  Output is CSV
 with ``#``-prefixed metadata lines, and every run with the same scenario
 produces byte-identical output (fixed 17-significant-digit floats, no
-timestamps).
+timestamps).  Tables are assembled column by column from whole arrays and
+written through one row template per table.
 """
 
 from __future__ import annotations
@@ -319,12 +320,6 @@ def build_scenario(args):
 # ---------------------------------------------------------------------------
 # deterministic CSV/JSON output
 
-def _fmt(value):
-    if isinstance(value, str):
-        return value
-    return "%.17g" % value
-
-
 def _header_lines(scenario, extra=()):
     p = scenario["params"]
     regime = classify_regime(p)
@@ -349,13 +344,20 @@ def _header_lines(scenario, extra=()):
 
 
 def write_csv(path, lines, columns, rows):
-    """Write '#'-commented metadata, a column header, and %.17g rows."""
+    """Write '#'-commented metadata, a column header, and %.17g rows.
+
+    ``rows`` is a sequence of row tuples whose columns keep one type: the
+    first row picks the template, ``%s`` for a text cell and ``%.17g`` for
+    any number, and every row is written through it.  An empty table is
+    its header alone.
+    """
     with open(path, "w", newline="") as handle:
-        for line in lines:
-            handle.write(f"# {line}\n")
+        handle.writelines(f"# {line}\n" for line in lines)
         handle.write(",".join(columns) + "\n")
-        for row in rows:
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
+        if rows:
+            template = ",".join("%s" if isinstance(cell, str) else "%.17g"
+                                for cell in rows[0]) + "\n"
+            handle.writelines(template % row for row in rows)
 
 
 def _json_cell(value):
@@ -367,7 +369,7 @@ def _json_cell(value):
     if isinstance(value, str):
         return value
     value = float(value)
-    return value if math.isfinite(value) else _fmt(value)
+    return value if math.isfinite(value) else "%.17g" % value
 
 
 def write_json(path, lines, columns, rows):
@@ -440,7 +442,8 @@ def cmd_spectrum(scenario, args):
     flux = t_markov + r_markov - 1.0
     columns = ["omega_over_Omega", "T_markov", "R_markov",
                "T_nonmarkov", "R_nonmarkov", "flux_sum"]
-    rows = list(zip(ratio, t_markov, r_markov, t_exact, r_exact, flux))
+    rows = list(zip(*(column.tolist() for column in
+                      (ratio, t_markov, r_markov, t_exact, r_exact, flux))))
     extra = ["sweep = %.17g .. %.17g, %d points" % (lo, hi, points),
              "max_abs_T_difference = %.17g"
              % float(np.max(np.abs(t_markov - t_exact))),
@@ -458,26 +461,29 @@ _FIELD_COLUMNS = ["curve", "x_over_d", "omega_s_over_omega_q",
 
 
 def _field_rows(params, x_over_d, ratios, omega, t, branch, label):
-    """Field-table rows for every drive carrier and x, drive by drive.
+    """Field-table rows over every drive carrier and x, carrier-major.
 
     One engine call covers the whole outer product; ``omega`` holds the
     carriers in rad/s and ``ratios`` their omega_s/omega_q column values.
+    Each column is built once over the product and the columns are zipped
+    into rows.  The energies are |z|^2 / A^2 of Python complex values:
+    numpy's vectorized modulus rounds differently in the last bit.
     """
     x_over_d = np.asarray(x_over_d, dtype=float)
+    ratios = np.asarray(ratios, dtype=float)
     grid = fields.space_time_grid(params, x_over_d * params.distance, [t])
-    slices = fields.drive_sweep(grid, collective_rates(params), params,
-                                omega, branch=branch)
+    _, *envelopes = fields._drive_fields(grid, collective_rates(params),
+                                         params, omega, branch)
+    envelopes = [env[:, 0].ravel() for env in envelopes]
     amp2 = params.amplitude ** 2
-    rows = []
-    for ratio, fs in zip(ratios, slices):
-        u, v, w = fs.u[0], fs.v[0], fs.w[0]
-        for i, xod in enumerate(x_over_d):
-            rows.append((label, xod, ratio,
-                         u[i].real, u[i].imag, v[i].real, v[i].imag,
-                         w[i].real, w[i].imag,
-                         abs(u[i]) ** 2 / amp2, abs(v[i]) ** 2 / amp2,
-                         abs(w[i]) ** 2 / amp2))
-    return rows
+    columns = [[label] * (ratios.size * x_over_d.size),
+               np.tile(x_over_d, ratios.size).tolist(),
+               np.repeat(ratios, x_over_d.size).tolist()]
+    for env in envelopes:
+        columns += [env.real.tolist(), env.imag.tolist()]
+    for env in envelopes:
+        columns.append([abs(z) ** 2 / amp2 for z in env.tolist()])
+    return list(zip(*columns))
 
 
 def cmd_field(scenario, args):
@@ -531,11 +537,10 @@ def cmd_field(scenario, args):
             omega = ratios * p.omega_q
             rates = collective_rates(p)
             refl = fields.reflectance(omega, rates, p)
-            nan = float("nan")
-            for ratio, r_val in zip(ratios, refl):
-                rows.append(("line:x=-inf", -np.inf, ratio,
-                             nan, nan, nan, nan, nan, nan,
-                             nan, float(r_val), nan))
+            nans = [float("nan")] * ratios.size
+            rows.extend(zip(["line:x=-inf"] * ratios.size,
+                            [-np.inf] * ratios.size, ratios.tolist(),
+                            *[nans] * 7, refl.tolist(), nans))
     extra = ["t_s = %.17g" % t, f"branch = {branch}",
              "energies normalized by amplitude^2"]
     written = _emit(scenario, args, _header_lines(scenario, extra),
@@ -565,9 +570,8 @@ def cmd_beating(scenario, args):
                                             n_periods=n_periods,
                                             n_samples=n_samples)
         _, _, peak, expected = fields.beat_note_fft(energy, drive, n_periods)
-        amp2 = drive.amplitude ** 2
-        for ti, ei in zip(t, energy):
-            rows.append((label, ti, ei / amp2))
+        rows.extend(zip([label] * t.size, t.tolist(),
+                        (energy / drive.amplitude ** 2).tolist()))
         extra.append("beat_peak_hz[%s] = %.17g (expected %.17g, "
                      "period %.17g s)" % (label, peak, expected,
                                           1.0 / expected))
@@ -598,7 +602,8 @@ def cmd_peaks(scenario, args):
     direct = np.abs(steady.v[0]) ** 2 / p.amplitude ** 2
     peak_formula = fields.reflected_resonance_peak(x, p)
     columns = ["x_over_d", "peak_value", "energy_at_resonance"]
-    rows = list(zip(x_over_d, peak_formula, direct))
+    rows = list(zip(x_over_d.tolist(), peak_formula.tolist(),
+                    direct.tolist()))
     extra = ["t_s = %.17g" % t,
              "max_peak_value = %.17g" % float(np.max(peak_formula)),
              "max_abs_formula_vs_direct = %.17g"
@@ -690,9 +695,18 @@ def main(argv=None):
                         "out": args.out or "oracle-check.csv"}
         else:
             scenario = build_scenario(args)
-        return _DISPATCH[args.command](scenario, args)
+        code = _DISPATCH[args.command](scenario, args)
+        sys.stdout.flush()   # a closed pipe raises here, not at exit
+        return code
     except (ScenarioError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader of stdout went away; point stdout at the null device
+        # so that the flush at exit does not raise a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 2
 
 

@@ -307,32 +307,14 @@ def steady_ready(grid: SpaceTimeGrid, rates: CollectiveRates,
 # ---------------------------------------------------------------------------
 # assembled fields
 
-def drive_sweep(grid: SpaceTimeGrid, rates: CollectiveRates,
-                params: ModelParams, omega_s,
-                branch="auto") -> list[FieldSlice]:
-    """The field on the grid for every drive carrier in one call.
+def _drive_fields(grid: SpaceTimeGrid, rates: CollectiveRates,
+                  params: ModelParams, omega_s, branch="auto"):
+    """The field for a sweep of drive carriers as stacked arrays.
 
-    Entry k is the field for ``params.with_drive(omega_s[k])`` and its own
-    collective rates, but the grid, the channel rates and every
-    drive-independent kernel are evaluated once for the whole sweep.
-    ``rates`` supplies the regime and channel rates; the drive weights
-    come from ``coupling_weights`` at each carrier.
-
-    Parameters
-    ----------
-    grid : SpaceTimeGrid
-    rates : CollectiveRates
-    params : ModelParams
-    omega_s : array_like
-        1-d array of drive carriers in rad/s.
-    branch : str or FieldBranch
-        "transient" for the exact finite-time forms, "steady" for the
-        long-time limit, "auto" to pick steady, carrier by carrier, once
-        it is converged.
-
-    Returns
-    -------
-    list of FieldSlice, one per carrier, with ``u``, ``v`` and ``w``.
+    Returns (steady, u, v, w): the per-carrier steady mask and the three
+    envelopes indexed [drive, time, position].  This is the evaluator
+    behind ``drive_sweep``, which documents the arguments; callers that
+    read whole columns over the carriers take the arrays directly.
     """
     omega = np.asarray(omega_s, dtype=float)
     if omega.ndim != 1 or not np.all(np.isfinite(omega)) \
@@ -366,7 +348,39 @@ def drive_sweep(grid: SpaceTimeGrid, rates: CollectiveRates,
         v = np.zeros_like(u)
     else:
         v = scattered(-xx, -(xx - d))
-    w = u + v
+    return steady, u, v, u + v
+
+
+def drive_sweep(grid: SpaceTimeGrid, rates: CollectiveRates,
+                params: ModelParams, omega_s,
+                branch="auto") -> list[FieldSlice]:
+    """The field on the grid for every drive carrier in one call.
+
+    Entry k is the field for ``params.with_drive(omega_s[k])`` and its own
+    collective rates, but the grid, the channel rates and every
+    drive-independent kernel are evaluated once for the whole sweep.
+    ``rates`` supplies the regime and channel rates; the drive weights
+    come from ``coupling_weights`` at each carrier.  The slices are views
+    into the stacked [drive, time, position] arrays of one evaluation
+    (``_drive_fields``).
+
+    Parameters
+    ----------
+    grid : SpaceTimeGrid
+    rates : CollectiveRates
+    params : ModelParams
+    omega_s : array_like
+        1-d array of drive carriers in rad/s.
+    branch : str or FieldBranch
+        "transient" for the exact finite-time forms, "steady" for the
+        long-time limit, "auto" to pick steady, carrier by carrier, once
+        it is converged.
+
+    Returns
+    -------
+    list of FieldSlice, one per carrier, with ``u``, ``v`` and ``w``.
+    """
+    steady, u, v, w = _drive_fields(grid, rates, params, omega_s, branch)
     return [FieldSlice(
         grid=grid, u=u[k], v=v[k], w=w[k],
         branch=FieldBranch.STEADY if is_steady else FieldBranch.TRANSIENT)

@@ -100,12 +100,13 @@ def quad_kernel(kernel_id: str, x_shift: float, t: float,
     e^{i left s} and a node factor e^{i off s} that carries the weight.
     The sum is then regrouped by node column: for each of the PANEL_ORDER
     offsets, two dots of the panel phase vectors with 1/(left - a + off),
-    so no (panels x nodes) array is formed.  The panel phases come from
-    coarse and fine tables (``_panel_phases``).  A chunk of panels within
-    reach of a real center keeps the per-node sum with the first-order
-    expansion of phi where |(omega - a) t| < 1e-8.  Same integral, same
-    nodes, no E1 and no closed-form algebra, so it stays independent of
-    the engine.
+    so no (panels x nodes) array is formed; at a real center the
+    reciprocals are real and both dots are one real matrix-vector product.
+    The panel phases come from coarse and fine tables (``_panel_phases``).
+    A chunk of panels within reach of a real center keeps the per-node sum
+    with the first-order expansion of phi where |(omega - a) t| < 1e-8.
+    Same integral, same nodes, no E1 and no closed-form algebra, so it
+    stays independent of the engine.
 
     Parameters
     ----------
@@ -176,6 +177,15 @@ def quad_kernel(kernel_id: str, x_shift: float, t: float,
             small = np.abs(zt) < 1e-8
             vals[small] = 1j * t * (1.0 + 0.5j * zt[small]) * trailing[small]
             total += np.sum(vals)
+            continue
+        if a.imag == 0:
+            # a real center has real reciprocals: one real matrix-vector
+            # product per node column against the phases' float view
+            phases = np.column_stack([ahead, behind]).view(float)
+            for lead_n, trail_n, off_n in zip(lead, trail, off):
+                fwd, bwd = (np.reciprocal(base.real + off_n) @ phases) \
+                    .view(complex)
+                total += lead_n * fwd - trail_n * bwd
             continue
         for lead_n, trail_n, off_n in zip(lead, trail, off):
             r = np.reciprocal(base + off_n)

@@ -269,3 +269,55 @@ def _rhs_continuum_evolve(params, t_final, n_modes, launch_delay=0.0):
 def rhs_continuum_evolve():
     """The continuum RK4 with the full right-hand side at every stage."""
     return _rhs_continuum_evolve
+
+
+def _per_cell_write_csv(path, lines, columns, rows):
+    """``cli.write_csv`` in its per-cell writing, as a reference.
+
+    Every cell is formatted on its own: text as itself, anything else as
+    %.17g, joined by commas row by row.
+    """
+    def fmt(value):
+        return value if isinstance(value, str) else "%.17g" % value
+
+    with open(path, "w", newline="") as handle:
+        for line in lines:
+            handle.write(f"# {line}\n")
+        handle.write(",".join(columns) + "\n")
+        for row in rows:
+            handle.write(",".join(fmt(v) for v in row) + "\n")
+
+
+@pytest.fixture(scope="session")
+def per_cell_write_csv():
+    """The CSV writer that formats and joins cell by cell."""
+    return _per_cell_write_csv
+
+
+def _per_point_field_rows(params, x_over_d, ratios, omega, t, branch, label):
+    """``cli._field_rows`` in its per-point writing, as a reference.
+
+    The same one ``drive_sweep`` call, read off slice by slice and point by
+    point into row tuples of numpy scalars.
+    """
+    x_over_d = np.asarray(x_over_d, dtype=float)
+    grid = fields.space_time_grid(params, x_over_d * params.distance, [t])
+    slices = fields.drive_sweep(grid, collective_rates(params), params,
+                                omega, branch=branch)
+    amp2 = params.amplitude ** 2
+    rows = []
+    for ratio, fs in zip(ratios, slices):
+        u, v, w = fs.u[0], fs.v[0], fs.w[0]
+        for i, xod in enumerate(x_over_d):
+            rows.append((label, xod, ratio,
+                         u[i].real, u[i].imag, v[i].real, v[i].imag,
+                         w[i].real, w[i].imag,
+                         abs(u[i]) ** 2 / amp2, abs(v[i]) ** 2 / amp2,
+                         abs(w[i]) ** 2 / amp2))
+    return rows
+
+
+@pytest.fixture(scope="session")
+def per_point_field_rows():
+    """The field-table rows built carrier by carrier and point by point."""
+    return _per_point_field_rows

@@ -2,14 +2,17 @@
 
 import json
 import lzma
+import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wqed import cli, specfun, validation
+from wqed.model import ModelParams
 
 # stored figure datasets, written by the per-point field code
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "benchmarks/reference"
@@ -292,11 +295,14 @@ def test_console_entry_point_installed():
     assert proc.returncode == 0
 
 
-@pytest.mark.parametrize("preset", ["fig6", "fig9", "fig10", "fig11"])
+@pytest.mark.parametrize("preset", ["fig2", "fig3", "fig7", "fig8", "fig6",
+                                    "fig9", "fig10", "fig11"])
 def test_field_preset_matches_stored_reference(preset, tmp_path, monkeypatch):
-    # whole drive sweeps per block must reproduce the point-by-point data:
-    # same text between the numbers, numbers within 1e-12 * max(|ref|, 1)
-    code = run_cli(["field", "--preset", preset, "--out", "got.csv"],
+    # every stored figure dataset (the field presets' from the point-by-point
+    # field code) is reproduced: same text between the numbers, numbers
+    # within 1e-12 * max(|ref|, 1)
+    command = cli.PRESETS[preset]["command"]
+    code = run_cli([command, "--preset", preset, "--out", "got.csv"],
                    tmp_path, monkeypatch)
     assert code == 0
     got = (tmp_path / "got.csv").read_text().splitlines()
@@ -311,6 +317,64 @@ def test_field_preset_matches_stored_reference(preset, tmp_path, monkeypatch):
         for gn, rn in zip(g_parts[1::2], r_parts[1::2]):
             assert abs(float(gn) - float(rn)) \
                 <= 1e-12 * max(abs(float(rn)), 1.0), (gn, rn)
+
+
+def test_closed_stdout_exits_two_without_traceback():
+    # a reader that goes away, as in ``wqed oracle-check | head -1``, is
+    # not an oracle failure: exit 2 and nothing on stderr
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "wqed.cli",
+                               "oracle-check"], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+
+
+# a table of the cells that %.17g writes in its own ways: nan, +-inf, -0.0,
+# the smallest subnormal, the largest decades, Python ints and a text column
+EDGE_COLUMNS = ["label", "a", "b", "c", "d", "n"]
+EDGE_ROWS = [
+    ("p", float("nan"), float("inf"), -0.0, 5e-324, 3),
+    ("q:x=-1d", float("-inf"), 1e308, 0.1, -5e-324, -12),
+    ("r", 1.0 / 3.0, -1e308, 2.5e-310, np.float64(1e-300), 0),
+]
+
+
+@pytest.mark.parametrize("rows", [EDGE_ROWS, []], ids=["edge", "empty"])
+def test_write_csv_matches_per_cell_writing(rows, tmp_path,
+                                            per_cell_write_csv):
+    lines = ["wqed test", "x = %.17g" % 0.1]
+    cli.write_csv(tmp_path / "got.csv", lines, EDGE_COLUMNS, rows)
+    per_cell_write_csv(tmp_path / "ref.csv", lines, EDGE_COLUMNS, rows)
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got == (tmp_path / "ref.csv").read_bytes()
+    assert got.count(b"\n") == len(lines) + 1 + len(rows)
+
+
+@pytest.mark.parametrize("x_over_d, ratios, t, branch", [
+    ([3.0], np.linspace(0.98, 1.02, 41), 5e-6, "steady"),      # line
+    (np.linspace(1.05, 6.0, 37), [1.007], 5e-6, "steady"),     # scan
+    ([1.5, 2.0, 4.0], [0.99, 1.01], 2e-8, "transient"),        # 2 x 3
+], ids=["line", "scan", "product"])
+def test_field_rows_match_per_point_writing(x_over_d, ratios, t, branch,
+                                            tmp_path, per_cell_write_csv,
+                                            per_point_field_rows):
+    omega_q = 2.0 * np.pi * 5.0e9
+    params = ModelParams.from_phase(omega_q, 0.01 * omega_q, 0.5,
+                                    amplitude=0.37)
+    omega = np.asarray(ratios) * params.omega_q
+    args = (params, x_over_d, ratios, omega, t, branch, "block")
+    rows = cli._field_rows(*args)
+    ref = per_point_field_rows(*args)
+    assert len(rows) == len(ref) == len(ratios) * len(x_over_d)
+    cli.write_csv(tmp_path / "got.csv", [], cli._FIELD_COLUMNS, rows)
+    per_cell_write_csv(tmp_path / "ref.csv", [], cli._FIELD_COLUMNS, ref)
+    assert (tmp_path / "got.csv").read_bytes() \
+        == (tmp_path / "ref.csv").read_bytes()
 
 
 PRESET_OF = {"spectrum": "fig2", "field": "fig6", "peaks": "fig8",
