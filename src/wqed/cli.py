@@ -212,7 +212,9 @@ def read_scenario(path):
                 raise ScenarioError(
                     f"unknown key '{key}' in section [{section}]; allowed: "
                     + ", ".join(allowed))
-            scenario[section][key] = _parse_value(raw)
+            # a path is text, even when it looks like a number or a list
+            scenario[section][key] = raw if section == "output" \
+                else _parse_value(raw)
     return scenario
 
 
@@ -653,22 +655,24 @@ def build_parser():
     parser.add_argument("--version", action="version",
                         version=f"wqed {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="INI scenario file")
-    common.add_argument("--preset",
-                        help="figure preset name (fig2 .. fig11)")
-    common.add_argument("--out", help="output CSV path")
-    common.add_argument("--json", action="store_true",
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("--config", help="INI scenario file")
+    scenario.add_argument("--preset",
+                          help="figure preset name (fig2 .. fig11)")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", help="output CSV path")
+    output.add_argument("--json", action="store_true",
                         help="also write a JSON mirror")
-    sub.add_parser("spectrum", parents=[common],
+    sub.add_parser("spectrum", parents=[scenario, output],
                    help="transmittance/reflectance sweep")
-    sub.add_parser("field", parents=[common],
+    sub.add_parser("field", parents=[scenario, output],
                    help="field envelopes over a grid")
-    sub.add_parser("beating", parents=[common],
+    sub.add_parser("beating", parents=[scenario, output],
                    help="beat-note time series and FFT peak")
-    sub.add_parser("peaks", parents=[common],
+    sub.add_parser("peaks", parents=[scenario, output],
                    help="reflected resonance-peak value vs distance")
-    check = sub.add_parser("oracle-check", parents=[common],
+    # the checks take no scenario: refuse --preset and --config outright
+    check = sub.add_parser("oracle-check", parents=[output],
                            help="oracle-vs-closed-form validation suite")
     check.add_argument("--full", action="store_true",
                        help="include the slow continuum and memory checks")
@@ -687,8 +691,6 @@ _DISPATCH = {
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not hasattr(args, "full"):
-        args.full = False
     try:
         if args.command == "oracle-check":
             scenario = {"command": args.command, "caption": None,

@@ -9,17 +9,17 @@ single master kernel
 
 with s2 = s1 - t, evaluated at s1 = +-(shifted coordinate)/v_g and at a
 center ``a`` that is either a complex collective pole, the drive carrier,
-or the bare qubit frequency.  This module evaluates that kernel (through
-the scaled E1, so the decaying channels neither under- nor overflow) and
-its t -> inf limit: a decaying pole leaves nothing, a real center (the
-drive carrier, or the bare Omega of a channel that is dark in a pinned
-regime) leaves a plane wave.  One channel sum turns either of the two into
-the scattered field, so the transient and the steady field are assembled
-the same way.  ``drive_sweep`` assembles the field on a grid for a whole
-sweep of drive carriers in one call, and every slice carries the
-right-moving envelope u, the left-moving v and their sum w.  The module
-also provides the scattering spectra and closed-form resonance peak
-heights.
+or the bare qubit frequency.  ``closed_kernel(s1, t, a)`` evaluates that
+kernel through the scaled E1, so the decaying channels neither under- nor
+overflow, and ``oracle.quad_kernel`` takes the same arguments.  In the
+t -> inf limit a decaying pole leaves nothing, a real center (the drive
+carrier, or the bare Omega of a channel that is dark in a pinned regime)
+a plane wave.  One channel sum turns either of the two into the scattered
+field, so the transient and the steady field are assembled the same way.
+``drive_sweep`` assembles the field on a grid for a whole sweep of drive
+carriers in one call, and every slice carries the right-moving envelope
+u, the left-moving v and their sum w.  The module also provides the
+scattering spectra and closed-form resonance peak heights.
 
 The first E1 argument above, i*a*s1, follows from closing the frequency
 contour.  An alternative reading with the argument a*s1 circulates; the
@@ -54,21 +54,22 @@ EXCLUSION_FRACTION = 0.05
 # ---------------------------------------------------------------------------
 # the master kernel
 
-def _wave_kernel(s1, t, a):
-    """Master kernel over the broadcast of s1, t and the center ``a``.
+def closed_kernel(s1, t, a):
+    """Master kernel K(s1, t; a) over the broadcast of s1, t and ``a``.
 
-    s1 is the retarded coordinate and t the elapsed time.  ``a`` is one
-    complex center or an array of them, such as a drive axis of carriers
-    shaped to broadcast against a [time, position] grid; their imaginary
-    parts must be <= 0 (decaying channels), which is what the closing of
-    the contour assumed.  The launch term e^{-iat} E1s(i a s1) is a product
-    of two factors that are evaluated on the broadcast of ``a`` with t and
-    with s1 alone: on such a grid once per time and once per position, not
-    once per point.
+    s1 is +-(x or x - d)/v_g (forward or backward) and t the elapsed time.
+    ``a`` is one center or an array of them, such as a drive axis of
+    carriers shaped to broadcast against a [time, position] grid; the
+    contour closing assumes Im a <= 0, so a growing center raises.  The
+    launch term e^{-iat} E1s(i a s1) is a product of two factors evaluated
+    on the broadcast of ``a`` with t and with s1 alone: on such a grid once
+    per time and once per position, not once per point.
     """
     s1 = np.asarray(s1, dtype=float)
     t = np.asarray(t, dtype=float)
     a = np.asarray(a, dtype=complex)
+    if np.any(a.imag > 0):
+        raise ValueError("kernel centers must not grow: need Im a <= 0")
     s2 = s1 - t
     if np.any(s1 == 0) or np.any(s2 == 0):
         raise ValueError(
@@ -85,36 +86,15 @@ def _wave_kernel(s1, t, a):
     return out if np.ndim(out) else complex(out)
 
 
-def closed_kernel(kernel_id: str, x_shift, t, rates: CollectiveRates,
-                  params: ModelParams):
-    """Master kernel by id, the closed form of ``oracle.quad_kernel``.
-
-    ``kernel_id`` is "fwd" (s1 = x_shift/v_g) or "bwd" (s1 = -x_shift/v_g),
-    an underscore, and the center: "decay_plus"/"decay_minus" for the
-    collective poles Omega - i*gamma_+-, "drive" for omega_s, "resonant"
-    for the bare Omega; any other id raises ValueError.  ``x_shift`` (x or
-    x - d, meters) and ``t`` (seconds) broadcast against each other.
-    """
-    centers = {"decay_plus": params.omega_q - 1j * rates.gamma_plus,
-               "decay_minus": params.omega_q - 1j * rates.gamma_minus,
-               "drive": params.omega_s, "resonant": params.omega_q}
-    direction, _, center = str(kernel_id).partition("_")
-    if direction not in ("fwd", "bwd") or center not in centers:
-        raise ValueError(f"unknown kernel id {kernel_id!r}")
-    sign = 1.0 if direction == "fwd" else -1.0
-    return _wave_kernel(sign * np.asarray(x_shift) / params.v_g, t,
-                        centers[center])
-
-
 def _kernel_limit(s1, t, a):
-    """What ``_wave_kernel`` leaves once its transients have died out.
+    """What ``closed_kernel`` leaves once its transients have died out.
 
     A decaying center (Im a < 0) leaves nothing.  A real center, such as a
     drive carrier or the bare Omega of a dark channel, leaves the plane
     e^{i a (s1 - t)} M(a s1), where M(w) = 2 pi i - ci(w) + i si(w) on the
     outgoing side (w > 0) and -(ci(|w|) + i si(|w|)) on the other.  ``a``
     is one center or an array of them that are all decaying or all real,
-    and broadcasts against s1 and t as in ``_wave_kernel``.
+    and broadcasts against s1 and t as in ``closed_kernel``.
     """
     a = np.asarray(a, dtype=complex)
     if np.all(a.imag < 0):
@@ -253,7 +233,7 @@ def _scattered_sum(kernel, y1, y2, t, rates: CollectiveRates,
                    params: ModelParams, omega_s, c_plus, c_minus):
     """Scattered envelope from kernels at shifted coordinates (y1, y2).
 
-    ``kernel`` is ``_wave_kernel`` for the transient field and
+    ``kernel`` is ``closed_kernel`` for the transient field and
     ``_kernel_limit`` for the steady one.  For the forward field pass
     (x, x-d); for the backward field pass (-x, -(x-d)).  The channel
     pattern (symmetric adds the two shifts, antisymmetric subtracts) is the
@@ -335,7 +315,8 @@ def _drive_fields(grid: SpaceTimeGrid, rates: CollectiveRates,
 
     def scattered(y1, y2):
         out = np.empty((omega.size, grid.t.size, grid.x.size), dtype=complex)
-        for kernel, pick in ((_kernel_limit, steady), (_wave_kernel, ~steady)):
+        for kernel, pick in ((_kernel_limit, steady),
+                             (closed_kernel, ~steady)):
             if pick.any():
                 out[pick] = _scattered_sum(kernel, y1, y2, tt, rates, params,
                                            *(a[pick] for a in drive))

@@ -28,12 +28,6 @@ from .model import CollectiveRates, ModelParams
 # ---------------------------------------------------------------------------
 # frequency-integral oracle for the wave kernels
 
-KERNEL_IDS = (
-    "fwd_decay_plus", "fwd_decay_minus", "fwd_drive", "fwd_resonant",
-    "bwd_decay_plus", "bwd_decay_minus", "bwd_drive", "bwd_resonant",
-)
-
-
 # Panel quadrature: each panel is at most 1/POINTS_PER_PERIOD of the
 # fastest oscillation present wide and holds PANEL_ORDER Gauss-Legendre
 # nodes; a kernel needing more than MAX_NODES nodes is refused, and the
@@ -45,19 +39,6 @@ PANEL_ORDER = 8
 MAX_NODES = 2.0e7
 CHUNK_NODES = 65536
 PHASE_FINE = 64
-
-
-def _kernel_center(kernel_id: str, params: ModelParams,
-                   rates: CollectiveRates | None) -> complex:
-    key = kernel_id.split("_", 1)[1]
-    if key == "drive":
-        return complex(params.omega_s)
-    if key == "resonant":
-        return complex(params.omega_q)
-    if rates is None:
-        raise ValueError(f"kernel {kernel_id!r} needs collective rates")
-    gamma = rates.gamma_plus if key == "decay_plus" else rates.gamma_minus
-    return params.omega_q - 1j * gamma
 
 
 def _tail_inverse_omega(s: float, cutoff: float) -> complex:
@@ -87,14 +68,14 @@ def _panel_phases(s: float, width: float, first: int, count: int) -> np.ndarray:
     return (coarse[:, None] * fine).ravel()[:count]
 
 
-def quad_kernel(kernel_id: str, x_shift: float, t: float,
-                params: ModelParams, rates: CollectiveRates | None = None,
+def quad_kernel(s1: float, t: float, a: complex, params: ModelParams,
                 cutoff_factor: float = 20.0) -> complex:
-    """Defining frequency integral of one wave kernel, by brute force.
+    """Defining frequency integral of the master kernel, by brute force.
 
-    Evaluates int_0^inf phi(omega - a, t) e^{i omega (s1 - t)} domega with
-    phi(z, t) = (e^{izt} - 1)/z, s1 = +-x_shift/v_g according to the
-    kernel's direction, and the center a picked by ``kernel_id``.
+    Evaluates K(s1, t; a) = int_0^inf phi(omega - a, t) e^{i omega (s1 - t)}
+    domega with phi(z, t) = (e^{izt} - 1)/z, for the same arguments as
+    ``fields.closed_kernel``: the retarded coordinate s1, (x or x - d)/v_g
+    forward and -(x or x - d)/v_g backward, the time t and the center a.
     The integrand is (e^{-iat} e^{i omega s1} - e^{i omega s2})/(omega - a),
     and a node at omega = left + off splits each phase into a panel factor
     e^{i left s} and a node factor e^{i off s} that carries the weight.
@@ -110,15 +91,14 @@ def quad_kernel(kernel_id: str, x_shift: float, t: float,
 
     Parameters
     ----------
-    kernel_id : str
-        One of ``KERNEL_IDS``.
-    x_shift : float
-        Shifted coordinate (x or x - d) in meters.
+    s1 : float
+        Retarded coordinate in seconds, nonzero and not equal to t.
     t : float
         Elapsed time in seconds, > 0.
+    a : complex
+        Center of the kernel: a collective pole, a drive carrier or Omega.
     params : ModelParams
-    rates : CollectiveRates, optional
-        Required for the decay kernels.
+        Only sets the cutoff, through Omega and the drive carrier.
     cutoff_factor : float
         Hard frequency cutoff as a multiple of the largest frequency in the
         problem; beyond it the integrand's 1/omega and a/omega^2 tails are
@@ -128,17 +108,13 @@ def quad_kernel(kernel_id: str, x_shift: float, t: float,
     -------
     complex
     """
-    if kernel_id not in KERNEL_IDS:
-        raise ValueError(f"unknown kernel id {kernel_id!r}")
     if t <= 0:
         raise ValueError("t must be positive")
-    sign = 1 if kernel_id.startswith("fwd") else -1
-    s1 = sign * x_shift / params.v_g
     s2 = s1 - t
     if s1 == 0 or s2 == 0:
         raise ValueError("kernel is singular where a shifted coordinate "
                          "or the light front vanishes exactly")
-    a = _kernel_center(kernel_id, params, rates)
+    a = complex(a)
 
     cutoff = cutoff_factor * max(params.omega_q, params.omega_s, abs(a))
     fastest = max(abs(s1), abs(s2), t)
@@ -199,13 +175,18 @@ def quad_kernel(kernel_id: str, x_shift: float, t: float,
     return complex(total + tail)
 
 
-def _quad_field(direction: str, x: float, t: float, rates: CollectiveRates,
+def _quad_field(sign: float, x: float, t: float, rates: CollectiveRates,
                 params: ModelParams) -> complex:
-    """Scattered field at (x, t) from the ``direction`` ("fwd"/"bwd") kernels."""
+    """Scattered field at (x, t) from the kernels at s1 = sign*(x or x-d)/v_g.
+
+    ``sign`` is 1 for the forward field and -1 for the backward one; the
+    centers are the two collective poles and the drive carrier.
+    """
+    centers = (params.omega_q - 1j * rates.gamma_plus,
+               params.omega_q - 1j * rates.gamma_minus, params.omega_s)
     kp1, kp2, km1, km2, ks1, ks2 = (
-        quad_kernel(f"{direction}_{center}", shift, t, params, rates)
-        for center in ("decay_plus", "decay_minus", "drive")
-        for shift in (x, x - params.distance))
+        quad_kernel(sign * shift / params.v_g, t, a, params)
+        for a in centers for shift in (x, x - params.distance))
     return -0.5 * params.coupling * (rates.c_plus * (kp1 + kp2 - ks1 - ks2)
                                      + rates.c_minus * (km1 - km2 - ks1 + ks2))
 
@@ -213,13 +194,13 @@ def _quad_field(direction: str, x: float, t: float, rates: CollectiveRates,
 def quad_field_forward(x: float, t: float, rates: CollectiveRates,
                        params: ModelParams) -> complex:
     """Scattered forward field at (x, t) assembled from quadrature kernels."""
-    return _quad_field("fwd", x, t, rates, params)
+    return _quad_field(1, x, t, rates, params)
 
 
 def quad_field_backward(x: float, t: float, rates: CollectiveRates,
                         params: ModelParams) -> complex:
     """Scattered backward field at (x, t) assembled from quadrature kernels."""
-    return _quad_field("bwd", x, t, rates, params)
+    return _quad_field(-1, x, t, rates, params)
 
 
 # ---------------------------------------------------------------------------

@@ -59,28 +59,31 @@ def e1_reference():
 def kernel_errors(rng, n, kernels):
     """Worst error of each kernel writing against quadrature, per direction.
 
-    ``n`` random (kernel id, shift, time) samples cycle through the three
-    regimes and the kernel ids.  Each quadrature value scores every
-    ``kernels[name]`` (called like ``fields.closed_kernel``) relative to
-    max(|quadrature|, 1e-3).  Returns {(name, "fwd" or "bwd"): error}.
+    ``n`` random (s1, t, center) samples cycle through the three regimes,
+    and through the forward then the backward kernels at the four centers:
+    the collective poles Omega - i*gamma_+ and Omega - i*gamma_-, the
+    drive and Omega.  Each quadrature value scores every ``kernels[name]``
+    (called like ``fields.closed_kernel``) relative to max(|quadrature|,
+    1e-3).  Returns {(name, "fwd" or "bwd"): error}.
     """
     presets = list(_presets().values())
     rates = [model.collective_rates(p) for p in presets]
     worst = {(name, way): 0.0 for name in kernels for way in ("fwd", "bwd")}
     for i in range(n):
         p, r = presets[i % 3], rates[i % 3]
-        kernel_id = oracle.KERNEL_IDS[i % len(oracle.KERNEL_IDS)]
+        a = (p.omega_q - 1j * r.gamma_plus, p.omega_q - 1j * r.gamma_minus,
+             p.omega_s, p.omega_q)[i % 4]
+        way = "fwd" if i % 8 < 4 else "bwd"
         t = rng.uniform(0.2, 2.0) * 40.0 / p.gamma
-        if kernel_id.startswith("bwd"):
-            x_shift = rng.uniform(-4.0, -0.1) * p.distance
+        if way == "bwd":
+            s1 = -rng.uniform(-4.0, -0.1) * p.distance / p.v_g
         else:
-            x_shift = rng.uniform(1.1, 5.0) * p.distance
-        brute = oracle.quad_kernel(kernel_id, x_shift, t, p, r)
+            s1 = rng.uniform(1.1, 5.0) * p.distance / p.v_g
+        brute = oracle.quad_kernel(s1, t, a, p)
         scale = max(abs(brute), 1.0e-3)
         for name, kernel in kernels.items():
-            err = abs(complex(kernel(kernel_id, x_shift, t, r, p)) - brute)
-            key = (name, kernel_id[:3])
-            worst[key] = max(worst[key], err / scale)
+            err = abs(complex(kernel(s1, t, a)) - brute)
+            worst[name, way] = max(worst[name, way], err / scale)
     return worst
 
 

@@ -19,7 +19,6 @@ from wqed.oracle import (
     PANEL_ORDER,
     POINTS_PER_PERIOD,
     ContinuumResult,
-    _kernel_center,
     _tail_inverse_omega,
     _tail_inverse_omega_sq,
     gaussian_spectrum,
@@ -69,7 +68,25 @@ def rates_for(params):
     return collective_rates(params)
 
 
-def _printed_kernel(kernel_id, x_shift, t, rates, params):
+def _centers_by_name(params):
+    """The four kernel centers of ``params``, by name, in the field's order.
+
+    The collective poles Omega - i*gamma_+ and Omega - i*gamma_-, the drive
+    carrier and the bare Omega.
+    """
+    r = collective_rates(params)
+    return {"decay_plus": params.omega_q - 1j * r.gamma_plus,
+            "decay_minus": params.omega_q - 1j * r.gamma_minus,
+            "drive": params.omega_s, "resonant": params.omega_q}
+
+
+@pytest.fixture(scope="session")
+def kernel_centers():
+    """Map a parameter set to its four kernel centers by name."""
+    return _centers_by_name
+
+
+def _printed_kernel(s1, t, a):
     """``fields.closed_kernel`` with the launch term in its printed writing.
 
     The launch term e^{-iat} E1s(i a s1) of the closed kernel is swapped for
@@ -77,15 +94,12 @@ def _printed_kernel(kernel_id, x_shift, t, rates, params):
     a*s1 instead of i*a*s1.  Only defined for s1 > 0: elsewhere that
     argument lands on the branch cut of E1.
     """
-    s1 = (1.0 if kernel_id.startswith("fwd") else -1.0) * x_shift / params.v_g
-    a = _kernel_center(kernel_id, params, rates)
-    if np.any(s1 <= 0):
+    if np.any(np.asarray(s1) <= 0):
         raise ValueError("printed writing undefined for s1 <= 0 (E1 branch cut)")
     t = np.asarray(t, dtype=float)
     rotated = np.exp(-1j * a * t) * e1_scaled(1j * a * s1)
     printed = np.exp(-1j * a * t + (1j - 1.0) * a * s1) * e1_scaled(a * s1)
-    return fields.closed_kernel(kernel_id, x_shift, t, rates, params) \
-        - rotated + printed
+    return fields.closed_kernel(s1, t, a) - rotated + printed
 
 
 @pytest.fixture(scope="session")
@@ -97,7 +111,7 @@ def printed_kernel():
 def _wave_kernel_trig(s1, t, omega):
     """Second writing of the real-center kernel, via sine/cosine integrals.
 
-    Mathematically identical to ``fields._wave_kernel`` at a real center:
+    Mathematically identical to ``fields.closed_kernel`` at a real center:
     the steady limit ``fields._kernel_limit`` plus the front term, which
     decays as the light front recedes.  ci and si are read from the same E1
     as the kernel's, at the absolute values of its arguments, so the
@@ -121,16 +135,15 @@ def wave_kernel_trig():
     return _wave_kernel_trig
 
 
-def _per_node_quad_kernel(kernel_id, x_shift, t, params, rates=None):
+def _per_node_quad_kernel(s1, t, a, params):
     """``oracle.quad_kernel`` in its per-node writing, as a reference.
 
     Same panels, nodes, weights and analytic tail as the oracle at its
     default cutoff, but every node evaluates phi(omega - a, t) e^{i omega s2}
     with its own two complex exponentials instead of the factored phases.
     """
-    s1 = (1.0 if kernel_id.startswith("fwd") else -1.0) * x_shift / params.v_g
     s2 = s1 - t
-    a = _kernel_center(kernel_id, params, rates)
+    a = complex(a)
     cutoff = 20.0 * max(params.omega_q, params.omega_s, abs(a))
     h = 2.0 * np.pi / (POINTS_PER_PERIOD * max(abs(s1), abs(s2), t))
     if a.imag < 0:

@@ -43,6 +43,12 @@ def test_qubit_amplitudes_reject_negative_times(weak_generic):
         qubit_amplitudes(r, weak_generic, [-1e-9])
 
 
+def test_spectral_amplitudes_reject_negative_time(weak_generic):
+    r = collective_rates(weak_generic)
+    with pytest.raises(ValueError, match="non-negative"):
+        spectral_amplitudes(r, weak_generic, [weak_generic.omega_q], -1e-9)
+
+
 def test_qubit_amplitudes_match_ode_generic(weak_generic):
     p = weak_generic.with_drive(1.005 * weak_generic.omega_q)
     assert validation.amplitudes_vs_ode([p]) < 1e-6

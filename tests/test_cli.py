@@ -503,3 +503,46 @@ def test_peaks_and_beating_points_are_validated_like_field_grids(
     err = refused_error(command, f"[{command}]\n{overrides}\n",
                         tmp_path, monkeypatch, capsys)
     assert reason in err
+
+
+@pytest.mark.parametrize("argv, config_text, reason", [
+    (["spectrum"], None, "--preset and/or --config"),
+    (["spectrum", "--preset", "fig99"], None, "unknown preset 'fig99'"),
+    (["field", "--preset", "fig2"], None, "'spectrum' subcommand"),
+    (["field", "--config", "model.ini"],
+     "[model]\n" + "\n".join(MODEL_RATIOS.values()) + "\n", "grid.x_over_d"),
+    (["spectrum", "--config", "absent.ini"], None, "cannot read config"),
+])
+def test_scenario_refusals_exit_two_with_one_line(argv, config_text, reason,
+                                                  tmp_path, monkeypatch,
+                                                  capsys):
+    if config_text is not None:
+        (tmp_path / "model.ini").write_text(config_text)
+    code = run_cli(argv + ["--out", "x.csv"], tmp_path, monkeypatch)
+    assert code == 2
+    assert not (tmp_path / "x.csv").exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and reason in err[0]
+
+
+@pytest.mark.parametrize("path", ["3", "a,b.csv"])
+def test_output_path_is_read_as_text(path, tmp_path, monkeypatch):
+    # a path that looks like a number or a comma list is still one file name
+    (tmp_path / "out.ini").write_text(f"[output]\npath = {path}\n")
+    code = run_cli(["peaks", "--preset", "fig8", "--config", "out.ini"],
+                   tmp_path, monkeypatch)
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["out.ini", path])
+
+
+@pytest.mark.parametrize("flag", [["--preset", "fig2"],
+                                  ["--config", "absent.ini"]])
+def test_oracle_check_refuses_scenario_flags(flag, tmp_path, monkeypatch,
+                                             capsys):
+    # the checks take no scenario, so a preset or config is an error, not
+    # something to ignore
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(["oracle-check"] + flag, tmp_path, monkeypatch)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -13,7 +13,7 @@ import pytest
 
 from wqed import fields
 from wqed.model import ModelParams, collective_rates
-from wqed.oracle import KERNEL_IDS, quad_kernel
+from wqed.oracle import quad_kernel
 
 OMEGA_Q = 2.0 * np.pi * 5.0e9
 
@@ -24,98 +24,99 @@ def _preset(tag):
                                   omega_s=1.005 * OMEGA_Q)
 
 
-@pytest.mark.parametrize("tag", ["generic", "even", "odd"])
-@pytest.mark.parametrize("kernel_id", KERNEL_IDS)
-def test_closed_kernels_match_quadrature(tag, kernel_id):
+TAGS = ("generic", "even", "odd")
+CENTERS = ("decay_plus", "decay_minus", "drive", "resonant")
+WAYS = ("fwd", "bwd")
+
+
+@pytest.mark.parametrize("tag", TAGS)
+@pytest.mark.parametrize("way, center", [
+    pytest.param(way, center, id=f"{way}_{center}")
+    for way in WAYS for center in CENTERS])
+def test_closed_kernels_match_quadrature(tag, way, center, kernel_centers):
     p = _preset(tag)
-    r = collective_rates(p)
-    rng = np.random.default_rng(hash((tag, kernel_id)) % 2 ** 32)
+    a = kernel_centers(p)[center]
+    # fixed integer seeds: the same points on every run
+    rng = np.random.default_rng(
+        [TAGS.index(tag), CENTERS.index(center), WAYS.index(way)])
     t = rng.uniform(0.3, 1.5) * 40.0 / p.gamma
-    if kernel_id.startswith("bwd"):
-        x_shift = rng.uniform(-4.0, -0.1) * p.distance
+    if way == "bwd":
+        s1 = -rng.uniform(-4.0, -0.1) * p.distance / p.v_g
     else:
-        x_shift = rng.uniform(1.1, 5.0) * p.distance
-    closed = fields.closed_kernel(kernel_id, x_shift, t, r, p)
-    brute = quad_kernel(kernel_id, x_shift, t, p, r)
+        s1 = rng.uniform(1.1, 5.0) * p.distance / p.v_g
+    closed = fields.closed_kernel(s1, t, a)
+    brute = quad_kernel(s1, t, a, p)
     scale = max(abs(brute), 1e-3)
     assert abs(complex(closed) - brute) / scale < 1e-3
 
 
-def test_closed_kernels_tight_agreement_with_long_tail():
+def test_closed_kernels_tight_agreement_with_long_tail(kernel_centers):
     # with a longer quadrature cutoff the oracle itself sharpens and the
     # agreement drops well below the routine tolerance
     p = _preset("generic")
-    r = collective_rates(p)
+    centers = kernel_centers(p)
     t = 20.0 / p.gamma
     worst = 0.0
-    for kernel_id, x_over_d in (("fwd_decay_plus", 2.0), ("bwd_drive", -1.5)):
-        x_shift = x_over_d * p.distance
-        closed = fields.closed_kernel(kernel_id, x_shift, t, r, p)
-        brute = quad_kernel(kernel_id, x_shift, t, p, r, cutoff_factor=40.0)
+    for center, s1 in (("decay_plus", 2.0 * p.distance / p.v_g),
+                       ("drive", 1.5 * p.distance / p.v_g)):
+        a = centers[center]
+        closed = fields.closed_kernel(s1, t, a)
+        brute = quad_kernel(s1, t, a, p, cutoff_factor=40.0)
         worst = max(worst, abs(complex(closed) - brute) / abs(brute))
     assert worst < 1e-5
 
 
-def test_kernel_winding_across_the_wavefront():
+def test_kernel_winding_across_the_wavefront(kernel_centers):
     # the retarded coordinate x - v_g t changes sign across the front and
     # the closed writing picks up a 2*pi*i winding there; sample both sides
     p = _preset("generic")
-    r = collective_rates(p)
-    x_shift = 2.0 * p.distance
-    t_front = x_shift / p.v_g
-    for t in (0.8 * t_front, 1.25 * t_front):
-        closed = fields.closed_kernel("fwd_decay_plus", x_shift, t, r, p)
-        brute = quad_kernel("fwd_decay_plus", x_shift, t, p, r)
+    a = kernel_centers(p)["decay_plus"]
+    s1 = 2.0 * p.distance / p.v_g
+    for t in (0.8 * s1, 1.25 * s1):
+        closed = fields.closed_kernel(s1, t, a)
+        brute = quad_kernel(s1, t, a, p)
         assert abs(complex(closed) - brute) / max(abs(brute), 1e-3) < 1e-3
 
 
-def test_wavefront_jump_is_i_pi():
+def test_wavefront_jump_is_i_pi(kernel_centers):
     # crossing the front turns on the 2*pi*i winding while the E1 branch
     # jump eats half of it, leaving a discontinuity of exactly i*pi times
     # a unit-modulus carrier; measure it by straddling the front tightly
     p = _preset("generic")
-    r = collective_rates(p)
-    x_shift = 3.0 * p.distance
-    t_front = x_shift / p.v_g
+    a = kernel_centers(p)["decay_plus"]
+    s1 = 3.0 * p.distance / p.v_g
     eps = 1e-5
-    after = complex(fields.closed_kernel("fwd_decay_plus", x_shift,
-                                         t_front * (1.0 + eps), r, p))
-    before = complex(fields.closed_kernel("fwd_decay_plus", x_shift,
-                                          t_front * (1.0 - eps), r, p))
-    jump = after - before
+    jump = fields.closed_kernel(s1, s1 * (1.0 + eps), a) \
+        - fields.closed_kernel(s1, s1 * (1.0 - eps), a)
     assert abs(jump - 1j * np.pi) < 0.01 * np.pi
 
 
-def test_kernel_convention_flip_breaks_agreement(printed_kernel):
+def test_kernel_convention_flip_breaks_agreement(printed_kernel,
+                                                 kernel_centers):
     # the rotated E1 argument i*a*s1 is the validated writing; the printed
     # one, a*s1, must disagree with quadrature far beyond the tolerance
     p = _preset("generic")
-    r = collective_rates(p)
-    x_shift = 2.3 * p.distance
+    a = kernel_centers(p)["decay_plus"]
+    s1 = 2.3 * p.distance / p.v_g
     t = 18.0 / p.gamma
-    ref = quad_kernel("fwd_decay_plus", x_shift, t, p, r)
-    good = fields.closed_kernel("fwd_decay_plus", x_shift, t, r, p)
-    bad = printed_kernel("fwd_decay_plus", x_shift, t, r, p)
+    ref = quad_kernel(s1, t, a, p)
+    good = fields.closed_kernel(s1, t, a)
+    bad = printed_kernel(s1, t, a)
     assert abs(complex(good) - ref) / abs(ref) < 1e-3
     assert abs(complex(bad) - ref) / abs(ref) > 1e-2
 
 
-@pytest.mark.parametrize("kernel_id",
-                         KERNEL_IDS + ("sideways", "fwd_", "up_drive"))
-def test_engine_and_oracle_accept_the_same_kernel_ids(kernel_id):
-    # both sides accept exactly the ids in KERNEL_IDS and refuse the rest
+def test_closed_kernel_refuses_a_growing_center(kernel_centers):
+    # the contour closing assumes Im a <= 0; a center in the upper half
+    # plane, alone or on a drive axis, must not be evaluated
     p = _preset("generic")
-    r = collective_rates(p)
-    x_shift = 1.5 * p.distance
-    t = 2.0 * x_shift / p.v_g
-    if kernel_id in KERNEL_IDS:
-        assert np.isfinite(fields.closed_kernel(kernel_id, x_shift, t, r, p))
-        assert np.isfinite(quad_kernel(kernel_id, x_shift, t, p, r))
-    else:
-        with pytest.raises(ValueError, match="unknown kernel id"):
-            fields.closed_kernel(kernel_id, x_shift, t, r, p)
-        with pytest.raises(ValueError, match="unknown kernel id"):
-            quad_kernel(kernel_id, x_shift, t, p, r)
+    a = kernel_centers(p)["decay_plus"]
+    s1 = 2.0 * p.distance / p.v_g
+    t = 20.0 / p.gamma
+    assert np.isfinite(fields.closed_kernel(s1, t, a))
+    for growing in (np.conj(a), np.array([p.omega_s, np.conj(a)])):
+        with pytest.raises(ValueError, match="Im a <= 0"):
+            fields.closed_kernel(s1, t, growing)
 
 
 def test_drive_kernel_matches_trig_writing(wave_kernel_trig):
@@ -129,7 +130,7 @@ def test_drive_kernel_matches_trig_writing(wave_kernel_trig):
     s1 = np.concatenate([rng.uniform(0.05, 5.0, 6),
                          -rng.uniform(0.05, 5.0, 6)]) * 1e-9
     t = 5e-9 * (1.0 + np.logspace(-3.0, 2.0, 6))[:, None]
-    swept = fields._wave_kernel(s1, t, omega[:, None, None])
+    swept = fields.closed_kernel(s1, t, omega[:, None, None])
     assert swept.shape == (omega.size, t.size, s1.size)
     for k, center in enumerate(omega):
         trig = wave_kernel_trig(s1, t, center)
@@ -156,9 +157,9 @@ def test_launch_term_evaluated_off_the_time_axis(center):
     a = {"decay": p.omega_q - 1j * r.gamma_plus, "drive": p.omega_s,
          "resonant": p.omega_q}[center]
     for s1 in (x / p.v_g, -x / p.v_g):
-        grid = fields._wave_kernel(s1[None, :], t[:, None], a)
+        grid = fields.closed_kernel(s1[None, :], t[:, None], a)
         s1_flat, t_flat = np.broadcast_arrays(s1[None, :], t[:, None])
-        flat = fields._wave_kernel(s1_flat.ravel(), t_flat.ravel(), a)
+        flat = fields.closed_kernel(s1_flat.ravel(), t_flat.ravel(), a)
         np.testing.assert_allclose(grid.ravel(), flat, rtol=1e-13, atol=0)
 
 

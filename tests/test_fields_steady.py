@@ -178,6 +178,35 @@ def test_steady_ready_tracks_both_gates(weak_generic):
     assert fields.steady_ready(late, r, p)
 
 
+def test_auto_stays_transient_before_the_last_emission_arrives(
+        weak_generic):
+    # at x = 0.3 d and t = 0.5 d/v_g the emission from the second qubit
+    # has not arrived yet (the lag behind it is negative)
+    p = weak_generic
+    r = collective_rates(p)
+    grid = fields.space_time_grid(p, [0.3 * p.distance],
+                                  [0.5 * p.distance / p.v_g])
+    assert not fields.steady_ready(grid, r, p)
+    assert fields.interqubit_field(grid, r, p).branch \
+        is fields.FieldBranch.TRANSIENT
+
+
+def test_auto_waits_for_the_exponential_transients():
+    # at Gamma = 1e-6 Omega the 1/t tails pass their gate 1e-4 s after the
+    # front, but the decaying channels need about 18/gamma: only the decay
+    # gate tells the two lags apart
+    p = ModelParams.from_phase(2.0 * np.pi * 5.0e9, 2.0 * np.pi * 5.0e3, 0.5)
+    r = collective_rates(p)
+    x = 3.0 * p.distance
+    for lag, branch in ((1e-4, fields.FieldBranch.TRANSIENT),
+                        (1e-2, fields.FieldBranch.STEADY)):
+        grid = fields.space_time_grid(p, [x], [x / p.v_g + lag])
+        assert p.omega_q * lag > 1e6
+        assert fields.steady_ready(grid, r, p) is (
+            branch is fields.FieldBranch.STEADY)
+        assert fields.forward_field(grid, r, p).branch is branch
+
+
 def test_auto_branch_labels_the_slice(weak_generic):
     p = weak_generic
     r = collective_rates(p)
@@ -233,6 +262,29 @@ def test_resonance_peaks_match_steady_energies(all_presets):
     # summarize, in every regime that has a dedicated formula
     cases = [all_presets["generic"], all_presets["even"]]
     assert validation.peaks_vs_steady(cases) < 1e-8
+
+
+def test_field_functions_refuse_the_wrong_region(weak_generic):
+    p = weak_generic
+    r = collective_rates(p)
+    d = p.distance
+    t = [5.0e-6]
+    before = fields.space_time_grid(p, [-2.0 * d], t)
+    behind = fields.space_time_grid(p, [2.0 * d], t)
+    with pytest.raises(ValueError, match="between or behind"):
+        fields.forward_field(before, r, p)
+    with pytest.raises(ValueError, match="before or between"):
+        fields.backward_field(behind, r, p)
+    for grid in (before, behind):
+        with pytest.raises(ValueError, match="Between grid"):
+            fields.interqubit_field(grid, r, p)
+    with pytest.raises(ValueError, match="x > d"):
+        fields.transmitted_resonance_peak([0.5 * d, 2.0 * d], p)
+    with pytest.raises(ValueError, match="x < 0"):
+        fields.reflected_resonance_peak([-2.0 * d, 0.5 * d], p)
+    for x in (-0.5 * d, 1.5 * d):
+        with pytest.raises(ValueError, match="0 < x < d"):
+            fields.interqubit_resonance_peak([x], p)
 
 
 def test_resonance_peak_refuses_odd_regime(weak_odd):

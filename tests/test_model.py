@@ -26,6 +26,12 @@ def test_constructor_rejects_nonpositive_parameters():
         ModelParams.create(np.inf, 0.01 * OMEGA_Q, 0.01)
 
 
+@pytest.mark.parametrize("width", [0.0, -1.0])
+def test_constructor_rejects_nonpositive_pulse_width(width):
+    with pytest.raises(ValueError, match="pulse_width"):
+        ModelParams.create(OMEGA_Q, 0.01 * OMEGA_Q, 0.01, pulse_width=width)
+
+
 def test_strong_coupling_warning_threshold():
     with pytest.warns(UserWarning):
         ModelParams.from_phase(OMEGA_Q, 0.2 * OMEGA_Q, 0.5)

@@ -7,14 +7,16 @@ norm conservation and by scattering a real wavepacket against the exact
 lattice transmittance.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from wqed import validation
-from wqed.model import ModelParams, collective_rates
+from wqed.model import ModelParams
 from wqed.oracle import (
-    KERNEL_IDS,
     continuum_evolve,
+    e1_scaled_quad,
     gaussian_spectrum,
     half_line_limits,
     make_continuum_grid,
@@ -108,47 +110,96 @@ def test_continuum_grid_needs_two_modes(n_modes, weak_generic):
 
 
 @pytest.mark.parametrize("phase", [0.8, 2.0, 5.0], ids=["generic", "even", "odd"])
-def test_factored_quadrature_matches_per_node_writing(phase, per_node_quad_kernel):
+def test_factored_quadrature_matches_per_node_writing(phase, per_node_quad_kernel,
+                                                      kernel_centers):
     # the per-panel phase factoring regroups the products of the same
     # integrand on the same nodes, so only rounding may separate the two
     p = ModelParams.from_phase(OMEGA_Q, 0.01 * OMEGA_Q, phase,
                                omega_s=1.005 * OMEGA_Q)
-    r = collective_rates(p)
     rng = np.random.default_rng(int(phase * 10))
-    for kernel_id in KERNEL_IDS:
-        t = rng.uniform(0.2, 2.0) * 40.0 / p.gamma
-        if kernel_id.startswith("bwd"):
-            x_shift = rng.uniform(-4.0, -0.1) * p.distance
-        else:
-            x_shift = rng.uniform(1.1, 5.0) * p.distance
-        ref = per_node_quad_kernel(kernel_id, x_shift, t, p, r)
-        got = quad_kernel(kernel_id, x_shift, t, p, r)
-        assert abs(got - ref) <= 1e-9 * max(abs(ref), 1e-3), kernel_id
+    for way in ("fwd", "bwd"):
+        for center, a in kernel_centers(p).items():
+            t = rng.uniform(0.2, 2.0) * 40.0 / p.gamma
+            if way == "bwd":
+                s1 = -rng.uniform(-4.0, -0.1) * p.distance / p.v_g
+            else:
+                s1 = rng.uniform(1.1, 5.0) * p.distance / p.v_g
+            ref = per_node_quad_kernel(s1, t, a, p)
+            got = quad_kernel(s1, t, a, p)
+            assert abs(got - ref) <= 1e-9 * max(abs(ref), 1e-3), (way, center)
 
 
-@pytest.mark.parametrize("kernel_id", ["fwd_drive", "bwd_decay_plus"])
+# s1 = 2 d/v_g is the forward kernel at x = 2 d, s1 = 1.5 d/v_g the
+# backward one at x = -1.5 d
+@pytest.mark.parametrize("center, x_over_d", [
+    pytest.param("drive", 2.0, id="fwd_drive"),
+    pytest.param("decay_plus", 1.5, id="bwd_decay_plus")])
 def test_factored_quadrature_matches_per_node_writing_at_tiny_times(
-        kernel_id, weak_generic, per_node_quad_kernel):
+        center, x_over_d, weak_generic, per_node_quad_kernel, kernel_centers):
     # at t = 1e-19 s every node below 1e11 rad/s has |(omega - a) t| < 1e-8,
     # so both writings take the first-order expansion of phi there
     p = weak_generic.with_drive(1.005 * weak_generic.omega_q)
-    r = collective_rates(p)
-    x_shift = (2.0 if kernel_id.startswith("fwd") else -1.5) * p.distance
-    ref = per_node_quad_kernel(kernel_id, x_shift, 1e-19, p, r)
-    got = quad_kernel(kernel_id, x_shift, 1e-19, p, r)
+    a = kernel_centers(p)[center]
+    s1 = x_over_d * p.distance / p.v_g
+    ref = per_node_quad_kernel(s1, 1e-19, a, p)
+    got = quad_kernel(s1, 1e-19, a, p)
     assert abs(got - ref) <= 1e-9 * max(abs(ref), 1e-3)
 
 
-def test_quad_kernel_sharpens_with_cutoff(weak_generic):
+def test_quad_kernel_sharpens_with_cutoff(weak_generic, kernel_centers):
     # doubling the frequency cutoff must shrink the tail error, and the
     # two cutoffs must agree at the coarser one's accuracy
     p = weak_generic.with_drive(1.005 * weak_generic.omega_q)
-    r = collective_rates(p)
-    x, t = 2.0 * p.distance, 15.0 / p.gamma
-    short = quad_kernel("fwd_decay_plus", x, t, p, r, cutoff_factor=20.0)
-    long = quad_kernel("fwd_decay_plus", x, t, p, r, cutoff_factor=40.0)
+    a = kernel_centers(p)["decay_plus"]
+    s1, t = 2.0 * p.distance / p.v_g, 15.0 / p.gamma
+    short = quad_kernel(s1, t, a, p, cutoff_factor=20.0)
+    long = quad_kernel(s1, t, a, p, cutoff_factor=40.0)
     assert abs(short - long) / abs(long) < 1e-3
     assert abs(short - long) > 0  # the tail is genuinely being integrated
+
+
+def test_quad_kernel_refuses_unreachable_and_singular_points(weak_generic):
+    p = weak_generic
+    s1 = 2.0 * p.distance / p.v_g
+    for t in (0.0, -1e-9):
+        with pytest.raises(ValueError, match="t must be positive"):
+            quad_kernel(s1, t, p.omega_s, p)
+    # s1 = 0 (on a qubit) and s2 = s1 - t = 0 (on the light front)
+    for s1_bad, t in ((0.0, 1e-9), (s1, s1)):
+        with pytest.raises(ValueError, match="singular"):
+            quad_kernel(s1_bad, t, p.omega_s, p)
+
+
+def test_quad_kernel_refuses_too_many_nodes_before_allocating(weak_generic):
+    # t = 1 ms needs about 1.3e10 nodes; the refusal comes before the first
+    # chunk of panel phases (128 KiB) is built (measured peak: 1.4 KiB)
+    p = weak_generic
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="nodes"):
+            quad_kernel(2.0 * p.distance / p.v_g, 1e-3, p.omega_s, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16384
+
+
+@pytest.mark.parametrize("z", [0.0, -2.0])
+def test_e1_quadrature_refuses_the_cut(z):
+    with pytest.raises(ValueError, match="branch cut"):
+        e1_scaled_quad(z)
+
+
+@pytest.mark.parametrize("t_final", [0.0, -1e-9])
+def test_markov_ode_rejects_nonpositive_t_final(t_final, weak_generic):
+    with pytest.raises(ValueError, match="t_final"):
+        markov_ode(weak_generic, t_final)
+
+
+def test_gaussian_spectrum_needs_a_pulse_width(weak_generic):
+    assert weak_generic.pulse_width is None
+    with pytest.raises(ValueError, match="pulse_width"):
+        gaussian_spectrum(weak_generic, [weak_generic.omega_q])
 
 
 def test_memory_kernel_reaches_half_line_limits(strong_odd):

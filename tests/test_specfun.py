@@ -76,6 +76,18 @@ def test_exp_integral_rejects_origin_and_cut():
     specfun.exp_integral_e1(-3.0 + 1e-6j)
 
 
+@pytest.mark.parametrize("fn, arg", [
+    (specfun.exp_integral_e1, complex(np.inf, 1.0)),
+    (specfun.e1_scaled, complex(np.nan, 1.0)),
+    (specfun.sine_integral, np.inf),
+    (specfun.si_lower, np.nan),
+    (specfun.cosine_integral, np.array([1.0, np.inf])),
+], ids=["E1", "E1s", "Si", "si", "Ci"])
+def test_special_functions_refuse_non_finite_arguments(fn, arg):
+    with pytest.raises(ValueError, match="must be finite"):
+        fn(arg)
+
+
 def test_exp_integral_asymptotic_form():
     # E1(z) ~ e^{-z}/z (1 - 1/z) at |z| = 50 across the principal sector
     rng = np.random.default_rng(23)

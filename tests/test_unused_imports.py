@@ -1,9 +1,11 @@
-"""Every import in the package and the tests is used.
+"""Every import is used, and every private name of the package is read.
 
 No linter is a dependency of the project, so this compares, per module,
 the names an import statement binds with the names the module reads.
 ``from __future__`` imports and the names ``wqed/__init__.py`` re-exports
-through ``__all__`` are exempt.
+through ``__all__`` are exempt.  A private top-level name of ``src/wqed``
+(one underscore, not a dunder) must be read somewhere in the package or
+the tests: as a name, as an attribute, or by a ``from`` import.
 """
 
 import ast
@@ -57,3 +59,58 @@ def test_package_exports_are_its_imports():
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert all(hasattr(wqed, name) for name in wqed.__all__)
     assert sorted(wqed.__all__) == sorted(imported)
+
+
+def private_definitions(source: str) -> list[str]:
+    """Private names a module's top level defines or assigns."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names += [leaf.id for target in targets
+                      for leaf in ast.walk(target)
+                      if isinstance(leaf, ast.Name)]
+    return [name for name in names
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def read_names(source: str) -> set[str]:
+    """Names a module reads, looks up as attributes or imports by name."""
+    reads = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            reads.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            reads.update(alias.name for alias in node.names)
+    return reads
+
+
+def orphans(package: dict[str, str], readers: list[str]) -> list[str]:
+    """``module: name`` of each private definition in ``package`` (module
+    name to source) that no source in ``readers`` reads."""
+    reads = set().union(*(read_names(source) for source in readers))
+    return [f"{module}: {name}" for module, source in package.items()
+            for name in private_definitions(source) if name not in reads]
+
+
+def test_scan_finds_an_orphaned_private_name():
+    package = {"m": "_A = 1\ndef _f(): pass\ndef _g(): return _A\n"
+                    "class _K: pass\n"}
+    assert orphans(package, list(package.values())) \
+        == ["m: _f", "m: _g", "m: _K"]
+    assert orphans(package, ["from m import _f\nm._g\n_K()\n"]) \
+        == ["m: _A"]
+    assert orphans(package, list(package.values())
+                   + ["from m import _f\nm._g\n_K()\n"]) == []
+
+
+def test_every_private_name_of_the_package_is_read():
+    package = {path.name: path.read_text()
+               for path in sorted((ROOT / "src" / "wqed").glob("*.py"))}
+    assert orphans(package, [path.read_text() for path in MODULES]) == []
