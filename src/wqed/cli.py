@@ -623,6 +623,8 @@ def cmd_oracle_check(scenario, args):
     """Run the ``wqed.validation`` table of closed-form-vs-oracle checks."""
     from . import validation
 
+    if args.out is not None and not args.json:
+        raise ScenarioError("--out names the --json report; give --json too")
     rng = np.random.default_rng(validation.SEED)
     results = []
     for name, tol, measure in validation.checks(args.full):
@@ -635,7 +637,7 @@ def cmd_oracle_check(scenario, args):
     if args.json:
         report = json.dumps({"checks": results}, indent=1,
                             allow_nan=False) + "\n"
-        written = _write_outputs([(_json_path(scenario["out"]),
+        written = _write_outputs([(_json_path(args.out or args.command),
                                    lambda path: Path(path).write_text(report))])
         print(f"wrote {written[0]}")
     n_passed = sum(r["passed"] for r in results)
@@ -672,8 +674,12 @@ def build_parser():
     sub.add_parser("peaks", parents=[scenario, output],
                    help="reflected resonance-peak value vs distance")
     # the checks take no scenario: refuse --preset and --config outright
-    check = sub.add_parser("oracle-check", parents=[output],
+    check = sub.add_parser("oracle-check",
                            help="oracle-vs-closed-form validation suite")
+    check.add_argument("--out", help="path the --json report is named "
+                       "after (a .csv suffix becomes .json)")
+    check.add_argument("--json", action="store_true",
+                       help="also write a JSON report")
     check.add_argument("--full", action="store_true",
                        help="include the slow continuum and memory checks")
     return parser
@@ -692,11 +698,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "oracle-check":
-            scenario = {"command": args.command, "caption": None,
-                        "out": args.out or "oracle-check.csv"}
-        else:
-            scenario = build_scenario(args)
+        scenario = None if args.command == "oracle-check" \
+            else build_scenario(args)
         code = _DISPATCH[args.command](scenario, args)
         sys.stdout.flush()   # a closed pipe raises here, not at exit
         return code

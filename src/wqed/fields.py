@@ -36,7 +36,8 @@ import numpy as np
 
 from .model import (CollectiveRates, ModelParams, Regime, classify_regime,
                     coupling_weights, snapped_phase_factor)
-from .specfun import cosine_integral, e1_scaled, si_lower
+from . import specfun
+from .specfun import e1_scaled
 
 TWO_PI_I = 2j * np.pi
 
@@ -91,8 +92,8 @@ def _kernel_limit(s1, t, a):
 
     A decaying center (Im a < 0) leaves nothing.  A real center, such as a
     drive carrier or the bare Omega of a dark channel, leaves the plane
-    e^{i a (s1 - t)} M(a s1), where M(w) = 2 pi i - ci(w) + i si(w) on the
-    outgoing side (w > 0) and -(ci(|w|) + i si(|w|)) on the other.  ``a``
+    e^{i a (s1 - t)} M(a s1), where M(w) = E1(iw) + 2 pi i on the outgoing
+    side (w > 0) and E1(iw) on the other: one E1 read per argument.  ``a``
     is one center or an array of them that are all decaying or all real,
     and broadcasts against s1 and t as in ``closed_kernel``.
     """
@@ -105,10 +106,7 @@ def _kernel_limit(s1, t, a):
     w = a * s1
     if np.any(w == 0):
         raise ValueError("kernel singularity at a qubit position")
-    mag = np.abs(w)
-    ci = cosine_integral(mag)
-    si = si_lower(mag)
-    m = np.where(w > 0, TWO_PI_I - ci + 1j * si, -(ci + 1j * si))
+    m = specfun.exp_integral_e1(1j * w) + np.where(w > 0, TWO_PI_I, 0.0)
     return np.exp(1j * a * (s1 - t)) * m
 
 
@@ -461,7 +459,7 @@ def nonmarkov_reflectance(omega, params: ModelParams):
 # closed-form resonance peaks of the steady energy density
 
 def _resonant_e1(x, params: ModelParams, peak: str):
-    """E = -ci + i si of the resonance peaks at positions ``x``.
+    """E = E1(iw) = -ci(w) + i si(w) of the resonance peaks at positions ``x``.
 
     Generic regime: E at w = Omega|x|/v_g.  Even-pi regime: the two shifted
     coordinates contribute coherently, and E is the mean of its values at
@@ -471,14 +469,10 @@ def _resonant_e1(x, params: ModelParams, peak: str):
     regime = classify_regime(params)
     if regime is Regime.ODD_PI:
         raise ValueError(f"no closed {peak}-peak formula in the odd-pi regime")
-
-    def e1_at(shift):
-        w = params.omega_q * np.abs(shift) / params.v_g
-        return -cosine_integral(w) + 1j * si_lower(w)
-
-    if regime is Regime.GENERIC:
-        return e1_at(x)
-    return 0.5 * (e1_at(x) + e1_at(x - params.distance))
+    shifts = np.stack([x] if regime is Regime.GENERIC
+                      else [x, x - params.distance])
+    w = params.omega_q * np.abs(shifts) / params.v_g
+    return specfun.exp_integral_e1(1j * w).mean(axis=0)
 
 
 def transmitted_resonance_peak(x, params: ModelParams):
@@ -513,8 +507,8 @@ def reflected_resonance_peak(x, params: ModelParams):
 def interqubit_resonance_peak(x, params: ModelParams):
     """Steady |w|^2/A^2 between the qubits at resonance (generic regime).
 
-    (1/pi^2) * (ci(w) cos w + si(w) sin w)^2 with w = Omega x / v_g.  The
-    even- and odd-pi regimes have no closed form here and raise ValueError.
+    (Re e^{iw} E1(iw))^2 / pi^2 = (ci cos w + si sin w)^2 / pi^2 at
+    w = Omega x / v_g.  The even- and odd-pi regimes raise ValueError.
     """
     x = np.asarray(x, dtype=float)
     if np.any((x <= 0) | (x >= params.distance)):
@@ -522,9 +516,8 @@ def interqubit_resonance_peak(x, params: ModelParams):
     if classify_regime(params) is not Regime.GENERIC:
         raise ValueError("inter-qubit peak formula needs the generic regime")
     w = params.omega_q * x / params.v_g
-    ci = cosine_integral(w)
-    si = si_lower(w)
-    return (ci * np.cos(w) + si * np.sin(w)) ** 2 / np.pi ** 2
+    return np.real(np.exp(1j * w) * specfun.exp_integral_e1(1j * w)) ** 2 \
+        / np.pi ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -76,14 +76,12 @@ class ModelParams:
     pulse_width: float | None = None
 
     def __post_init__(self):
-        for name in ("omega_q", "gamma", "distance", "v_g", "omega_s"):
+        optional = () if self.pulse_width is None else ("pulse_width",)
+        for name in ("omega_q", "gamma", "distance", "v_g", "omega_s",
+                     "amplitude") + optional:
             value = getattr(self, name)
             if not np.isfinite(value) or value <= 0:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if not np.isfinite(self.amplitude) or self.amplitude <= 0:
-            raise ValueError(f"amplitude must be positive, got {self.amplitude!r}")
-        if self.pulse_width is not None and self.pulse_width <= 0:
-            raise ValueError("pulse_width must be positive when given")
         if self.gamma / self.omega_q > _STRONG_COUPLING_RATIO:
             warnings.warn(
                 f"gamma/omega_q = {self.gamma / self.omega_q:.3g} exceeds "

@@ -1,12 +1,12 @@
 """Sine, cosine, and exponential integrals for the field kernels.
 
 The closed-form photon fields are combinations of the principal-branch
-exponential integral E1 evaluated just off the imaginary axis, and of the
-sine and cosine integrals on the real line.  The decaying pieces of the
-kernels only ever need the product e^z E1(z), whose factors separately
-overflow and underflow once Re z reaches a few hundred (here it can reach a
-few thousand), so that scaled product is computed directly and is the
-workhorse of this module.
+exponential integral E1 on and just off the imaginary axis: the steady forms
+read their sine and cosine integrals whole, as E1(iw) = -Ci(w) + i si(w).
+The decaying pieces only ever need the product e^z E1(z), whose factors
+separately overflow and underflow once Re z reaches a few hundred (here it
+can reach a few thousand), so that scaled product is computed directly and
+is the workhorse of this module.
 
 Two evaluation branches are used: the ascending power series for |z| <= 6
 and Re z <= 0.5, which loses roughly e^(|z| + Re z) * eps to cancellation,
@@ -263,9 +263,9 @@ def si_lower(x):
 def cosine_integral(x):
     """Cosine integral Ci(x) = -int_x^inf cos(u)/u du for real x > 0.
 
-    Negative or zero arguments raise: the field formulas only ever take
-    Ci of the absolute value of a coordinate, and keeping the domain
-    strict catches sign mistakes upstream.
+    Negative or zero arguments raise: Ci is real only for x > 0, and a
+    strict domain catches a dropped absolute value in a sine/cosine-integral
+    writing of the steady forms, which takes Ci of |coordinate|.
 
     Parameters
     ----------

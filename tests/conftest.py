@@ -108,16 +108,41 @@ def printed_kernel():
     return _printed_kernel
 
 
+def _kernel_limit_trig(s1, t, a):
+    """``fields._kernel_limit`` written with the sine and cosine integrals.
+
+    At a real center, or an array of them, the plane e^{i a (s1 - t)} M(w)
+    with w = a s1 and M(w) = 2 pi i - ci(|w|) + i si(|w|) for w > 0,
+    -(ci(|w|) + i si(|w|)) for w < 0: ci and si of |w| put back together,
+    where the engine reads E1(iw) once.
+    """
+    a = np.asarray(a, dtype=float)
+    s1 = np.asarray(s1, dtype=float)
+    t = np.asarray(t, dtype=float)
+    w = a * s1
+    mag = np.abs(w)
+    ci = cosine_integral(mag)
+    si = si_lower(mag)
+    m = np.where(w > 0, 2j * np.pi - ci + 1j * si, -(ci + 1j * si))
+    return np.exp(1j * a * (s1 - t)) * m
+
+
+@pytest.fixture(scope="session")
+def kernel_limit_trig():
+    """The steady plane of a real-center kernel in its Ci/si writing."""
+    return _kernel_limit_trig
+
+
 def _wave_kernel_trig(s1, t, omega):
     """Second writing of the real-center kernel, via sine/cosine integrals.
 
     Mathematically identical to ``fields.closed_kernel`` at a real center:
-    the steady limit ``fields._kernel_limit`` plus the front term, which
-    decays as the light front recedes.  ci and si are read from the same E1
-    as the kernel's, at the absolute values of its arguments, so the
-    agreement between the two checks the algebra of the steady limit and
-    the front term; the special functions themselves are pinned against
-    mpmath.
+    the steady plane in its Ci/si writing plus the front term, which
+    decays as the light front recedes.  Neither piece calls the engine:
+    ci and si are read at the absolute values of the kernel's arguments,
+    so the agreement between the two checks the algebra of the steady
+    limit and the front term; the special functions themselves are pinned
+    against mpmath.
     """
     s1, t = np.broadcast_arrays(np.asarray(s1, dtype=float),
                                 np.asarray(t, dtype=float))
@@ -126,7 +151,7 @@ def _wave_kernel_trig(s1, t, omega):
         raise ValueError("trig writing implemented for the causal region s1 < t")
     w2 = omega * np.abs(s2)
     front = np.exp(1j * omega * s2) * (cosine_integral(w2) + 1j * si_lower(w2))
-    return fields._kernel_limit(s1, t, omega) + front
+    return _kernel_limit_trig(s1, t, omega) + front
 
 
 @pytest.fixture(scope="session")

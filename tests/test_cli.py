@@ -289,6 +289,20 @@ def test_failed_oracle_check_exits_one(tmp_path, monkeypatch, capsys):
     assert [c["passed"] for c in json.loads(report)["checks"]] == [True, False]
 
 
+def test_oracle_check_out_needs_json(tmp_path, monkeypatch, capsys):
+    # --out only names the --json report, so alone it would write nothing
+    monkeypatch.setattr(validation, "checks", lambda full=False: [])
+    code = run_cli(["oracle-check", "--out", "report.csv"], tmp_path,
+                   monkeypatch)
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error:") and "--json" in err[0]
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(SystemExit):
+        run_cli(["oracle-check", "--help"], tmp_path, monkeypatch)
+    assert "--json report" in capsys.readouterr().out
+
+
 def test_console_entry_point_installed():
     proc = subprocess.run([sys.executable, "-m", "wqed.cli", "--version"],
                           capture_output=True, text=True)

@@ -14,6 +14,7 @@ import pytest
 from wqed import fields
 from wqed.model import ModelParams, collective_rates
 from wqed.oracle import quad_kernel
+from wqed.specfun import cosine_integral, si_lower
 
 OMEGA_Q = 2.0 * np.pi * 5.0e9
 
@@ -136,6 +137,44 @@ def test_drive_kernel_matches_trig_writing(wave_kernel_trig):
         trig = wave_kernel_trig(s1, t, center)
         err = np.abs(swept[k] - trig) / np.maximum(np.abs(trig), 1.0)
         assert err.max() < 1e-11
+
+
+def test_e1_reads_match_their_sine_cosine_writing_bit_for_bit(
+        kernel_limit_trig, weak_generic, weak_even):
+    # the engine reads E1(iw) once where the steady forms were written with
+    # a ci/si pair of |w|; the two writings give the same bits, so no
+    # figure moves: the steady plane on a drive axis with s1 of both signs
+    # and |w| on both sides of the series radius 6 ...
+    rng = np.random.default_rng(11)
+    omega = np.linspace(0.9, 1.1, 9) * OMEGA_Q
+    s1 = np.concatenate([rng.uniform(0.01, 5.0, 40),
+                         -rng.uniform(0.01, 5.0, 40)]) * 1e-9
+    w = np.abs(np.outer(omega, s1))
+    assert w.min() < 6.0 < w.max()
+    t = 5e-9 * (1.0 + np.logspace(-3.0, 2.0, 6))[:, None]
+    center = omega[:, None, None]
+    assert np.array_equal(fields._kernel_limit(s1, t, center),
+                          kernel_limit_trig(s1, t, center))
+    # ... and the resonance peaks, E = -ci + i si of Omega|shift|/v_g,
+    # averaged over the two shifts in the even-pi regime
+    for p in (weak_generic, weak_even):
+        d = p.distance
+
+        def e_trig(shift):
+            w = p.omega_q * np.abs(shift) / p.v_g
+            return -cosine_integral(w) + 1j * si_lower(w)
+
+        def e_mean(x):
+            if p is weak_generic:
+                return e_trig(x)
+            return 0.5 * (e_trig(x) + e_trig(x - d))
+
+        behind = np.linspace(1.05, 200.0, 2001) * d
+        before = -np.linspace(0.05, 200.0, 2001) * d
+        assert np.array_equal(fields.transmitted_resonance_peak(behind, p),
+                              np.abs(e_mean(behind)) ** 2 / (4.0 * np.pi ** 2))
+        assert np.array_equal(fields.reflected_resonance_peak(before, p),
+                              np.abs(1.0 + e_mean(before) / (2j * np.pi)) ** 2)
 
 
 def _hoist_grid():

@@ -26,8 +26,10 @@ def test_constructor_rejects_nonpositive_parameters():
         ModelParams.create(np.inf, 0.01 * OMEGA_Q, 0.01)
 
 
-@pytest.mark.parametrize("width", [0.0, -1.0])
+@pytest.mark.parametrize("width", [0.0, -1.0, np.nan, np.inf])
 def test_constructor_rejects_nonpositive_pulse_width(width):
+    # and a non-finite one: NaN would give an all-NaN continuum trajectory,
+    # inf a misleading complaint about the mode frequencies
     with pytest.raises(ValueError, match="pulse_width"):
         ModelParams.create(OMEGA_Q, 0.01 * OMEGA_Q, 0.01, pulse_width=width)
 

@@ -56,3 +56,32 @@ def test_scipy_stays_in_the_oracle_layer():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, cwd=SRC, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def _package_imports(path):
+    """The ``wqed`` modules a source file imports, at any depth."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            parts = [part for part in (node.module or "").split(".") if part]
+            if node.level == 0:
+                if parts[:1] != ["wqed"]:
+                    continue
+                parts = parts[1:]
+            # ``from . import x`` names modules; ``from .x import y`` one
+            found.update(parts[:1] or [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("wqed."))
+    return found
+
+
+def test_oracles_and_engine_do_not_import_each_other():
+    # the oracles share no special functions and no field algebra with the
+    # engine, and the engine never reaches the oracles or the check table
+    imports = {path.stem: _package_imports(path)
+               for path in (SRC / "wqed").glob("*.py")}
+    assert {"model", "specfun"} <= imports["fields"]
+    assert not imports["oracle"] & {"specfun", "fields"}
+    for engine in ("specfun", "model", "amplitudes", "fields"):
+        assert not imports[engine] & {"oracle", "validation"}, engine
