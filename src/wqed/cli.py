@@ -374,16 +374,48 @@ def _json_cell(value):
     return value if math.isfinite(value) else "%.17g" % value
 
 
+# the string encoder json.dump applies to every str it writes
+_json_text = json.encoder.encode_basestring_ascii
+
+
+def _json_column(column):
+    """``_json_cell`` of every cell of one column, as JSON text.
+
+    The first cell picks the type, as in ``write_csv``: text cells are
+    JSON strings, numbers floats, and a non-finite number the string of
+    its CSV text.
+    """
+    if isinstance(column[0], str):
+        return list(map(_json_text, column))
+    values = np.asarray(column, dtype=float)
+    texts = list(map(float.__repr__, values.tolist()))
+    for i in np.flatnonzero(~np.isfinite(values)):
+        texts[i] = '"%.17g"' % values[i]
+    return texts
+
+
+def _json_list(items, depth):
+    """JSON texts ``items`` as a list laid out like ``json.dump(indent=1)``."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * depth + "]"
+
+
 def write_json(path, lines, columns, rows):
-    payload = {
-        "meta": list(lines),
-        "columns": list(columns),
-        "rows": [[_json_cell(v) for v in row] for row in rows],
-    }
+    """Write the table as JSON: {"meta", "columns", "rows"}, one-space indent.
+
+    The bytes are those of ``json.dump(..., indent=1)`` over the rows of
+    ``_json_cell`` values, assembled column by column.
+    """
+    cells = [_json_column(column) for column in zip(*rows)]
+    parts = {"meta": list(map(_json_text, lines)),
+             "columns": list(map(_json_text, columns)),
+             "rows": [_json_list(row, 2) for row in zip(*cells)]}
     with open(path, "w") as handle:
-        json.dump(payload, handle, indent=1, sort_keys=False,
-                  allow_nan=False)
-        handle.write("\n")
+        handle.write("{\n" + ",\n".join(
+            f' "{key}": {_json_list(items, 1)}' for key, items in parts.items())
+            + "\n}\n")
 
 
 def _json_path(out):
@@ -637,7 +669,7 @@ def cmd_oracle_check(scenario, args):
     if args.json:
         report = json.dumps({"checks": results}, indent=1,
                             allow_nan=False) + "\n"
-        written = _write_outputs([(_json_path(args.out or args.command),
+        written = _write_outputs([(args.out or f"{args.command}.json",
                                    lambda path: Path(path).write_text(report))])
         print(f"wrote {written[0]}")
     n_passed = sum(r["passed"] for r in results)
@@ -676,8 +708,8 @@ def build_parser():
     # the checks take no scenario: refuse --preset and --config outright
     check = sub.add_parser("oracle-check",
                            help="oracle-vs-closed-form validation suite")
-    check.add_argument("--out", help="path the --json report is named "
-                       "after (a .csv suffix becomes .json)")
+    check.add_argument("--out", help="path of the --json report "
+                       "(default oracle-check.json)")
     check.add_argument("--json", action="store_true",
                        help="also write a JSON report")
     check.add_argument("--full", action="store_true",

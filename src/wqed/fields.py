@@ -64,27 +64,60 @@ def closed_kernel(s1, t, a):
     contour closing assumes Im a <= 0, so a growing center raises.  The
     launch term e^{-iat} E1s(i a s1) is a product of two factors evaluated
     on the broadcast of ``a`` with t and with s1 alone: on such a grid once
-    per time and once per position, not once per point.
+    per time and once per position, not once per point.  This is the
+    one-pair case of ``_closed_kernels``.
     """
-    s1 = np.asarray(s1, dtype=float)
+    (out,) = _closed_kernels([(s1, a)], t)
+    return out if np.ndim(out) else complex(out)
+
+
+def _closed_kernels(pairs, t):
+    """``closed_kernel(s1, t, a)`` for every (s1, a) in ``pairs``.
+
+    The pairs share the times t.  Every pair's launch argument i a s1 goes
+    through one ``e1_scaled`` call; each E1 value depends on its own
+    argument only, so the batch gives the bits of separate calls.  The
+    front argument z2 = i a s2 serves both the front E1 and the winding
+    term, whose exponential e^{z2} is taken only where the winding factor
+    is nonzero: elsewhere the term is +0.  Returns a list of arrays in the
+    order of ``pairs``.
+    """
     t = np.asarray(t, dtype=float)
-    a = np.asarray(a, dtype=complex)
-    if np.any(a.imag > 0):
-        raise ValueError("kernel centers must not grow: need Im a <= 0")
+    pairs = [(np.asarray(s1, dtype=float), np.asarray(a, dtype=complex))
+             for s1, a in pairs]
+    for s1, a in pairs:
+        if np.any(a.imag > 0):
+            raise ValueError("kernel centers must not grow: need Im a <= 0")
+        if np.any(s1 == 0) or np.any(s1 - t == 0):
+            raise ValueError(
+                "kernel singularity: a shifted coordinate or the light front "
+                "passes exactly through a grid point"
+            )
+    z1 = [1j * a * s1 for s1, a in pairs]
+    e1 = e1_scaled(np.concatenate([np.ravel(z) for z in z1]))
+    ends = np.cumsum([np.size(z) for z in z1])[:-1]
+    return [_launched_kernel(np.exp(-1j * a * t) * e.reshape(np.shape(z)),
+                             s1, t, a)
+            for (s1, a), z, e in zip(pairs, z1, np.split(e1, ends))]
+
+
+def _launched_kernel(launch, s1, t, a):
+    """One kernel from its launch term: add the front and winding terms.
+
+    A function of its own so that each kernel's grid-sized temporaries are
+    freed before the next kernel makes its own.
+    """
     s2 = s1 - t
-    if np.any(s1 == 0) or np.any(s2 == 0):
-        raise ValueError(
-            "kernel singularity: a shifted coordinate or the light front "
-            "passes exactly through a grid point"
-        )
-    launch = np.exp(-1j * a * t) * e1_scaled(1j * a * s1)
-    front = -e1_scaled(1j * a * s2)
+    z2 = 1j * a * s2
+    front = -e1_scaled(z2)
+    out = launch + front
     # Winding bookkeeping of the two contour closings; in the physical
     # region s2 < 0 this reduces to +2*pi*i for s1 > 0 and nothing else.
-    circ = TWO_PI_I * np.exp(1j * a * s2) \
-        * ((s2 < 0).astype(float) - (s1 < 0).astype(float))
-    out = launch + front + circ
-    return out if np.ndim(out) else complex(out)
+    wind = (s2 < 0).astype(float) - (s1 < 0).astype(float)
+    if np.any(wind):
+        turn = np.exp(z2, out=np.zeros_like(out), where=wind != 0)
+        out = out + TWO_PI_I * turn * wind
+    return out
 
 
 def _kernel_limit(s1, t, a):
@@ -227,27 +260,29 @@ def incident_plane_wave(x, t, params: ModelParams, omega_s=None):
     return params.amplitude * np.exp(1j * omega_s * (x / params.v_g - t))
 
 
-def _scattered_sum(kernel, y1, y2, t, rates: CollectiveRates,
+def _scattered_sum(steady, y1, y2, t, rates: CollectiveRates,
                    params: ModelParams, omega_s, c_plus, c_minus):
     """Scattered envelope from kernels at shifted coordinates (y1, y2).
 
-    ``kernel`` is ``closed_kernel`` for the transient field and
-    ``_kernel_limit`` for the steady one.  For the forward field pass
-    (x, x-d); for the backward field pass (-x, -(x-d)).  The channel
-    pattern (symmetric adds the two shifts, antisymmetric subtracts) is the
-    same in both directions.  The drive carrier ``omega_s`` and its weights
-    ``c_plus``/``c_minus`` may carry a leading drive axis; the pole kernels
-    do not depend on the drive and are evaluated once.
+    The six kernels, at the two shifts and the three centers, are the t ->
+    inf limits ``_kernel_limit`` when ``steady`` and otherwise the exact
+    ``closed_kernel`` values, taken together by ``_closed_kernels``.  For
+    the forward field pass (x, x-d); for the backward field pass (-x,
+    -(x-d)).  The channel pattern (symmetric adds the two shifts,
+    antisymmetric subtracts) is the same in both directions.  The drive
+    carrier ``omega_s`` and its weights ``c_plus``/``c_minus`` may carry a
+    leading drive axis; the pole kernels do not depend on the drive and are
+    evaluated once.
     """
     a_plus = params.omega_q - 1j * rates.gamma_plus
     a_minus = params.omega_q - 1j * rates.gamma_minus
-    v_g = params.v_g
-    k_plus_1 = kernel(y1 / v_g, t, a_plus)
-    k_plus_2 = kernel(y2 / v_g, t, a_plus)
-    k_minus_1 = kernel(y1 / v_g, t, a_minus)
-    k_minus_2 = kernel(y2 / v_g, t, a_minus)
-    k_s_1 = kernel(y1 / v_g, t, omega_s)
-    k_s_2 = kernel(y2 / v_g, t, omega_s)
+    pairs = [(y / params.v_g, a) for a in (a_plus, a_minus, omega_s)
+             for y in (y1, y2)]
+    if steady:
+        kernels = [_kernel_limit(s1, t, a) for s1, a in pairs]
+    else:
+        kernels = _closed_kernels(pairs, t)
+    k_plus_1, k_plus_2, k_minus_1, k_minus_2, k_s_1, k_s_2 = kernels
     return -0.5 * params.coupling * (
         c_plus * (k_plus_1 + k_plus_2 - k_s_1 - k_s_2)
         + c_minus * (k_minus_1 - k_minus_2 - k_s_1 + k_s_2)
@@ -313,11 +348,10 @@ def _drive_fields(grid: SpaceTimeGrid, rates: CollectiveRates,
 
     def scattered(y1, y2):
         out = np.empty((omega.size, grid.t.size, grid.x.size), dtype=complex)
-        for kernel, pick in ((_kernel_limit, steady),
-                             (closed_kernel, ~steady)):
+        for is_steady, pick in ((True, steady), (False, ~steady)):
             if pick.any():
-                out[pick] = _scattered_sum(kernel, y1, y2, tt, rates, params,
-                                           *(a[pick] for a in drive))
+                out[pick] = _scattered_sum(is_steady, y1, y2, tt, rates,
+                                           params, *(a[pick] for a in drive))
         return out
 
     u = incident_plane_wave(xx, tt, params, drive[0])

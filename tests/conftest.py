@@ -6,6 +6,8 @@ times at nanoseconds.
 """
 
 import cmath
+import json
+import math
 
 import numpy as np
 import pytest
@@ -106,6 +108,35 @@ def _printed_kernel(s1, t, a):
 def printed_kernel():
     """The closed kernel in the printed writing, which quadrature rules out."""
     return _printed_kernel
+
+
+def _per_pair_closed_kernel(s1, t, a):
+    """``fields.closed_kernel`` in its per-pair writing, as a reference.
+
+    One kernel with its own launch E1 call, i a s2 formed twice and the
+    winding exponential e^{i a s2} taken at every point, whether or not
+    its winding factor is zero there.
+    """
+    s1 = np.asarray(s1, dtype=float)
+    t = np.asarray(t, dtype=float)
+    a = np.asarray(a, dtype=complex)
+    if np.any(a.imag > 0):
+        raise ValueError("kernel centers must not grow: need Im a <= 0")
+    s2 = s1 - t
+    if np.any(s1 == 0) or np.any(s2 == 0):
+        raise ValueError("kernel singularity")
+    launch = np.exp(-1j * a * t) * e1_scaled(1j * a * s1)
+    front = -e1_scaled(1j * a * s2)
+    circ = 2j * np.pi * np.exp(1j * a * s2) \
+        * ((s2 < 0).astype(float) - (s1 < 0).astype(float))
+    out = launch + front + circ
+    return out if np.ndim(out) else complex(out)
+
+
+@pytest.fixture(scope="session")
+def per_pair_closed_kernel():
+    """The master kernel evaluated pair by pair, every exponential taken."""
+    return _per_pair_closed_kernel
 
 
 def _kernel_limit_trig(s1, t, a):
@@ -330,6 +361,33 @@ def _per_cell_write_csv(path, lines, columns, rows):
 def per_cell_write_csv():
     """The CSV writer that formats and joins cell by cell."""
     return _per_cell_write_csv
+
+
+def _json_dump_write_json(path, lines, columns, rows):
+    """``cli.write_json`` in its ``json.dump`` writing, as a reference.
+
+    Every cell is mapped on its own, a string to itself, a finite number
+    to a float and a non-finite one to its %.17g text, and the payload
+    goes through ``json.dump`` with a one-space indent.
+    """
+    def cell(value):
+        if isinstance(value, str):
+            return value
+        value = float(value)
+        return value if math.isfinite(value) else "%.17g" % value
+
+    payload = {"meta": list(lines), "columns": list(columns),
+               "rows": [[cell(v) for v in row] for row in rows]}
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=1, sort_keys=False,
+                  allow_nan=False)
+        handle.write("\n")
+
+
+@pytest.fixture(scope="session")
+def json_dump_write_json():
+    """The JSON mirror writer that maps and dumps cell by cell."""
+    return _json_dump_write_json
 
 
 def _per_point_field_rows(params, x_over_d, ratios, omega, t, branch, label):

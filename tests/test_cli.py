@@ -289,6 +289,20 @@ def test_failed_oracle_check_exits_one(tmp_path, monkeypatch, capsys):
     assert [c["passed"] for c in json.loads(report)["checks"]] == [True, False]
 
 
+def test_oracle_check_json_report_written_where_out_says(tmp_path,
+                                                        monkeypatch, capsys):
+    # --out names the report itself, so a .json name is kept as given
+    monkeypatch.setattr(validation, "checks", lambda full=False: [
+        ("cheap pass", 1.0, lambda rng: 0.5)])
+    code = run_cli(["oracle-check", "--out", "report.json", "--json"],
+                   tmp_path, monkeypatch)
+    assert code == 0
+    assert "wrote report.json\n" in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+    checks = json.loads((tmp_path / "report.json").read_text())["checks"]
+    assert [c["name"] for c in checks] == ["cheap pass"]
+
+
 def test_oracle_check_out_needs_json(tmp_path, monkeypatch, capsys):
     # --out only names the --json report, so alone it would write nothing
     monkeypatch.setattr(validation, "checks", lambda full=False: [])
@@ -367,6 +381,36 @@ def test_write_csv_matches_per_cell_writing(rows, tmp_path,
     got = (tmp_path / "got.csv").read_bytes()
     assert got == (tmp_path / "ref.csv").read_bytes()
     assert got.count(b"\n") == len(lines) + 1 + len(rows)
+
+
+@pytest.mark.parametrize("rows", [EDGE_ROWS, []], ids=["edge", "empty"])
+def test_write_json_matches_json_dump_writing(rows, tmp_path,
+                                              json_dump_write_json):
+    lines = ["wqed test", "x = %.17g" % 0.1, 'quote " and \u00e9']
+    cli.write_json(tmp_path / "got.json", lines, EDGE_COLUMNS, rows)
+    json_dump_write_json(tmp_path / "ref.json", lines, EDGE_COLUMNS, rows)
+    assert (tmp_path / "got.json").read_bytes() \
+        == (tmp_path / "ref.json").read_bytes()
+
+
+@pytest.mark.parametrize("preset", ["fig9", "fig10"])
+def test_json_mirror_matches_json_dump_writing(preset, tmp_path, monkeypatch,
+                                               json_dump_write_json):
+    # the mirrors of the field presets, fig10's non-finite cells included
+    tables = []
+    real_write_json = cli.write_json
+
+    def recording(path, lines, columns, rows):
+        tables.append((lines, columns, rows))
+        real_write_json(path, lines, columns, rows)
+
+    monkeypatch.setattr(cli, "write_json", recording)
+    assert run_cli(["field", "--preset", preset, "--json"],
+                   tmp_path, monkeypatch) == 0
+    (table,) = tables
+    json_dump_write_json(tmp_path / "ref.json", *table)
+    assert (tmp_path / f"{preset}.json").read_bytes() \
+        == (tmp_path / "ref.json").read_bytes()
 
 
 @pytest.mark.parametrize("x_over_d, ratios, t, branch", [

@@ -218,3 +218,70 @@ def test_transient_field_takes_six_e1_arguments_per_point(monkeypatch):
     fields.forward_field(grid, collective_rates(p), p, "transient")
     n_t, n_x = t.size, x.size
     assert sum(counted) <= 6 * (n_t * n_x + n_x)
+
+
+def test_transient_channel_sum_takes_seven_e1_calls(monkeypatch):
+    # one transient channel sum sends the launch arguments of its six
+    # kernels through one E1 call and takes one call per front: 7, not 12
+    p, x, t = _hoist_grid()
+    grid = fields.space_time_grid(p, x, t)
+    calls = []
+    real_e1 = fields.e1_scaled
+
+    def counting_e1(z):
+        calls.append(np.size(z))
+        return real_e1(z)
+
+    monkeypatch.setattr(fields, "e1_scaled", counting_e1)
+    # Behind the pair there is no backward field: one sum in all
+    fields.forward_field(grid, collective_rates(p), p, "transient")
+    assert calls == [6 * x.size] + [t.size * x.size] * 6
+
+
+def _batch_grid(region, p):
+    """Early-time grids in each region; Before straddles a light front.
+
+    Before the pair, the backward kernels at the shift d - x wind only
+    once the second qubit's emission has reached x, at t = (d - x)/v_g:
+    the Before times span it, so their winding factors are mixed.
+    """
+    d, v_g = p.distance, p.v_g
+    x = {"Behind": np.linspace(1.1, 4.0, 23),
+         "Between": np.linspace(0.06, 0.94, 17),
+         "Before": -np.linspace(0.1, 0.6, 11)}[region] * d
+    t = {"Behind": np.linspace(4.3, 9.0, 7),
+         "Between": np.linspace(1.01, 6.0, 7),
+         "Before": np.linspace(0.613, 2.9, 13)}[region] * d / v_g
+    return fields.space_time_grid(p, x, t, region=region)
+
+
+@pytest.mark.parametrize("region", ["Behind", "Between", "Before"])
+@pytest.mark.parametrize("tag", TAGS)
+def test_batched_channel_sum_matches_per_pair_writing_bit_for_bit(
+        tag, region, per_pair_closed_kernel, monkeypatch):
+    # the six kernels of a transient channel sum, taken together, give the
+    # bits of six separate per-pair kernels, and so does the field itself
+    # on a drive axis of three carriers
+    p = _preset(tag)
+    rates = collective_rates(p)
+    grid = _batch_grid(region, p)
+    omega = np.array([0.995, 1.0, 1.005]) * p.omega_q
+    d, v_g = p.distance, p.v_g
+    tt = grid.t[:, None]
+    centers = (p.omega_q - 1j * rates.gamma_plus,
+               p.omega_q - 1j * rates.gamma_minus, omega[:, None, None])
+    for y1, y2 in ((grid.x, grid.x - d), (-grid.x, -(grid.x - d))):
+        pairs = [(y[None, :] / v_g, a) for a in centers for y in (y1, y2)]
+        batched = fields._closed_kernels(pairs, tt)
+        for (s1, a), got in zip(pairs, batched):
+            assert got.tobytes() == per_pair_closed_kernel(s1, tt, a).tobytes()
+    if region == "Before":
+        s1, s2 = -(grid.x - d) / v_g, -(grid.x - d) / v_g - tt
+        wind = (s2 < 0).astype(int) - (s1 < 0).astype(int)
+        assert wind.min() == 0 and wind.max() == 1
+    batched = fields._drive_fields(grid, rates, p, omega, "transient")
+    monkeypatch.setattr(fields, "_closed_kernels", lambda pairs, t: [
+        per_pair_closed_kernel(s1, t, a) for s1, a in pairs])
+    per_pair = fields._drive_fields(grid, rates, p, omega, "transient")
+    for got, want in zip(batched[1:], per_pair[1:]):
+        assert got.tobytes() == want.tobytes()
