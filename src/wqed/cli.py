@@ -738,6 +738,12 @@ def main(argv=None):
     except (ScenarioError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # too large a count or grid for this machine: bad input, not a
+        # failed check, and nothing has been written yet
+        print(f"error: out of memory: {exc or 'allocation failed'}",
+              file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # the reader of stdout went away; point stdout at the null device
         # so that the flush at exit does not raise a second time

@@ -11,11 +11,17 @@ with s2 = s1 - t, evaluated at s1 = +-(shifted coordinate)/v_g and at a
 center ``a`` that is either a complex collective pole, the drive carrier,
 or the bare qubit frequency.  ``closed_kernel(s1, t, a)`` evaluates that
 kernel through the scaled E1, so the decaying channels neither under- nor
-overflow, and ``oracle.quad_kernel`` takes the same arguments.  In the
-t -> inf limit a decaying pole leaves nothing, a real center (the drive
-carrier, or the bare Omega of a channel that is dark in a pinned regime)
-a plane wave.  One channel sum turns either of the two into the scattered
-field, so the transient and the steady field are assembled the same way.
+overflow, and ``oracle.quad_kernel`` takes the same arguments.  The
+launch term and the winding term share the factor e^{-iat}, so on a
+[time, position] grid they are one outer product of a per-time and a
+per-position factor, and only the front term E1(i a s2) is taken point
+by point.  In the t -> inf limit a decaying pole leaves nothing, a real
+center (the drive carrier, or the bare Omega of a channel that is dark in
+a pinned regime) a plane wave.  One channel sum of six kernels turns
+either of the two into the scattered field, so the transient and the
+steady field are assembled the same way; the transient sum is evaluated
+as one weighted sum, over blocks of whole time rows that keep its
+temporaries small.
 ``drive_sweep`` assembles the field on a grid for a whole sweep of drive
 carriers in one call, and every slice carries the right-moving envelope
 u, the left-moving v and their sum w.  The module also provides the
@@ -52,6 +58,18 @@ _STEADY_TAIL_GATE = 1e-6
 # divergence dominates and the field value is an artifact.
 EXCLUSION_FRACTION = 0.05
 
+# Points in one block of a transient kernel sum: a complex temporary of
+# 8192 values is 128 KiB, so a block's temporaries stay small enough for
+# the allocator to reuse them instead of mapping fresh pages.
+_BLOCK_POINTS = 8192
+# Largest growth Re(i a s1) = -Im(a) s1 of a position's winding factor
+# e^{i a s1} that the bracket takes: beyond it (Gamma s1 past about 9,500
+# wavelengths at Gamma = 0.01 Omega) e^{-iat} e^{i a s1} would multiply a
+# subnormal by a number near overflow, so the winding goes point by point.
+_FACTOR_GROWTH = 600.0
+_SINGULAR = ("kernel singularity: a shifted coordinate or the light front "
+             "passes exactly through a grid point")
+
 # ---------------------------------------------------------------------------
 # the master kernel
 
@@ -61,63 +79,100 @@ def closed_kernel(s1, t, a):
     s1 is +-(x or x - d)/v_g (forward or backward) and t the elapsed time.
     ``a`` is one center or an array of them, such as a drive axis of
     carriers shaped to broadcast against a [time, position] grid; the
-    contour closing assumes Im a <= 0, so a growing center raises.  The
-    launch term e^{-iat} E1s(i a s1) is a product of two factors evaluated
-    on the broadcast of ``a`` with t and with s1 alone: on such a grid once
-    per time and once per position, not once per point.  This is the
-    one-pair case of ``_closed_kernels``.
+    contour closing assumes Im a <= 0, so a growing center raises.  This
+    is the one-kernel, unit-weight case of ``_kernel_sum``: a point gets
+    the bits its kernel has inside a field's channel sum.
     """
-    (out,) = _closed_kernels([(s1, a)], t)
-    return out if np.ndim(out) else complex(out)
+    out = _kernel_sum([(1.0, s1, a)], t)
+    return out if out.ndim else complex(out)
 
 
-def _closed_kernels(pairs, t):
-    """``closed_kernel(s1, t, a)`` for every (s1, a) in ``pairs``.
+def _kernel_sum(terms, t):
+    """sum_k w_k K(s1_k, t; a_k) for the (w_k, s1_k, a_k) in ``terms``.
 
-    The pairs share the times t.  Every pair's launch argument i a s1 goes
-    through one ``e1_scaled`` call; each E1 value depends on its own
-    argument only, so the batch gives the bits of separate calls.  The
-    front argument z2 = i a s2 serves both the front E1 and the winding
-    term, whose exponential e^{z2} is taken only where the winding factor
-    is nonzero: elsewhere the term is +0.  Returns a list of arrays in the
-    order of ``pairs``.
+    Every argument broadcasts against the times t as in ``closed_kernel``.
+    The kernel is written as
+
+        K = e^{-iat} B(s1) - E1s(i a s2) - 2 pi i 1(s2 > 0) e^{i a s2},
+        B(s1) = E1s(i a s1) + 2 pi i 1(s1 > 0) e^{i a s1},
+
+    so the launch and the winding term share the time factor e^{-iat} and
+    the bracket B is per position; all terms' launch arguments go through
+    one ``e1_scaled`` call.  Points the light front has not reached
+    (s2 > 0) take e^{-iat} E1s(i a s1) alone rather than cancel the
+    bracket's winding, and so do positions whose e^{i a s1} would be too
+    large to factor (Re i a s1 > ``_FACTOR_GROWTH``), adding e^{i a s2}
+    point by point.  The sum runs over blocks of whole time rows of at
+    most ``_BLOCK_POINTS`` points (one row if a row holds more), one front
+    ``e1_scaled`` call per term and block; no point's arithmetic depends
+    on the block, the grid or the drive axis.
     """
     t = np.asarray(t, dtype=float)
-    pairs = [(np.asarray(s1, dtype=float), np.asarray(a, dtype=complex))
-             for s1, a in pairs]
-    for s1, a in pairs:
+    terms = [(np.asarray(w), np.asarray(s1, dtype=float),
+              np.asarray(a, dtype=complex)) for w, s1, a in terms]
+    shape = np.broadcast_shapes(t.shape, *(x.shape for term in terms
+                                           for x in term))
+    # Every operand on every axis of the sum, and a time axis -2 even if
+    # nothing varies along it: where nothing broadcasts against it, numpy
+    # multiplies a one-point result with other rounding than a grid.
+    ndim = max(len(shape), 2)
+
+    def full(x):
+        return x.reshape((1,) * (ndim - x.ndim) + x.shape)
+
+    t = full(t)
+    terms = [tuple(full(x) for x in term) for term in terms]
+    for _, s1, a in terms:
         if np.any(a.imag > 0):
             raise ValueError("kernel centers must not grow: need Im a <= 0")
-        if np.any(s1 == 0) or np.any(s1 - t == 0):
-            raise ValueError(
-                "kernel singularity: a shifted coordinate or the light front "
-                "passes exactly through a grid point"
-            )
-    z1 = [1j * a * s1 for s1, a in pairs]
-    e1 = e1_scaled(np.concatenate([np.ravel(z) for z in z1]))
-    ends = np.cumsum([np.size(z) for z in z1])[:-1]
-    return [_launched_kernel(np.exp(-1j * a * t) * e.reshape(np.shape(z)),
-                             s1, t, a)
-            for (s1, a), z, e in zip(pairs, z1, np.split(e1, ends))]
+        if not s1.all():
+            raise ValueError(_SINGULAR)
+    ia = [1j * a for _, _, a in terms]
+    z1 = [c * s1 for c, (_, s1, _) in zip(ia, terms)]
+    e1 = e1_scaled(np.concatenate([z.ravel() for z in z1]))
+    kernels = []
+    for (w, s1, _), c, z, e in zip(
+            terms, ia, z1, np.split(e1, np.cumsum([z.size for z in z1])[:-1])):
+        e = e.reshape(z.shape)
+        far = z.real > _FACTOR_GROWTH
+        wound = (s1 > 0) & ~far
+        bracket = e + TWO_PI_I * np.exp(z, out=np.zeros_like(z), where=wound)
+        kernels.append((w, s1, c, np.exp(-c * t), e, bracket,
+                        far if far.any() else None))
+    out = np.zeros((1,) * (ndim - len(shape)) + shape, dtype=complex)
+    step = max(1, _BLOCK_POINTS * out.shape[-2] // max(out.size, 1))
+    for r in range(0, out.shape[-2], step):
+        rows = slice(r, r + step)
+        tb = _rows(t, rows)
+        for w, s1, c, phase, e, bracket, far in kernels:
+            s2 = _rows(s1, rows) - tb
+            if not s2.all():
+                raise ValueError(_SINGULAR)
+            z2 = c * s2
+            front = e1_scaled(z2)
+            phase_b = _rows(phase, rows)
+            k = phase_b * _rows(bracket, rows)
+            k -= front
+            # points the front has not reached, and far positions
+            alone = s2 > 0
+            if far is not None:
+                alone = alone | _rows(far, rows)
+            if alone.any():
+                idx = np.nonzero(np.broadcast_to(alone, k.shape))
+                pick = [np.broadcast_to(x, k.shape)[idx]
+                        for x in (phase_b, _rows(e, rows), s2, z2)]
+                own = pick[0] * pick[1] - front[idx]
+                behind = pick[2] < 0
+                if behind.any():
+                    own[behind] += TWO_PI_I * np.exp(pick[3][behind])
+                k[idx] = own
+            out[..., rows, :] += _rows(w, rows) * k
+    return out.reshape(shape)
 
 
-def _launched_kernel(launch, s1, t, a):
-    """One kernel from its launch term: add the front and winding terms.
-
-    A function of its own so that each kernel's grid-sized temporaries are
-    freed before the next kernel makes its own.
-    """
-    s2 = s1 - t
-    z2 = 1j * a * s2
-    front = -e1_scaled(z2)
-    out = launch + front
-    # Winding bookkeeping of the two contour closings; in the physical
-    # region s2 < 0 this reduces to +2*pi*i for s1 > 0 and nothing else.
-    wind = (s2 < 0).astype(float) - (s1 < 0).astype(float)
-    if np.any(wind):
-        turn = np.exp(z2, out=np.zeros_like(out), where=wind != 0)
-        out = out + TWO_PI_I * turn * wind
-    return out
+def _rows(x, rows):
+    """Time rows ``rows`` (a slice of axis -2) of x, or x if it has one row."""
+    return x[..., rows, :] if x.shape[-2] > 1 else x
 
 
 def _kernel_limit(s1, t, a):
@@ -264,26 +319,31 @@ def _scattered_sum(steady, y1, y2, t, rates: CollectiveRates,
                    params: ModelParams, omega_s, c_plus, c_minus):
     """Scattered envelope from kernels at shifted coordinates (y1, y2).
 
-    The six kernels, at the two shifts and the three centers, are the t ->
-    inf limits ``_kernel_limit`` when ``steady`` and otherwise the exact
-    ``closed_kernel`` values, taken together by ``_closed_kernels``.  For
-    the forward field pass (x, x-d); for the backward field pass (-x,
-    -(x-d)).  The channel pattern (symmetric adds the two shifts,
-    antisymmetric subtracts) is the same in both directions.  The drive
+    Six kernels, at the two shifts and the three centers, weighted by the
+    channel pattern: the symmetric channel adds the two shifts, the
+    antisymmetric one subtracts them, and the drive kernels enter both.
+    For the forward field pass (x, x-d); for the backward field pass (-x,
+    -(x-d)).  When ``steady`` the kernels are their t -> inf limits
+    ``_kernel_limit``; otherwise the exact kernels go through
+    ``_kernel_sum`` as one weighted sum, block by block.  The drive
     carrier ``omega_s`` and its weights ``c_plus``/``c_minus`` may carry a
     leading drive axis; the pole kernels do not depend on the drive and are
     evaluated once.
     """
     a_plus = params.omega_q - 1j * rates.gamma_plus
     a_minus = params.omega_q - 1j * rates.gamma_minus
-    pairs = [(y / params.v_g, a) for a in (a_plus, a_minus, omega_s)
-             for y in (y1, y2)]
-    if steady:
-        kernels = [_kernel_limit(s1, t, a) for s1, a in pairs]
-    else:
-        kernels = _closed_kernels(pairs, t)
-    k_plus_1, k_plus_2, k_minus_1, k_minus_2, k_s_1, k_s_2 = kernels
-    return -0.5 * params.coupling * (
+    s1, s2 = y1 / params.v_g, y2 / params.v_g
+    half = -0.5 * params.coupling
+    if not steady:
+        return _kernel_sum([
+            (half * c_plus, s1, a_plus), (half * c_plus, s2, a_plus),
+            (half * c_minus, s1, a_minus), (-half * c_minus, s2, a_minus),
+            (-half * (c_plus + c_minus), s1, omega_s),
+            (half * (c_minus - c_plus), s2, omega_s)], t)
+    k_plus_1, k_plus_2, k_minus_1, k_minus_2, k_s_1, k_s_2 = [
+        _kernel_limit(s, t, a) for a in (a_plus, a_minus, omega_s)
+        for s in (s1, s2)]
+    return half * (
         c_plus * (k_plus_1 + k_plus_2 - k_s_1 - k_s_2)
         + c_minus * (k_minus_1 - k_minus_2 - k_s_1 + k_s_2)
     )

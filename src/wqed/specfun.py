@@ -15,10 +15,12 @@ in -z over 39 terms, the count its truncation bound needs at |z| = 6, for
 every argument alike.  The continued fraction computes the scaled product
 without any exponential, by backward recurrence from a start depth fitted
 by |z| band to the depth its truncation bound needs near the imaginary
-axis, where the field kernels take their arguments; an argument whose
-bound is not met goes round again at twice the depth, and past a depth
-limit (reached only near the negative real axis) it raises RuntimeError.
-One private dispatcher picks the branch for E1 and for e^z E1 alike.
+axis, where the field kernels take their arguments.  All arguments of a
+call run in one backward sweep ordered by start depth, each through its
+own steps; an argument whose bound is not met goes round again at twice
+the depth, and past a depth limit (reached only near the negative real
+axis) it raises RuntimeError.  One private dispatcher picks the branch
+for E1 and for e^z E1 alike, from one |z| that also serves the checks.
 
 The sine and cosine integrals have no algorithm of their own: they are
 read from E1(ix) = -Ci(x) + i si(x), with si(x) = Si(x) - pi/2, through
@@ -55,7 +57,12 @@ _SERIES_COEFS = (1.0 / (np.arange(1, _SERIES_TERMS + 1)
 # arguments nearer the cut go round again at twice the depth.
 _CF_BANDS = (8.0, 10.0, 15.0, 20.0, 30.0, 40.0, 60.0, 100.0, 150.0, 300.0,
              1000.0)
-_CF_DEPTHS = (36, 28, 22, 16, 12, 10, 8, 6, 5, 4, 3, 2)
+_CF_DEPTHS = np.array([36, 28, 22, 16, 12, 10, 8, 6, 5, 4, 3, 2])
+# The band of |z| by whole |z| up to the last edge: the edges are whole
+# numbers, so floor(|z|) lies in the band of |z| itself, and one table
+# read replaces a binary search.
+_CF_BAND_OF = np.searchsorted(_CF_BANDS, np.arange(_CF_BANDS[-1] + 1),
+                              side="right").astype(np.uint8)
 _CF_MAX_ITER = 5000
 # Largest truncation bound accepted without evaluating deeper.
 _CF_EPS = 1e-16
@@ -81,24 +88,32 @@ def _e1_series(z):
 
 
 def _cf_backward(z, depth):
-    """Depth-``depth`` backward evaluation of the E1 continued fraction.
+    """Backward evaluation of the E1 continued fraction, one sweep.
 
-    Runs t_N = z + 2N + 1, t_j = z + 2j + 1 - (j+1)^2/t_{j+1} down to t_0
-    and returns 1/t_0 together with the first-order bound on its relative
+    ``depth`` holds each argument's depth N, in descending order.  An
+    argument runs t_N = z + 2N + 1, t_j = z + 2j + 1 - (j+1)^2/t_{j+1}
+    down to t_0: step j runs on the prefix of arguments whose depth
+    exceeds j, so every argument goes through its own steps only.
+    Returns 1/t_0 together with the first-order bound on its relative
     truncation error,
-    |prod_{j<N} (j+1)^2/t_{j+1}^2| * |1/t_0| * (N+1)^2/|z + 2N + 3|.
+    |prod_{j<N} (j+1)/t_{j+1}|^2 * |1/t_0| * (N+1)^2/|z + 2N + 3|.
     """
     t = z + (2 * depth + 1)
-    gain = np.ones_like(z)
-    for j in range(depth - 1, -1, -1):
-        q = (j + 1) / t
-        gain *= q
-        gain *= q
+    prod = np.ones_like(z)
+    top = depth.max(initial=0)
+    # active[j]: how many arguments have a depth above j
+    active = np.searchsorted(-depth, -np.arange(top), side="left").tolist()
+    for j in range(top - 1, -1, -1):
+        n = active[j]
+        tp, pp = t[:n], prod[:n]
+        q = (j + 1) / tp
+        pp *= q
         q *= j + 1
-        t = z + (2 * j + 1)
-        t -= q
+        np.add(z[:n], 2 * j + 1, out=tp)
+        tp -= q
     h = 1.0 / t
-    bound = np.abs(gain * h) * (depth + 1) ** 2 / np.abs(z + (2 * depth + 3))
+    bound = np.abs(prod) ** 2 * np.abs(h) * (depth + 1) ** 2 \
+        / np.abs(z + (2 * depth + 3))
     return h, bound
 
 
@@ -107,41 +122,54 @@ def _e1s_continued_fraction(z):
 
     The standard continued fraction
     e^z E1(z) = 1/(z+1-) 1/(z+3-) 4/(z+5-) 9/(z+7-) ...
-    converges for every z off the negative real axis.  Each |z| band starts
-    at its depth in ``_CF_DEPTHS``; elements whose truncation bound is not
-    below ``_CF_EPS`` go round again at twice the depth, up to
-    ``_CF_MAX_ITER``.  Each value depends on its own argument only.
+    converges for every z off the negative real axis.  Each argument
+    starts at the depth of its |z| band in ``_CF_DEPTHS``, and all of them
+    go through one ``_cf_backward`` sweep, deepest first; those whose
+    truncation bound is not below ``_CF_EPS`` go round again at twice
+    their depth, up to ``_CF_MAX_ITER``.  Each value depends on its own
+    argument only.
     """
     z = np.ravel(z)
-    out = np.empty_like(z)
-    band = np.searchsorted(_CF_BANDS, np.abs(z), side="right")
-    for k, depth in enumerate(_CF_DEPTHS):
-        idx = np.flatnonzero(band == k)
-        while idx.size:
-            if depth > _CF_MAX_ITER:
-                raise RuntimeError(
-                    "continued fraction for e^z E1(z) failed to converge "
-                    f"within {_CF_MAX_ITER} terms (worst |z| = "
-                    f"{np.abs(z[idx]).min():.3g})"
-                )
-            out[idx], bound = _cf_backward(z[idx], depth)
-            # "not below" also sends a NaN bound round again
-            idx = idx[~(bound < _CF_EPS)]
-            depth *= 2
-    return out
+    band = _CF_BAND_OF[np.minimum(np.abs(z), _CF_BANDS[-1]).astype(np.intp)]
+    # stable: equal start depths keep their order; uint8 sorts by radix
+    order = np.argsort(band, kind="stable")
+    z = z[order]
+    depth = np.repeat(_CF_DEPTHS, np.bincount(band, minlength=_CF_DEPTHS.size))
+    out, bound = _cf_backward(z, depth)
+    idx = np.arange(z.size)
+    while True:
+        # "not below" also sends a NaN bound round again
+        again = ~(bound < _CF_EPS)
+        if not again.any():
+            break
+        idx, depth = idx[again], 2 * depth[again]
+        if depth[0] > _CF_MAX_ITER:
+            raise RuntimeError(
+                "continued fraction for e^z E1(z) failed to converge "
+                f"within {_CF_MAX_ITER} terms (worst |z| = "
+                f"{np.abs(z[idx[depth > _CF_MAX_ITER]]).min():.3g})"
+            )
+        out[idx], bound = _cf_backward(z[idx], depth)
+    result = np.empty_like(out)
+    result[order] = out
+    return result
 
 
-def _takes_series(z):
-    return (np.abs(z) <= _SERIES_RADIUS) & (z.real <= _SERIES_MAX_REAL)
+def _takes_series(z, mag=None):
+    """Which arguments the series branch takes; ``mag`` is |z| if known."""
+    if mag is None:
+        mag = np.abs(z)
+    return (mag <= _SERIES_RADIUS) & (z.real <= _SERIES_MAX_REAL)
 
 
-def _validate_off_cut(z):
-    if np.any(z == 0):
+def _validate_off_cut(z, mag):
+    if not mag.all():
         raise ValueError("E1 is singular at z = 0")
-    on_cut = (z.imag == 0) & (z.real < 0)
-    if np.any(on_cut):
+    real_axis = z.imag == 0
+    if real_axis.any() and (z.real[real_axis] < 0).any():
         raise ValueError("E1 branch cut: argument on the negative real axis")
-    if not np.all(np.isfinite(z)):
+    # |z| overflows for finite z past 1.8e308, so look at z itself then
+    if not np.isfinite(mag).all() and not np.isfinite(z).all():
         raise ValueError("E1 argument must be finite")
 
 
@@ -149,22 +177,27 @@ def _e1(z, scaled):
     """E1(z), or e^z E1(z) when ``scaled``, at scalars or arrays.
 
     The series gives E1 and the continued fraction e^z E1, so the two
-    writings differ only in which branch takes the factor e^{+-z}.
+    writings differ only in which branch takes the factor e^{+-z}.  |z|
+    is taken once for the validation and the choice of branch.
     """
     arr = np.asarray(z, dtype=np.complex128)
-    scalar = arr.ndim == 0
     flat = arr.ravel()
-    _validate_off_cut(flat)
+    mag = np.abs(flat)
+    _validate_off_cut(flat, mag)
+    small = _takes_series(flat, mag)
     out = np.empty_like(flat)
-    small = _takes_series(flat)
     if small.any():
         zs = flat[small]
         out[small] = np.exp(zs) * _e1_series(zs) if scaled else _e1_series(zs)
-    if (~small).any():
-        zl = flat[~small]
+        large = ~small
+    else:
+        # the kernels' front calls mostly land here: no gather
+        large = slice(None)
+    zl = flat[large]
+    if zl.size:
         fraction = _e1s_continued_fraction(zl)
-        out[~small] = fraction if scaled else np.exp(-zl) * fraction
-    return out[0] if scalar else out.reshape(arr.shape)
+        out[large] = fraction if scaled else np.exp(-zl) * fraction
+    return out[0] if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def e1_scaled(z):

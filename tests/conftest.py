@@ -9,12 +9,13 @@ import cmath
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from wqed import fields
+from wqed import fields, specfun
 from wqed.amplitudes import QubitState
-from wqed.model import ModelParams, collective_rates
+from wqed.model import ModelParams, collective_rates, coupling_weights
 from wqed.oracle import (
     CONTINUUM_KEEP_EVERY,
     CONTINUUM_STEP,
@@ -137,6 +138,117 @@ def _per_pair_closed_kernel(s1, t, a):
 def per_pair_closed_kernel():
     """The master kernel evaluated pair by pair, every exponential taken."""
     return _per_pair_closed_kernel
+
+
+def _band_loop_e1(z, scaled):
+    """``specfun._e1`` in its band-loop writing, as a reference.
+
+    The continued fraction runs one pass per |z| band of ``_CF_BANDS`` at
+    the band's start depth, each argument's truncation bound multiplied
+    up as (q_j)^2 at every step, and the arguments whose bound is not met
+    go round again at twice the depth.  Same series, same recurrence.
+    """
+    arr = np.asarray(z, dtype=np.complex128)
+    flat = arr.ravel()
+    out = np.empty_like(flat)
+    small = (np.abs(flat) <= specfun._SERIES_RADIUS) \
+        & (flat.real <= specfun._SERIES_MAX_REAL)
+    if small.any():
+        zs = flat[small]
+        series = specfun._e1_series(zs)
+        out[small] = np.exp(zs) * series if scaled else series
+    zl = flat[~small]
+    fraction = np.empty_like(zl)
+    band = np.searchsorted(specfun._CF_BANDS, np.abs(zl), side="right")
+    for k, depth in enumerate(specfun._CF_DEPTHS):
+        idx = np.flatnonzero(band == k)
+        while idx.size:
+            assert depth <= specfun._CF_MAX_ITER
+            zk = zl[idx]
+            t = zk + (2 * depth + 1)
+            gain = np.ones_like(zk)
+            for j in range(depth - 1, -1, -1):
+                q = (j + 1) / t
+                gain *= q
+                gain *= q
+                q *= j + 1
+                t = zk + (2 * j + 1)
+                t -= q
+            fraction[idx] = h = 1.0 / t
+            bound = np.abs(gain * h) * (depth + 1) ** 2 \
+                / np.abs(zk + (2 * depth + 3))
+            idx = idx[~(bound < specfun._CF_EPS)]
+            depth *= 2
+    out[~small] = fraction if scaled else np.exp(-zl) * fraction
+    return out.reshape(arr.shape)
+
+
+@pytest.fixture(scope="session")
+def band_loop_e1():
+    """E1 or e^z E1 through one continued-fraction pass per |z| band."""
+    return _band_loop_e1
+
+
+def _mp_kernel(s1, t, a):
+    """The master kernel at 40 digits from float inputs taken as exact.
+
+    K = e^{-iat} e^{z1} E1(z1) - e^{z2} E1(z2)
+        + 2 pi i ((s2 < 0) - (s1 < 0)) e^{z2},  z_k = i a s_k, s2 = s1 - t.
+    """
+    with mpmath.workdps(40):
+        s1, t = mpmath.mpf(float(s1)), mpmath.mpf(float(t))
+        a = mpmath.mpc(complex(a).real, complex(a).imag)
+        s2 = s1 - t
+        z1, z2 = 1j * a * s1, 1j * a * s2
+        k = mpmath.exp(-1j * a * t + z1) * mpmath.e1(z1) \
+            - mpmath.exp(z2) * mpmath.e1(z2)
+        wind = int(s2 < 0) - int(s1 < 0)
+        if wind:
+            k += 2j * mpmath.pi * wind * mpmath.exp(z2)
+        return k
+
+
+@pytest.fixture(scope="session")
+def mp_kernel():
+    """The master kernel at one point from 40-digit E1 values."""
+    return _mp_kernel
+
+
+def _mp_transient_field(params, rates, x, t, omega):
+    """(u, v) at one point and carrier from kernels at 40 digits.
+
+    The channel sum of ``fields`` with every kernel from ``_mp_kernel``
+    and the incident wave from its phase in 40 digits; the inputs (the
+    shifted coordinates y/v_g, the centers and the channel weights) are
+    the engine's floats.  u carries the incident wave and, off the
+    Before region, the forward scattered field; v is zero behind the pair.
+    """
+    d, v_g = params.distance, params.v_g
+    c_plus, c_minus = (complex(c[0]) for c in coupling_weights(
+        params, rates.regime, np.array([omega])))
+    centers = (params.omega_q - 1j * rates.gamma_plus,
+               params.omega_q - 1j * rates.gamma_minus, omega)
+    with mpmath.workdps(40):
+        def scattered(y1, y2):
+            k = [_mp_kernel(y / v_g, t, a) for a in centers for y in (y1, y2)]
+            return -mpmath.mpf(params.coupling) / 2 * (
+                c_plus * (k[0] + k[1] - k[4] - k[5])
+                + c_minus * (k[2] - k[3] - k[4] + k[5]))
+
+        u = params.amplitude * mpmath.expj(
+            mpmath.mpf(omega) * (mpmath.mpf(x) / v_g - mpmath.mpf(t)))
+        v = mpmath.mpc(0)
+        if x > 0:
+            u += scattered(x, x - d)
+        if x < d:
+            v = scattered(-x, -(x - d))
+        return complex(u), complex(v)
+
+
+@pytest.fixture(scope="session")
+def mp_transient_field():
+    """The transient (u, v) at one point from a 40-digit channel sum."""
+    return _mp_transient_field
 
 
 def _kernel_limit_trig(s1, t, a):

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wqed import cli, specfun, validation
+from wqed import cli, fields, specfun, validation
 from wqed.model import ModelParams
 
 # stored figure datasets, written by the per-point field code
@@ -529,6 +529,29 @@ def test_special_function_failure_exits_with_runtime_error(tmp_path,
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "converge" in err
+    assert len(err.strip().splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, preset, evaluator", [
+    ("spectrum", "fig2", "transmittance"),
+    ("beating", "fig7", "beat_note_series"),
+    ("peaks", "fig8", "space_time_grid"),
+])
+def test_running_out_of_memory_exits_two(command, preset, evaluator,
+                                         tmp_path, monkeypatch, capsys):
+    # a count too large for the machine (points = 1e13) fails in numpy's
+    # allocator; that is bad input: exit 2 with one line on stderr, no
+    # traceback and no output file.  The allocation itself is not tried.
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+    monkeypatch.setattr(fields, evaluator, out_of_memory)
+    code = run_cli([command, "--preset", preset, "--json", "--out", "x.csv"],
+                   tmp_path, monkeypatch)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate")
     assert len(err.strip().splitlines()) == 1
     assert list(tmp_path.iterdir()) == []
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from wqed import fields
-from wqed.model import ModelParams, collective_rates
+from wqed.model import ModelParams, collective_rates, coupling_weights
 from wqed.oracle import quad_kernel
 from wqed.specfun import cosine_integral, si_lower
 
@@ -255,33 +255,191 @@ def _batch_grid(region, p):
     return fields.space_time_grid(p, x, t, region=region)
 
 
+def _phase_budget(got, ref, a, t):
+    """|got - ref| over its budget 1e-15 (1 + |a| t) max(|ref|, 1).
+
+    The factored kernel and the per-pair writing round the phase of the
+    winding term differently, e^{-iat} e^{ias1} against e^{ias2}: each
+    is off by a few ulps of its phase, and the phases reach |a| t.
+    """
+    return np.abs(got - ref) / (
+        1e-15 * (1.0 + np.abs(a) * t) * np.maximum(np.abs(ref), 1.0))
+
+
+def _channel_terms(p, rates, y1, y2, omega):
+    """The six (weight, s1, center) terms of one transient channel sum."""
+    c_plus, c_minus = (c.reshape(-1, 1, 1) for c in coupling_weights(
+        p, rates.regime, omega))
+    a_plus = p.omega_q - 1j * rates.gamma_plus
+    a_minus = p.omega_q - 1j * rates.gamma_minus
+    half = -0.5 * p.coupling
+    s1, s2 = y1 / p.v_g, y2 / p.v_g
+    return [(half * c_plus, s1, a_plus), (half * c_plus, s2, a_plus),
+            (half * c_minus, s1, a_minus), (-half * c_minus, s2, a_minus),
+            (-half * (c_plus + c_minus), s1, omega[:, None, None]),
+            (half * (c_minus - c_plus), s2, omega[:, None, None])]
+
+
 @pytest.mark.parametrize("region", ["Behind", "Between", "Before"])
 @pytest.mark.parametrize("tag", TAGS)
 def test_batched_channel_sum_matches_per_pair_writing_bit_for_bit(
         tag, region, per_pair_closed_kernel, monkeypatch):
-    # the six kernels of a transient channel sum, taken together, give the
-    # bits of six separate per-pair kernels, and so does the field itself
-    # on a drive axis of three carriers
+    # a transient channel sum, one weighted sum of its six kernels, gives
+    # the bits of the same weighted sum of six one-kernel calls, on a
+    # drive axis of three carriers; each kernel, and the field, is the
+    # per-pair writing up to the rounding of the winding phase
     p = _preset(tag)
     rates = collective_rates(p)
     grid = _batch_grid(region, p)
     omega = np.array([0.995, 1.0, 1.005]) * p.omega_q
-    d, v_g = p.distance, p.v_g
+    d = p.distance
     tt = grid.t[:, None]
-    centers = (p.omega_q - 1j * rates.gamma_plus,
-               p.omega_q - 1j * rates.gamma_minus, omega[:, None, None])
     for y1, y2 in ((grid.x, grid.x - d), (-grid.x, -(grid.x - d))):
-        pairs = [(y[None, :] / v_g, a) for a in centers for y in (y1, y2)]
-        batched = fields._closed_kernels(pairs, tt)
-        for (s1, a), got in zip(pairs, batched):
-            assert got.tobytes() == per_pair_closed_kernel(s1, tt, a).tobytes()
+        terms = _channel_terms(p, rates, y1[None, :], y2[None, :], omega)
+        summed = 0.0
+        for w, s1, a in terms:
+            kernel = fields.closed_kernel(s1, tt, a)
+            summed = summed + w * kernel
+            ref = per_pair_closed_kernel(s1, tt, a)
+            assert _phase_budget(kernel, ref, a, tt).max() <= 1.0
+        assert summed.tobytes() == fields._kernel_sum(terms, tt).tobytes()
     if region == "Before":
-        s1, s2 = -(grid.x - d) / v_g, -(grid.x - d) / v_g - tt
+        s1, s2 = -(grid.x - d) / p.v_g, -(grid.x - d) / p.v_g - tt
         wind = (s2 < 0).astype(int) - (s1 < 0).astype(int)
         assert wind.min() == 0 and wind.max() == 1
     batched = fields._drive_fields(grid, rates, p, omega, "transient")
-    monkeypatch.setattr(fields, "_closed_kernels", lambda pairs, t: [
-        per_pair_closed_kernel(s1, t, a) for s1, a in pairs])
+    monkeypatch.setattr(fields, "_kernel_sum", lambda terms, t: sum(
+        w * per_pair_closed_kernel(s1, t, a) for w, s1, a in terms))
     per_pair = fields._drive_fields(grid, rates, p, omega, "transient")
     for got, want in zip(batched[1:], per_pair[1:]):
-        assert got.tobytes() == want.tobytes()
+        err = np.abs(got - want) / (1e-15 * (1.0 + omega.max() * tt)
+                                    * np.maximum(np.abs(want), p.amplitude))
+        assert err.max() <= 1.0
+
+
+def _block_grid(p):
+    # 40 times x 500 positions behind the pair: 16 rows of 500 points fit
+    # in a block of 8192, so the grid takes blocks of 16, 16 and 8 rows
+    x = np.linspace(1.1, 6.0, 500) * p.distance
+    t = 6.5 * p.distance / p.v_g * np.geomspace(1.0, 200.0, 40)
+    return fields.space_time_grid(p, x, t)
+
+
+def test_transient_channel_sum_works_in_cache_sized_blocks(monkeypatch):
+    # one launch call for the six kernels' positions, then six front calls
+    # per block of whole time rows, none over 8192 points: still at most
+    # 6 (n_t n_x + n_x) E1 arguments for the whole grid
+    p = _preset("generic")
+    grid = _block_grid(p)
+    calls = []
+    real_e1 = fields.e1_scaled
+
+    def counting_e1(z):
+        calls.append(np.shape(z))
+        return real_e1(z)
+
+    monkeypatch.setattr(fields, "e1_scaled", counting_e1)
+    fields.forward_field(grid, collective_rates(p), p, "transient")
+    n_t, n_x = grid.t.size, grid.x.size
+    assert calls[0] == (6 * n_x,)
+    rows = [16] * 6 + [16] * 6 + [8] * 6
+    assert [np.prod(c[:-2]) for c in calls[1:]] == [1] * len(rows)
+    assert [c[-2:] for c in calls[1:]] == [(r, n_x) for r in rows]
+    assert max(np.prod(c) for c in calls[1:]) <= fields._BLOCK_POINTS
+    assert sum(np.prod(c) for c in calls) <= 6 * (n_t * n_x + n_x)
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_field_point_does_not_depend_on_where_it_is_evaluated(tag):
+    # bit for bit: a point of a transient field takes the same arithmetic
+    # alone, on a grid, on either side of a block boundary and on a drive
+    # axis; Before, the times straddle the second qubit's backward front
+    p = _preset(tag)
+    rates = collective_rates(p)
+    d, v_g = p.distance, p.v_g
+    omega = np.array([0.99, 1.0, 1.007]) * p.omega_q
+    for lo, hi in ((1.1, 6.0), (0.06, 0.94), (-6.0, -0.1)):
+        x = np.linspace(lo, hi, 500) * d
+        reach = (np.abs(x).max() + d) / v_g
+        t = reach * np.geomspace(1.01, 200.0, 40)
+        if lo < 0:
+            # the second qubit's emission reaches x = -6 d at 7 d / v_g
+            t = np.sort(np.concatenate([t, np.linspace(6.05, 6.95, 6)
+                                        * d / v_g]))
+        grid = fields.space_time_grid(p, x, t)
+        _, *swept = fields._drive_fields(grid, rates, p, omega, "transient")
+        _, *alone = fields._drive_fields(grid, rates, p, omega[1:2],
+                                         "transient")
+        for got, want in zip(swept, alone):
+            assert got[1].tobytes() == want[0].tobytes()
+        # rows 15 and 16 end and start a block of the 500-position grid
+        for i in (0, 15, 16, t.size - 1):
+            for j in (0, 250, x.size - 1):
+                point = fields.space_time_grid(p, [x[j]], [t[i]])
+                for k in range(omega.size):
+                    _, *one = fields._drive_fields(
+                        point, rates, p, omega[k:k + 1], "transient")
+                    for got, want in zip(swept, one):
+                        assert got[k, i, j].tobytes() == want.tobytes()
+
+
+REGIMES = (("generic", 0.01, 0.5), ("even", 0.01, 2.0), ("odd", 0.01, 1.0),
+           ("strong", 0.1, 5.0))
+
+
+@pytest.mark.parametrize("tag, ratio, phase", REGIMES,
+                         ids=[r[0] for r in REGIMES])
+def test_transient_field_against_mpmath(tag, ratio, phase,
+                                        mp_transient_field):
+    # the transient u and v against a 40-digit channel sum over the three
+    # regions, from just past the last light front out to 30 lifetimes,
+    # within the phase budget 1e-15 (1 + Omega t) of the amplitude
+    rng = np.random.default_rng([17, int(1000 * ratio), int(10 * phase)])
+    p = ModelParams.from_phase(OMEGA_Q, ratio * OMEGA_Q, phase,
+                               omega_s=rng.uniform(0.98, 1.02) * OMEGA_Q)
+    rates = collective_rates(p)
+    d, v_g = p.distance, p.v_g
+    for lo, hi in ((1.15, 12.0), (0.15, 0.85), (-12.0, -0.15)):
+        x = rng.uniform(lo, hi, 4) * d
+        reach = (np.abs(x).max() + d) / v_g
+        lag = np.exp(rng.uniform(np.log(0.01 * d / v_g),
+                                 np.log(30.0 / p.gamma), 4))
+        t = np.sort(reach + lag)
+        grid = fields.space_time_grid(p, x, t)
+        (field,) = fields.drive_sweep(grid, rates, p, [p.omega_s],
+                                      "transient")
+        for i, j in zip(range(4), rng.permutation(4)):
+            ref = mp_transient_field(p, rates, x[j], t[i], p.omega_s)
+            budget = 1e-15 * (1.0 + p.omega_s * t[i]) * p.amplitude
+            for got, want in zip((field.u[i, j], field.v[i, j]), ref):
+                assert abs(got - want) <= budget * max(abs(want) / p.amplitude,
+                                                       1.0)
+
+
+@pytest.mark.parametrize("tag, phase", [("generic", 0.5), ("even", 2.0)])
+def test_kernel_far_out_stays_finite(tag, phase, kernel_centers, mp_kernel):
+    # 2e4 wavelengths out, Gamma s1 reaches 1,257 at Gamma = 0.01 Omega,
+    # where e^{i a s1} alone overflows: the far positions add their
+    # winding point by point, and the field stays finite and accurate
+    # on both sides of the light front
+    p = ModelParams.from_phase(OMEGA_Q, 0.02 * OMEGA_Q, phase)
+    rates = collective_rates(p)
+    wavelength = 2.0 * np.pi * p.v_g / p.omega_q
+    x = np.array([1e4, 2e4]) * wavelength + p.distance
+    for a in kernel_centers(p).values():
+        s1 = x / p.v_g
+        assert -complex(a).imag * s1[1] > 709.0 or complex(a).imag == 0
+        for lag in (1e-9, 1e-6, 1e-3, 0.1):
+            t = s1 * (1.0 + lag)
+            got = fields.closed_kernel(s1, t, a)
+            assert np.all(np.isfinite(got))
+            for k in range(2):
+                ref = complex(mp_kernel(s1[k], t[k], a))
+                assert abs(got[k] - ref) <= 1e-15 * (1.0 + abs(a) * t[k]) \
+                    * max(abs(ref), 1.0)
+    grid = fields.space_time_grid(p, x, x.max() / p.v_g * np.array(
+        [1.0 + 1e-9, 1.001, 1.1]))
+    field = fields.forward_field(grid, rates, p, "transient")
+    assert np.all(np.isfinite(field.u))
+
+

@@ -236,24 +236,62 @@ def test_continued_fraction_converges_where_it_always_did(radius):
     assert np.max(np.abs(got / ref - 1.0)) <= 1e-13
 
 
-def test_start_depths_serve_the_kernel_rays_in_one_round(monkeypatch):
-    # the field kernels take E1 within 0.1 of the imaginary axis; there each
-    # band's start depth must meet the truncation bound at once, so every
-    # band runs _cf_backward exactly once, at its start depth
+def _kernel_rays():
+    # the field kernels take E1 within 0.1 of the imaginary axis
     radius = np.geomspace(6.0, 1e4, 400)
     angles = np.concatenate([np.linspace(np.pi / 2 - 0.1, np.pi / 2 + 0.1, 9),
                              np.linspace(-np.pi / 2 - 0.1, -np.pi / 2 + 0.1, 9)])
-    z = (radius[:, None] * np.exp(1j * angles[None, :])).ravel()
-    depths = []
+    return (radius[:, None] * np.exp(1j * angles[None, :])).ravel()
+
+
+def test_start_depths_serve_the_kernel_rays_in_one_round(monkeypatch):
+    # on the kernel rays every band's start depth meets the truncation
+    # bound at once: no argument goes round again, so the continued
+    # fraction makes one backward sweep, every argument at the start depth
+    # of its |z| band and the deepest first
+    z = _kernel_rays()
+    sweeps = []
     real_backward = specfun._cf_backward
 
     def counting_backward(z, depth):
-        depths.append(depth)
+        sweeps.append(depth)
         return real_backward(z, depth)
 
     monkeypatch.setattr(specfun, "_cf_backward", counting_backward)
     specfun._e1s_continued_fraction(z)
-    assert depths == list(specfun._CF_DEPTHS)
+    band = np.searchsorted(specfun._CF_BANDS, np.abs(z), side="right")
+    (depth,) = sweeps
+    assert np.array_equal(depth, np.sort(specfun._CF_DEPTHS[band])[::-1])
+
+
+def _near_cut_grid():
+    # the grid of test_continued_fraction_converges_where_it_always_did
+    angles = np.array([0.0, np.pi / 2, np.pi / 2 + 0.1, 2.0, 2.5, 3.0])
+    return np.concatenate([r * np.exp(1j * angles)
+                           for r in (6.01, *specfun._CF_BANDS)])
+
+
+def _random_arguments():
+    rng = np.random.default_rng(53)
+    n = 20000
+    return 10.0 ** rng.uniform(-3.0, 4.0, n) \
+        * np.exp(1j * rng.uniform(-2.9, 2.9, n))
+
+
+@pytest.mark.parametrize("args", [_random_arguments, _near_cut_grid,
+                                  _kernel_rays],
+                         ids=["random", "near-cut", "kernel-rays"])
+def test_e1_matches_the_band_loop_writing_bit_for_bit(args, band_loop_e1):
+    # one sweep ordered by start depth takes every argument through the
+    # steps of the band-by-band loop: the same bits, on both branches,
+    # for E1 and for e^z E1, and argument by argument as in a batch
+    z = args()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for fn, scaled in ((specfun.e1_scaled, True),
+                           (specfun.exp_integral_e1, False)):
+            assert fn(z).tobytes() == band_loop_e1(z, scaled).tobytes()
+    single = np.array([specfun.e1_scaled(v) for v in z[::97]])
+    assert single.tobytes() == band_loop_e1(z[::97], True).tobytes()
 
 
 def test_series_region_against_mpmath():
