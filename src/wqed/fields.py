@@ -407,16 +407,21 @@ def _drive_fields(grid: SpaceTimeGrid, rates: CollectiveRates,
     d = params.distance
 
     def scattered(y1, y2):
+        parts = [(is_steady, pick) for is_steady, pick
+                 in ((True, steady), (False, ~steady)) if pick.any()]
+        if len(parts) == 1:
+            # one branch for every carrier: its sum is the whole array
+            return _scattered_sum(parts[0][0], y1, y2, tt, rates, params,
+                                  *drive)
         out = np.empty((omega.size, grid.t.size, grid.x.size), dtype=complex)
-        for is_steady, pick in ((True, steady), (False, ~steady)):
-            if pick.any():
-                out[pick] = _scattered_sum(is_steady, y1, y2, tt, rates,
-                                           params, *(a[pick] for a in drive))
+        for is_steady, pick in parts:
+            out[pick] = _scattered_sum(is_steady, y1, y2, tt, rates,
+                                       params, *(a[pick] for a in drive))
         return out
 
     u = incident_plane_wave(xx, tt, params, drive[0])
     if grid.region is not Region.BEFORE:
-        u = u + scattered(xx, xx - d)
+        u += scattered(xx, xx - d)
     if grid.region is Region.BEHIND:
         v = np.zeros_like(u)
     else:

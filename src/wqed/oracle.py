@@ -8,10 +8,11 @@ system is integrated in time by a plain RK4 on complex scalars, and the
 full qubit+continuum Schroedinger equation is evolved on a discretized
 frequency comb.  Each keeps its plain discretization (panels and nodes,
 RK4 step, comb); only the order of its arithmetic is regrouped for speed:
-the quadrature sums node columns against tabulated panel phases, the
-Markov RK4 applies its step as one affine map, and the continuum RK4 reads
-its stage overlaps from comb sums.  Every closed form in the package is
-required to agree with these to stated tolerances.
+the quadrature sums node columns against panel phases tabulated once per
+call, keeping the per-node sum for the few panels near the kernel center,
+the Markov RK4 applies its step as one affine map, and the continuum RK4
+reads its stage overlaps from comb sums.  Every closed form in the package
+is required to agree with these to stated tolerances.
 """
 
 from __future__ import annotations
@@ -33,12 +34,17 @@ from .model import CollectiveRates, ModelParams
 # nodes; a kernel needing more than MAX_NODES nodes is refused, and the
 # nodes are summed CHUNK_NODES at a time.  Panel phases come from a coarse
 # table of one exponential per PHASE_FINE panels times a fine table of
-# PHASE_FINE entries.
+# PHASE_FINE entries; a chunk starts on a multiple of PHASE_FINE panels.
 POINTS_PER_PERIOD = 16
 PANEL_ORDER = 8
 MAX_NODES = 2.0e7
 CHUNK_NODES = 65536
 PHASE_FINE = 64
+
+# The PANEL_ORDER-point Gauss-Legendre rule on [-1, 1], read-only.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(PANEL_ORDER)
+_GL_NODES.setflags(write=False)
+_GL_WEIGHTS.setflags(write=False)
 
 
 def _tail_inverse_omega(s: float, cutoff: float) -> complex:
@@ -53,19 +59,35 @@ def _tail_inverse_omega_sq(s: float, cutoff: float) -> complex:
     return np.exp(1j * cutoff * s) / cutoff + 1j * s * _tail_inverse_omega(s, cutoff)
 
 
-def _panel_phases(s: float, width: float, first: int, count: int) -> np.ndarray:
-    """e^{i s width p} for the panels p = first, ..., first + count - 1.
+def _phase_tables(s: float, width: float, n_panels: int):
+    """Coarse and fine tables of the panel phases e^{i s width p}, p < n_panels.
 
-    Writing p = first + PHASE_FINE q + j, each phase is a coarse factor
-    e^{i s width (first + PHASE_FINE q)} times a fine one e^{i s width j}:
-    one exponential per PHASE_FINE panels instead of one per panel.  The
+    Writing p = PHASE_FINE q + j, each phase is a coarse factor
+    e^{i s width PHASE_FINE q} times a fine one e^{i s width j}: one
+    exponential per PHASE_FINE panels instead of one per panel.  The
     coarse factor is e^{i s left} at every PHASE_FINE-th panel edge,
     computed as the per-panel exponential would compute it.
     """
     fine = np.exp(1j * s * (np.arange(PHASE_FINE) * width))
-    starts = first + PHASE_FINE * np.arange(-(-count // PHASE_FINE))
+    starts = PHASE_FINE * np.arange(-(-n_panels // PHASE_FINE))
     coarse = np.exp(1j * s * (starts * width))
-    return (coarse[:, None] * fine).ravel()[:count]
+    return coarse, fine
+
+
+def _chunk_phases(tables, start: int, count: int, out: np.ndarray) -> np.ndarray:
+    """The phases of panels start, ..., start + count - 1, as out[:count].
+
+    Column k of the result is the panel phase of ``tables[k]`` (a
+    ``_phase_tables`` pair), written as coarse x fine products straight
+    into ``out``, a (rows, 2) complex buffer with at least ``count``
+    rounded up to PHASE_FINE rows; ``start`` is a multiple of PHASE_FINE.
+    """
+    rows = -(-count // PHASE_FINE)
+    blocks = out[:rows * PHASE_FINE].reshape(rows, PHASE_FINE, 2)
+    first = start // PHASE_FINE
+    for k, (coarse, fine) in enumerate(tables):
+        np.multiply(coarse[first:first + rows, None], fine, out=blocks[:, :, k])
+    return out[:count]
 
 
 def quad_kernel(s1: float, t: float, a: complex, params: ModelParams,
@@ -83,11 +105,13 @@ def quad_kernel(s1: float, t: float, a: complex, params: ModelParams,
     offsets, two dots of the panel phase vectors with 1/(left - a + off),
     so no (panels x nodes) array is formed; at a real center the
     reciprocals are real and both dots are one real matrix-vector product.
-    The panel phases come from coarse and fine tables (``_panel_phases``).
-    A chunk of panels within reach of a real center keeps the per-node sum
-    with the first-order expansion of phi where |(omega - a) t| < 1e-8.
-    Same integral, same nodes, no E1 and no closed-form algebra, so it
-    stays independent of the engine.
+    The panel phases come from coarse and fine tables built once per call
+    (``_phase_tables``) and are written chunk by chunk into one buffer
+    (``_chunk_phases``).  The panels within reach of the center, with one
+    panel of margin on either side, keep the per-node sum with the
+    first-order expansion of phi where |(omega - a) t| < 1e-8; the rest of
+    their chunk takes the node-column sums.  Same integral, same nodes, no
+    E1 and no closed-form algebra, so it stays independent of the engine.
 
     Parameters
     ----------
@@ -129,43 +153,59 @@ def quad_kernel(s1: float, t: float, a: complex, params: ModelParams,
             f"(> {MAX_NODES:.3g}); reduce t or the cutoff"
         )
     width = cutoff / n_panels
-    ref_x, ref_w = np.polynomial.legendre.leggauss(PANEL_ORDER)
-    off = 0.5 * (ref_x + 1.0) * width    # node offsets inside a panel
-    ref_w = 0.5 * ref_w * width
+    off = 0.5 * (_GL_NODES + 1.0) * width    # node offsets inside a panel
+    ref_w = 0.5 * _GL_WEIGHTS * width
     lead = np.exp(-1j * a * t) * np.exp(1j * off * s1) * ref_w   # node factors
     trail = np.exp(1j * off * s2) * ref_w
     reach = 2e-8 / t    # |z t| < 1e-8 only this close to a (with margin)
+    near = np.zeros(2, dtype=int)    # panels [near[0], near[1]) are in reach
+    if abs(a.imag) < reach:
+        # the panels that meet [a.real - reach, a.real + reach], and one more
+        # on either side; clipped as floats, so an infinite reach is fine
+        edges = np.floor(np.array([a.real - reach, a.real + reach]) / width)
+        near = np.clip(edges + (-1, 2), 0, n_panels).astype(int)
 
-    total = 0.0 + 0.0j
+    tables = (_phase_tables(s1, width, n_panels),
+              _phase_tables(s2, width, n_panels))
     panels_per_chunk = CHUNK_NODES // PANEL_ORDER
+    buffer = np.empty((panels_per_chunk, 2), dtype=complex)
+    total = 0.0 + 0.0j
     for start in range(0, n_panels, panels_per_chunk):
         count = min(panels_per_chunk, n_panels - start)
         left = np.arange(start, start + count) * width
-        ahead = _panel_phases(s1, width, start, count)
-        behind = _panel_phases(s2, width, start, count)
-        base = left - a
-        near = left[0] - reach < a.real < left[-1] + width + reach
-        if near and abs(a.imag) < reach:
-            z = base[:, None] + off
-            trailing = behind[:, None] * trail
-            vals = (ahead[:, None] * lead - trailing) / z
+        phases = _chunk_phases(tables, start, count, buffer)
+        lo, hi = np.clip(near - start, 0, count)
+        if lo < hi:
+            # per-node sum, with the first-order expansion of phi at the
+            # nodes where |z t| < 1e-8
+            z = (left[lo:hi] - a)[:, None] + off
+            trailing = phases[lo:hi, 1, None] * trail
+            vals = (phases[lo:hi, 0, None] * lead - trailing) / z
             zt = z * t
             small = np.abs(zt) < 1e-8
             vals[small] = 1j * t * (1.0 + 0.5j * zt[small]) * trailing[small]
             total += np.sum(vals)
-            continue
+        # the panels out of reach, on either side of those in reach
+        pieces = [(i, j) for i, j in ((0, lo), (hi, count)) if i < j]
         if a.imag == 0:
             # a real center has real reciprocals: one real matrix-vector
             # product per node column against the phases' float view
-            phases = np.column_stack([ahead, behind]).view(float)
-            for lead_n, trail_n, off_n in zip(lead, trail, off):
-                fwd, bwd = (np.reciprocal(base.real + off_n) @ phases) \
-                    .view(complex)
-                total += lead_n * fwd - trail_n * bwd
+            x = left - a.real
+            flat = phases.view(float)
+            for i, j in pieces:
+                for lead_n, trail_n, off_n in zip(lead, trail, off):
+                    fwd, bwd = (np.reciprocal(x[i:j] + off_n) @ flat[i:j]) \
+                        .view(complex)
+                    total += lead_n * fwd - trail_n * bwd
             continue
-        for lead_n, trail_n, off_n in zip(lead, trail, off):
-            r = np.reciprocal(base + off_n)
-            total += lead_n * np.dot(ahead, r) - trail_n * np.dot(behind, r)
+        # contiguous phase columns: a dot over a strided column is slower
+        ahead, behind = phases.T.copy()
+        base = left - a
+        for i, j in pieces:
+            for lead_n, trail_n, off_n in zip(lead, trail, off):
+                r = np.reciprocal(base[i:j] + off_n)
+                total += lead_n * np.dot(ahead[i:j], r) \
+                    - trail_n * np.dot(behind[i:j], r)
 
     # Analytic tail: 1/(omega - a) ~ 1/omega + a/omega^2 beyond the cutoff.
     tail = np.exp(-1j * a * t) * (_tail_inverse_omega(s1, cutoff)
@@ -577,10 +617,9 @@ def memory_kernel_coefficients(t: float, params: ModelParams):
     fastest = max(t, params.distance / params.v_g)
     h = 2.0 * np.pi / (POINTS_PER_PERIOD * fastest)
     n_panels = int(np.ceil(cutoff / h))
-    ref_x, ref_w = np.polynomial.legendre.leggauss(PANEL_ORDER)
-    ref_x = 0.5 * (ref_x + 1.0)
+    ref_x = 0.5 * (_GL_NODES + 1.0)
     width = cutoff / n_panels
-    ref_w = 0.5 * ref_w * width
+    ref_w = 0.5 * _GL_WEIGHTS * width
 
     self_total = 0.0 + 0.0j
     cross_total = 0.0 + 0.0j

@@ -117,7 +117,7 @@ def _cf_backward(z, depth):
     return h, bound
 
 
-def _e1s_continued_fraction(z):
+def _e1s_continued_fraction(z, mag=None):
     """Backward evaluation of e^z E1(z) for a flat array off the series.
 
     The standard continued fraction
@@ -127,10 +127,12 @@ def _e1s_continued_fraction(z):
     go through one ``_cf_backward`` sweep, deepest first; those whose
     truncation bound is not below ``_CF_EPS`` go round again at twice
     their depth, up to ``_CF_MAX_ITER``.  Each value depends on its own
-    argument only.
+    argument only.  ``mag`` is |z| if known.
     """
     z = np.ravel(z)
-    band = _CF_BAND_OF[np.minimum(np.abs(z), _CF_BANDS[-1]).astype(np.intp)]
+    if mag is None:
+        mag = np.abs(z)
+    band = _CF_BAND_OF[np.minimum(mag, _CF_BANDS[-1]).astype(np.intp)]
     # stable: equal start depths keep their order; uint8 sorts by radix
     order = np.argsort(band, kind="stable")
     z = z[order]
@@ -195,7 +197,7 @@ def _e1(z, scaled):
         large = slice(None)
     zl = flat[large]
     if zl.size:
-        fraction = _e1s_continued_fraction(zl)
+        fraction = _e1s_continued_fraction(zl, mag[large])
         out[large] = fraction if scaled else np.exp(-zl) * fraction
     return out[0] if arr.ndim == 0 else out.reshape(arr.shape)
 

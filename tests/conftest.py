@@ -20,6 +20,7 @@ from wqed.oracle import (
     CONTINUUM_KEEP_EVERY,
     CONTINUUM_STEP,
     PANEL_ORDER,
+    PHASE_FINE,
     POINTS_PER_PERIOD,
     ContinuumResult,
     _tail_inverse_omega,
@@ -342,6 +343,24 @@ def _per_node_quad_kernel(s1, t, a, params):
 def per_node_quad_kernel():
     """The panel quadrature with two exponentials per node."""
     return _per_node_quad_kernel
+
+
+def _panel_phases(s, width, first, count):
+    """e^{i s width p} for p = first, ..., first + count - 1, as a reference.
+
+    The per-chunk writing of the quadrature's panel phases: both tables
+    are built for this chunk alone, coarse times fine, then raveled.
+    """
+    fine = np.exp(1j * s * (np.arange(PHASE_FINE) * width))
+    starts = first + PHASE_FINE * np.arange(-(-count // PHASE_FINE))
+    coarse = np.exp(1j * s * (starts * width))
+    return (coarse[:, None] * fine).ravel()[:count]
+
+
+@pytest.fixture(scope="session")
+def panel_phases():
+    """One chunk's panel phases from tables built for that chunk alone."""
+    return _panel_phases
 
 
 def _per_call_markov_ode(params, t_final, n_steps, keep_every=1):

@@ -520,7 +520,7 @@ def test_special_function_failure_exits_with_runtime_error(tmp_path,
                                                           monkeypatch, capsys):
     # a continued fraction that does not converge is exit 2 with one line
     # on stderr, not a traceback, and no output file appears
-    def no_convergence(z):
+    def no_convergence(z, mag=None):
         raise RuntimeError("continued fraction failed to converge")
 
     monkeypatch.setattr(specfun, "_e1s_continued_fraction", no_convergence)

@@ -15,6 +15,11 @@ import pytest
 from wqed import validation
 from wqed.model import ModelParams
 from wqed.oracle import (
+    CHUNK_NODES,
+    PANEL_ORDER,
+    POINTS_PER_PERIOD,
+    _chunk_phases,
+    _phase_tables,
     continuum_evolve,
     e1_scaled_quad,
     gaussian_spectrum,
@@ -144,6 +149,63 @@ def test_factored_quadrature_matches_per_node_writing_at_tiny_times(
     ref = per_node_quad_kernel(s1, 1e-19, a, p)
     got = quad_kernel(s1, 1e-19, a, p)
     assert abs(got - ref) <= 1e-9 * max(abs(ref), 1e-3)
+
+
+def _panel_width(s1, t, p):
+    """The quadrature's panel width for a center no larger than Omega."""
+    h = 2.0 * np.pi / (POINTS_PER_PERIOD * max(abs(s1), abs(s1 - t), t))
+    cutoff = 20.0 * max(p.omega_q, p.omega_s)
+    return cutoff / int(np.ceil(cutoff / h))
+
+
+@pytest.mark.parametrize("place", [
+    "panel_edge", "chunk_edge", "past_chunk_end", "all_in_reach"])
+def test_near_panel_split_matches_per_node_writing(place, weak_generic,
+                                                   per_node_quad_kernel):
+    # only the panels within reach of a real center take the per-node sum;
+    # wherever the center sits against the panels and the chunks, the
+    # split must sum the same nodes as the per-node writing
+    p = weak_generic
+    s1, t = 2.0 * p.distance / p.v_g, 40.0 / p.gamma
+    width = _panel_width(s1, t, p)
+    chunk = CHUNK_NODES // PANEL_ORDER
+    if place == "panel_edge":
+        a = round(0.9 * p.omega_q / width) * width
+    elif place == "chunk_edge":
+        a = chunk * width
+    elif place == "past_chunk_end":
+        # in the first panel of the second chunk, within reach of the
+        # last panel of the first
+        a = chunk * width + 0.5 * (2e-8 / t)
+    else:
+        # at 1 GHz the cutoff lies within reach of the center at 1e-19 s
+        p = ModelParams.from_phase(2.0 * np.pi * 1.0e9, 2.0 * np.pi * 1.0e7,
+                                   0.5)
+        s1, t = 2.0 * p.distance / p.v_g, 1e-19
+        a = p.omega_q
+        assert 20.0 * p.omega_q < a + 2e-8 / t
+    assert a <= p.omega_q    # so the cutoff, and the width, are Omega's
+    ref = per_node_quad_kernel(s1, t, a, p)
+    got = quad_kernel(s1, t, a, p)
+    assert abs(got - ref) <= 1e-9 * max(abs(ref), 1e-3)
+
+
+def test_phase_buffer_matches_per_chunk_tables(panel_phases):
+    # the tables are built once per call and written chunk by chunk into
+    # one buffer; each chunk's phases must keep the bits of tables built
+    # for that chunk alone, including a short last chunk
+    chunk = CHUNK_NODES // PANEL_ORDER
+    n_panels = 2 * chunk + 100
+    s1, s2, width = 3.7e-10, -1.2e-7, 2.9e6
+    tables = tuple(_phase_tables(s, width, n_panels) for s in (s1, s2))
+    buffer = np.empty((chunk, 2), dtype=complex)
+    for start in range(0, n_panels, chunk):
+        count = min(chunk, n_panels - start)
+        got = _chunk_phases(tables, start, count, buffer)
+        assert got.shape == (count, 2)
+        for k, s in enumerate((s1, s2)):
+            want = panel_phases(s, width, start, count)
+            assert got[:, k].tobytes() == want.tobytes()
 
 
 def test_quad_kernel_sharpens_with_cutoff(weak_generic, kernel_centers):
