@@ -23,7 +23,6 @@ from .model import (
 from .specfun import (
     exp_integral_e1,
     e1_scaled,
-    sine_integral,
     si_lower,
     cosine_integral,
 )
@@ -63,8 +62,7 @@ __all__ = [
     "__version__",
     "ModelParams", "CollectiveRates", "Regime",
     "classify_regime", "channel_rates", "collective_rates",
-    "exp_integral_e1", "e1_scaled", "sine_integral", "si_lower",
-    "cosine_integral",
+    "exp_integral_e1", "e1_scaled", "si_lower", "cosine_integral",
     "QubitState", "SpectralAmplitude", "phase_integral",
     "qubit_amplitudes", "channel_time_integrals", "spectral_amplitudes",
     "Region", "FieldBranch", "SpaceTimeGrid", "FieldSlice",

@@ -3,7 +3,9 @@
 Nothing in here reuses the engine's special functions or kernel algebra:
 the defining frequency integrals are done by composite Gauss-Legendre
 panels with an analytic high-frequency tail (scipy's sine/cosine integrals,
-an implementation independent of the hand-built ones), the driven two-qubit
+an implementation independent of the hand-built ones), one panel sum for
+both the master kernel and the qubit memory kernel, whose integrand is
+the kernel's at center Omega up to a constant factor, the driven two-qubit
 system is integrated in time by a plain RK4 on complex scalars, and the
 full qubit+continuum Schroedinger equation is evolved on a discretized
 frequency comb.  Each keeps its plain discretization (panels and nodes,
@@ -90,69 +92,28 @@ def _chunk_phases(tables, start: int, count: int, out: np.ndarray) -> np.ndarray
     return out[:count]
 
 
-def quad_kernel(s1: float, t: float, a: complex, params: ModelParams,
-                cutoff_factor: float = 20.0) -> complex:
-    """Defining frequency integral of the master kernel, by brute force.
+def _panel_sum(s1: float, t: float, a: complex, width: float,
+               n_panels: int) -> complex:
+    """Gauss-Legendre sum of the kernel integrand over [0, n_panels width].
 
-    Evaluates K(s1, t; a) = int_0^inf phi(omega - a, t) e^{i omega (s1 - t)}
-    domega with phi(z, t) = (e^{izt} - 1)/z, for the same arguments as
-    ``fields.closed_kernel``: the retarded coordinate s1, (x or x - d)/v_g
-    forward and -(x or x - d)/v_g backward, the time t and the center a.
-    The integrand is (e^{-iat} e^{i omega s1} - e^{i omega s2})/(omega - a),
-    and a node at omega = left + off splits each phase into a panel factor
-    e^{i left s} and a node factor e^{i off s} that carries the weight.
-    The sum is then regrouped by node column: for each of the PANEL_ORDER
-    offsets, two dots of the panel phase vectors with 1/(left - a + off),
-    so no (panels x nodes) array is formed; at a real center the
-    reciprocals are real and both dots are one real matrix-vector product.
-    The panel phases come from coarse and fine tables built once per call
-    (``_phase_tables``) and are written chunk by chunk into one buffer
-    (``_chunk_phases``).  The panels within reach of the center, with one
-    panel of margin on either side, keep the per-node sum with the
-    first-order expansion of phi where |(omega - a) t| < 1e-8; the rest of
-    their chunk takes the node-column sums.  Same integral, same nodes, no
-    E1 and no closed-form algebra, so it stays independent of the engine.
-
-    Parameters
-    ----------
-    s1 : float
-        Retarded coordinate in seconds, nonzero and not equal to t.
-    t : float
-        Elapsed time in seconds, > 0.
-    a : complex
-        Center of the kernel: a collective pole, a drive carrier or Omega.
-    params : ModelParams
-        Only sets the cutoff, through Omega and the drive carrier.
-    cutoff_factor : float
-        Hard frequency cutoff as a multiple of the largest frequency in the
-        problem; beyond it the integrand's 1/omega and a/omega^2 tails are
-        added in closed form.
-
-    Returns
-    -------
-    complex
+    The integrand is phi(omega - a, t) e^{i omega (s1 - t)}, with
+    phi(z, t) = (e^{izt} - 1)/z, written as
+    (e^{-iat} e^{i omega s1} - e^{i omega s2})/(omega - a), s2 = s1 - t.
+    Each panel holds PANEL_ORDER nodes, and a node at omega = left + off
+    splits each phase into a panel factor e^{i left s} and a node factor
+    e^{i off s} that carries the weight.  The sum is regrouped by node
+    column: for each offset, two dots of the panel phase vectors with
+    1/(left - a + off), so no (panels x nodes) array is formed; at a real
+    center the reciprocals are real and both dots are one real
+    matrix-vector product.  The panel phases come from coarse and fine
+    tables built once per call (``_phase_tables``) and are written chunk
+    by chunk into one buffer (``_chunk_phases``).  The panels within reach
+    of the center, with one panel of margin on either side, keep the
+    per-node sum with the first-order expansion of phi where
+    |(omega - a) t| < 1e-8; the rest of their chunk takes the node-column
+    sums.  s1 may be zero here; ``a`` is a complex center.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
     s2 = s1 - t
-    if s1 == 0 or s2 == 0:
-        raise ValueError("kernel is singular where a shifted coordinate "
-                         "or the light front vanishes exactly")
-    a = complex(a)
-
-    cutoff = cutoff_factor * max(params.omega_q, params.omega_s, abs(a))
-    fastest = max(abs(s1), abs(s2), t)
-    h = 2.0 * np.pi / (POINTS_PER_PERIOD * fastest)
-    line_width = -a.imag
-    if line_width > 0:
-        h = min(h, line_width / 4.0)
-    n_panels = int(np.ceil(cutoff / h))
-    if n_panels * PANEL_ORDER > MAX_NODES:
-        raise ValueError(
-            f"quadrature would need {n_panels * PANEL_ORDER:.3g} nodes "
-            f"(> {MAX_NODES:.3g}); reduce t or the cutoff"
-        )
-    width = cutoff / n_panels
     off = 0.5 * (_GL_NODES + 1.0) * width    # node offsets inside a panel
     ref_w = 0.5 * _GL_WEIGHTS * width
     lead = np.exp(-1j * a * t) * np.exp(1j * off * s1) * ref_w   # node factors
@@ -206,6 +167,63 @@ def quad_kernel(s1: float, t: float, a: complex, params: ModelParams,
                 r = np.reciprocal(base[i:j] + off_n)
                 total += lead_n * np.dot(ahead[i:j], r) \
                     - trail_n * np.dot(behind[i:j], r)
+    return total
+
+
+def quad_kernel(s1: float, t: float, a: complex, params: ModelParams,
+                cutoff_factor: float = 20.0) -> complex:
+    """Defining frequency integral of the master kernel, by brute force.
+
+    Evaluates K(s1, t; a) = int_0^inf phi(omega - a, t) e^{i omega (s1 - t)}
+    domega with phi(z, t) = (e^{izt} - 1)/z, for the same arguments as
+    ``fields.closed_kernel``: the retarded coordinate s1, (x or x - d)/v_g
+    forward and -(x or x - d)/v_g backward, the time t and the center a.
+    Up to a hard cutoff the integral is the panel sum ``_panel_sum``, on
+    panels at most 1/POINTS_PER_PERIOD of the fastest oscillation wide (and
+    a quarter of the line width of a decaying center); beyond it the
+    integrand's 1/omega and a/omega^2 tails are added in closed form.
+    Same integral, same nodes, no E1 and no closed-form algebra, so it
+    stays independent of the engine.
+
+    Parameters
+    ----------
+    s1 : float
+        Retarded coordinate in seconds, nonzero and not equal to t.
+    t : float
+        Elapsed time in seconds, > 0.
+    a : complex
+        Center of the kernel: a collective pole, a drive carrier or Omega.
+    params : ModelParams
+        Only sets the cutoff, through Omega and the drive carrier.
+    cutoff_factor : float
+        Hard frequency cutoff as a multiple of the largest frequency in the
+        problem.
+
+    Returns
+    -------
+    complex
+    """
+    if t <= 0:
+        raise ValueError("t must be positive")
+    s2 = s1 - t
+    if s1 == 0 or s2 == 0:
+        raise ValueError("kernel is singular where a shifted coordinate "
+                         "or the light front vanishes exactly")
+    a = complex(a)
+
+    cutoff = cutoff_factor * max(params.omega_q, params.omega_s, abs(a))
+    fastest = max(abs(s1), abs(s2), t)
+    h = 2.0 * np.pi / (POINTS_PER_PERIOD * fastest)
+    line_width = -a.imag
+    if line_width > 0:
+        h = min(h, line_width / 4.0)
+    n_panels = int(np.ceil(cutoff / h))
+    if n_panels * PANEL_ORDER > MAX_NODES:
+        raise ValueError(
+            f"quadrature would need {n_panels * PANEL_ORDER:.3g} nodes "
+            f"(> {MAX_NODES:.3g}); reduce t or the cutoff"
+        )
+    total = _panel_sum(s1, t, a, cutoff / n_panels, n_panels)
 
     # Analytic tail: 1/(omega - a) ~ 1/omega + a/omega^2 beyond the cutoff.
     tail = np.exp(-1j * a * t) * (_tail_inverse_omega(s1, cutoff)
@@ -607,39 +625,29 @@ def memory_kernel_coefficients(t: float, params: ModelParams):
     """Numeric damping coefficients of the exact qubit memory kernel.
 
     Returns (self_coef, cross_coef): twice the frequency integrals of
-    g^2 I(omega, t) and g^2 cos(k_omega d) I(omega, t), with
+    g^2 I(omega, t) and g^2 cos(k_omega d) I(omega, t) up to 20 Omega, with
     I = int_0^t e^{-i(omega-Omega)tau} dtau.  As t grows these approach
     Gamma/2 (real part; the imaginary part is the cutoff-dependent line
     shift absorbed into Omega) and (Gamma/2) e^{i k_Omega d}.
-    """
-    g2 = params.coupling ** 2
-    cutoff = MEMORY_CUTOFF_FACTOR * params.omega_q
-    fastest = max(t, params.distance / params.v_g)
-    h = 2.0 * np.pi / (POINTS_PER_PERIOD * fastest)
-    n_panels = int(np.ceil(cutoff / h))
-    ref_x = 0.5 * (_GL_NODES + 1.0)
-    width = cutoff / n_panels
-    ref_w = 0.5 * _GL_WEIGHTS * width
 
-    self_total = 0.0 + 0.0j
-    cross_total = 0.0 + 0.0j
-    chunk = 262144 // PANEL_ORDER
-    for start in range(0, n_panels, chunk):
-        stop = min(start + chunk, n_panels)
-        left = (np.arange(start, stop) * width)[:, None]
-        omega = left + ref_x[None, :] * width
-        z = omega - params.omega_q
-        zt = z * t
-        small = np.abs(zt) < 1e-8
-        mem = np.where(
-            small,
-            t * (1.0 - 0.5j * zt),
-            (1.0 - np.exp(-1j * zt)) / np.where(small, 1.0, 1j * z),
-        )
-        kd = omega * params.distance / params.v_g
-        self_total += np.sum(mem * ref_w[None, :])
-        cross_total += np.sum(np.cos(kd) * mem * ref_w[None, :])
-    return 2.0 * g2 * self_total, 2.0 * g2 * cross_total
+    I is the kernel integrand at center Omega times -i e^{i Omega t}:
+    I(omega, t) e^{i omega s1} = -i e^{i Omega t} phi(omega - Omega, t)
+    e^{i omega (s1 - t)}.  So with S(s1) the ``_panel_sum`` of the kernel
+    integrand at center Omega, self = -2i g^2 e^{i Omega t} S(0) and, as
+    cos(k_omega d) is the mean of e^{+-i omega d/v_g}, cross is the same
+    factor times the mean of S(d/v_g) and S(-d/v_g).
+    """
+    cutoff = MEMORY_CUTOFF_FACTOR * params.omega_q
+    delay = params.distance / params.v_g
+    h = 2.0 * np.pi / (POINTS_PER_PERIOD * max(t, delay))
+    n_panels = int(np.ceil(cutoff / h))
+    width = cutoff / n_panels
+    a = complex(params.omega_q)
+    factor = -2j * params.coupling ** 2 * np.exp(1j * params.omega_q * t)
+    self_sum = _panel_sum(0.0, t, a, width, n_panels)
+    cross_sum = 0.5 * (_panel_sum(delay, t, a, width, n_panels)
+                       + _panel_sum(-delay, t, a, width, n_panels))
+    return factor * self_sum, factor * cross_sum
 
 
 def half_line_limits(params: ModelParams):

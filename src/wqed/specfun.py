@@ -25,9 +25,8 @@ for E1 and for e^z E1 alike, from one |z| that also serves the checks.
 The sine and cosine integrals have no algorithm of their own: they are
 read from E1(ix) = -Ci(x) + i si(x), with si(x) = Si(x) - pi/2, through
 that dispatcher, so the imaginary axis up to x = 6 takes the series and
-beyond it the continued fraction.  Only Si below x = 6 is read from the
-Horner sum directly, as -Im of the sum at ix, without the pi/2 that
-would cancel against it.  All functions accept scalars or numpy arrays.
+beyond it the continued fraction.  All functions accept scalars or numpy
+arrays.
 """
 
 from __future__ import annotations
@@ -241,7 +240,7 @@ def exp_integral_e1(z):
     return _e1(z, scaled=False)
 
 
-# Si, Ci and si are read from E1(ix) = -Ci(x) + i si(x) through ``_e1``,
+# Ci and si are read from E1(ix) = -Ci(x) + i si(x) through ``_e1``,
 # never through ``exp_integral_e1``: callers may rebind the public names.
 
 def _finite_real(x, name):
@@ -249,32 +248,6 @@ def _finite_real(x, name):
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} argument must be finite")
     return np.atleast_1d(arr), arr.ndim == 0
-
-
-def sine_integral(x):
-    """Sine integral Si(x) = int_0^x sin(u)/u du for real x, any sign.
-
-    Parameters
-    ----------
-    x : float scalar or array_like
-
-    Returns
-    -------
-    float scalar or ndarray
-    """
-    arr, scalar = _finite_real(x, "sine_integral")
-    mag = np.abs(arr)
-    out = np.zeros_like(mag)
-    # On the series branch Si(x) = -Im of the Horner sum at ix itself:
-    # si + pi/2 would lose Si's relative accuracy as x -> 0.
-    small = (mag > 0) & (mag <= _SERIES_RADIUS)
-    if small.any():
-        out[small] = -_horner_sum(1j * mag[small]).imag
-    large = mag > _SERIES_RADIUS
-    if large.any():
-        out[large] = _e1(1j * mag[large], scaled=False).imag + HALF_PI
-    out = np.sign(arr) * out
-    return out[0] if scalar else out
 
 
 def si_lower(x):

@@ -135,7 +135,7 @@ def test_special_function_suite():
     identity_err = validation.si_identities(rng, 1000)
     asymptotics = max(validation.si_ci_asymptotics(rng, 500),
                       validation.e1_asymptotics(rng, 300))
-    _verdict("reflection/parity identities", identity_err, 1e-12)
+    _verdict("si reflection identity", identity_err, 1e-12)
     _verdict("large-argument asymptotics", asymptotics, 1e-4)
     _verdict("exponential-integral reference point",
              validation.e1_reference(), 1e-6)

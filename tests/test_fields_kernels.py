@@ -120,6 +120,20 @@ def test_closed_kernel_refuses_a_growing_center(kernel_centers):
             fields.closed_kernel(s1, t, growing)
 
 
+# s1 = 0 puts the launch argument i a s1 on the origin of E1, and
+# s2 = s1 - t = 0 the front argument i a s2, checked inside a block of rows
+@pytest.mark.parametrize("s1", [0.0, 1e-9], ids=["on_qubit", "on_front"])
+def test_closed_kernel_refuses_a_singular_point(s1):
+    with pytest.raises(ValueError, match="shifted coordinate"):
+        fields.closed_kernel(s1, 1e-9, OMEGA_Q)
+
+
+def test_kernel_limit_refuses_a_point_on_a_qubit():
+    # the steady plane reads E1(i a s1), singular at s1 = 0
+    with pytest.raises(ValueError, match="at a qubit position"):
+        fields._kernel_limit(0.0, 1e-9, OMEGA_Q)
+
+
 def test_drive_kernel_matches_trig_writing(wave_kernel_trig):
     # the kernel at an array of real centers (the drive axis of a sweep)
     # against its sine/cosine-integral writing, center by center, in the

@@ -54,6 +54,24 @@ def test_grid_rejects_light_front_alignment(weak_generic):
     x = p.v_g * t  # exactly on the front
     with pytest.raises(ValueError):
         fields.space_time_grid(p, [x], [t])
+    # x = -2 d at t = 3 d/v_g lies on the backward front from the second
+    # qubit, x - d = -v_g t, and passes the causality check, x + v_g t > 0
+    x, t = -2.0 * p.distance, 3.0 * p.distance / p.v_g
+    assert p.v_g * t == -(x - p.distance)
+    with pytest.raises(ValueError, match="exactly on the light front"):
+        fields.space_time_grid(p, [x], [t])
+
+
+@pytest.mark.parametrize("axis", ["x", "t"])
+def test_grid_rejects_nan_coordinates(axis, weak_generic):
+    # a NaN time would pass every comparison after the finiteness check
+    x, t = [3 * weak_generic.distance], [5e-7]
+    if axis == "x":
+        x = [np.nan]
+    else:
+        t = [np.nan]
+    with pytest.raises(ValueError, match="finite"):
+        fields.space_time_grid(weak_generic, x, t)
 
 
 def test_grid_enforces_qubit_exclusion_zone(weak_generic):

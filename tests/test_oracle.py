@@ -26,6 +26,7 @@ from wqed.oracle import (
     half_line_limits,
     make_continuum_grid,
     markov_ode,
+    memory_kernel_coefficients,
     quad_kernel,
 )
 
@@ -108,6 +109,15 @@ def test_continuum_rejects_nonpositive_t_final(t_final, weak_generic):
         continuum_evolve(p, t_final, n_modes=256)
 
 
+def test_continuum_refuses_a_comb_too_coarse_for_its_pulse(weak_generic):
+    # eight modes over [0.5, 1.5] Omega miss a pulse 0.5 Gamma wide
+    p = ModelParams.create(weak_generic.omega_q, weak_generic.gamma,
+                           weak_generic.distance,
+                           pulse_width=0.5 * weak_generic.gamma)
+    with pytest.raises(ValueError, match="refine the continuum grid"):
+        continuum_evolve(p, 1.0 / p.gamma, n_modes=8)
+
+
 @pytest.mark.parametrize("n_modes", [0, 1])
 def test_continuum_grid_needs_two_modes(n_modes, weak_generic):
     with pytest.raises(ValueError, match="n_modes"):
@@ -149,6 +159,10 @@ def test_factored_quadrature_matches_per_node_writing_at_tiny_times(
     ref = per_node_quad_kernel(s1, 1e-19, a, p)
     got = quad_kernel(s1, 1e-19, a, p)
     assert abs(got - ref) <= 1e-9 * max(abs(ref), 1e-3)
+    # |K| is only about 1e-9 here, far below the 1e-3 floor, so the
+    # writings must also agree relative to K itself (measured 5.7e-8 at
+    # the drive and 1.0e-7 at the collective pole)
+    assert abs(got - ref) <= 1e-6 * abs(ref)
 
 
 def _panel_width(s1, t, p):
@@ -274,6 +288,22 @@ def test_memory_kernel_reaches_half_line_limits(strong_odd):
     # coupling (Gamma/2) e^{i k d}: the residual integral decays with kd
     half, cross = half_line_limits(p)
     assert abs(cross - half * np.exp(1j * p.qubit_phase)) / half < 5e-3
+
+
+@pytest.mark.parametrize("phase", [0.8, 2.0, 5.0], ids=["generic", "even", "odd"])
+def test_memory_kernel_matches_per_node_writing(phase,
+                                                per_node_memory_coefficients):
+    # the memory integrand is the kernel integrand at center Omega times
+    # -i e^{i Omega t}, so the kernel's panel sum at s1 = 0 and +-d/v_g
+    # sums the same nodes as the per-node writing of I(omega, t); only
+    # rounding separates them (measured at most 1.7e-13, at t = 2000/Omega)
+    p = ModelParams.from_phase(OMEGA_Q, 0.1 * OMEGA_Q, phase)
+    for t in np.array([0.5, 3.0, 50.0, 400.0, 2000.0]) / p.omega_q:
+        got = memory_kernel_coefficients(t, p)
+        ref = per_node_memory_coefficients(t, p)
+        scale = max(abs(ref[0]), abs(ref[1]))
+        for g, r in zip(got, ref):
+            assert abs(g - r) <= 1e-12 * scale, t * p.omega_q
 
 
 def test_continuum_grid_covers_pulse_and_normalizes():

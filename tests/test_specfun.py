@@ -9,21 +9,6 @@ from wqed import specfun
 from wqed.oracle import e1_scaled_quad
 
 
-def test_sine_integral_reference_values():
-    assert specfun.sine_integral(0.0) == 0.0
-    # power series reference at pi
-    assert abs(specfun.sine_integral(np.pi) - 1.8519370) < 1e-7
-    # asymptotic tail bound: |Si(x) - pi/2| <= 2/x plus oscillation
-    assert abs(specfun.sine_integral(100.0) - np.pi / 2) < 0.011
-
-
-def test_sine_integral_odd_parity_exact():
-    rng = np.random.default_rng(91)
-    x = rng.uniform(0.01, 60.0, 500)
-    np.testing.assert_array_equal(specfun.sine_integral(-x),
-                                  -specfun.sine_integral(x))
-
-
 def test_si_lower_reflection_identity():
     rng = np.random.default_rng(17)
     x = rng.uniform(1e-3, 80.0, 1000)
@@ -79,10 +64,9 @@ def test_exp_integral_rejects_origin_and_cut():
 @pytest.mark.parametrize("fn, arg", [
     (specfun.exp_integral_e1, complex(np.inf, 1.0)),
     (specfun.e1_scaled, complex(np.nan, 1.0)),
-    (specfun.sine_integral, np.inf),
     (specfun.si_lower, np.nan),
     (specfun.cosine_integral, np.array([1.0, np.inf])),
-], ids=["E1", "E1s", "Si", "si", "Ci"])
+], ids=["E1", "E1s", "si", "Ci"])
 def test_special_functions_refuse_non_finite_arguments(fn, arg):
     with pytest.raises(ValueError, match="must be finite"):
         fn(arg)
@@ -184,7 +168,6 @@ def test_sine_and_cosine_integrals_against_mpmath(log10_x):
     with mpmath.workdps(30):
         si_ref, ci_ref = mpmath.si(x), mpmath.ci(x)
         si_neg = -si_ref - mpmath.pi / 2
-    assert abs(specfun.sine_integral(x) - si_ref) <= 1e-14 * max(abs(si_ref), 1)
     assert abs(specfun.cosine_integral(x) - ci_ref) <= 1e-14 * max(abs(ci_ref), 1)
     assert abs(specfun.si_lower(-x) - si_neg) <= 1e-14 * max(abs(si_neg), 1)
 
@@ -201,19 +184,7 @@ def test_si_lower_keeps_its_accuracy_beyond_the_switch_radius(log10_x):
     assert abs(specfun.si_lower(x) - ref) <= 1e-14 * scale
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(log10_x=st.floats(-8.0, 0.0))
-def test_sine_integral_keeps_its_relative_accuracy_near_zero(log10_x):
-    # Si(x) ~ x: read as si(x) + pi/2 it would be off by 6e-9 relative at
-    # x = 1e-8, so the series branch takes it from the Horner sum directly
-    x = 10.0 ** log10_x
-    with mpmath.workdps(30):
-        ref = mpmath.si(x)
-    assert abs(specfun.sine_integral(x) - ref) <= 1e-14 * abs(ref)
-
-
-@pytest.mark.parametrize("fn", [specfun.sine_integral, specfun.si_lower,
-                                specfun.cosine_integral])
+@pytest.mark.parametrize("fn", [specfun.si_lower, specfun.cosine_integral])
 def test_real_integrals_do_not_depend_on_the_batch(fn):
     # both E1 branches along the imaginary axis, and the switch between
     rng = np.random.default_rng(37)
