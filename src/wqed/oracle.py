@@ -10,11 +10,13 @@ system is integrated in time by a plain RK4 on complex scalars, and the
 full qubit+continuum Schroedinger equation is evolved on a discretized
 frequency comb.  Each keeps its plain discretization (panels and nodes,
 RK4 step, comb); only the order of its arithmetic is regrouped for speed:
-the quadrature sums node columns against panel phases tabulated once per
-call, keeping the per-node sum for the few panels near the kernel center,
-the Markov RK4 applies its step as one affine map, and the continuum RK4
-reads its stage overlaps from comb sums.  Every closed form in the package
-is required to agree with these to stated tolerances.
+the quadrature takes one real matrix product per chunk of panels, of the
+real and imaginary parts of 1/(omega - a) at every node with the panel
+phases tabulated once per call, keeping the per-node sum for the few
+panels near the kernel center, the Markov RK4 applies its step as one
+affine map, and the continuum RK4 reads its stage overlaps from comb
+sums.  Every closed form in the package is required to agree with these
+to stated tolerances.
 """
 
 from __future__ import annotations
@@ -92,6 +94,21 @@ def _chunk_phases(tables, start: int, count: int, out: np.ndarray) -> np.ndarray
     return out[:count]
 
 
+def _panel_count(cutoff: float, h: float) -> int:
+    """Panels of width at most h up to the cutoff, refused past MAX_NODES.
+
+    Checked as a float before anything is allocated, so an infinite count
+    is refused too.
+    """
+    n_panels = np.ceil(cutoff / h)
+    if n_panels * PANEL_ORDER > MAX_NODES:
+        raise ValueError(
+            f"quadrature would need {n_panels * PANEL_ORDER:.3g} nodes "
+            f"(> {MAX_NODES:.3g}); reduce t or the cutoff"
+        )
+    return int(n_panels)
+
+
 def _panel_sum(s1: float, t: float, a: complex, width: float,
                n_panels: int) -> complex:
     """Gauss-Legendre sum of the kernel integrand over [0, n_panels width].
@@ -101,17 +118,21 @@ def _panel_sum(s1: float, t: float, a: complex, width: float,
     (e^{-iat} e^{i omega s1} - e^{i omega s2})/(omega - a), s2 = s1 - t.
     Each panel holds PANEL_ORDER nodes, and a node at omega = left + off
     splits each phase into a panel factor e^{i left s} and a node factor
-    e^{i off s} that carries the weight.  The sum is regrouped by node
-    column: for each offset, two dots of the panel phase vectors with
-    1/(left - a + off), so no (panels x nodes) array is formed; at a real
-    center the reciprocals are real and both dots are one real
-    matrix-vector product.  The panel phases come from coarse and fine
-    tables built once per call (``_phase_tables``) and are written chunk
-    by chunk into one buffer (``_chunk_phases``).  The panels within reach
+    e^{i off s} that carries the weight.  The sum is regrouped by node:
+    with u = left + off - Re a and line width gamma = -Im a,
+    1/(omega - a) = (u - i gamma) r, r = 1/(u^2 + gamma^2).  Each chunk
+    fills one real (rows x panels) array, allocated once per call, with
+    1/u at a real center or with u r and r at a decaying one, and takes
+    one real matrix product of it with the float view of the chunk's
+    panel phases; the per-node sums are contracted with the node factors
+    once, at the end.  So no complex division and no (panels x nodes)
+    array is formed.  The panel phases come from coarse and fine tables
+    built once per call (``_phase_tables``) and are written chunk by
+    chunk into one buffer (``_chunk_phases``).  The panels within reach
     of the center, with one panel of margin on either side, keep the
     per-node sum with the first-order expansion of phi where
-    |(omega - a) t| < 1e-8; the rest of their chunk takes the node-column
-    sums.  s1 may be zero here; ``a`` is a complex center.
+    |(omega - a) t| < 1e-8; their columns are zeroed, and take no
+    reciprocal.  s1 may be zero here; ``a`` is a complex center.
     """
     s2 = s1 - t
     off = 0.5 * (_GL_NODES + 1.0) * width    # node offsets inside a panel
@@ -119,23 +140,27 @@ def _panel_sum(s1: float, t: float, a: complex, width: float,
     lead = np.exp(-1j * a * t) * np.exp(1j * off * s1) * ref_w   # node factors
     trail = np.exp(1j * off * s2) * ref_w
     reach = 2e-8 / t    # |z t| < 1e-8 only this close to a (with margin)
-    near = np.zeros(2, dtype=int)    # panels [near[0], near[1]) are in reach
+    near = (0, 0)    # panels [near[0], near[1]) are in reach
     if abs(a.imag) < reach:
         # the panels that meet [a.real - reach, a.real + reach], and one more
         # on either side; clipped as floats, so an infinite reach is fine
         edges = np.floor(np.array([a.real - reach, a.real + reach]) / width)
-        near = np.clip(edges + (-1, 2), 0, n_panels).astype(int)
+        near = tuple(int(e) for e in np.clip(edges + (-1, 2), 0, n_panels))
+    gamma = -a.imag
+    rows = 2 * PANEL_ORDER if gamma else PANEL_ORDER
 
     tables = (_phase_tables(s1, width, n_panels),
               _phase_tables(s2, width, n_panels))
     panels_per_chunk = CHUNK_NODES // PANEL_ORDER
     buffer = np.empty((panels_per_chunk, 2), dtype=complex)
+    cols = np.empty((rows, panels_per_chunk))
+    sums = np.zeros((rows, 4))    # per row: the s1 and s2 sums, as floats
     total = 0.0 + 0.0j
     for start in range(0, n_panels, panels_per_chunk):
         count = min(panels_per_chunk, n_panels - start)
         left = np.arange(start, start + count) * width
         phases = _chunk_phases(tables, start, count, buffer)
-        lo, hi = np.clip(near - start, 0, count)
+        lo, hi = (min(max(edge - start, 0), count) for edge in near)
         if lo < hi:
             # per-node sum, with the first-order expansion of phi at the
             # nodes where |z t| < 1e-8
@@ -146,28 +171,25 @@ def _panel_sum(s1: float, t: float, a: complex, width: float,
             small = np.abs(zt) < 1e-8
             vals[small] = 1j * t * (1.0 + 0.5j * zt[small]) * trailing[small]
             total += np.sum(vals)
-        # the panels out of reach, on either side of those in reach
-        pieces = [(i, j) for i, j in ((0, lo), (hi, count)) if i < j]
-        if a.imag == 0:
-            # a real center has real reciprocals: one real matrix-vector
-            # product per node column against the phases' float view
-            x = left - a.real
-            flat = phases.view(float)
-            for i, j in pieces:
-                for lead_n, trail_n, off_n in zip(lead, trail, off):
-                    fwd, bwd = (np.reciprocal(x[i:j] + off_n) @ flat[i:j]) \
-                        .view(complex)
-                    total += lead_n * fwd - trail_n * bwd
-            continue
-        # contiguous phase columns: a dot over a strided column is slower
-        ahead, behind = phases.T.copy()
-        base = left - a
-        for i, j in pieces:
-            for lead_n, trail_n, off_n in zip(lead, trail, off):
-                r = np.reciprocal(base[i:j] + off_n)
-                total += lead_n * np.dot(ahead[i:j], r) \
-                    - trail_n * np.dot(behind[i:j], r)
-    return total
+        # the panels out of reach: one product of the node columns with
+        # the phases' float view
+        u = cols[:PANEL_ORDER, :count]
+        np.add(off[:, None], left - a.real, out=u)
+        u[:, lo:hi] = 1.0    # so no reciprocal is taken at the center
+        if gamma:
+            r = cols[PANEL_ORDER:, :count]
+            np.multiply(u, u, out=r)
+            r += gamma * gamma
+            np.reciprocal(r, out=r)
+            u *= r
+        else:
+            np.reciprocal(u, out=u)
+        cols[:, lo:hi] = 0.0
+        sums += cols[:, :count] @ phases.view(float)
+    per_node = sums.view(complex)
+    if gamma:
+        per_node = per_node[:PANEL_ORDER] - 1j * gamma * per_node[PANEL_ORDER:]
+    return complex(total + lead @ per_node[:, 0] - trail @ per_node[:, 1])
 
 
 def quad_kernel(s1: float, t: float, a: complex, params: ModelParams,
@@ -188,11 +210,12 @@ def quad_kernel(s1: float, t: float, a: complex, params: ModelParams,
     Parameters
     ----------
     s1 : float
-        Retarded coordinate in seconds, nonzero and not equal to t.
+        Retarded coordinate in seconds, finite, nonzero and not equal to t.
     t : float
-        Elapsed time in seconds, > 0.
+        Elapsed time in seconds, finite and > 0.
     a : complex
-        Center of the kernel: a collective pole, a drive carrier or Omega.
+        Center of the kernel, finite: a collective pole, a drive carrier or
+        Omega.
     params : ModelParams
         Only sets the cutoff, through Omega and the drive carrier.
     cutoff_factor : float
@@ -203,13 +226,15 @@ def quad_kernel(s1: float, t: float, a: complex, params: ModelParams,
     -------
     complex
     """
+    a = complex(a)
+    if not all(map(cmath.isfinite, (s1, t, a))):
+        raise ValueError("s1, t and a must be finite")
     if t <= 0:
         raise ValueError("t must be positive")
     s2 = s1 - t
     if s1 == 0 or s2 == 0:
         raise ValueError("kernel is singular where a shifted coordinate "
                          "or the light front vanishes exactly")
-    a = complex(a)
 
     cutoff = cutoff_factor * max(params.omega_q, params.omega_s, abs(a))
     fastest = max(abs(s1), abs(s2), t)
@@ -217,12 +242,7 @@ def quad_kernel(s1: float, t: float, a: complex, params: ModelParams,
     line_width = -a.imag
     if line_width > 0:
         h = min(h, line_width / 4.0)
-    n_panels = int(np.ceil(cutoff / h))
-    if n_panels * PANEL_ORDER > MAX_NODES:
-        raise ValueError(
-            f"quadrature would need {n_panels * PANEL_ORDER:.3g} nodes "
-            f"(> {MAX_NODES:.3g}); reduce t or the cutoff"
-        )
+    n_panels = _panel_count(cutoff, h)
     total = _panel_sum(s1, t, a, cutoff / n_panels, n_panels)
 
     # Analytic tail: 1/(omega - a) ~ 1/omega + a/omega^2 beyond the cutoff.
@@ -635,12 +655,18 @@ def memory_kernel_coefficients(t: float, params: ModelParams):
     e^{i omega (s1 - t)}.  So with S(s1) the ``_panel_sum`` of the kernel
     integrand at center Omega, self = -2i g^2 e^{i Omega t} S(0) and, as
     cos(k_omega d) is the mean of e^{+-i omega d/v_g}, cross is the same
-    factor times the mean of S(d/v_g) and S(-d/v_g).
+    factor times the mean of S(d/v_g) and S(-d/v_g).  Like ``quad_kernel``
+    it refuses a non-finite or non-positive t, and more than MAX_NODES
+    nodes before any table is built.
     """
+    if not cmath.isfinite(t):
+        raise ValueError("t must be finite")
+    if t <= 0:
+        raise ValueError("t must be positive")
     cutoff = MEMORY_CUTOFF_FACTOR * params.omega_q
     delay = params.distance / params.v_g
     h = 2.0 * np.pi / (POINTS_PER_PERIOD * max(t, delay))
-    n_panels = int(np.ceil(cutoff / h))
+    n_panels = _panel_count(cutoff, h)
     width = cutoff / n_panels
     a = complex(params.omega_q)
     factor = -2j * params.coupling ** 2 * np.exp(1j * params.omega_q * t)

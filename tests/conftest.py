@@ -13,16 +13,21 @@ import mpmath
 import numpy as np
 import pytest
 
-from wqed import fields, specfun
+from wqed import fields, oracle, specfun
 from wqed.amplitudes import QubitState
 from wqed.model import ModelParams, collective_rates, coupling_weights
 from wqed.oracle import (
+    _GL_NODES,
+    _GL_WEIGHTS,
+    CHUNK_NODES,
     CONTINUUM_KEEP_EVERY,
     CONTINUUM_STEP,
     PANEL_ORDER,
     PHASE_FINE,
     POINTS_PER_PERIOD,
     ContinuumResult,
+    _chunk_phases,
+    _phase_tables,
     _tail_inverse_omega,
     _tail_inverse_omega_sq,
     gaussian_spectrum,
@@ -343,6 +348,82 @@ def _per_node_quad_kernel(s1, t, a, params):
 def per_node_quad_kernel():
     """The panel quadrature with two exponentials per node."""
     return _per_node_quad_kernel
+
+
+def _node_column_panel_sum(s1, t, a, width, n_panels):
+    """``oracle._panel_sum`` in its node-column writing, as a reference.
+
+    Same panels, nodes, phase tables and near-panel expansion, but each
+    chunk's out-of-reach panels are summed one node column at a time: at
+    a real center one real matrix-vector product of 1/(left - a + off)
+    with the phases' float view per node, at a decaying center two
+    complex dots per node.
+    """
+    s2 = s1 - t
+    off = 0.5 * (_GL_NODES + 1.0) * width
+    ref_w = 0.5 * _GL_WEIGHTS * width
+    lead = np.exp(-1j * a * t) * np.exp(1j * off * s1) * ref_w
+    trail = np.exp(1j * off * s2) * ref_w
+    reach = 2e-8 / t
+    near = np.zeros(2, dtype=int)
+    if abs(a.imag) < reach:
+        edges = np.floor(np.array([a.real - reach, a.real + reach]) / width)
+        near = np.clip(edges + (-1, 2), 0, n_panels).astype(int)
+
+    tables = (_phase_tables(s1, width, n_panels),
+              _phase_tables(s2, width, n_panels))
+    panels_per_chunk = CHUNK_NODES // PANEL_ORDER
+    buffer = np.empty((panels_per_chunk, 2), dtype=complex)
+    total = 0.0 + 0.0j
+    for start in range(0, n_panels, panels_per_chunk):
+        count = min(panels_per_chunk, n_panels - start)
+        left = np.arange(start, start + count) * width
+        phases = _chunk_phases(tables, start, count, buffer)
+        lo, hi = np.clip(near - start, 0, count)
+        if lo < hi:
+            z = (left[lo:hi] - a)[:, None] + off
+            trailing = phases[lo:hi, 1, None] * trail
+            vals = (phases[lo:hi, 0, None] * lead - trailing) / z
+            zt = z * t
+            small = np.abs(zt) < 1e-8
+            vals[small] = 1j * t * (1.0 + 0.5j * zt[small]) * trailing[small]
+            total += np.sum(vals)
+        pieces = [(i, j) for i, j in ((0, lo), (hi, count)) if i < j]
+        if a.imag == 0:
+            x = left - a.real
+            flat = phases.view(float)
+            for i, j in pieces:
+                for lead_n, trail_n, off_n in zip(lead, trail, off):
+                    fwd, bwd = (np.reciprocal(x[i:j] + off_n) @ flat[i:j]) \
+                        .view(complex)
+                    total += lead_n * fwd - trail_n * bwd
+            continue
+        ahead, behind = phases.T.copy()
+        base = left - a
+        for i, j in pieces:
+            for lead_n, trail_n, off_n in zip(lead, trail, off):
+                r = np.reciprocal(base[i:j] + off_n)
+                total += lead_n * np.dot(ahead[i:j], r) \
+                    - trail_n * np.dot(behind[i:j], r)
+    return total
+
+
+def _with_node_column_sum(fn, *args):
+    """``fn(*args)`` with the oracle's panel sum in the node-column writing.
+
+    ``quad_kernel`` and ``memory_kernel_coefficients`` called this way keep
+    their checks, panel choice and tail, and sum their panels as
+    ``_node_column_panel_sum`` does.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_panel_sum", _node_column_panel_sum)
+        return fn(*args)
+
+
+@pytest.fixture(scope="session")
+def with_node_column_sum():
+    """Call an oracle function with the node-column panel sum swapped in."""
+    return _with_node_column_sum
 
 
 def _panel_phases(s, width, first, count):

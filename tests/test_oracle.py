@@ -16,7 +16,9 @@ from wqed import validation
 from wqed.model import ModelParams
 from wqed.oracle import (
     CHUNK_NODES,
+    MAX_NODES,
     PANEL_ORDER,
+    PHASE_FINE,
     POINTS_PER_PERIOD,
     _chunk_phases,
     _phase_tables,
@@ -126,9 +128,13 @@ def test_continuum_grid_needs_two_modes(n_modes, weak_generic):
 
 @pytest.mark.parametrize("phase", [0.8, 2.0, 5.0], ids=["generic", "even", "odd"])
 def test_factored_quadrature_matches_per_node_writing(phase, per_node_quad_kernel,
-                                                      kernel_centers):
+                                                      kernel_centers,
+                                                      with_node_column_sum):
     # the per-panel phase factoring regroups the products of the same
-    # integrand on the same nodes, so only rounding may separate the two
+    # integrand on the same nodes, so only rounding may separate the two;
+    # one real product per chunk sums the same node columns against the
+    # same phases as a dot per node column, closer still (measured at
+    # most 9.7e-15 over these 24 samples of the validation presets)
     p = ModelParams.from_phase(OMEGA_Q, 0.01 * OMEGA_Q, phase,
                                omega_s=1.005 * OMEGA_Q)
     rng = np.random.default_rng(int(phase * 10))
@@ -142,6 +148,9 @@ def test_factored_quadrature_matches_per_node_writing(phase, per_node_quad_kerne
             ref = per_node_quad_kernel(s1, t, a, p)
             got = quad_kernel(s1, t, a, p)
             assert abs(got - ref) <= 1e-9 * max(abs(ref), 1e-3), (way, center)
+            column = with_node_column_sum(quad_kernel, s1, t, a, p)
+            assert abs(got - column) <= 1e-12 * max(abs(column), 1e-3), \
+                (way, center)
 
 
 # s1 = 2 d/v_g is the forward kernel at x = 2 d, s1 = 1.5 d/v_g the
@@ -175,10 +184,14 @@ def _panel_width(s1, t, p):
 @pytest.mark.parametrize("place", [
     "panel_edge", "chunk_edge", "past_chunk_end", "all_in_reach"])
 def test_near_panel_split_matches_per_node_writing(place, weak_generic,
-                                                   per_node_quad_kernel):
+                                                   per_node_quad_kernel,
+                                                   with_node_column_sum):
     # only the panels within reach of a real center take the per-node sum;
     # wherever the center sits against the panels and the chunks, the
-    # split must sum the same nodes as the per-node writing
+    # split must sum the same nodes as the per-node writing, and zero the
+    # same columns of the product as the node-column writing skips (at the
+    # chunk edge the window spans the last panels of one chunk and the
+    # first of the next)
     p = weak_generic
     s1, t = 2.0 * p.distance / p.v_g, 40.0 / p.gamma
     width = _panel_width(s1, t, p)
@@ -202,6 +215,55 @@ def test_near_panel_split_matches_per_node_writing(place, weak_generic,
     ref = per_node_quad_kernel(s1, t, a, p)
     got = quad_kernel(s1, t, a, p)
     assert abs(got - ref) <= 1e-9 * max(abs(ref), 1e-3)
+    column = with_node_column_sum(quad_kernel, s1, t, a, p)
+    assert abs(got - column) <= 1e-12 * max(abs(column), 1e-3)
+
+
+@pytest.mark.parametrize("center", ["drive", "decay_plus"])
+def test_product_sum_matches_node_column_writing_past_a_chunk_multiple(
+        center, kernel_centers, with_node_column_sum):
+    # a short last chunk of 5 panels takes its columns from the front of
+    # the once-allocated buffers; 11 chunks are more panels than a
+    # quarter line width of the collective pole asks for, so t sets them
+    p = validation._presets()["generic"]
+    a = kernel_centers(p)[center]
+    target = 11 * (CHUNK_NODES // PANEL_ORDER) + 5
+    cutoff = 20.0 * max(p.omega_q, p.omega_s, abs(a))
+    t = (target - 0.5) * 2.0 * np.pi / (POINTS_PER_PERIOD * cutoff)
+    s1 = 0.3 * t    # so t is the fastest scale
+    h = 2.0 * np.pi / (POINTS_PER_PERIOD * t)
+    if a.imag < 0:
+        h = min(h, -a.imag / 4.0)
+    assert int(np.ceil(cutoff / h)) == target
+    ref = with_node_column_sum(quad_kernel, s1, t, a, p)
+    got = quad_kernel(s1, t, a, p)
+    assert abs(got - ref) <= 1e-12 * max(abs(ref), 1e-3)
+
+
+def test_quad_kernel_memory_stays_within_its_buffers(weak_generic,
+                                                     kernel_centers):
+    # just under MAX_NODES at a decaying center, one call holds the
+    # coarse and fine phase tables, the phase buffer, the (16, chunk)
+    # column array, the scratch of one phase buffer's worth that numpy
+    # takes while it writes the phases, and a few chunk-long vectors;
+    # never a (panels x nodes) array, which would take 160 MB here
+    # (measured peak: 2.90 MB against a bound of 3.09 MB)
+    p = weak_generic.with_drive(1.005 * weak_generic.omega_q)
+    a = kernel_centers(p)["decay_plus"]
+    cutoff = 20.0 * max(p.omega_q, p.omega_s, abs(a))
+    n_panels = int(MAX_NODES // PANEL_ORDER) - 1000
+    t = (n_panels - 0.5) * 2.0 * np.pi / (POINTS_PER_PERIOD * cutoff)
+    chunk = CHUNK_NODES // PANEL_ORDER
+    tables = 2 * 16 * (-(-n_panels // PHASE_FINE) + PHASE_FINE)
+    buffers = 2 * 16 * 2 * chunk + 8 * 2 * PANEL_ORDER * chunk
+    vectors = 8 * 4 * chunk
+    tracemalloc.start()
+    try:
+        quad_kernel(0.3 * t, t, a, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= tables + buffers + vectors
 
 
 def test_phase_buffer_matches_per_chunk_tables(panel_phases):
@@ -244,6 +306,18 @@ def test_quad_kernel_refuses_unreachable_and_singular_points(weak_generic):
     for s1_bad, t in ((0.0, 1e-9), (s1, s1)):
         with pytest.raises(ValueError, match="singular"):
             quad_kernel(s1_bad, t, p.omega_s, p)
+
+
+@pytest.mark.parametrize("arg, value", [
+    ("s1", np.nan), ("s1", np.inf), ("t", np.nan), ("t", np.inf),
+    ("a", np.inf), ("a", complex(OMEGA_Q, np.nan))])
+def test_quad_kernel_refuses_non_finite_arguments(arg, value, weak_generic):
+    p = weak_generic
+    args = {"s1": 2.0 * p.distance / p.v_g, "t": 40.0 / p.gamma,
+            "a": p.omega_s}
+    args[arg] = value
+    with pytest.raises(ValueError, match="finite"):
+        quad_kernel(args["s1"], args["t"], args["a"], p)
 
 
 def test_quad_kernel_refuses_too_many_nodes_before_allocating(weak_generic):
@@ -292,18 +366,44 @@ def test_memory_kernel_reaches_half_line_limits(strong_odd):
 
 @pytest.mark.parametrize("phase", [0.8, 2.0, 5.0], ids=["generic", "even", "odd"])
 def test_memory_kernel_matches_per_node_writing(phase,
-                                                per_node_memory_coefficients):
+                                                per_node_memory_coefficients,
+                                                with_node_column_sum):
     # the memory integrand is the kernel integrand at center Omega times
     # -i e^{i Omega t}, so the kernel's panel sum at s1 = 0 and +-d/v_g
     # sums the same nodes as the per-node writing of I(omega, t); only
-    # rounding separates them (measured at most 1.7e-13, at t = 2000/Omega)
+    # rounding separates them (measured at most 1.7e-13, at t = 2000/Omega).
+    # Against the node-column writing of the same panel sums, real
+    # reciprocals only, it moves at most 1.8e-15.
     p = ModelParams.from_phase(OMEGA_Q, 0.1 * OMEGA_Q, phase)
     for t in np.array([0.5, 3.0, 50.0, 400.0, 2000.0]) / p.omega_q:
         got = memory_kernel_coefficients(t, p)
         ref = per_node_memory_coefficients(t, p)
+        column = with_node_column_sum(memory_kernel_coefficients, t, p)
         scale = max(abs(ref[0]), abs(ref[1]))
-        for g, r in zip(got, ref):
+        for g, r, c in zip(got, ref, column):
             assert abs(g - r) <= 1e-12 * scale, t * p.omega_q
+            assert abs(g - c) <= 1e-13 * scale, t * p.omega_q
+
+
+@pytest.mark.parametrize("t, message", [
+    (0.0, "positive"), (-1e-9, "positive"), (np.nan, "finite"),
+    (np.inf, "finite")])
+def test_memory_kernel_refuses_bad_times(t, message, strong_odd):
+    with pytest.raises(ValueError, match=message):
+        memory_kernel_coefficients(t, strong_odd)
+
+
+def test_memory_kernel_refuses_too_many_nodes_before_allocating(strong_odd):
+    # t = 1 ms needs about 1.3e10 nodes; the refusal comes before the
+    # phase tables are built (measured peak: 1.1 KiB)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="nodes"):
+            memory_kernel_coefficients(1e-3, strong_odd)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16384
 
 
 def test_continuum_grid_covers_pulse_and_normalizes():
