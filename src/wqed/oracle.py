@@ -11,12 +11,13 @@ full qubit+continuum Schroedinger equation is evolved on a discretized
 frequency comb.  Each keeps its plain discretization (panels and nodes,
 RK4 step, comb); only the order of its arithmetic is regrouped for speed:
 the quadrature takes one real matrix product per chunk of panels, of the
-real and imaginary parts of 1/(omega - a) at every node with the panel
-phases tabulated once per call, keeping the per-node sum for the few
-panels near the kernel center, the Markov RK4 applies its step as one
-affine map, and the continuum RK4 reads its stage overlaps from comb
-sums.  Every closed form in the package is required to agree with these
-to stated tolerances.
+real and imaginary parts of 1/(omega - a) at every node with a fine table
+of panel phases, then one product with a coarse table, both tabulated
+once per call so that no panel phase is written out, keeping the
+per-node sum for the few panels near the kernel center, the Markov RK4
+applies its step as one affine map, and the continuum RK4 reads its stage
+overlaps from comb sums.  Every closed form in the package is required to
+agree with these to stated tolerances.
 """
 
 from __future__ import annotations
@@ -78,22 +79,6 @@ def _phase_tables(s: float, width: float, n_panels: int):
     return coarse, fine
 
 
-def _chunk_phases(tables, start: int, count: int, out: np.ndarray) -> np.ndarray:
-    """The phases of panels start, ..., start + count - 1, as out[:count].
-
-    Column k of the result is the panel phase of ``tables[k]`` (a
-    ``_phase_tables`` pair), written as coarse x fine products straight
-    into ``out``, a (rows, 2) complex buffer with at least ``count``
-    rounded up to PHASE_FINE rows; ``start`` is a multiple of PHASE_FINE.
-    """
-    rows = -(-count // PHASE_FINE)
-    blocks = out[:rows * PHASE_FINE].reshape(rows, PHASE_FINE, 2)
-    first = start // PHASE_FINE
-    for k, (coarse, fine) in enumerate(tables):
-        np.multiply(coarse[first:first + rows, None], fine, out=blocks[:, :, k])
-    return out[:count]
-
-
 def _panel_count(cutoff: float, h: float) -> int:
     """Panels of width at most h up to the cutoff, refused past MAX_NODES.
 
@@ -122,16 +107,20 @@ def _panel_sum(s1: float, t: float, a: complex, width: float,
     with u = left + off - Re a and line width gamma = -Im a,
     1/(omega - a) = (u - i gamma) r, r = 1/(u^2 + gamma^2).  Each chunk
     fills one real (rows x panels) array, allocated once per call, with
-    1/u at a real center or with u r and r at a decaying one, and takes
-    one real matrix product of it with the float view of the chunk's
-    panel phases; the per-node sums are contracted with the node factors
-    once, at the end.  So no complex division and no (panels x nodes)
-    array is formed.  The panel phases come from coarse and fine tables
-    built once per call (``_phase_tables``) and are written chunk by
-    chunk into one buffer (``_chunk_phases``).  The panels within reach
-    of the center, with one panel of margin on either side, keep the
-    per-node sum with the first-order expansion of phi where
-    |(omega - a) t| < 1e-8; their columns are zeroed, and take no
+    1/u at a real center or with u r and r at a decaying one, padded
+    with zero columns to a whole number of PHASE_FINE panels.  The panel
+    phase of panel PHASE_FINE q + j is coarse[q] fine[j]
+    (``_phase_tables``, built once per call), so the fine tables go
+    inside one real matrix product, of the array taken as a
+    (rows * blocks, PHASE_FINE) matrix with the float view of both fine
+    tables, and each coarse table after it, as one (rows, blocks)
+    product per table; no panel phase is written out.  The per-node
+    sums are contracted with the node factors once, at the end.  So no
+    complex division and no (panels x nodes) array is formed.  The
+    panels within reach of the center, with one panel of margin on
+    either side, keep the per-node sum with the first-order expansion
+    of phi where |(omega - a) t| < 1e-8, their phases taken as
+    coarse x fine directly; their columns are zeroed, and take no
     reciprocal.  s1 may be zero here; ``a`` is a complex center.
     """
     s2 = s1 - t
@@ -149,44 +138,50 @@ def _panel_sum(s1: float, t: float, a: complex, width: float,
     gamma = -a.imag
     rows = 2 * PANEL_ORDER if gamma else PANEL_ORDER
 
-    tables = (_phase_tables(s1, width, n_panels),
-              _phase_tables(s2, width, n_panels))
+    (coarse1, fine1), (coarse2, fine2) = (_phase_tables(s1, width, n_panels),
+                                          _phase_tables(s2, width, n_panels))
+    fine = np.stack([fine1, fine2], axis=1).view(float)    # (PHASE_FINE, 4)
     panels_per_chunk = CHUNK_NODES // PANEL_ORDER
-    buffer = np.empty((panels_per_chunk, 2), dtype=complex)
-    cols = np.empty((rows, panels_per_chunk))
-    sums = np.zeros((rows, 4))    # per row: the s1 and s2 sums, as floats
+    cols = np.empty(rows * panels_per_chunk)
+    per_node = np.zeros((rows, 2), dtype=complex)    # the s1 and s2 sums
     total = 0.0 + 0.0j
     for start in range(0, n_panels, panels_per_chunk):
         count = min(panels_per_chunk, n_panels - start)
+        blocks = -(-count // PHASE_FINE)
+        first = start // PHASE_FINE
+        chunk = cols[:rows * blocks * PHASE_FINE].reshape(rows, -1)
         left = np.arange(start, start + count) * width
-        phases = _chunk_phases(tables, start, count, buffer)
         lo, hi = (min(max(edge - start, 0), count) for edge in near)
         if lo < hi:
             # per-node sum, with the first-order expansion of phi at the
             # nodes where |z t| < 1e-8
+            q, j = np.divmod(np.arange(start + lo, start + hi), PHASE_FINE)
             z = (left[lo:hi] - a)[:, None] + off
-            trailing = phases[lo:hi, 1, None] * trail
-            vals = (phases[lo:hi, 0, None] * lead - trailing) / z
+            trailing = (coarse2[q] * fine2[j])[:, None] * trail
+            vals = ((coarse1[q] * fine1[j])[:, None] * lead - trailing) / z
             zt = z * t
             small = np.abs(zt) < 1e-8
             vals[small] = 1j * t * (1.0 + 0.5j * zt[small]) * trailing[small]
             total += np.sum(vals)
-        # the panels out of reach: one product of the node columns with
-        # the phases' float view
-        u = cols[:PANEL_ORDER, :count]
+        # the panels out of reach: the node columns times the fine phases
+        # in one product, then the coarse phases
+        u = chunk[:PANEL_ORDER, :count]
         np.add(off[:, None], left - a.real, out=u)
         u[:, lo:hi] = 1.0    # so no reciprocal is taken at the center
         if gamma:
-            r = cols[PANEL_ORDER:, :count]
+            r = chunk[PANEL_ORDER:, :count]
             np.multiply(u, u, out=r)
             r += gamma * gamma
             np.reciprocal(r, out=r)
             u *= r
         else:
             np.reciprocal(u, out=u)
-        cols[:, lo:hi] = 0.0
-        sums += cols[:, :count] @ phases.view(float)
-    per_node = sums.view(complex)
+        chunk[:, lo:hi] = 0.0
+        chunk[:, count:] = 0.0
+        part = (chunk.reshape(-1, PHASE_FINE) @ fine).view(complex) \
+            .reshape(rows, blocks, 2)
+        per_node[:, 0] += part[:, :, 0] @ coarse1[first:first + blocks]
+        per_node[:, 1] += part[:, :, 1] @ coarse2[first:first + blocks]
     if gamma:
         per_node = per_node[:PANEL_ORDER] - 1j * gamma * per_node[PANEL_ORDER:]
     return complex(total + lead @ per_node[:, 0] - trail @ per_node[:, 1])
@@ -220,7 +215,7 @@ def quad_kernel(s1: float, t: float, a: complex, params: ModelParams,
         Only sets the cutoff, through Omega and the drive carrier.
     cutoff_factor : float
         Hard frequency cutoff as a multiple of the largest frequency in the
-        problem.
+        problem, finite and > 0.
 
     Returns
     -------
@@ -229,6 +224,8 @@ def quad_kernel(s1: float, t: float, a: complex, params: ModelParams,
     a = complex(a)
     if not all(map(cmath.isfinite, (s1, t, a))):
         raise ValueError("s1, t and a must be finite")
+    if not (cmath.isfinite(cutoff_factor) and cutoff_factor > 0):
+        raise ValueError("cutoff_factor must be finite and positive")
     if t <= 0:
         raise ValueError("t must be positive")
     s2 = s1 - t

@@ -17,9 +17,12 @@ without any exponential, by backward recurrence from a start depth fitted
 by |z| band to the depth its truncation bound needs near the imaginary
 axis, where the field kernels take their arguments.  All arguments of a
 call run in one backward sweep ordered by start depth, each through its
-own steps; an argument whose bound is not met goes round again at twice
-the depth, and past a depth limit (reached only near the negative real
-axis) it raises RuntimeError.  One private dispatcher picks the branch
+own steps, in real arithmetic: a step updates the real and imaginary
+parts of the recurrence through u = (j+1)^2/|t|^2, so it takes one real
+division and no complex one, and every value still depends on its own
+argument only.  An argument whose bound is not met goes round again at
+twice the depth, and past a depth limit (reached only near the negative
+real axis) it raises RuntimeError.  One private dispatcher picks the branch
 for E1 and for e^z E1 alike, from one |z| that also serves the checks.
 
 The sine and cosine integrals have no algorithm of their own: they are
@@ -96,22 +99,50 @@ def _cf_backward(z, depth):
     Returns 1/t_0 together with the first-order bound on its relative
     truncation error,
     |prod_{j<N} (j+1)/t_{j+1}|^2 * |1/t_0| * (N+1)^2/|z + 2N + 3|.
+
+    The steps run on the real and imaginary parts of t = x + iy, with no
+    complex division: (j+1)^2/t = u (x - iy), u = (j+1)^2/(x^2 + y^2), so
+    a step is x <- Re z + 2j + 1 - u x, y <- Im z + u y, and the bound's
+    |prod|^2 is the product of the u.  Every operation is one real
+    ufunc, rounded alone, so each value depends on its own argument
+    only.  Past |t| of about 1.3e154, x^2 + y^2 overflows to inf and u
+    is 0: the true u x is below (j+1)^2/|t| < 1e-146 there, under 1e-300
+    of t, so the overflow is let through silently.  1/t_0 is taken as
+    0.5/(t_0/2), which has the bits of 1/t_0 wherever t_0 and the result
+    are normal numbers, but cannot overflow inside the complex division
+    up to the largest finite z.
     """
-    t = z + (2 * depth + 1)
-    prod = np.ones_like(z)
+    re, im = z.real.copy(), z.imag.copy()
+    x = re + (2 * depth + 1)
+    y = im.copy()
+    prod = np.ones(z.size)
+    u = np.empty(z.size)
+    w = np.empty(z.size)
     top = depth.max(initial=0)
     # active[j]: how many arguments have a depth above j
     active = np.searchsorted(-depth, -np.arange(top), side="left").tolist()
-    for j in range(top - 1, -1, -1):
-        n = active[j]
-        tp, pp = t[:n], prod[:n]
-        q = (j + 1) / tp
-        pp *= q
-        q *= j + 1
-        np.add(z[:n], 2 * j + 1, out=tp)
-        tp -= q
-    h = 1.0 / t
-    bound = np.abs(prod) ** 2 * np.abs(h) * (depth + 1) ** 2 \
+    n = -1
+    with np.errstate(over="ignore"):
+        for j in range(top - 1, -1, -1):
+            if active[j] != n:
+                n = active[j]
+                xn, yn, un, wn, pn, ren, imn = (
+                    v[:n] for v in (x, y, u, w, prod, re, im))
+            np.multiply(xn, xn, out=un)
+            np.multiply(yn, yn, out=wn)
+            un += wn
+            np.divide(float((j + 1) ** 2), un, out=un)
+            pn *= un
+            xn *= un
+            yn *= un
+            np.add(ren, 2.0 * j + 1.0, out=wn)
+            np.subtract(wn, xn, out=xn)
+            yn += imn
+    half = np.empty_like(z)
+    np.multiply(x, 0.5, out=half.real)
+    np.multiply(y, 0.5, out=half.imag)
+    h = 0.5 / half
+    bound = prod * np.abs(h) * (depth + 1.0) ** 2 \
         / np.abs(z + (2 * depth + 3))
     return h, bound
 

@@ -26,7 +26,6 @@ from wqed.oracle import (
     PHASE_FINE,
     POINTS_PER_PERIOD,
     ContinuumResult,
-    _chunk_phases,
     _phase_tables,
     _tail_inverse_omega,
     _tail_inverse_omega_sq,
@@ -146,13 +145,57 @@ def per_pair_closed_kernel():
     return _per_pair_closed_kernel
 
 
-def _band_loop_e1(z, scaled):
+def _complex_backward(z, depth):
+    """One band's continued-fraction pass in the complex-step writing.
+
+    t_j = z + 2j + 1 - (j+1)^2/t_{j+1} with one complex division per
+    step, and the truncation bound multiplied up as (q_j)^2,
+    q_j = (j+1)/t_{j+1}.  Returns 1/t_0 and the bound.
+    """
+    t = z + (2 * depth + 1)
+    gain = np.ones_like(z)
+    for j in range(depth - 1, -1, -1):
+        q = (j + 1) / t
+        gain *= q
+        gain *= q
+        q *= j + 1
+        t = z + (2 * j + 1)
+        t -= q
+    h = 1.0 / t
+    return h, np.abs(gain * h) * (depth + 1) ** 2 / np.abs(z + (2 * depth + 3))
+
+
+def _real_backward(z, depth):
+    """One band's continued-fraction pass on the parts of t = x + iy.
+
+    u = (j+1)^2/(x^2 + y^2), x <- Re z + 2j + 1 - u x, y <- Im z + u y,
+    each a rounded real operation, the bound's |prod|^2 the product of
+    the u, and 1/t_0 as a plain complex division.  Returns 1/t_0 and the
+    bound.
+    """
+    re, im = z.real, z.imag
+    x = re + (2 * depth + 1)
+    y = im.copy()
+    gain = np.ones(z.size)
+    for j in range(depth - 1, -1, -1):
+        u = (j + 1) ** 2 / (x * x + y * y)
+        gain *= u
+        x = (re + (2 * j + 1)) - u * x
+        y = u * y + im
+    t = np.empty_like(z)
+    t.real, t.imag = x, y
+    h = 1.0 / t
+    return h, gain * np.abs(h) * (depth + 1.0) ** 2 \
+        / np.abs(z + (2 * depth + 3))
+
+
+def _band_loop_e1(z, scaled, backward=_real_backward):
     """``specfun._e1`` in its band-loop writing, as a reference.
 
-    The continued fraction runs one pass per |z| band of ``_CF_BANDS`` at
-    the band's start depth, each argument's truncation bound multiplied
-    up as (q_j)^2 at every step, and the arguments whose bound is not met
-    go round again at twice the depth.  Same series, same recurrence.
+    The continued fraction runs one ``backward`` pass per |z| band of
+    ``_CF_BANDS`` at the band's start depth, and the arguments whose
+    bound is not met go round again at twice the depth.  Same series,
+    same recurrence; ``backward`` writes one band's pass.
     """
     arr = np.asarray(z, dtype=np.complex128)
     flat = arr.ravel()
@@ -170,19 +213,7 @@ def _band_loop_e1(z, scaled):
         idx = np.flatnonzero(band == k)
         while idx.size:
             assert depth <= specfun._CF_MAX_ITER
-            zk = zl[idx]
-            t = zk + (2 * depth + 1)
-            gain = np.ones_like(zk)
-            for j in range(depth - 1, -1, -1):
-                q = (j + 1) / t
-                gain *= q
-                gain *= q
-                q *= j + 1
-                t = zk + (2 * j + 1)
-                t -= q
-            fraction[idx] = h = 1.0 / t
-            bound = np.abs(gain * h) * (depth + 1) ** 2 \
-                / np.abs(zk + (2 * depth + 3))
+            fraction[idx], bound = backward(zl[idx], depth)
             idx = idx[~(bound < specfun._CF_EPS)]
             depth *= 2
     out[~small] = fraction if scaled else np.exp(-zl) * fraction
@@ -191,8 +222,14 @@ def _band_loop_e1(z, scaled):
 
 @pytest.fixture(scope="session")
 def band_loop_e1():
-    """E1 or e^z E1 through one continued-fraction pass per |z| band."""
+    """E1 or e^z E1 through one real-step continued-fraction pass per band."""
     return _band_loop_e1
+
+
+@pytest.fixture(scope="session")
+def complex_step_e1():
+    """E1 or e^z E1 with one complex division per continued-fraction step."""
+    return lambda z, scaled: _band_loop_e1(z, scaled, _complex_backward)
 
 
 def _mp_kernel(s1, t, a):
@@ -350,14 +387,32 @@ def per_node_quad_kernel():
     return _per_node_quad_kernel
 
 
+def _chunk_phases(tables, start, count, out):
+    """The phases of panels start, ..., start + count - 1, as out[:count].
+
+    The phase-buffer writing of the quadrature's panel phases: column k
+    is the panel phase of ``tables[k]`` (a ``_phase_tables`` pair),
+    written as coarse x fine products straight into ``out``, a
+    (rows, 2) complex buffer with at least ``count`` rounded up to
+    PHASE_FINE rows; ``start`` is a multiple of PHASE_FINE.
+    """
+    rows = -(-count // PHASE_FINE)
+    blocks = out[:rows * PHASE_FINE].reshape(rows, PHASE_FINE, 2)
+    first = start // PHASE_FINE
+    for k, (coarse, fine) in enumerate(tables):
+        np.multiply(coarse[first:first + rows, None], fine, out=blocks[:, :, k])
+    return out[:count]
+
+
 def _node_column_panel_sum(s1, t, a, width, n_panels):
     """``oracle._panel_sum`` in its node-column writing, as a reference.
 
-    Same panels, nodes, phase tables and near-panel expansion, but each
-    chunk's out-of-reach panels are summed one node column at a time: at
-    a real center one real matrix-vector product of 1/(left - a + off)
-    with the phases' float view per node, at a decaying center two
-    complex dots per node.
+    Same panels, nodes, phase tables and near-panel expansion, but the
+    panel phases are written out chunk by chunk (``_chunk_phases``), and
+    each chunk's out-of-reach panels are summed one node column at a
+    time: at a real center one real matrix-vector product of
+    1/(left - a + off) with the phases' float view per node, at a
+    decaying center two complex dots per node.
     """
     s2 = s1 - t
     off = 0.5 * (_GL_NODES + 1.0) * width
@@ -424,24 +479,6 @@ def _with_node_column_sum(fn, *args):
 def with_node_column_sum():
     """Call an oracle function with the node-column panel sum swapped in."""
     return _with_node_column_sum
-
-
-def _panel_phases(s, width, first, count):
-    """e^{i s width p} for p = first, ..., first + count - 1, as a reference.
-
-    The per-chunk writing of the quadrature's panel phases: both tables
-    are built for this chunk alone, coarse times fine, then raveled.
-    """
-    fine = np.exp(1j * s * (np.arange(PHASE_FINE) * width))
-    starts = first + PHASE_FINE * np.arange(-(-count // PHASE_FINE))
-    coarse = np.exp(1j * s * (starts * width))
-    return (coarse[:, None] * fine).ravel()[:count]
-
-
-@pytest.fixture(scope="session")
-def panel_phases():
-    """One chunk's panel phases from tables built for that chunk alone."""
-    return _panel_phases
 
 
 def _per_node_memory_coefficients(t, params):

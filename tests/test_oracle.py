@@ -20,8 +20,6 @@ from wqed.oracle import (
     PANEL_ORDER,
     PHASE_FINE,
     POINTS_PER_PERIOD,
-    _chunk_phases,
-    _phase_tables,
     continuum_evolve,
     e1_scaled_quad,
     gaussian_spectrum,
@@ -243,11 +241,12 @@ def test_product_sum_matches_node_column_writing_past_a_chunk_multiple(
 def test_quad_kernel_memory_stays_within_its_buffers(weak_generic,
                                                      kernel_centers):
     # just under MAX_NODES at a decaying center, one call holds the
-    # coarse and fine phase tables, the phase buffer, the (16, chunk)
-    # column array, the scratch of one phase buffer's worth that numpy
-    # takes while it writes the phases, and a few chunk-long vectors;
-    # never a (panels x nodes) array, which would take 160 MB here
-    # (measured peak: 2.90 MB against a bound of 3.09 MB)
+    # coarse and fine phase tables, the (16, chunk) column array, a few
+    # chunk-long vectors, and the fine product's (16 x blocks, 4) result
+    # with a copy of its columns for the coarse products; no panel phase
+    # is written out, and never a (panels x nodes) array, which would
+    # take 160 MB here (measured peak: 2.64 MB against a bound of
+    # 2.69 MB)
     p = weak_generic.with_drive(1.005 * weak_generic.omega_q)
     a = kernel_centers(p)["decay_plus"]
     cutoff = 20.0 * max(p.omega_q, p.omega_s, abs(a))
@@ -255,33 +254,16 @@ def test_quad_kernel_memory_stays_within_its_buffers(weak_generic,
     t = (n_panels - 0.5) * 2.0 * np.pi / (POINTS_PER_PERIOD * cutoff)
     chunk = CHUNK_NODES // PANEL_ORDER
     tables = 2 * 16 * (-(-n_panels // PHASE_FINE) + PHASE_FINE)
-    buffers = 2 * 16 * 2 * chunk + 8 * 2 * PANEL_ORDER * chunk
+    columns = 8 * 2 * PANEL_ORDER * chunk
     vectors = 8 * 4 * chunk
+    product = 2 * 8 * 4 * 2 * PANEL_ORDER * chunk // PHASE_FINE
     tracemalloc.start()
     try:
         quad_kernel(0.3 * t, t, a, p)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= tables + buffers + vectors
-
-
-def test_phase_buffer_matches_per_chunk_tables(panel_phases):
-    # the tables are built once per call and written chunk by chunk into
-    # one buffer; each chunk's phases must keep the bits of tables built
-    # for that chunk alone, including a short last chunk
-    chunk = CHUNK_NODES // PANEL_ORDER
-    n_panels = 2 * chunk + 100
-    s1, s2, width = 3.7e-10, -1.2e-7, 2.9e6
-    tables = tuple(_phase_tables(s, width, n_panels) for s in (s1, s2))
-    buffer = np.empty((chunk, 2), dtype=complex)
-    for start in range(0, n_panels, chunk):
-        count = min(chunk, n_panels - start)
-        got = _chunk_phases(tables, start, count, buffer)
-        assert got.shape == (count, 2)
-        for k, s in enumerate((s1, s2)):
-            want = panel_phases(s, width, start, count)
-            assert got[:, k].tobytes() == want.tobytes()
+    assert peak <= tables + columns + vectors + product
 
 
 def test_quad_kernel_sharpens_with_cutoff(weak_generic, kernel_centers):
@@ -318,6 +300,23 @@ def test_quad_kernel_refuses_non_finite_arguments(arg, value, weak_generic):
     args[arg] = value
     with pytest.raises(ValueError, match="finite"):
         quad_kernel(args["s1"], args["t"], args["a"], p)
+
+
+@pytest.mark.parametrize("factor", [-1.0, 0.0, np.nan, np.inf, -np.inf])
+def test_quad_kernel_refuses_a_bad_cutoff_factor(factor, weak_generic):
+    # a negative factor would integrate up to a negative cutoff, 0 has no
+    # panel width and NaN or inf no panel count; each is refused before
+    # any table is built
+    p = weak_generic
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="cutoff_factor"):
+            quad_kernel(2.0 * p.distance / p.v_g, 40.0 / p.gamma, p.omega_s,
+                        p, cutoff_factor=factor)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16384
 
 
 def test_quad_kernel_refuses_too_many_nodes_before_allocating(weak_generic):

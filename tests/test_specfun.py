@@ -265,6 +265,67 @@ def test_e1_matches_the_band_loop_writing_bit_for_bit(args, band_loop_e1):
     assert single.tobytes() == band_loop_e1(z[::97], True).tobytes()
 
 
+@pytest.mark.parametrize("args", [_random_arguments, _near_cut_grid,
+                                  _kernel_rays],
+                         ids=["random", "near-cut", "kernel-rays"])
+def test_real_step_matches_the_complex_step_writing(args, complex_step_e1):
+    # the continued fraction steps on the parts of t with no complex
+    # division; that rounds otherwise than one complex division per step,
+    # but only in the last bits (measured at most 4.6e-16 for e^z E1 and
+    # 4.5e-16 for E1 over these three sets)
+    z = args()
+    tiny = np.finfo(float).tiny
+    with np.errstate(over="ignore", invalid="ignore"):
+        for fn, scaled in ((specfun.e1_scaled, True),
+                           (specfun.exp_integral_e1, False)):
+            got, ref = fn(z), complex_step_e1(z, scaled)
+            # E1 itself over- or underflows far out on these sets
+            kept = np.isfinite(ref) & (np.abs(ref) >= tiny)
+            assert kept.sum() >= 0.85 * z.size
+            assert np.all(np.abs(got[kept] - ref[kept])
+                          <= 1e-15 * np.abs(ref[kept]))
+
+
+def _mp_reference(z, scaled):
+    """e^z E1(z) or E1(z) in 60 digits, rounded to complex."""
+    with mpmath.workdps(60):
+        w = mpmath.mpc(z.real, z.imag)
+        value = mpmath.e1(w)
+        return complex(mpmath.exp(w) * value if scaled else value)
+
+
+_HUGE_ANGLES = (np.pi / 2 - 0.1, np.pi / 2, np.pi / 2 + 0.1,
+                -(np.pi / 2 - 0.1), -(np.pi / 2 + 0.1), 2.5)
+
+
+@pytest.mark.parametrize("radius", [1e150, 1e200, 1e300, 1.7e308])
+def test_e1_at_huge_arguments(radius):
+    # past |z| of about 1.3e154 the squared modulus of the continued
+    # fraction's t overflows; the step then drops a term below 1e-300 of
+    # t, so e^z E1(z) is 1/(z + 1), and the final 1/t_0 must not
+    # overflow either.  Where the value lies below the normal
+    # range (|z| = 1.7e308) it is held to 1e-13 of the smallest normal.
+    # E1 itself overflows with e^{-z} where Re z < 0 here, so it is
+    # pinned where Re z >= 0: the kernel rays towards +-i, and the
+    # imaginary axis, which the steady field forms read.
+    tiny = np.finfo(float).tiny
+    z = np.append(radius * np.exp(1j * np.array(_HUGE_ANGLES)),
+                  [1j * radius, -1j * radius])
+    got = specfun.e1_scaled(z)
+    assert np.array_equal(got, [specfun.e1_scaled(v) for v in z])
+    for v, g in zip(z, got):
+        ref = _mp_reference(v, True)
+        assert abs(g - ref) <= 1e-13 * max(abs(ref), tiny), v
+        with mpmath.workdps(60):
+            limit = complex(1 / (mpmath.mpc(v.real, v.imag) + 1))
+        assert abs(g - limit) <= 1e-13 * max(abs(limit), tiny), v
+    z = z[z.real >= 0]
+    got = specfun.exp_integral_e1(z)
+    for v, g in zip(z, got):
+        ref = _mp_reference(v, False)
+        assert abs(g - ref) <= 1e-13 * max(abs(ref), tiny), v
+
+
 def test_series_region_against_mpmath():
     # dense polar grid over the series branch, |z| in [1e-3, 6] with
     # Re z <= 0.5; the outer ring reaches the worst corner |z| = 6,
@@ -306,3 +367,13 @@ def test_continued_fraction_values_do_not_depend_on_the_batch():
     single = np.array([specfun._e1s_continued_fraction(z[k:k + 1])[0]
                        for k in range(z.size)])
     assert batch.tobytes() == single.tobytes()
+    # a field block's front call: 7,680 kernel-ray arguments in every
+    # start-depth band in one sweep, against every 61st of them alone
+    n = 7680
+    z = 10.0 ** rng.uniform(np.log10(6.01), 5.0, n) * np.exp(1j * (
+        rng.choice([-1.0, 1.0], n) * np.pi / 2 + rng.uniform(-0.1, 0.1, n)))
+    batch = specfun._e1s_continued_fraction(z)
+    sample = np.arange(0, n, 61)
+    single = np.array([specfun._e1s_continued_fraction(z[k:k + 1])[0]
+                       for k in sample])
+    assert batch[sample].tobytes() == single.tobytes()
