@@ -72,15 +72,6 @@ def phase_integral(z, t):
     return np.where(small, series, direct)
 
 
-def _channel_oscillations(rates: CollectiveRates, params: ModelParams, t):
-    """The two damped channel factors and the carrier factor at times t."""
-    t = np.asarray(t, dtype=float)
-    damped_plus = np.exp(-rates.gamma_plus * t)
-    damped_minus = np.exp(-rates.gamma_minus * t)
-    carrier = np.exp(1j * (params.omega_q - params.omega_s) * t)
-    return damped_plus, damped_minus, carrier
-
-
 def qubit_amplitudes(rates: CollectiveRates, params: ModelParams, t) -> QubitState:
     """Closed-form qubit amplitudes after a delta-correlated kick.
 
@@ -98,9 +89,9 @@ def qubit_amplitudes(rates: CollectiveRates, params: ModelParams, t) -> QubitSta
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t < 0):
         raise ValueError("times must be non-negative")
-    damped_plus, damped_minus, carrier = _channel_oscillations(rates, params, t)
-    sym = rates.c_plus * (damped_plus - carrier)
-    antisym = rates.c_minus * (damped_minus - carrier)
+    carrier = np.exp(1j * (params.omega_q - params.omega_s) * t)
+    sym = rates.c_plus * (np.exp(-rates.gamma_plus * t) - carrier)
+    antisym = rates.c_minus * (np.exp(-rates.gamma_minus * t) - carrier)
     beta_1 = 0.5 * (sym + antisym)
     beta_2 = 0.5 * (sym - antisym)
     return QubitState(t=t, beta_1=beta_1, beta_2=beta_2)

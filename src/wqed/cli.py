@@ -189,7 +189,8 @@ def read_scenario(path):
     """Read an INI scenario file into {section: {key: value}}.
 
     Raises ScenarioError with the configparser line number on syntax
-    errors and names the offending section/key on unknown entries.
+    errors, names the offending section/key on unknown entries, and names
+    both keys when [model] spells one quantity two ways.
     """
     parser = configparser.ConfigParser()
     try:
@@ -215,6 +216,16 @@ def read_scenario(path):
             # a path is text, even when it looks like a number or a list
             scenario[section][key] = raw if section == "output" \
                 else _parse_value(raw)
+    # one quantity, one spelling per file; a file may still respell what a
+    # preset gives, since _build_params prefers the SI spelling
+    model = scenario.get("model", {})
+    for pair in (("omega_q_ghz", "omega_q_rad_s"),
+                 ("gamma_ratio", "gamma_rad_s"),
+                 ("phase_over_pi", "distance_m"),
+                 ("omega_s_over_omega_q", "omega_s_rad_s")):
+        if all(key in model for key in pair):
+            raise ScenarioError("[model] gives both %s and %s; keep one"
+                                % pair)
     return scenario
 
 

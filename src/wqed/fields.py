@@ -17,11 +17,12 @@ launch term and the winding term share the factor e^{-iat}, so on a
 per-position factor, and only the front term E1(i a s2) is taken point
 by point.  In the t -> inf limit a decaying pole leaves nothing, a real
 center (the drive carrier, or the bare Omega of a channel that is dark in
-a pinned regime) a plane wave.  One channel sum of six kernels turns
-either of the two into the scattered field, so the transient and the
-steady field are assembled the same way; the transient sum is evaluated
-as one weighted sum, over blocks of whole time rows that keep its
-temporaries small.
+a pinned regime) a plane wave.  The scattered field is one channel sum
+of six (weight, s1, center) terms, at the two shifts and the three
+centers, written once in ``_drive_fields``: the transient branch hands
+the terms to ``_kernel_sum``, one weighted sum over blocks of whole time
+rows that keep its temporaries small, and the steady branch sums each
+weight times its kernel's limit.
 ``drive_sweep`` assembles the field on a grid for a whole sweep of drive
 carriers in one call, and every slice carries the right-moving envelope
 u, the left-moving v and their sum w.  The module also provides the
@@ -315,40 +316,6 @@ def incident_plane_wave(x, t, params: ModelParams, omega_s=None):
     return params.amplitude * np.exp(1j * omega_s * (x / params.v_g - t))
 
 
-def _scattered_sum(steady, y1, y2, t, rates: CollectiveRates,
-                   params: ModelParams, omega_s, c_plus, c_minus):
-    """Scattered envelope from kernels at shifted coordinates (y1, y2).
-
-    Six kernels, at the two shifts and the three centers, weighted by the
-    channel pattern: the symmetric channel adds the two shifts, the
-    antisymmetric one subtracts them, and the drive kernels enter both.
-    For the forward field pass (x, x-d); for the backward field pass (-x,
-    -(x-d)).  When ``steady`` the kernels are their t -> inf limits
-    ``_kernel_limit``; otherwise the exact kernels go through
-    ``_kernel_sum`` as one weighted sum, block by block.  The drive
-    carrier ``omega_s`` and its weights ``c_plus``/``c_minus`` may carry a
-    leading drive axis; the pole kernels do not depend on the drive and are
-    evaluated once.
-    """
-    a_plus = params.omega_q - 1j * rates.gamma_plus
-    a_minus = params.omega_q - 1j * rates.gamma_minus
-    s1, s2 = y1 / params.v_g, y2 / params.v_g
-    half = -0.5 * params.coupling
-    if not steady:
-        return _kernel_sum([
-            (half * c_plus, s1, a_plus), (half * c_plus, s2, a_plus),
-            (half * c_minus, s1, a_minus), (-half * c_minus, s2, a_minus),
-            (-half * (c_plus + c_minus), s1, omega_s),
-            (half * (c_minus - c_plus), s2, omega_s)], t)
-    k_plus_1, k_plus_2, k_minus_1, k_minus_2, k_s_1, k_s_2 = [
-        _kernel_limit(s, t, a) for a in (a_plus, a_minus, omega_s)
-        for s in (s1, s2)]
-    return half * (
-        c_plus * (k_plus_1 + k_plus_2 - k_s_1 - k_s_2)
-        + c_minus * (k_minus_1 - k_minus_2 - k_s_1 + k_s_2)
-    )
-
-
 # ---------------------------------------------------------------------------
 # steady-state gate
 
@@ -387,7 +354,10 @@ def _drive_fields(grid: SpaceTimeGrid, rates: CollectiveRates,
     Returns (steady, u, v, w): the per-carrier steady mask and the three
     envelopes indexed [drive, time, position].  This is the evaluator
     behind ``drive_sweep``, which documents the arguments; callers that
-    read whole columns over the carriers take the arrays directly.
+    read whole columns over the carriers take the arrays directly.  The
+    forward field takes the shifts (x, x - d), the backward field (-x,
+    -(x - d)); the pole kernels do not depend on the drive and are
+    evaluated once per direction and branch.
     """
     omega = np.asarray(omega_s, dtype=float)
     if omega.ndim != 1 or not np.all(np.isfinite(omega)) \
@@ -405,18 +375,34 @@ def _drive_fields(grid: SpaceTimeGrid, rates: CollectiveRates,
     tt = grid.t[:, None]
     xx = grid.x[None, :]
     d = params.distance
+    a_plus = params.omega_q - 1j * rates.gamma_plus
+    a_minus = params.omega_q - 1j * rates.gamma_minus
+    half = -0.5 * params.coupling
 
     def scattered(y1, y2):
+        s1, s2 = y1 / params.v_g, y2 / params.v_g
+
+        def channel_sum(is_steady, carrier, c_plus, c_minus):
+            # six kernels at the two shifts and the three centers: the
+            # symmetric channel adds the shifts, the antisymmetric one
+            # subtracts them, and the drive kernels enter both
+            terms = [(half * c_plus, s1, a_plus), (half * c_plus, s2, a_plus),
+                     (half * c_minus, s1, a_minus),
+                     (-half * c_minus, s2, a_minus),
+                     (-half * (c_plus + c_minus), s1, carrier),
+                     (half * (c_minus - c_plus), s2, carrier)]
+            if not is_steady:
+                return _kernel_sum(terms, tt)
+            return sum(w * _kernel_limit(s, tt, a) for w, s, a in terms)
+
         parts = [(is_steady, pick) for is_steady, pick
                  in ((True, steady), (False, ~steady)) if pick.any()]
         if len(parts) == 1:
             # one branch for every carrier: its sum is the whole array
-            return _scattered_sum(parts[0][0], y1, y2, tt, rates, params,
-                                  *drive)
+            return channel_sum(parts[0][0], *drive)
         out = np.empty((omega.size, grid.t.size, grid.x.size), dtype=complex)
         for is_steady, pick in parts:
-            out[pick] = _scattered_sum(is_steady, y1, y2, tt, rates,
-                                       params, *(a[pick] for a in drive))
+            out[pick] = channel_sum(is_steady, *(a[pick] for a in drive))
         return out
 
     u = incident_plane_wave(xx, tt, params, drive[0])

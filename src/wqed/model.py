@@ -8,7 +8,9 @@ carrier.  The phase k_Omega*d picked up between the qubits decides how the
 two emission channels interfere; when it is a multiple of pi one channel
 decouples from the waveguide entirely, and several closed forms change
 shape.  This module classifies that regime and builds the two collective
-channels (their complex rates and their excitation weights).
+channels (their complex rates and their excitation weights) from one
+snapped propagation factor P = e^{i k d}, which is exactly +-1 at Omega in
+a pinned regime.
 """
 
 from __future__ import annotations
@@ -191,51 +193,42 @@ class CollectiveRates:
 
 
 def channel_rates(params: ModelParams, regime: Regime):
-    """Complex collective rates (gamma_plus, gamma_minus), snapped."""
+    """Complex collective rates Gamma/2 (1 +- P), P = e^{i k_Omega d} snapped.
+
+    In a pinned regime P is exactly +-1, so the dark rate is an exact 0.
+    """
     half = 0.5 * params.gamma
-    if regime is Regime.EVEN_PI:
-        return complex(params.gamma), 0.0 + 0.0j
-    if regime is Regime.ODD_PI:
-        return 0.0 + 0.0j, complex(params.gamma)
-    phase = np.exp(1j * params.qubit_phase)
+    phase = snapped_phase_factor(params, regime, params.omega_q)
     return half * (1.0 + phase), half * (1.0 - phase)
 
 
 def coupling_weights(params: ModelParams, regime: Regime, omega):
     """Excitation weights (c_plus, c_minus) of the two channels at ``omega``.
 
-    The generic forms are
-        c_pm = A g (1 +- e^{i k_omega d}) / ((Omega - omega) - i gamma_pm).
+    With P = e^{i k_omega d} from ``snapped_phase_factor``,
+        c_pm = A g (1 +- P) / ((Omega - omega) - i gamma_pm).
     In a pinned regime the dark channel's weight is a removable 0/0: both
-    the numerator 1 -+ e^{i k_omega d} and the denominator Omega - omega
-    vanish at resonance.  It is rewritten exactly as
+    the numerator 1 -+ P and the denominator Omega - omega vanish at
+    resonance.  It is rewritten exactly as
         A g (i d / v_g) e^{i eps/2} sinc(eps/2),   eps = (omega-Omega) d/v_g,
-    which is finite and smooth through resonance (for the odd regime an
-    extra e^{i k_Omega d} = -1 from the snapped carrier cancels the sign
-    flip of the numerator, giving the same expression).
+    which is finite and smooth through resonance (for the odd regime the
+    snapped carrier's -1 cancels the sign flip of the numerator, giving
+    the same expression), and the quotient is never formed.
     """
     omega = np.asarray(omega, dtype=float)
     a_g = params.amplitude * params.coupling
     gamma_plus, gamma_minus = channel_rates(params, regime)
-    eps = (omega - params.omega_q) * params.distance / params.v_g
+    phase = snapped_phase_factor(params, regime, omega)
     detune = params.omega_q - omega
-
-    if regime is Regime.GENERIC:
-        phase = np.exp(1j * params.phase_across(omega))
-        c_plus = a_g * (1.0 + phase) / (detune - 1j * gamma_plus)
-        c_minus = a_g * (1.0 - phase) / (detune - 1j * gamma_minus)
-        return c_plus, c_minus
-
-    # Pinned regimes: the lossless channel gets the exact sinc rewriting,
-    # the radiative channel keeps the direct quotient (its denominator is
-    # bounded away from zero by Gamma).
-    dark = a_g * (1j * params.distance / params.v_g) \
-        * np.exp(0.5j * eps) * np.sinc(0.5 * eps / np.pi)
-    if regime is Regime.EVEN_PI:
-        bright = a_g * (1.0 + np.exp(1j * eps)) / (detune - 1j * gamma_plus)
-        return bright, dark
-    bright = a_g * (1.0 + np.exp(1j * eps)) / (detune - 1j * gamma_minus)
-    return dark, bright
+    if regime is not Regime.GENERIC:
+        eps = (omega - params.omega_q) * params.distance / params.v_g
+        dark = a_g * (1j * params.distance / params.v_g) \
+            * np.exp(0.5j * eps) * np.sinc(0.5 * eps / np.pi)
+    c_plus = dark if regime is Regime.ODD_PI \
+        else a_g * (1.0 + phase) / (detune - 1j * gamma_plus)
+    c_minus = dark if regime is Regime.EVEN_PI \
+        else a_g * (1.0 - phase) / (detune - 1j * gamma_minus)
+    return c_plus, c_minus
 
 
 def collective_rates(params: ModelParams) -> CollectiveRates:

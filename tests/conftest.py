@@ -15,7 +15,8 @@ import pytest
 
 from wqed import fields, oracle, specfun
 from wqed.amplitudes import QubitState
-from wqed.model import ModelParams, collective_rates, coupling_weights
+from wqed.model import (ModelParams, Regime, collective_rates,
+                         coupling_weights)
 from wqed.oracle import (
     _GL_NODES,
     _GL_WEIGHTS,
@@ -71,9 +72,51 @@ def all_presets(weak_generic, weak_even, weak_odd, strong_odd):
     }
 
 
-def rates_for(params):
-    """Collective channels for a preset, classified automatically."""
-    return collective_rates(params)
+def _per_regime_channel_rates(params, regime):
+    """``model.channel_rates`` in its per-regime writing, as a reference.
+
+    The pinned regimes return (Gamma, 0) or (0, Gamma) outright; only the
+    generic one forms Gamma/2 (1 +- e^{i k_Omega d}).
+    """
+    half = 0.5 * params.gamma
+    if regime is Regime.EVEN_PI:
+        return complex(params.gamma), 0.0 + 0.0j
+    if regime is Regime.ODD_PI:
+        return 0.0 + 0.0j, complex(params.gamma)
+    phase = np.exp(1j * params.qubit_phase)
+    return half * (1.0 + phase), half * (1.0 - phase)
+
+
+def _per_regime_coupling_weights(params, regime, omega):
+    """``model.coupling_weights`` in its per-regime writing, as a reference.
+
+    Generic: both quotients with e^{i k_omega d}.  Pinned: the dark
+    channel's sinc rewriting, and the bright quotient with e^{i eps}
+    written out, its sign flip in the odd regime folded into the 1 + .
+    """
+    omega = np.asarray(omega, dtype=float)
+    a_g = params.amplitude * params.coupling
+    gamma_plus, gamma_minus = _per_regime_channel_rates(params, regime)
+    eps = (omega - params.omega_q) * params.distance / params.v_g
+    detune = params.omega_q - omega
+    if regime is Regime.GENERIC:
+        phase = np.exp(1j * params.phase_across(omega))
+        c_plus = a_g * (1.0 + phase) / (detune - 1j * gamma_plus)
+        c_minus = a_g * (1.0 - phase) / (detune - 1j * gamma_minus)
+        return c_plus, c_minus
+    dark = a_g * (1j * params.distance / params.v_g) \
+        * np.exp(0.5j * eps) * np.sinc(0.5 * eps / np.pi)
+    if regime is Regime.EVEN_PI:
+        bright = a_g * (1.0 + np.exp(1j * eps)) / (detune - 1j * gamma_plus)
+        return bright, dark
+    bright = a_g * (1.0 + np.exp(1j * eps)) / (detune - 1j * gamma_minus)
+    return dark, bright
+
+
+@pytest.fixture(scope="session")
+def per_regime_model():
+    """The per-regime writings of (channel_rates, coupling_weights)."""
+    return _per_regime_channel_rates, _per_regime_coupling_weights
 
 
 def _centers_by_name(params):

@@ -217,6 +217,38 @@ def test_model_needs_each_pair(missing, spellings, tmp_path, monkeypatch,
     assert all(name in err for name in spellings)
 
 
+@pytest.mark.parametrize("quantity", sorted(MODEL_RATIOS))
+def test_model_refuses_two_spellings_of_one_quantity(quantity, tmp_path,
+                                                     monkeypatch, capsys):
+    # a file that spells one quantity both ways is refused, naming both
+    config = tmp_path / "model.ini"
+    config.write_text("[model]\n" + "\n".join(MODEL_RATIOS.values()) + "\n"
+                      + MODEL_UNITS[quantity] + "\n")
+    code = run_cli(["spectrum", "--config", str(config), "--out", "x.csv"],
+                   tmp_path, monkeypatch)
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    for spelling in (MODEL_RATIOS[quantity], MODEL_UNITS[quantity]):
+        assert spelling.split(" = ")[0] in err[0]
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("omega_q_rad_s", 3.2e10), ("gamma_rad_s", 3.3e8), ("distance_m", 0.03),
+    ("omega_s_rad_s", 3.17e10)])
+def test_config_respells_a_preset_quantity(key, value, tmp_path, monkeypatch):
+    # fig2 gives the ratio spellings; a config's SI spelling replaces them
+    config = tmp_path / "model.ini"
+    config.write_text(f"[model]\n{key} = {value!r}\n[sweep]\npoints = 5\n")
+    code = run_cli(["spectrum", "--preset", "fig2", "--config", str(config),
+                    "--out", "x.csv"], tmp_path, monkeypatch)
+    assert code == 0
+    meta, _, _ = read_csv(tmp_path / "x.csv")
+    (written,) = [line for line in meta if line.startswith(f"{key} = ")]
+    assert float(written.split(" = ")[1]) == value
+
+
 def test_unknown_section_is_rejected(tmp_path, monkeypatch, capsys):
     config = tmp_path / "bad.ini"
     config.write_text("[model]\ngamma_ratio = 0.01\n[turbo]\nboost = 1\n")

@@ -145,6 +145,38 @@ def test_generic_and_even_weights_continuous_across_branch():
             assert complex(a) == pytest.approx(complex(b), rel=5e-3)
 
 
+def _same_bits(got, want):
+    """Equal float views, signed zeros included."""
+    got, want = (np.atleast_1d(np.asarray(x, dtype=complex)).view(float)
+                 for x in (got, want))
+    return np.array_equal(got, want) \
+        and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("phase_over_pi, regime", [
+    (0.5, Regime.GENERIC), (2.0, Regime.EVEN_PI), (1.0, Regime.ODD_PI),
+    (5.0, Regime.ODD_PI), (2.0 + 3e-10 / np.pi, Regime.EVEN_PI)],
+    ids=["generic", "even", "odd", "odd_5pi", "even_inside_snap"])
+def test_model_matches_per_regime_writing_bit_for_bit(phase_over_pi, regime,
+                                                      per_regime_model):
+    # rates and weights built on the snapped P give the bits of the
+    # per-regime writing, for every regime argument, at omega = Omega and
+    # on a 2,000-carrier axis; the dark rate is an exact +0
+    p = ModelParams.from_phase(OMEGA_Q, 0.01 * OMEGA_Q, phase_over_pi)
+    assert classify_regime(p) is regime
+    rates_ref, weights_ref = per_regime_model
+    for each in Regime:
+        for got, want in zip(channel_rates(p, each), rates_ref(p, each)):
+            assert _same_bits(got, want)
+        for omega in (p.omega_q, np.linspace(0.8, 1.2, 2000) * p.omega_q):
+            for got, want in zip(coupling_weights(p, each, omega),
+                                 weights_ref(p, each, omega)):
+                assert _same_bits(got, want)
+    if regime is not Regime.GENERIC:
+        dark = channel_rates(p, regime)[regime is Regime.EVEN_PI]
+        assert _same_bits(dark, 0j)
+
+
 def test_regime_tag_prints_bare_value():
     assert str(Regime.EVEN_PI) == "EvenPi"
     assert str(Regime.GENERIC) == "Generic"

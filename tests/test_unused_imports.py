@@ -61,8 +61,8 @@ def test_package_exports_are_its_imports():
     assert sorted(wqed.__all__) == sorted(imported)
 
 
-def private_definitions(source: str) -> list[str]:
-    """Private names a module's top level defines or assigns."""
+def top_level_names(source: str) -> list[str]:
+    """Names a module's top level defines or assigns."""
     names = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -74,8 +74,21 @@ def private_definitions(source: str) -> list[str]:
             names += [leaf.id for target in targets
                       for leaf in ast.walk(target)
                       if isinstance(leaf, ast.Name)]
-    return [name for name in names
+    return names
+
+
+def private_definitions(source: str) -> list[str]:
+    """Private names a module's top level defines or assigns."""
+    return [name for name in top_level_names(source)
             if name.startswith("_") and not name.startswith("__")]
+
+
+def parameter_names(source: str) -> set[str]:
+    """Parameter names of a module's functions: the fixtures they request."""
+    return {arg.arg for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for arg in node.args.posonlyargs + node.args.args
+            + node.args.kwonlyargs}
 
 
 def read_names(source: str) -> set[str]:
@@ -114,3 +127,18 @@ def test_every_private_name_of_the_package_is_read():
     package = {path.name: path.read_text()
                for path in sorted((ROOT / "src" / "wqed").glob("*.py"))}
     assert orphans(package, [path.read_text() for path in MODULES]) == []
+
+
+def test_scan_counts_a_requested_fixture_as_read():
+    assert parameter_names("def f(a, /, b, *c, d): pass\n") == {"a", "b", "d"}
+
+
+def test_every_conftest_definition_is_read():
+    # a conftest helper must be read like a private name of the package,
+    # and a fixture requested by some function's parameter
+    sources = [path.read_text() for path in MODULES]
+    reads = set().union(*(read_names(source) | parameter_names(source)
+                          for source in sources))
+    conftest = (ROOT / "tests" / "conftest.py").read_text()
+    assert [name for name in top_level_names(conftest)
+            if name not in reads] == []
