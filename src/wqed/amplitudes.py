@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CollectiveRates, ModelParams, snapped_phase_factor
+from .model import (CollectiveRates, ModelParams, coupling_weights,
+                    snapped_phase_factor)
 
 
 @dataclass(frozen=True)
@@ -78,6 +79,7 @@ def qubit_amplitudes(rates: CollectiveRates, params: ModelParams, t) -> QubitSta
     Parameters
     ----------
     rates : CollectiveRates
+        The pair's rates; channel weights are ``coupling_weights`` at omega_s.
     params : ModelParams
     t : float or array_like
         Times >= 0 since the pulse arrival at the first qubit.
@@ -89,9 +91,10 @@ def qubit_amplitudes(rates: CollectiveRates, params: ModelParams, t) -> QubitSta
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t < 0):
         raise ValueError("times must be non-negative")
+    c_plus, c_minus = coupling_weights(params, rates.regime, params.omega_s)
     carrier = np.exp(1j * (params.omega_q - params.omega_s) * t)
-    sym = rates.c_plus * (np.exp(-rates.gamma_plus * t) - carrier)
-    antisym = rates.c_minus * (np.exp(-rates.gamma_minus * t) - carrier)
+    sym = c_plus * (np.exp(-rates.gamma_plus * t) - carrier)
+    antisym = c_minus * (np.exp(-rates.gamma_minus * t) - carrier)
     beta_1 = 0.5 * (sym + antisym)
     beta_2 = 0.5 * (sym - antisym)
     return QubitState(t=t, beta_1=beta_1, beta_2=beta_2)
@@ -134,13 +137,14 @@ def spectral_amplitudes(rates: CollectiveRates, params: ModelParams,
     if t < 0:
         raise ValueError("time must be non-negative")
     d_plus, d_minus = channel_time_integrals(rates, params, omega, t)
+    c_plus, c_minus = coupling_weights(params, rates.regime, params.omega_s)
     phase = snapped_phase_factor(params, rates.regime, omega)
     g = params.coupling
     # Forward modes pick up e^{-i k d} from the second qubit, backward
     # modes e^{+i k d}; the channel split turns those into 1 -+ phase.
-    forward = -0.5 * g * ((1.0 + np.conj(phase)) * rates.c_plus * d_plus
-                          + (1.0 - np.conj(phase)) * rates.c_minus * d_minus)
-    backward = -0.5 * g * ((1.0 + phase) * rates.c_plus * d_plus
-                           + (1.0 - phase) * rates.c_minus * d_minus)
+    forward = -0.5 * g * ((1.0 + np.conj(phase)) * c_plus * d_plus
+                          + (1.0 - np.conj(phase)) * c_minus * d_minus)
+    backward = -0.5 * g * ((1.0 + phase) * c_plus * d_plus
+                           + (1.0 - phase) * c_minus * d_minus)
     return SpectralAmplitude(omega=omega, t=float(t),
                              forward=forward, backward=backward)

@@ -477,6 +477,12 @@ def cmd_spectrum(scenario, args):
     lo = _number(sweep, "sweep", "omega_min_over_omega_q", 0.98)
     hi = _number(sweep, "sweep", "omega_max_over_omega_q", 1.02)
     points = _count(sweep, "sweep", "points", 2001)
+    # a photon's frequency is finite and positive, as _drive_fields asks
+    for key, bound in (("omega_min_over_omega_q", lo),
+                       ("omega_max_over_omega_q", hi)):
+        if not (math.isfinite(bound * p.omega_q) and bound > 0):
+            raise ScenarioError(f"sweep.{key} must give a positive finite "
+                                f"frequency, got {bound!r}")
     rates = collective_rates(p)
     ratio = np.linspace(lo, hi, points)
     omega = ratio * p.omega_q
@@ -607,9 +613,9 @@ def cmd_beating(scenario, args):
     extra = ["x0_m = %.17g" % x0,
              "n_periods = %d" % n_periods, "n_samples = %d" % n_samples]
     peaks = []
+    rates = collective_rates(p)
     for det in detunings:
         drive = p.with_drive((1.0 + det) * p.omega_q)
-        rates = collective_rates(drive)
         label = "det=%g" % det
         t, energy = fields.beat_note_series(drive, rates, x0,
                                             n_periods=n_periods,

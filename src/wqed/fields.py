@@ -420,11 +420,11 @@ def drive_sweep(grid: SpaceTimeGrid, rates: CollectiveRates,
                 branch="auto") -> list[FieldSlice]:
     """The field on the grid for every drive carrier in one call.
 
-    Entry k is the field for ``params.with_drive(omega_s[k])`` and its own
-    collective rates, but the grid, the channel rates and every
-    drive-independent kernel are evaluated once for the whole sweep.
-    ``rates`` supplies the regime and channel rates; the drive weights
-    come from ``coupling_weights`` at each carrier.  The slices are views
+    Entry k is the field for ``params.with_drive(omega_s[k])``, but the
+    grid, the channel rates and every drive-independent kernel are
+    evaluated once for the whole sweep.  ``rates`` holds the pair's regime
+    and channel rates, the same for every carrier; the drive weights come
+    from ``coupling_weights`` at each carrier.  The slices are views
     into the stacked [drive, time, position] arrays of one evaluation
     (``_drive_fields``).
 

@@ -84,6 +84,11 @@ class ModelParams:
             value = getattr(self, name)
             if not np.isfinite(value) or value <= 0:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        # the outputs divide by A^2, which must neither overflow nor underflow
+        square = float(self.amplitude) * float(self.amplitude)
+        if not np.finfo(float).smallest_normal <= square < np.inf:
+            raise ValueError("amplitude^2 must be a finite normal float, "
+                             f"got amplitude {self.amplitude!r}")
         if self.gamma / self.omega_q > _STRONG_COUPLING_RATIO:
             warnings.warn(
                 f"gamma/omega_q = {self.gamma / self.omega_q:.3g} exceeds "
@@ -176,19 +181,16 @@ def snapped_phase_factor(params: ModelParams, regime: Regime, omega):
 
 @dataclass(frozen=True)
 class CollectiveRates:
-    """The two collective decay channels and their drive weights.
+    """The two collective decay channels of the qubit pair.
 
     ``gamma_plus``/``gamma_minus`` are the complex rates of the symmetric
     and antisymmetric superpositions, Gamma/2 * (1 +- e^{i k_Omega d});
     their real parts are radiative widths, their imaginary parts coherent
-    shifts.  ``c_plus``/``c_minus`` are the corresponding excitation
-    weights of the qubit amplitudes for the delta-pulse drive.
+    shifts.  Like the regime, they do not depend on the drive.
     """
 
     gamma_plus: complex
     gamma_minus: complex
-    c_plus: complex
-    c_minus: complex
     regime: Regime
 
 
@@ -232,14 +234,10 @@ def coupling_weights(params: ModelParams, regime: Regime, omega):
 
 
 def collective_rates(params: ModelParams) -> CollectiveRates:
-    """Assemble the collective channels for the drive carrier.
+    """The pair's regime and collective rates, the same for every drive.
 
-    The interference regime is classified from the parameters.
+    A carrier's channel weights come from ``coupling_weights``.
     """
     regime = classify_regime(params)
     gamma_plus, gamma_minus = channel_rates(params, regime)
-    c_plus, c_minus = coupling_weights(params, regime, params.omega_s)
-    return CollectiveRates(gamma_plus=complex(gamma_plus),
-                           gamma_minus=complex(gamma_minus),
-                           c_plus=complex(c_plus), c_minus=complex(c_minus),
-                           regime=regime)
+    return CollectiveRates(complex(gamma_plus), complex(gamma_minus), regime)

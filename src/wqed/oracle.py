@@ -29,7 +29,7 @@ import numpy as np
 from scipy import special
 
 from .amplitudes import QubitState, qubit_amplitudes
-from .model import CollectiveRates, ModelParams
+from .model import CollectiveRates, ModelParams, coupling_weights
 
 # ---------------------------------------------------------------------------
 # frequency-integral oracle for the wave kernels
@@ -262,8 +262,10 @@ def _quad_field(sign: float, x: float, t: float, rates: CollectiveRates,
     kp1, kp2, km1, km2, ks1, ks2 = (
         quad_kernel(sign * shift / params.v_g, t, a, params)
         for a in centers for shift in (x, x - params.distance))
-    return -0.5 * params.coupling * (rates.c_plus * (kp1 + kp2 - ks1 - ks2)
-                                     + rates.c_minus * (km1 - km2 - ks1 + ks2))
+    c_plus, c_minus = map(complex, coupling_weights(params, rates.regime,
+                                                    params.omega_s))
+    return -0.5 * params.coupling * (c_plus * (kp1 + kp2 - ks1 - ks2)
+                                     + c_minus * (km1 - km2 - ks1 + ks2))
 
 
 def quad_field_forward(x: float, t: float, rates: CollectiveRates,

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wqed import validation
-from wqed.model import collective_rates
+from wqed.model import ModelParams, collective_rates
+from wqed.oracle import quad_field_forward
 from wqed.amplitudes import (
     phase_integral,
     qubit_amplitudes,
@@ -103,3 +105,27 @@ def test_spectral_amplitudes_forward_backward_coincide_at_resonance(weak_odd):
     r = collective_rates(p)
     spec = spectral_amplitudes(r, p, np.asarray([p.omega_q]), 8.0 / p.gamma)
     assert abs(abs(spec.forward[0]) - abs(spec.backward[0])) < 1e-12
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(phase=st.sampled_from([0.5, 2.0, 1.0]), ratio=st.floats(0.8, 1.2))
+def test_rates_belong_to_the_pair_not_the_drive(phase, ratio):
+    # the rates are the pair's; a carrier enters only through its channel
+    # weights, so rates built for any drive give the same bits
+    base = ModelParams.from_phase(2.0 * np.pi * 5.0e9, 2.0 * np.pi * 5.0e7,
+                                  phase)
+    p = base.with_drive(ratio * base.omega_q)
+    rates, own = collective_rates(base), collective_rates(p)
+    assert rates == own
+    t = np.linspace(0.0, 20.0 / p.gamma, 65)
+    omega = np.linspace(0.9, 1.1, 33) * p.omega_q
+
+    def bits(r):
+        state = qubit_amplitudes(r, p, t)
+        spec = spectral_amplitudes(r, p, omega, 5.0 / p.gamma)
+        field = np.complex128(quad_field_forward(2.3 * p.distance,
+                                                 20.0 / p.gamma, r, p))
+        return [a.tobytes() for a in (state.beta_1, state.beta_2,
+                                      spec.forward, spec.backward, field)]
+
+    assert bits(rates) == bits(own)

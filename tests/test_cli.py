@@ -590,6 +590,10 @@ def test_running_out_of_memory_exits_two(command, preset, evaluator,
 
 @pytest.mark.parametrize("command, section, key, value", [
     ("spectrum", "sweep", "omega_min_over_omega_q", "0.9, 0.95"),
+    # a sweep bound must be a frequency a photon can have
+    ("spectrum", "sweep", "omega_min_over_omega_q", "-1"),
+    ("spectrum", "sweep", "omega_max_over_omega_q", "0"),
+    ("spectrum", "sweep", "omega_max_over_omega_q", "1e300"),
     ("spectrum", "model", "gamma_ratio", "0.01, 0.02"),
     ("field", "grid", "t_s", "1e-6, 2e-6"),
     ("peaks", "peaks", "t_s", "soon"),
@@ -602,6 +606,16 @@ def test_scalar_keys_are_validated(command, section, key, value, tmp_path,
     err = refused_error(command, f"[{section}]\n{key} = {value}\n",
                         tmp_path, monkeypatch, capsys)
     assert f"{section}.{key}" in err
+
+
+@pytest.mark.parametrize("amplitude", ["1e200", "1e-200"])
+@pytest.mark.parametrize("command", sorted(PRESET_OF))
+def test_amplitude_whose_square_leaves_the_float_range_is_refused(
+        command, amplitude, tmp_path, monkeypatch, capsys):
+    # the outputs divide by A^2: it must not overflow or underflow
+    err = refused_error(command, f"[model]\namplitude = {amplitude}\n",
+                        tmp_path, monkeypatch, capsys)
+    assert "amplitude^2" in err
 
 
 @pytest.mark.parametrize("command, overrides, reason", [

@@ -26,6 +26,15 @@ def test_constructor_rejects_nonpositive_parameters():
         ModelParams.create(np.inf, 0.01 * OMEGA_Q, 0.01)
 
 
+@pytest.mark.parametrize("amplitude", [1e-160, 1e-200, 1e155, 1e200])
+def test_constructor_rejects_amplitude_without_a_normal_square(amplitude):
+    # 1e-160^2 is subnormal, 1e-200^2 is 0 and 1e155^2 overflows
+    with pytest.raises(ValueError, match="amplitude\\^2"):
+        ModelParams.create(OMEGA_Q, 0.01 * OMEGA_Q, 0.01, amplitude=amplitude)
+    for kept in (1e-150, 1e150):
+        ModelParams.create(OMEGA_Q, 0.01 * OMEGA_Q, 0.01, amplitude=kept)
+
+
 @pytest.mark.parametrize("width", [0.0, -1.0, np.nan, np.inf])
 def test_constructor_rejects_nonpositive_pulse_width(width):
     # and a non-finite one: NaN would give an all-NaN continuum trajectory,
@@ -112,8 +121,9 @@ def test_generic_rates_match_half_gamma_formula(weak_generic):
 def test_dark_channel_weight_finite_at_resonance(weak_even, weak_odd):
     # the dark channel's weight is a removable 0/0 at omega_s = Omega
     for p in (weak_even, weak_odd):
-        r = collective_rates(p)
-        dark = r.c_minus if r.regime is Regime.EVEN_PI else r.c_plus
+        regime = classify_regime(p)
+        c_plus, c_minus = coupling_weights(p, regime, p.omega_s)
+        dark = c_minus if regime is Regime.EVEN_PI else c_plus
         assert np.isfinite(dark)
         # exact limit A g (i d / v_g)
         limit = p.amplitude * p.coupling * 1j * p.distance / p.v_g
