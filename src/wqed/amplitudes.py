@@ -109,11 +109,9 @@ def channel_time_integrals(rates: CollectiveRates, params: ModelParams,
     scattered spectrum at finite time.
     """
     omega = np.asarray(omega, dtype=float)
-    d_plus = phase_integral(omega - params.omega_q + 1j * rates.gamma_plus, t) \
-        - phase_integral(omega - params.omega_s, t)
-    d_minus = phase_integral(omega - params.omega_q + 1j * rates.gamma_minus, t) \
-        - phase_integral(omega - params.omega_s, t)
-    return d_plus, d_minus
+    drive = phase_integral(omega - params.omega_s, t)
+    return tuple(phase_integral(omega - params.omega_q + 1j * gamma, t) - drive
+                 for gamma in (rates.gamma_plus, rates.gamma_minus))
 
 
 def spectral_amplitudes(rates: CollectiveRates, params: ModelParams,

@@ -22,8 +22,9 @@ Scenarios are INI files (flat ``key = value`` under sections); named
 presets embed the parameter sets of the survey figures.  Output is CSV
 with ``#``-prefixed metadata lines, and every run with the same scenario
 produces byte-identical output (fixed 17-significant-digit floats, no
-timestamps).  Tables are assembled column by column from whole arrays and
-written through one row template per table.
+timestamps).  Each figure subcommand returns its table, assembled column by
+column from whole arrays, and ``main`` writes every table in one place,
+through one row template per table.
 """
 
 from __future__ import annotations
@@ -374,13 +375,11 @@ def write_csv(path, lines, columns, rows):
 
 
 def _json_cell(value):
-    """A finite number as itself, anything else as its CSV text.
+    """A number as a float if it is finite, else as its CSV text.
 
     Strict JSON has no NaN or infinity, so those cells carry the text
     the CSV writes for them ("nan", "inf", "-inf").
     """
-    if isinstance(value, str):
-        return value
     value = float(value)
     return value if math.isfinite(value) else "%.17g" % value
 
@@ -458,26 +457,33 @@ def _write_outputs(outputs):
     return [path for path, _ in outputs]
 
 
-def _emit(scenario, args, lines, columns, rows):
+def _emit(scenario, json_mirror, extra, columns, rows, notes):
+    """Write a figure table, headed by the scenario's lines and ``extra``,
+    and its mirror; then print what was written, followed by ``notes``."""
+    lines = _header_lines(scenario, extra)
     outputs = [(scenario["out"],
                 lambda path: write_csv(path, lines, columns, rows))]
-    if args.json:
+    if json_mirror:
         outputs.append((_json_path(scenario["out"]),
                         lambda path: write_json(path, lines, columns, rows)))
-    return _write_outputs(outputs)
+    written = _write_outputs(outputs)
+    print(f"wrote {', '.join(written)} ({len(rows)} rows)")
+    for note in notes:
+        print(note)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each figure command returns its table as (extra header
+# lines, columns, rows, stdout notes), and ``main`` writes it
 
-def cmd_spectrum(scenario, args):
+def cmd_spectrum(scenario):
     """Markov vs exact transmittance/reflectance sweep."""
     p = scenario["params"]
     sweep = scenario["sweep"]
     lo = _number(sweep, "sweep", "omega_min_over_omega_q", 0.98)
     hi = _number(sweep, "sweep", "omega_max_over_omega_q", 1.02)
     points = _count(sweep, "sweep", "points", 2001)
-    # a photon's frequency is finite and positive, as _drive_fields asks
+    # a photon's frequency is finite and positive, as drive_sweep asks
     for key, bound in (("omega_min_over_omega_q", lo),
                        ("omega_max_over_omega_q", hi)):
         if not (math.isfinite(bound * p.omega_q) and bound > 0):
@@ -500,10 +506,7 @@ def cmd_spectrum(scenario, args):
              % float(np.max(np.abs(t_markov - t_exact))),
              "max_abs_R_difference = %.17g"
              % float(np.max(np.abs(r_markov - r_exact)))]
-    written = _emit(scenario, args, _header_lines(scenario, extra),
-                    columns, rows)
-    print(f"wrote {', '.join(written)} ({len(rows)} rows)")
-    return 0
+    return extra, columns, rows, []
 
 
 _FIELD_COLUMNS = ["curve", "x_over_d", "omega_s_over_omega_q",
@@ -523,8 +526,8 @@ def _field_rows(params, x_over_d, ratios, omega, t, branch, label):
     x_over_d = np.asarray(x_over_d, dtype=float)
     ratios = np.asarray(ratios, dtype=float)
     grid = fields.space_time_grid(params, x_over_d * params.distance, [t])
-    _, *envelopes = fields._drive_fields(grid, collective_rates(params),
-                                         params, omega, branch)
+    _, *envelopes = fields.drive_sweep(grid, collective_rates(params),
+                                       params, omega, branch)
     envelopes = [env[:, 0].ravel() for env in envelopes]
     amp2 = params.amplitude ** 2
     columns = [[label] * (ratios.size * x_over_d.size),
@@ -537,7 +540,7 @@ def _field_rows(params, x_over_d, ratios, omega, t, branch, label):
     return list(zip(*columns))
 
 
-def cmd_field(scenario, args):
+def cmd_field(scenario):
     """Field envelopes and normalized energies over position/frequency.
 
     A configured ``[grid] x_over_d`` replaces a preset's blocks with one
@@ -594,13 +597,10 @@ def cmd_field(scenario, args):
                             *[nans] * 7, refl.tolist(), nans))
     extra = ["t_s = %.17g" % t, f"branch = {branch}",
              "energies normalized by amplitude^2"]
-    written = _emit(scenario, args, _header_lines(scenario, extra),
-                    _FIELD_COLUMNS, rows)
-    print(f"wrote {', '.join(written)} ({len(rows)} rows)")
-    return 0
+    return extra, _FIELD_COLUMNS, rows, []
 
 
-def cmd_beating(scenario, args):
+def cmd_beating(scenario):
     """Steady transmitted energy time series and FFT beat peaks."""
     p = scenario["params"]
     cfg = scenario["beating"]
@@ -612,7 +612,7 @@ def cmd_beating(scenario, args):
     rows = []
     extra = ["x0_m = %.17g" % x0,
              "n_periods = %d" % n_periods, "n_samples = %d" % n_samples]
-    peaks = []
+    notes = []
     rates = collective_rates(p)
     for det in detunings:
         drive = p.with_drive((1.0 + det) * p.omega_q)
@@ -626,18 +626,12 @@ def cmd_beating(scenario, args):
         extra.append("beat_peak_hz[%s] = %.17g (expected %.17g, "
                      "period %.17g s)" % (label, peak, expected,
                                           1.0 / expected))
-        peaks.append((label, peak, expected))
-    columns = ["curve", "t_s", "energy_u"]
-    written = _emit(scenario, args, _header_lines(scenario, extra),
-                    columns, rows)
-    print(f"wrote {', '.join(written)} ({len(rows)} rows)")
-    for label, peak, expected in peaks:
-        print(f"  {label}: FFT peak {peak:.6g} Hz, "
-              f"expected {expected:.6g} Hz")
-    return 0
+        notes.append(f"  {label}: FFT peak {peak:.6g} Hz, "
+                     f"expected {expected:.6g} Hz")
+    return extra, ["curve", "t_s", "energy_u"], rows, notes
 
 
-def cmd_peaks(scenario, args):
+def cmd_peaks(scenario):
     """Reflected resonance-peak value vs distance, formula and direct."""
     p = scenario["params"]
     cfg = scenario["peaks"]
@@ -648,9 +642,9 @@ def cmd_peaks(scenario, args):
     x_over_d = np.linspace(lo, hi, points)
     x = x_over_d * p.distance
     grid = fields.space_time_grid(p, x, [t], region=fields.Region.BEFORE)
-    (steady,) = fields.drive_sweep(grid, collective_rates(p), p, [p.omega_s],
-                                   branch="steady")
-    direct = np.abs(steady.v[0]) ** 2 / p.amplitude ** 2
+    _, _, v, _ = fields.drive_sweep(grid, collective_rates(p), p, [p.omega_s],
+                                    branch="steady")
+    direct = np.abs(v[0, 0]) ** 2 / p.amplitude ** 2
     peak_formula = fields.reflected_resonance_peak(x, p)
     columns = ["x_over_d", "peak_value", "energy_at_resonance"]
     rows = list(zip(x_over_d.tolist(), peak_formula.tolist(),
@@ -659,16 +653,13 @@ def cmd_peaks(scenario, args):
              "max_peak_value = %.17g" % float(np.max(peak_formula)),
              "max_abs_formula_vs_direct = %.17g"
              % float(np.max(np.abs(peak_formula - direct)))]
-    written = _emit(scenario, args, _header_lines(scenario, extra),
-                    columns, rows)
-    print(f"wrote {', '.join(written)} ({len(rows)} rows)")
-    return 0
+    return extra, columns, rows, []
 
 
 # ---------------------------------------------------------------------------
 # oracle-check
 
-def cmd_oracle_check(scenario, args):
+def cmd_oracle_check(args):
     """Run the ``wqed.validation`` table of closed-form-vs-oracle checks."""
     from . import validation
 
@@ -734,12 +725,11 @@ def build_parser():
     return parser
 
 
-_DISPATCH = {
+_FIGURES = {
     "spectrum": cmd_spectrum,
     "field": cmd_field,
     "beating": cmd_beating,
     "peaks": cmd_peaks,
-    "oracle-check": cmd_oracle_check,
 }
 
 
@@ -747,9 +737,12 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        scenario = None if args.command == "oracle-check" \
-            else build_scenario(args)
-        code = _DISPATCH[args.command](scenario, args)
+        if args.command == "oracle-check":
+            code = cmd_oracle_check(args)
+        else:
+            scenario = build_scenario(args)
+            _emit(scenario, args.json, *_FIGURES[args.command](scenario))
+            code = 0
         sys.stdout.flush()   # a closed pipe raises here, not at exit
         return code
     except (ScenarioError, ValueError, RuntimeError) as exc:

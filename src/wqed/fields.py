@@ -19,13 +19,14 @@ by point.  In the t -> inf limit a decaying pole leaves nothing, a real
 center (the drive carrier, or the bare Omega of a channel that is dark in
 a pinned regime) a plane wave.  The scattered field is one channel sum
 of six (weight, s1, center) terms, at the two shifts and the three
-centers, written once in ``_drive_fields``: the transient branch hands
+centers, written once in ``drive_sweep``: the transient branch hands
 the terms to ``_kernel_sum``, one weighted sum over blocks of whole time
 rows that keep its temporaries small, and the steady branch sums each
 weight times its kernel's limit.
-``drive_sweep`` assembles the field on a grid for a whole sweep of drive
-carriers in one call, and every slice carries the right-moving envelope
-u, the left-moving v and their sum w.  The module also provides the
+``drive_sweep`` evaluates the field for a whole sweep of drive carriers
+in one call, as [drive, time, position] arrays of the right-moving
+envelope u, the left-moving v and their sum w; the one-carrier field
+functions cut a ``FieldSlice`` from it.  The module also provides the
 scattering spectra and closed-form resonance peak heights.
 
 The first E1 argument above, i*a*s1, follows from closing the frequency
@@ -347,17 +348,35 @@ def steady_ready(grid: SpaceTimeGrid, rates: CollectiveRates,
 # ---------------------------------------------------------------------------
 # assembled fields
 
-def _drive_fields(grid: SpaceTimeGrid, rates: CollectiveRates,
-                  params: ModelParams, omega_s, branch="auto"):
-    """The field for a sweep of drive carriers as stacked arrays.
+def drive_sweep(grid: SpaceTimeGrid, rates: CollectiveRates,
+                params: ModelParams, omega_s, branch="auto"):
+    """The field on the grid for every drive carrier in one call.
 
-    Returns (steady, u, v, w): the per-carrier steady mask and the three
-    envelopes indexed [drive, time, position].  This is the evaluator
-    behind ``drive_sweep``, which documents the arguments; callers that
-    read whole columns over the carriers take the arrays directly.  The
-    forward field takes the shifts (x, x - d), the backward field (-x,
-    -(x - d)); the pole kernels do not depend on the drive and are
-    evaluated once per direction and branch.
+    Entry k of an envelope is the field for ``params.with_drive(omega_s[k])``,
+    but the grid, the channel rates and every drive-independent kernel are
+    evaluated once for the whole sweep.  ``rates`` holds the pair's regime
+    and channel rates, the same for every carrier; the drive weights come
+    from ``coupling_weights`` at each carrier.  The forward field takes
+    the shifts (x, x - d), the backward field (-x, -(x - d)); the pole
+    kernels do not depend on the drive and are evaluated once per
+    direction and branch.
+
+    Parameters
+    ----------
+    grid : SpaceTimeGrid
+    rates : CollectiveRates
+    params : ModelParams
+    omega_s : array_like
+        1-d array of drive carriers in rad/s.
+    branch : str or FieldBranch
+        "transient" for the exact finite-time forms, "steady" for the
+        long-time limit, "auto" to pick steady, carrier by carrier, once
+        it is converged.
+
+    Returns
+    -------
+    (steady, u, v, w): the per-carrier boolean mask of the steady branch
+    and the envelopes of ``FieldSlice``, indexed [drive, time, position].
     """
     omega = np.asarray(omega_s, dtype=float)
     if omega.ndim != 1 or not np.all(np.isfinite(omega)) \
@@ -415,40 +434,14 @@ def _drive_fields(grid: SpaceTimeGrid, rates: CollectiveRates,
     return steady, u, v, u + v
 
 
-def drive_sweep(grid: SpaceTimeGrid, rates: CollectiveRates,
-                params: ModelParams, omega_s,
-                branch="auto") -> list[FieldSlice]:
-    """The field on the grid for every drive carrier in one call.
-
-    Entry k is the field for ``params.with_drive(omega_s[k])``, but the
-    grid, the channel rates and every drive-independent kernel are
-    evaluated once for the whole sweep.  ``rates`` holds the pair's regime
-    and channel rates, the same for every carrier; the drive weights come
-    from ``coupling_weights`` at each carrier.  The slices are views
-    into the stacked [drive, time, position] arrays of one evaluation
-    (``_drive_fields``).
-
-    Parameters
-    ----------
-    grid : SpaceTimeGrid
-    rates : CollectiveRates
-    params : ModelParams
-    omega_s : array_like
-        1-d array of drive carriers in rad/s.
-    branch : str or FieldBranch
-        "transient" for the exact finite-time forms, "steady" for the
-        long-time limit, "auto" to pick steady, carrier by carrier, once
-        it is converged.
-
-    Returns
-    -------
-    list of FieldSlice, one per carrier, with ``u``, ``v`` and ``w``.
-    """
-    steady, u, v, w = _drive_fields(grid, rates, params, omega_s, branch)
-    return [FieldSlice(
-        grid=grid, u=u[k], v=v[k], w=w[k],
-        branch=FieldBranch.STEADY if is_steady else FieldBranch.TRANSIENT)
-        for k, is_steady in enumerate(steady)]
+def _one_carrier(grid: SpaceTimeGrid, rates: CollectiveRates,
+                 params: ModelParams, branch) -> FieldSlice:
+    """The sweep of the one carrier ``params.omega_s``, as a FieldSlice."""
+    (steady,), (u,), (v,), (w,) = drive_sweep(grid, rates, params,
+                                              [params.omega_s], branch)
+    return FieldSlice(
+        grid=grid, u=u, v=v, w=w,
+        branch=FieldBranch.STEADY if steady else FieldBranch.TRANSIENT)
 
 
 def forward_field(grid: SpaceTimeGrid, rates: CollectiveRates,
@@ -460,7 +453,7 @@ def forward_field(grid: SpaceTimeGrid, rates: CollectiveRates,
     """
     if grid.region is Region.BEFORE:
         raise ValueError("forward field is defined between or behind the qubits")
-    return drive_sweep(grid, rates, params, [params.omega_s], branch)[0]
+    return _one_carrier(grid, rates, params, branch)
 
 
 def backward_field(grid: SpaceTimeGrid, rates: CollectiveRates,
@@ -468,7 +461,7 @@ def backward_field(grid: SpaceTimeGrid, rates: CollectiveRates,
     """Left-moving field v(x, t) before or between the qubits."""
     if grid.region is Region.BEHIND:
         raise ValueError("backward field is defined before or between the qubits")
-    return drive_sweep(grid, rates, params, [params.omega_s], branch)[0]
+    return _one_carrier(grid, rates, params, branch)
 
 
 def interqubit_field(grid: SpaceTimeGrid, rates: CollectiveRates,
@@ -476,7 +469,7 @@ def interqubit_field(grid: SpaceTimeGrid, rates: CollectiveRates,
     """Total field w = u + v between the qubits (0 < x < d)."""
     if grid.region is not Region.BETWEEN:
         raise ValueError("inter-qubit field needs a Between grid")
-    return drive_sweep(grid, rates, params, [params.omega_s], branch)[0]
+    return _one_carrier(grid, rates, params, branch)
 
 
 # ---------------------------------------------------------------------------
@@ -625,8 +618,8 @@ def beat_note_series(params: ModelParams, rates: CollectiveRates,
     window = n_periods * period
     t = t0 + np.linspace(0.0, window, n_samples, endpoint=False)
     grid = space_time_grid(params, [x0], t, region=Region.BEHIND)
-    u = drive_sweep(grid, rates, params, [params.omega_s], "steady")[0].u
-    return t, np.abs(u[:, 0]) ** 2
+    _, u, _, _ = drive_sweep(grid, rates, params, [params.omega_s], "steady")
+    return t, np.abs(u[0, :, 0]) ** 2
 
 
 def beat_note_fft(energy, params: ModelParams, n_periods: int = 40):

@@ -84,10 +84,11 @@ class ModelParams:
             value = getattr(self, name)
             if not np.isfinite(value) or value <= 0:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        # the outputs divide by A^2, which must neither overflow nor underflow
+        # the outputs divide by A^2 and square envelopes a few times A, and
+        # a beat note sums thousands of them: keep A^2 well inside float64
         square = float(self.amplitude) * float(self.amplitude)
-        if not np.finfo(float).smallest_normal <= square < np.inf:
-            raise ValueError("amplitude^2 must be a finite normal float, "
+        if not 1e-300 <= square <= 1e300:
+            raise ValueError("amplitude^2 must lie in [1e-300, 1e300], "
                              f"got amplitude {self.amplitude!r}")
         if self.gamma / self.omega_q > _STRONG_COUPLING_RATIO:
             warnings.warn(

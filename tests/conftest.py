@@ -729,17 +729,17 @@ def json_dump_write_json():
 def _per_point_field_rows(params, x_over_d, ratios, omega, t, branch, label):
     """``cli._field_rows`` in its per-point writing, as a reference.
 
-    The same one ``drive_sweep`` call, read off slice by slice and point by
-    point into row tuples of numpy scalars.
+    The same one ``drive_sweep`` call, read off carrier by carrier and
+    point by point into row tuples of numpy scalars.
     """
     x_over_d = np.asarray(x_over_d, dtype=float)
     grid = fields.space_time_grid(params, x_over_d * params.distance, [t])
-    slices = fields.drive_sweep(grid, collective_rates(params), params,
-                                omega, branch=branch)
+    _, u_all, v_all, w_all = fields.drive_sweep(
+        grid, collective_rates(params), params, omega, branch=branch)
     amp2 = params.amplitude ** 2
     rows = []
-    for ratio, fs in zip(ratios, slices):
-        u, v, w = fs.u[0], fs.v[0], fs.w[0]
+    for k, ratio in enumerate(ratios):
+        u, v, w = u_all[k, 0], v_all[k, 0], w_all[k, 0]
         for i, xod in enumerate(x_over_d):
             rows.append((label, xod, ratio,
                          u[i].real, u[i].imag, v[i].real, v[i].imag,

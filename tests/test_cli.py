@@ -394,6 +394,24 @@ def test_closed_stdout_exits_two_without_traceback():
     assert proc.stderr == ""
 
 
+def test_closed_stdout_after_a_table_keeps_the_table(tmp_path):
+    # a figure command whose reader is gone before it reports: the table
+    # is written, then the report fails on the closed pipe, exit 2
+    out = tmp_path / "fig2.csv"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "wqed.cli", "spectrum",
+                               "--preset", "fig2", "--out", str(out)],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+    assert out.read_text().splitlines()[-1].startswith("1.02,")
+
+
 # a table of the cells that %.17g writes in its own ways: nan, +-inf, -0.0,
 # the smallest subnormal, the largest decades, Python ints and a text column
 EDGE_COLUMNS = ["label", "a", "b", "c", "d", "n"]
@@ -471,15 +489,17 @@ PRESET_OF = {"spectrum": "fig2", "field": "fig6", "peaks": "fig8",
              "beating": "fig7"}
 
 
-def refused_error(command, config_text, tmp_path, monkeypatch, capsys):
+def refused_error(command, config_text, tmp_path, monkeypatch, capsys,
+                  preset=None):
     """Run ``command``'s preset with a config override that must be refused.
 
     Asserts exit 2, no output file and one stderr line; returns that line.
     """
     config = tmp_path / "bad.ini"
     config.write_text(config_text)
-    code = run_cli([command, "--preset", PRESET_OF[command], "--config",
-                    str(config), "--out", "bad.csv"], tmp_path, monkeypatch)
+    code = run_cli([command, "--preset", preset or PRESET_OF[command],
+                    "--config", str(config), "--out", "bad.csv"],
+                   tmp_path, monkeypatch)
     assert code == 2
     assert not (tmp_path / "bad.csv").exists()
     err = capsys.readouterr().err.strip().splitlines()
@@ -615,6 +635,17 @@ def test_amplitude_whose_square_leaves_the_float_range_is_refused(
     # the outputs divide by A^2: it must not overflow or underflow
     err = refused_error(command, f"[model]\namplitude = {amplitude}\n",
                         tmp_path, monkeypatch, capsys)
+    assert "amplitude^2" in err
+
+
+@pytest.mark.parametrize("command, preset", [("field", "fig9"),
+                                             ("beating", "fig7")])
+def test_amplitude_near_the_top_of_the_float_range_is_refused(
+        command, preset, tmp_path, monkeypatch, capsys):
+    # A^2 = 1e308 is finite, but fig9's envelopes, larger than A, overflow
+    # when squared, and so does fig7's sum of 4096 squared envelopes
+    err = refused_error(command, "[model]\namplitude = 1e154\n", tmp_path,
+                        monkeypatch, capsys, preset=preset)
     assert "amplitude^2" in err
 
 

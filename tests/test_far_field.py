@@ -39,9 +39,10 @@ def _far_errors(phase):
                 else -L * wavelength
             t = 5.0 * abs(x) / p.v_g + 10e-6
             grid = fields.space_time_grid(p, [x], [t])
-            swept = fields.drive_sweep(grid, rates, p, omega, "steady")
-            energy = np.array([abs(getattr(s, envelope)[0, 0]) ** 2
-                               for s in swept]) / p.amplitude ** 2
+            swept = dict(zip("uvw", fields.drive_sweep(
+                grid, rates, p, omega, "steady")[1:]))
+            energy = np.array([abs(z) ** 2 for z in swept[envelope][:, 0, 0]]
+                              ) / p.amplitude ** 2
             errors[side, L] = np.abs(energy - spectrum[envelope])
     return errors
 

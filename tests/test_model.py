@@ -35,6 +35,14 @@ def test_constructor_rejects_amplitude_without_a_normal_square(amplitude):
         ModelParams.create(OMEGA_Q, 0.01 * OMEGA_Q, 0.01, amplitude=kept)
 
 
+@pytest.mark.parametrize("amplitude", [1e-153, 1e153, 1e154])
+def test_constructor_rejects_amplitude_square_beyond_1e300(amplitude):
+    # a normal square, but too near the ends of float64 for what the
+    # outputs do with it: square envelopes larger than A, sum thousands
+    with pytest.raises(ValueError, match="amplitude\\^2"):
+        ModelParams.create(OMEGA_Q, 0.01 * OMEGA_Q, 0.01, amplitude=amplitude)
+
+
 @pytest.mark.parametrize("width", [0.0, -1.0, np.nan, np.inf])
 def test_constructor_rejects_nonpositive_pulse_width(width):
     # and a non-finite one: NaN would give an all-NaN continuum trajectory,

@@ -5,7 +5,8 @@ the names an import statement binds with the names the module reads.
 ``from __future__`` imports and the names ``wqed/__init__.py`` re-exports
 through ``__all__`` are exempt.  A private top-level name of ``src/wqed``
 (one underscore, not a dunder) must be read somewhere in the package or
-the tests: as a name, as an attribute, or by a ``from`` import.
+the tests: as a name, as an attribute, or by a ``from`` import.  Only the
+tests may read it from outside its own module.
 """
 
 import ast
@@ -127,6 +128,50 @@ def test_every_private_name_of_the_package_is_read():
     package = {path.name: path.read_text()
                for path in sorted((ROOT / "src" / "wqed").glob("*.py"))}
     assert orphans(package, [path.read_text() for path in MODULES]) == []
+
+
+def private_reads_across_modules(package: dict[str, str]) -> list[str]:
+    """``reader: module.name`` of each private top-level name of a module of
+    ``package`` (file name to source) that another of its modules reads,
+    by a ``from`` import or as an attribute of the imported module."""
+    private = {Path(name).stem: set(private_definitions(source))
+               for name, source in package.items()}
+    found = []
+    for name, source in package.items():
+        reader = Path(name).stem
+        tree = ast.parse(source)
+        modules = {}    # local name of an imported module of the package
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or not node.level:
+                continue
+            if node.module is None:
+                modules.update((alias.asname or alias.name, alias.name)
+                               for alias in node.names)
+            else:
+                found += [f"{reader}: {node.module}.{alias.name}"
+                          for alias in node.names
+                          if alias.name in private.get(node.module, ())]
+        found += [f"{reader}: {modules[node.value.id]}.{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.attr in private.get(modules.get(node.value.id), ())]
+    return found
+
+
+def test_scan_finds_a_private_name_read_across_modules():
+    package = {"a.py": "_X = 1\ndef _f(): pass\ndef g(): return _f()\n",
+               "b.py": "from . import a\nfrom .a import _X, g\na._f()\n",
+               "c.py": "def h(self):\n    from . import a as m\n"
+                       "    return m._f, m.g, self._f\n"}
+    assert private_reads_across_modules(package) \
+        == ["b: a._X", "b: a._f", "c: a._f"]
+
+
+def test_no_module_reads_another_modules_private_name():
+    package = {path.name: path.read_text()
+               for path in sorted((ROOT / "src" / "wqed").glob("*.py"))}
+    assert private_reads_across_modules(package) == []
 
 
 def test_scan_counts_a_requested_fixture_as_read():
