@@ -46,11 +46,8 @@ from .fields import (
     backward_field,
     interqubit_field,
     drive_sweep,
-    steady_ready,
-    transmittance,
-    reflectance,
-    nonmarkov_transmittance,
-    nonmarkov_reflectance,
+    markov_spectra,
+    nonmarkov_spectra,
     transmitted_resonance_peak,
     reflected_resonance_peak,
     interqubit_resonance_peak,
@@ -68,9 +65,8 @@ __all__ = [
     "Region", "FieldBranch", "SpaceTimeGrid", "FieldSlice",
     "space_time_grid", "closed_kernel",
     "incident_plane_wave", "forward_field", "backward_field",
-    "interqubit_field", "drive_sweep", "steady_ready",
-    "transmittance", "reflectance",
-    "nonmarkov_transmittance", "nonmarkov_reflectance",
+    "interqubit_field", "drive_sweep",
+    "markov_spectra", "nonmarkov_spectra",
     "transmitted_resonance_peak", "reflected_resonance_peak",
     "interqubit_resonance_peak", "beat_note_series", "beat_note_fft",
 ]

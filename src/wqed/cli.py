@@ -492,10 +492,8 @@ def cmd_spectrum(scenario):
     rates = collective_rates(p)
     ratio = np.linspace(lo, hi, points)
     omega = ratio * p.omega_q
-    t_markov = fields.transmittance(omega, rates, p)
-    r_markov = fields.reflectance(omega, rates, p)
-    t_exact = fields.nonmarkov_transmittance(omega, p)
-    r_exact = fields.nonmarkov_reflectance(omega, p)
+    t_markov, r_markov = fields.markov_spectra(omega, rates, p)
+    t_exact, r_exact = fields.nonmarkov_spectra(omega, p)
     flux = t_markov + r_markov - 1.0
     columns = ["omega_over_Omega", "T_markov", "R_markov",
                "T_nonmarkov", "R_nonmarkov", "flux_sum"]
@@ -590,7 +588,7 @@ def cmd_field(scenario):
                                  int(block["points"]))
             omega = ratios * p.omega_q
             rates = collective_rates(p)
-            refl = fields.reflectance(omega, rates, p)
+            _, refl = fields.markov_spectra(omega, rates, p)
             nans = [float("nan")] * ratios.size
             rows.extend(zip(["line:x=-inf"] * ratios.size,
                             [-np.inf] * ratios.size, ratios.tolist(),

@@ -27,7 +27,9 @@ weight times its kernel's limit.
 in one call, as [drive, time, position] arrays of the right-moving
 envelope u, the left-moving v and their sum w; the one-carrier field
 functions cut a ``FieldSlice`` from it.  The module also provides the
-scattering spectra and closed-form resonance peak heights.
+scattering spectra, ``markov_spectra`` and ``nonmarkov_spectra``, each of
+which returns transmittance and reflectance together from one
+evaluation, and closed-form resonance peak heights.
 
 The first E1 argument above, i*a*s1, follows from closing the frequency
 contour.  An alternative reading with the argument a*s1 circulates; the
@@ -239,8 +241,9 @@ def space_time_grid(params: ModelParams, x, t,
     Checks that all positions fall in one region, that every (x, t) pair
     is causally reachable (the incident front has passed for forward
     fields, the first backward emission has arrived for backward ones),
-    and that no point sits exactly on a qubit or on the light front, where
-    the closed forms are logarithmically singular.
+    that no point sits exactly on a qubit or on the light front, where
+    the closed forms are logarithmically singular, and that every phase
+    max(Omega, omega_s) * t stays below 2^53.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -248,6 +251,11 @@ def space_time_grid(params: ModelParams, x, t,
         raise ValueError("grid coordinates must be finite")
     if np.any(t <= 0):
         raise ValueError("times must be strictly positive")
+    # past 2^53 a phase omega t has no fractional bits, so the rounding of
+    # t alone moves it by a radian or more
+    if t.max() >= 2 ** 53 / max(params.omega_q, params.omega_s):
+        raise ValueError("times too late: a phase max(omega_q, omega_s) * t "
+                         "must stay below 2^53")
     d = params.distance
     if np.all(x < 0):
         inferred = Region.BEFORE
@@ -337,12 +345,6 @@ def _steady_gate(grid: SpaceTimeGrid, rates: CollectiveRates,
     if np.exp(-slowest * lag) >= _STEADY_DECAY_GATE:
         return np.zeros(np.shape(omega_s), dtype=bool)
     return np.minimum(omega_s, params.omega_q) * lag > 1.0 / _STEADY_TAIL_GATE
-
-
-def steady_ready(grid: SpaceTimeGrid, rates: CollectiveRates,
-                 params: ModelParams) -> bool:
-    """Whether the steady forms are converged everywhere on the grid."""
-    return bool(_steady_gate(grid, rates, params, params.omega_s))
 
 
 # ---------------------------------------------------------------------------
@@ -475,12 +477,14 @@ def interqubit_field(grid: SpaceTimeGrid, rates: CollectiveRates,
 # ---------------------------------------------------------------------------
 # stationary scattering spectra
 
-def transmittance(omega, rates: CollectiveRates, params: ModelParams):
-    """Transmission probability of a monochromatic photon at ``omega``.
+def markov_spectra(omega, rates: CollectiveRates, params: ModelParams):
+    """(T, R) of a monochromatic photon at ``omega`` in the Markov reduction.
 
-    Uses the collective channels of the Markov reduction; valid in every
-    interference regime (the channel weights are re-evaluated at the probe
-    frequency).
+    Both channels come from one set of channel weights and one propagation
+    factor P at the probe frequency, so the forms hold in every
+    interference regime: the transmission amplitude is
+    1 + i pi (g/A) [c+ (1 + P*) + c- (1 - P*)] and the reflection
+    bracket c+ (1 + P) + c- (1 - P).
     """
     omega = np.asarray(omega, dtype=float)
     c_plus, c_minus = coupling_weights(params, rates.regime, omega)
@@ -488,49 +492,29 @@ def transmittance(omega, rates: CollectiveRates, params: ModelParams):
     g_over_a = params.coupling / params.amplitude
     amp = 1.0 + 1j * np.pi * g_over_a * (
         c_plus * (1.0 + np.conj(phase)) + c_minus * (1.0 - np.conj(phase)))
-    return np.abs(amp) ** 2
-
-
-def reflectance(omega, rates: CollectiveRates, params: ModelParams):
-    """Reflection probability of a monochromatic photon at ``omega``."""
-    omega = np.asarray(omega, dtype=float)
-    c_plus, c_minus = coupling_weights(params, rates.regime, omega)
-    phase = snapped_phase_factor(params, rates.regime, omega)
     bracket = c_plus * (1.0 + phase) + c_minus * (1.0 - phase)
-    return params.gamma * np.pi / (4.0 * params.amplitude ** 2) \
-        * np.abs(bracket) ** 2
+    scale = params.gamma * np.pi / (4.0 * params.amplitude ** 2)
+    return np.abs(amp) ** 2, scale * np.abs(bracket) ** 2
 
 
-def _lattice_denominator(omega, params: ModelParams):
-    """(Gamma/2, omega - Omega, k_omega d, denominator, zero guard).
+def nonmarkov_spectra(omega, params: ModelParams):
+    """(T, R) with the inter-qubit retardation kept exactly.
 
-    The exact lattice amplitudes share the denominator
-    (omega - Omega + i Gamma/2)^2 + (Gamma/2)^2 e^{2 i k_omega d}; the
-    guard marks where it vanishes, so callers can substitute a limit.
+    Both lattice amplitudes share the denominator
+    (omega - Omega + i Gamma/2)^2 + (Gamma/2)^2 e^{2 i k_omega d}; where it
+    vanishes they take their limits, T = 0 and R = 1.
     """
     omega = np.asarray(omega, dtype=float)
     half = 0.5 * params.gamma
     detune = omega - params.omega_q
     kd = params.phase_across(omega)
     denom = (detune + 1j * half) ** 2 + half ** 2 * np.exp(2j * kd)
-    return half, detune, kd, denom, np.abs(denom) == 0
-
-
-def nonmarkov_transmittance(omega, params: ModelParams):
-    """Transmission with the inter-qubit retardation kept exactly."""
-    _, detune, _, denom, guard = _lattice_denominator(omega, params)
-    amp = np.where(guard, 0.0,
-                   detune ** 2 / np.where(guard, 1.0, denom))
-    return np.abs(amp) ** 2
-
-
-def nonmarkov_reflectance(omega, params: ModelParams):
-    """Reflection with the inter-qubit retardation kept exactly."""
-    half, detune, kd, denom, guard = _lattice_denominator(omega, params)
+    guard = np.abs(denom) == 0
+    safe = np.where(guard, 1.0, denom)
+    trans = np.where(guard, 0.0, detune ** 2 / safe)
     num = detune * np.cos(kd) + half * np.sin(kd)
-    amp = np.where(guard, 1.0,
-                   params.gamma * num / np.where(guard, 1.0, denom))
-    return np.abs(amp) ** 2
+    refl = np.where(guard, 1.0, params.gamma * num / safe)
+    return np.abs(trans) ** 2, np.abs(refl) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -608,8 +592,13 @@ def beat_note_series(params: ModelParams, rates: CollectiveRates,
     The window starts just after the incident front has passed x0 and
     spans ``n_periods`` periods of the drive detuning.  The samples form
     a Behind grid, so x0 must lie behind the pair and outside the
-    exclusion zone.  Returns (t, energy).
+    exclusion zone.  ``n_samples`` must exceed 2 * ``n_periods``, so that
+    the beat lies below the Nyquist frequency of the samples.  Returns
+    (t, energy).
     """
+    if n_samples <= 2 * n_periods:
+        raise ValueError(f"n_samples must exceed 2 * n_periods, got "
+                         f"n_samples = {n_samples}, n_periods = {n_periods}")
     detune = params.omega_s - params.omega_q
     if detune == 0:
         raise ValueError("beat note needs a detuned drive")

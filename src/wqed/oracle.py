@@ -281,28 +281,6 @@ def quad_field_backward(x: float, t: float, rates: CollectiveRates,
 
 
 # ---------------------------------------------------------------------------
-# scaled-E1 oracle
-
-def e1_scaled_quad(z: complex) -> complex:
-    """e^z E1(z) by adaptive quadrature of int_0^inf e^{-u}/(z+u) du."""
-    from scipy.integrate import quad as _quad
-
-    z = complex(z)
-    if z.imag == 0 and z.real <= 0:
-        raise ValueError("argument on the branch cut")
-
-    def real_part(u):
-        return (np.exp(-u) / (z + u)).real
-
-    def imag_part(u):
-        return (np.exp(-u) / (z + u)).imag
-
-    re, _ = _quad(real_part, 0.0, np.inf, limit=400)
-    im, _ = _quad(imag_part, 0.0, np.inf, limit=400)
-    return re + 1j * im
-
-
-# ---------------------------------------------------------------------------
 # driven two-qubit ODE oracle (delta-pulse drive, retardation dropped)
 
 def markov_ode(params: ModelParams, t_final: float, n_steps: int | None = None,

@@ -145,8 +145,9 @@ def fluxes_vs_lattice(res, p):
     omega = res.grid.omega
     weight = np.abs(oracle.gaussian_spectrum(p, omega)) ** 2 * res.grid.weights
     weight /= weight.sum()
-    t_bar = float(np.sum(weight * fields.nonmarkov_transmittance(omega, p)))
-    r_bar = float(np.sum(weight * fields.nonmarkov_reflectance(omega, p)))
+    trans, refl = fields.nonmarkov_spectra(omega, p)
+    t_bar = float(np.sum(weight * trans))
+    r_bar = float(np.sum(weight * refl))
     return max(abs(res.transmitted_flux - t_bar),
                abs(res.reflected_flux - r_bar))
 

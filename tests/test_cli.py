@@ -586,7 +586,7 @@ def test_special_function_failure_exits_with_runtime_error(tmp_path,
 
 
 @pytest.mark.parametrize("command, preset, evaluator", [
-    ("spectrum", "fig2", "transmittance"),
+    ("spectrum", "fig2", "markov_spectra"),
     ("beating", "fig7", "beat_note_series"),
     ("peaks", "fig8", "space_time_grid"),
 ])
@@ -655,12 +655,32 @@ def test_amplitude_near_the_top_of_the_float_range_is_refused(
      "not yet reachable"),
     ("beating", "x0_over_d = 1.01", "excluded"),
     ("beating", "x0_over_d = 0.5", "Between, not Behind"),
+    # at or below two samples a beat the FFT peak aliases
+    ("beating", "n_samples = 79", "n_samples = 79, n_periods = 40"),
 ])
 def test_peaks_and_beating_points_are_validated_like_field_grids(
         command, overrides, reason, tmp_path, monkeypatch, capsys):
     err = refused_error(command, f"[{command}]\n{overrides}\n",
                         tmp_path, monkeypatch, capsys)
     assert reason in err
+
+
+@pytest.mark.parametrize("command, config_text", [
+    ("field", "[grid]\nx_over_d = 3.0\nt_s = 1e300\nbranch = steady\n"),
+    ("field", "[grid]\nx_over_d = 3.0\nt_s = 1e300\nbranch = auto\n"),
+    ("field", "[grid]\nx_over_d = 3.0\nt_s = 1e300\nbranch = transient\n"),
+    ("field", "[grid]\nx_over_d = 3.0\nt_s = 1e6\n"),
+    ("peaks", "[peaks]\nt_s = 1e300\n"),
+    ("beating", "[beating]\nx0_over_d = 1e300\n"),
+    ("beating", "[beating]\ndetunings_over_omega_q = 1e-15\n"),
+], ids=["field-steady-1e300", "field-auto-1e300", "field-transient-1e300",
+        "field-1e6", "peaks-1e300", "beating-x0-1e300", "beating-det-1e-15"])
+def test_phases_past_two_to_the_53_are_refused(command, config_text,
+                                               tmp_path, monkeypatch, capsys):
+    # past omega t = 2^53 a phase has no fractional bits: refused before
+    # any field is formed, so no RuntimeWarning reaches stderr
+    err = refused_error(command, config_text, tmp_path, monkeypatch, capsys)
+    assert "2^53" in err
 
 
 @pytest.mark.parametrize("argv, config_text, reason", [

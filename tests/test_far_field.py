@@ -30,8 +30,7 @@ def _far_errors(phase):
     rates = collective_rates(p)
     omega = CARRIERS * OMEGA_Q
     wavelength = 2.0 * np.pi * p.v_g / p.omega_q
-    spectrum = {"u": fields.transmittance(omega, rates, p),
-                "v": fields.reflectance(omega, rates, p)}
+    spectrum = dict(zip("uv", fields.markov_spectra(omega, rates, p)))
     errors = {}
     for side, envelope in (("behind", "u"), ("before", "v")):
         for L in (NEAR, FAR):

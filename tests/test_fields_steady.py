@@ -37,6 +37,18 @@ def test_grid_rejects_nonpositive_times(weak_generic):
         fields.space_time_grid(weak_generic, [3 * d], [0.0])
 
 
+def test_grid_refuses_phases_past_two_to_the_53(weak_generic):
+    # past omega t = 2^53 the rounding of t alone moves a phase by a
+    # radian or more
+    p = weak_generic.with_drive(1.007 * weak_generic.omega_q)
+    bound = 2 ** 53 / max(p.omega_q, p.omega_s)
+    x = [3 * p.distance]
+    grid = fields.space_time_grid(p, x, [1e-6, np.nextafter(bound, 0.0)])
+    assert grid.t.max() < bound
+    with pytest.raises(ValueError, match=r"2\^53"):
+        fields.space_time_grid(p, x, [1e-6, np.nextafter(bound, np.inf)])
+
+
 def test_grid_enforces_causality(weak_generic):
     p = weak_generic
     d = p.distance
@@ -193,8 +205,10 @@ def test_steady_ready_tracks_both_gates(weak_generic):
     # algebraic tail still exceeds its gate there
     early = fields.space_time_grid(p, x, [1e-5])
     late = fields.space_time_grid(p, x, [1e-4])
-    assert not fields.steady_ready(early, r, p)
-    assert fields.steady_ready(late, r, p)
+    assert fields.forward_field(early, r, p).branch \
+        is fields.FieldBranch.TRANSIENT
+    assert fields.forward_field(late, r, p).branch \
+        is fields.FieldBranch.STEADY
 
 
 def test_auto_stays_transient_before_the_last_emission_arrives(
@@ -205,7 +219,6 @@ def test_auto_stays_transient_before_the_last_emission_arrives(
     r = collective_rates(p)
     grid = fields.space_time_grid(p, [0.3 * p.distance],
                                   [0.5 * p.distance / p.v_g])
-    assert not fields.steady_ready(grid, r, p)
     assert fields.interqubit_field(grid, r, p).branch \
         is fields.FieldBranch.TRANSIENT
 
@@ -221,8 +234,6 @@ def test_auto_waits_for_the_exponential_transients():
                         (1e-2, fields.FieldBranch.STEADY)):
         grid = fields.space_time_grid(p, [x], [x / p.v_g + lag])
         assert p.omega_q * lag > 1e6
-        assert fields.steady_ready(grid, r, p) is (
-            branch is fields.FieldBranch.STEADY)
         assert fields.forward_field(grid, r, p).branch is branch
 
 
@@ -353,6 +364,21 @@ def test_beat_note_spectrum_peaks_at_detuning(weak_even):
     bin_width = freqs[1] - freqs[0]
     assert abs(peak - expected) <= bin_width
     assert expected == pytest.approx(0.01 * p.omega_q / (2 * np.pi))
+
+
+@pytest.mark.parametrize("n_periods, n_samples", [(40, 80), (100, 100)])
+def test_beat_note_needs_more_than_two_samples_a_beat(weak_even, n_periods,
+                                                      n_samples):
+    # at or below two samples a beat the FFT peak aliases, or sits on the
+    # Nyquist bin, where its height depends on the beat's phase
+    p = weak_even.with_drive(1.01 * weak_even.omega_q)
+    r = collective_rates(p)
+    with pytest.raises(ValueError, match="n_samples .* n_periods"):
+        fields.beat_note_series(p, r, 2.0 * p.distance, n_periods=n_periods,
+                                n_samples=n_samples)
+    t, _ = fields.beat_note_series(p, r, 2.0 * p.distance, n_periods=n_periods,
+                                   n_samples=2 * n_periods + 1)
+    assert t.size == 2 * n_periods + 1
 
 
 def test_beat_note_needs_detuning(weak_even):

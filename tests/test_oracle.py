@@ -21,7 +21,6 @@ from wqed.oracle import (
     PHASE_FINE,
     POINTS_PER_PERIOD,
     continuum_evolve,
-    e1_scaled_quad,
     gaussian_spectrum,
     half_line_limits,
     make_continuum_grid,
@@ -331,12 +330,6 @@ def test_quad_kernel_refuses_too_many_nodes_before_allocating(weak_generic):
     finally:
         tracemalloc.stop()
     assert peak < 16384
-
-
-@pytest.mark.parametrize("z", [0.0, -2.0])
-def test_e1_quadrature_refuses_the_cut(z):
-    with pytest.raises(ValueError, match="branch cut"):
-        e1_scaled_quad(z)
 
 
 @pytest.mark.parametrize("t_final", [0.0, -1e-9])

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wqed import specfun
-from wqed.oracle import e1_scaled_quad
 
 
 def test_si_lower_reflection_identity():
@@ -87,18 +86,6 @@ def test_exp_integral_imaginary_axis_is_cosine_integral():
     assert np.max(np.abs(val.real + specfun.cosine_integral(x))) < 1e-9
     # and the imaginary part carries si(x) = Si(x) - pi/2
     assert np.max(np.abs(val.imag - specfun.si_lower(x))) < 1e-9
-
-
-def test_scaled_exp_integral_against_quadrature():
-    rng = np.random.default_rng(41)
-    worst = 0.0
-    for _ in range(100):
-        radius = rng.uniform(0.1, 30.0)
-        angle = rng.uniform(-np.pi / 2, np.pi / 2)
-        z = radius * np.exp(1j * angle)
-        ref = e1_scaled_quad(z)
-        worst = max(worst, abs(specfun.e1_scaled(z) - ref) / abs(ref))
-    assert worst < 1e-8
 
 
 def test_scaled_exp_integral_consistent_with_plain():

@@ -34,8 +34,7 @@ def _params(gamma_ratio, phase_over_pi):
 def test_resonance_is_a_perfect_mirror(phase_over_pi):
     p = ModelParams.from_phase(OMEGA_Q, 0.01 * OMEGA_Q, phase_over_pi)
     r = collective_rates(p)
-    t_res = fields.transmittance(p.omega_q, r, p)
-    r_res = fields.reflectance(p.omega_q, r, p)
+    t_res, r_res = fields.markov_spectra(p.omega_q, r, p)
     assert abs(t_res) < 1e-12
     assert abs(r_res - 1.0) < 1e-12
 
@@ -46,11 +45,8 @@ def test_resonance_is_a_perfect_mirror_at_any_phase(gamma_ratio, phase):
     # both the Markov and the exact-lattice forms, snapped or not
     p = _params(gamma_ratio, phase)
     r = collective_rates(p)
-    for t_res, r_res in (
-            (fields.transmittance(p.omega_q, r, p),
-             fields.reflectance(p.omega_q, r, p)),
-            (fields.nonmarkov_transmittance(p.omega_q, p),
-             fields.nonmarkov_reflectance(p.omega_q, p))):
+    for t_res, r_res in (fields.markov_spectra(p.omega_q, r, p),
+                         fields.nonmarkov_spectra(p.omega_q, p)):
         assert abs(t_res) < 1e-12
         assert abs(r_res - 1.0) < 1e-12
 
@@ -60,16 +56,16 @@ def test_far_detuning_is_transparent(weak_generic):
     r = collective_rates(p)
     for sign in (-1.0, 1.0):
         omega = p.omega_q + sign * 100.0 * p.gamma
-        assert abs(fields.transmittance(omega, r, p) - 1.0) < 0.01
-        assert abs(fields.reflectance(omega, r, p)) < 0.01
+        trans, refl = fields.markov_spectra(omega, r, p)
+        assert abs(trans - 1.0) < 0.01
+        assert abs(refl) < 0.01
 
 
 def test_transmittance_accepts_arrays(weak_generic):
     p = weak_generic
     r = collective_rates(p)
     omega = np.linspace(0.99, 1.01, 101) * p.omega_q
-    t_arr = fields.transmittance(omega, r, p)
-    r_arr = fields.reflectance(omega, r, p)
+    t_arr, r_arr = fields.markov_spectra(omega, r, p)
     assert t_arr.shape == omega.shape
     assert np.all((t_arr >= 0) & (t_arr <= 1.0 + 1e-12))
     assert np.all(r_arr >= 0)
@@ -83,8 +79,8 @@ def test_markov_flux_defect_scales_with_detuning(weak_generic):
     r = collective_rates(p)
 
     def leak(omega):
-        return fields.transmittance(omega, r, p) \
-            + fields.reflectance(omega, r, p) - 1.0
+        trans, refl = fields.markov_spectra(omega, r, p)
+        return trans + refl - 1.0
 
     near = np.linspace(0.999, 1.001, 201) * p.omega_q
     assert np.max(np.abs(leak(near))) < 1e-3
@@ -98,8 +94,8 @@ def test_exact_lattice_conserves_flux_identically(weak_generic, strong_odd):
     # flux sum is machine-exact at any coupling and any detuning
     for p in (weak_generic, strong_odd):
         omega = np.linspace(0.8, 1.2, 1001) * p.omega_q
-        total = fields.nonmarkov_transmittance(omega, p) \
-            + fields.nonmarkov_reflectance(omega, p)
+        trans, refl = fields.nonmarkov_spectra(omega, p)
+        total = trans + refl
         assert np.max(np.abs(total - 1.0)) < 1e-12
 
 
@@ -109,25 +105,26 @@ def test_exact_lattice_conserves_flux_at_any_parameters(gamma_ratio, phase,
                                                         probe):
     p = _params(gamma_ratio, phase)
     omega = probe * p.omega_q
-    total = fields.nonmarkov_transmittance(omega, p) \
-        + fields.nonmarkov_reflectance(omega, p)
+    trans, refl = fields.nonmarkov_spectra(omega, p)
+    total = trans + refl
     assert abs(total - 1.0) < 1e-12
 
 
 def test_exact_lattice_resonance_values(weak_generic, strong_odd):
     for p in (weak_generic, strong_odd):
-        assert fields.nonmarkov_transmittance(p.omega_q, p) == 0.0
-        assert abs(fields.nonmarkov_reflectance(p.omega_q, p) - 1.0) < 1e-12
+        trans, refl = fields.nonmarkov_spectra(p.omega_q, p)
+        assert trans == 0.0
+        assert abs(refl - 1.0) < 1e-12
 
 
 def test_markov_matches_lattice_at_weak_coupling(weak_generic):
     p = weak_generic
     r = collective_rates(p)
     omega = np.linspace(0.98, 1.02, 2001) * p.omega_q
-    diff_t = np.abs(fields.transmittance(omega, r, p)
-                    - fields.nonmarkov_transmittance(omega, p))
-    diff_r = np.abs(fields.reflectance(omega, r, p)
-                    - fields.nonmarkov_reflectance(omega, p))
+    (t_markov, r_markov), (t_exact, r_exact) = (
+        fields.markov_spectra(omega, r, p), fields.nonmarkov_spectra(omega, p))
+    diff_t = np.abs(t_markov - t_exact)
+    diff_r = np.abs(r_markov - r_exact)
     assert max(diff_t.max(), diff_r.max()) < 0.02
 
 
@@ -135,8 +132,8 @@ def test_markov_departs_from_lattice_at_strong_retardation(strong_odd):
     p = strong_odd
     r = collective_rates(p)
     omega = np.linspace(0.8, 1.2, 2001) * p.omega_q
-    diff_t = np.abs(fields.transmittance(omega, r, p)
-                    - fields.nonmarkov_transmittance(omega, p))
+    diff_t = np.abs(fields.markov_spectra(omega, r, p)[0]
+                    - fields.nonmarkov_spectra(omega, p)[0])
     assert diff_t.max() > 0.1
 
 
@@ -146,5 +143,5 @@ def test_reflectance_limit_matches_far_steady_field(weak_even):
     r = collective_rates(p)
     grid = fields.space_time_grid(p, [-40.0 * p.distance], [5e-6])
     v = fields.backward_field(grid, r, p, branch="steady").v
-    target = fields.reflectance(p.omega_s, r, p)
+    _, target = fields.markov_spectra(p.omega_s, r, p)
     assert abs(np.abs(v[0, 0]) ** 2 - target) < 5e-3
