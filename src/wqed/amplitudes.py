@@ -82,13 +82,15 @@ def qubit_amplitudes(rates: CollectiveRates, params: ModelParams, t) -> QubitSta
         The pair's rates; channel weights are ``coupling_weights`` at omega_s.
     params : ModelParams
     t : float or array_like
-        Times >= 0 since the pulse arrival at the first qubit.
+        Finite times >= 0 since the pulse arrival at the first qubit.
 
     Returns
     -------
     QubitState
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
+    if not np.all(np.isfinite(t)):
+        raise ValueError("times must be finite")
     if np.any(t < 0):
         raise ValueError("times must be non-negative")
     c_plus, c_minus = coupling_weights(params, rates.regime, params.omega_s)
@@ -123,15 +125,17 @@ def spectral_amplitudes(rates: CollectiveRates, params: ModelParams,
     rates : CollectiveRates
     params : ModelParams
     omega : float or array_like
-        Mode frequencies (rad/s), omega > 0.
+        Mode frequencies (rad/s), finite and > 0.
     t : float
-        Elapsed time since the kick.
+        Elapsed time since the kick, finite and >= 0.
 
     Returns
     -------
     SpectralAmplitude
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
+    if not (np.all(np.isfinite(omega)) and np.isfinite(t)):
+        raise ValueError("frequencies and time must be finite")
     if t < 0:
         raise ValueError("time must be non-negative")
     d_plus, d_minus = channel_time_integrals(rates, params, omega, t)

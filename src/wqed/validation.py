@@ -60,12 +60,14 @@ def kernel_errors(rng, n, kernels):
     and through the forward then the backward kernels at the four centers:
     the collective poles Omega - i*gamma_+ and Omega - i*gamma_-, the
     drive and Omega.  Each quadrature value scores every ``kernels[name]``
-    (called like ``fields.closed_kernel``) relative to max(|quadrature|,
-    1e-3).  Returns {(name, "fwd" or "bwd"): error}.
+    relative to max(|quadrature|, 1e-3); a kernel is called once, like
+    ``fields.closed_kernel``, on the arrays of all samples' (s1, t, a).
+    Returns {(name, "fwd" or "bwd"): error}.
     """
     presets = list(_presets().values())
     rates = [model.collective_rates(p) for p in presets]
     worst = {(name, way): 0.0 for name in kernels for way in ("fwd", "bwd")}
+    args, scored = [], []
     for i in range(n):
         p, r = presets[i % 3], rates[i % 3]
         a = (p.omega_q - 1j * r.gamma_plus, p.omega_q - 1j * r.gamma_minus,
@@ -77,9 +79,12 @@ def kernel_errors(rng, n, kernels):
         else:
             s1 = rng.uniform(1.1, 5.0) * p.distance / p.v_g
         brute = oracle.quad_kernel(s1, t, a, p)
-        scale = max(abs(brute), 1.0e-3)
-        for name, kernel in kernels.items():
-            err = abs(complex(kernel(s1, t, a)) - brute)
+        args.append((s1, t, a))
+        scored.append((way, brute, max(abs(brute), 1.0e-3)))
+    s1, t, a = map(np.array, zip(*args))
+    for name, kernel in kernels.items():
+        for value, (way, brute, scale) in zip(kernel(s1, t, a), scored):
+            err = abs(complex(value) - brute)
             worst[name, way] = max(worst[name, way], err / scale)
     return worst
 

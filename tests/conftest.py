@@ -28,6 +28,7 @@ from wqed.oracle import (
     POINTS_PER_PERIOD,
     ContinuumResult,
     _phase_tables,
+    _rise,
     _tail_inverse_omega,
     _tail_inverse_omega_sq,
     gaussian_spectrum,
@@ -481,8 +482,8 @@ def _node_column_panel_sum(s1, t, a, width, n_panels):
         if lo < hi:
             z = (left[lo:hi] - a)[:, None] + off
             trailing = phases[lo:hi, 1, None] * trail
-            vals = (phases[lo:hi, 0, None] * lead - trailing) / z
             zt = z * t
+            vals = trailing * _rise(zt) / z
             small = np.abs(zt) < 1e-8
             vals[small] = 1j * t * (1.0 + 0.5j * zt[small]) * trailing[small]
             total += np.sum(vals)

@@ -51,6 +51,20 @@ def test_spectral_amplitudes_reject_negative_time(weak_generic):
         spectral_amplitudes(r, weak_generic, [weak_generic.omega_q], -1e-9)
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda r, p: qubit_amplitudes(r, p, [np.nan, np.inf]),
+                 id="qubit_t"),
+    pytest.param(lambda r, p: spectral_amplitudes(r, p, [p.omega_q, np.nan],
+                                                  1e-9), id="spectral_omega"),
+    pytest.param(lambda r, p: spectral_amplitudes(r, p, [p.omega_q], np.inf),
+                 id="spectral_t")])
+def test_amplitudes_refuse_non_finite_inputs(call, weak_generic):
+    # a NaN or infinite time or frequency would come back as NaN
+    # amplitudes with only a RuntimeWarning
+    with pytest.raises(ValueError, match="finite"):
+        call(collective_rates(weak_generic), weak_generic)
+
+
 def test_qubit_amplitudes_match_ode_generic(weak_generic):
     p = weak_generic.with_drive(1.005 * weak_generic.omega_q)
     assert validation.amplitudes_vs_ode([p]) < 1e-6

@@ -197,20 +197,6 @@ def test_every_slice_carries_u_v_and_w(weak_even):
         np.testing.assert_array_equal(w, u + v)
 
 
-def test_steady_ready_tracks_both_gates(weak_generic):
-    p = weak_generic
-    r = collective_rates(p)
-    x = [3 * p.distance]
-    # exponential transients are dead well before 1e-5 s, but the 1/t
-    # algebraic tail still exceeds its gate there
-    early = fields.space_time_grid(p, x, [1e-5])
-    late = fields.space_time_grid(p, x, [1e-4])
-    assert fields.forward_field(early, r, p).branch \
-        is fields.FieldBranch.TRANSIENT
-    assert fields.forward_field(late, r, p).branch \
-        is fields.FieldBranch.STEADY
-
-
 def test_auto_stays_transient_before_the_last_emission_arrives(
         weak_generic):
     # at x = 0.3 d and t = 0.5 d/v_g the emission from the second qubit
@@ -241,6 +227,8 @@ def test_auto_branch_labels_the_slice(weak_generic):
     p = weak_generic
     r = collective_rates(p)
     x = [3 * p.distance]
+    # exponential transients are dead well before 1e-5 s, but the 1/t
+    # algebraic tail still exceeds its gate there
     early = fields.forward_field(
         fields.space_time_grid(p, x, [1e-5]), r, p, branch="auto")
     late = fields.forward_field(

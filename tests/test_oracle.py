@@ -11,8 +11,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wqed import validation
+from wqed import oracle, validation
 from wqed.model import ModelParams
 from wqed.oracle import (
     CHUNK_NODES,
@@ -131,7 +132,7 @@ def test_factored_quadrature_matches_per_node_writing(phase, per_node_quad_kerne
     # integrand on the same nodes, so only rounding may separate the two;
     # one real product per chunk sums the same node columns against the
     # same phases as a dot per node column, closer still (measured at
-    # most 9.7e-15 over these 24 samples of the validation presets)
+    # most 7.3e-13 over these 24 samples of the validation presets)
     p = ModelParams.from_phase(OMEGA_Q, 0.01 * OMEGA_Q, phase,
                                omega_s=1.005 * OMEGA_Q)
     rng = np.random.default_rng(int(phase * 10))
@@ -166,8 +167,8 @@ def test_factored_quadrature_matches_per_node_writing_at_tiny_times(
     got = quad_kernel(s1, 1e-19, a, p)
     assert abs(got - ref) <= 1e-9 * max(abs(ref), 1e-3)
     # |K| is only about 1e-9 here, far below the 1e-3 floor, so the
-    # writings must also agree relative to K itself (measured 5.7e-8 at
-    # the drive and 1.0e-7 at the collective pole)
+    # writings must also agree relative to K itself (measured 3.5e-7 at
+    # the drive and 1.2e-7 at the collective pole)
     assert abs(got - ref) <= 1e-6 * abs(ref)
 
 
@@ -188,9 +189,10 @@ def test_near_panel_split_matches_per_node_writing(place, weak_generic,
     # split must sum the same nodes as the per-node writing, and zero the
     # same columns of the product as the node-column writing skips (at the
     # chunk edge the window spans the last panels of one chunk and the
-    # first of the next)
+    # first of the next); t sets the panel width, so it scales with
+    # 1/POINTS_PER_PERIOD to keep the chunk edge near 0.8 Omega
     p = weak_generic
-    s1, t = 2.0 * p.distance / p.v_g, 40.0 / p.gamma
+    s1, t = 2.0 * p.distance / p.v_g, 640.0 / (POINTS_PER_PERIOD * p.gamma)
     width = _panel_width(s1, t, p)
     chunk = CHUNK_NODES // PANEL_ORDER
     if place == "panel_edge":
@@ -214,6 +216,38 @@ def test_near_panel_split_matches_per_node_writing(place, weak_generic,
     assert abs(got - ref) <= 1e-9 * max(abs(ref), 1e-3)
     column = with_node_column_sum(quad_kernel, s1, t, a, p)
     assert abs(got - column) <= 1e-12 * max(abs(column), 1e-3)
+
+
+def _at_density(points_per_period, fn, *args):
+    """``fn(*args)`` with the oracle's panels at that many per period."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "POINTS_PER_PERIOD", points_per_period)
+        return fn(*args)
+
+
+@settings(max_examples=25, deadline=None)
+@given(ratio=st.sampled_from([0.01, 0.1]),
+       phase=st.sampled_from([0.8, 2.0, 5.0]),
+       center=st.sampled_from(["decay_plus", "decay_minus", "drive",
+                               "resonant"]),
+       sign=st.sampled_from([1.0, -1.0]),
+       shift=st.floats(0.1, 5.0),
+       lapse=st.floats(1e-4, 1.0))
+def test_quadrature_density_resolves_the_kernel(ratio, phase, center, sign,
+                                                shift, lapse, kernel_centers):
+    # the kernel at POINTS_PER_PERIOD against the same quadrature at four
+    # times the density, from just past the light front to 60/Gamma; the
+    # dense rule stays under MAX_NODES (about 5e6 nodes at Gamma = 0.01
+    # Omega and t = 60/Gamma).  Measured at most 2.3e-10 over 4,500 draws,
+    # so the bound leaves a margin of about 4.
+    p = ModelParams.from_phase(OMEGA_Q, ratio * OMEGA_Q, phase,
+                               omega_s=1.005 * OMEGA_Q)
+    a = kernel_centers(p)[center]
+    s1 = sign * shift * p.distance / p.v_g
+    t = max(s1, 0.0) + lapse * 60.0 / p.gamma
+    got = quad_kernel(s1, t, a, p)
+    dense = _at_density(4 * POINTS_PER_PERIOD, quad_kernel, s1, t, a, p)
+    assert abs(got - dense) <= 1e-9 * max(abs(dense), 1e-3)
 
 
 @pytest.mark.parametrize("center", ["drive", "decay_plus"])
@@ -363,7 +397,7 @@ def test_memory_kernel_matches_per_node_writing(phase,
     # the memory integrand is the kernel integrand at center Omega times
     # -i e^{i Omega t}, so the kernel's panel sum at s1 = 0 and +-d/v_g
     # sums the same nodes as the per-node writing of I(omega, t); only
-    # rounding separates them (measured at most 1.7e-13, at t = 2000/Omega).
+    # rounding separates them (measured at most 6.8e-14, at t = 2000/Omega).
     # Against the node-column writing of the same panel sums, real
     # reciprocals only, it moves at most 1.8e-15.
     p = ModelParams.from_phase(OMEGA_Q, 0.1 * OMEGA_Q, phase)
@@ -375,6 +409,22 @@ def test_memory_kernel_matches_per_node_writing(phase,
         for g, r, c in zip(got, ref, column):
             assert abs(g - r) <= 1e-12 * scale, t * p.omega_q
             assert abs(g - c) <= 1e-13 * scale, t * p.omega_q
+
+
+@settings(max_examples=10, deadline=None)
+@given(ratio=st.sampled_from([0.001, 0.01, 0.1]), phase=st.floats(0.05, 6.0))
+def test_quadrature_density_resolves_the_memory_kernel(ratio, phase):
+    # both coefficients at t = 400/Omega against four times the density,
+    # relative to the larger one; measured at most 3.5e-14 over 40 draws,
+    # so the bound leaves a margin of about 30
+    p = ModelParams.from_phase(OMEGA_Q, ratio * OMEGA_Q, phase)
+    t = 400.0 / p.omega_q
+    got = memory_kernel_coefficients(t, p)
+    dense = _at_density(4 * POINTS_PER_PERIOD, memory_kernel_coefficients,
+                        t, p)
+    scale = max(abs(dense[0]), abs(dense[1]))
+    for g, d in zip(got, dense):
+        assert abs(g - d) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("t, message", [
