@@ -17,7 +17,6 @@ from .model import (
     CollectiveRates,
     Regime,
     classify_regime,
-    channel_rates,
     collective_rates,
 )
 from .specfun import (
@@ -58,7 +57,7 @@ from .fields import (
 __all__ = [
     "__version__",
     "ModelParams", "CollectiveRates", "Regime",
-    "classify_regime", "channel_rates", "collective_rates",
+    "classify_regime", "collective_rates",
     "exp_integral_e1", "e1_scaled", "si_lower", "cosine_integral",
     "QubitState", "SpectralAmplitude", "phase_integral",
     "qubit_amplitudes", "channel_time_integrals", "spectral_amplitudes",

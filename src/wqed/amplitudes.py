@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (CollectiveRates, ModelParams, coupling_weights,
+from .model import (ModelParams, collective_rates, coupling_weights,
                     snapped_phase_factor)
 
 
@@ -73,13 +73,11 @@ def phase_integral(z, t):
     return np.where(small, series, direct)
 
 
-def qubit_amplitudes(rates: CollectiveRates, params: ModelParams, t) -> QubitState:
+def qubit_amplitudes(params: ModelParams, t) -> QubitState:
     """Closed-form qubit amplitudes after a delta-correlated kick.
 
     Parameters
     ----------
-    rates : CollectiveRates
-        The pair's rates; channel weights are ``coupling_weights`` at omega_s.
     params : ModelParams
     t : float or array_like
         Finite times >= 0 since the pulse arrival at the first qubit.
@@ -93,7 +91,8 @@ def qubit_amplitudes(rates: CollectiveRates, params: ModelParams, t) -> QubitSta
         raise ValueError("times must be finite")
     if np.any(t < 0):
         raise ValueError("times must be non-negative")
-    c_plus, c_minus = coupling_weights(params, rates.regime, params.omega_s)
+    rates = collective_rates(params)
+    c_plus, c_minus = coupling_weights(params, params.omega_s)
     carrier = np.exp(1j * (params.omega_q - params.omega_s) * t)
     sym = c_plus * (np.exp(-rates.gamma_plus * t) - carrier)
     antisym = c_minus * (np.exp(-rates.gamma_minus * t) - carrier)
@@ -102,8 +101,7 @@ def qubit_amplitudes(rates: CollectiveRates, params: ModelParams, t) -> QubitSta
     return QubitState(t=t, beta_1=beta_1, beta_2=beta_2)
 
 
-def channel_time_integrals(rates: CollectiveRates, params: ModelParams,
-                           omega, t):
+def channel_time_integrals(params: ModelParams, omega, t):
     """Time integrals D_pm of the two channel oscillations against e^{i(w-Omega)t}.
 
     D_pm(omega, t) = phi(omega - Omega + i gamma_pm, t) - phi(omega - omega_s, t)
@@ -111,18 +109,17 @@ def channel_time_integrals(rates: CollectiveRates, params: ModelParams,
     scattered spectrum at finite time.
     """
     omega = np.asarray(omega, dtype=float)
+    rates = collective_rates(params)
     drive = phase_integral(omega - params.omega_s, t)
     return tuple(phase_integral(omega - params.omega_q + 1j * gamma, t) - drive
                  for gamma in (rates.gamma_plus, rates.gamma_minus))
 
 
-def spectral_amplitudes(rates: CollectiveRates, params: ModelParams,
-                        omega, t) -> SpectralAmplitude:
+def spectral_amplitudes(params: ModelParams, omega, t) -> SpectralAmplitude:
     """Scattered continuum amplitudes at frequency omega and time t.
 
     Parameters
     ----------
-    rates : CollectiveRates
     params : ModelParams
     omega : float or array_like
         Mode frequencies (rad/s), finite and > 0.
@@ -138,9 +135,9 @@ def spectral_amplitudes(rates: CollectiveRates, params: ModelParams,
         raise ValueError("frequencies and time must be finite")
     if t < 0:
         raise ValueError("time must be non-negative")
-    d_plus, d_minus = channel_time_integrals(rates, params, omega, t)
-    c_plus, c_minus = coupling_weights(params, rates.regime, params.omega_s)
-    phase = snapped_phase_factor(params, rates.regime, omega)
+    d_plus, d_minus = channel_time_integrals(params, omega, t)
+    c_plus, c_minus = coupling_weights(params, params.omega_s)
+    phase = snapped_phase_factor(params, omega)
     g = params.coupling
     # Forward modes pick up e^{-i k d} from the second qubit, backward
     # modes e^{+i k d}; the channel split turns those into 1 -+ phase.

@@ -489,10 +489,9 @@ def cmd_spectrum(scenario):
         if not (math.isfinite(bound * p.omega_q) and bound > 0):
             raise ScenarioError(f"sweep.{key} must give a positive finite "
                                 f"frequency, got {bound!r}")
-    rates = collective_rates(p)
     ratio = np.linspace(lo, hi, points)
     omega = ratio * p.omega_q
-    t_markov, r_markov = fields.markov_spectra(omega, rates, p)
+    t_markov, r_markov = fields.markov_spectra(omega, p)
     t_exact, r_exact = fields.nonmarkov_spectra(omega, p)
     flux = t_markov + r_markov - 1.0
     columns = ["omega_over_Omega", "T_markov", "R_markov",
@@ -586,9 +585,7 @@ def cmd_field(scenario):
         else:   # the x = -inf reflectance limit
             ratios = np.linspace(block["omega_lo"], block["omega_hi"],
                                  int(block["points"]))
-            omega = ratios * p.omega_q
-            rates = collective_rates(p)
-            _, refl = fields.markov_spectra(omega, rates, p)
+            _, refl = fields.markov_spectra(ratios * p.omega_q, p)
             nans = [float("nan")] * ratios.size
             rows.extend(zip(["line:x=-inf"] * ratios.size,
                             [-np.inf] * ratios.size, ratios.tolist(),
@@ -611,12 +608,10 @@ def cmd_beating(scenario):
     extra = ["x0_m = %.17g" % x0,
              "n_periods = %d" % n_periods, "n_samples = %d" % n_samples]
     notes = []
-    rates = collective_rates(p)
     for det in detunings:
         drive = p.with_drive((1.0 + det) * p.omega_q)
         label = "det=%g" % det
-        t, energy = fields.beat_note_series(drive, rates, x0,
-                                            n_periods=n_periods,
+        t, energy = fields.beat_note_series(drive, x0, n_periods=n_periods,
                                             n_samples=n_samples)
         _, _, peak, expected = fields.beat_note_fft(energy, drive, n_periods)
         rows.extend(zip([label] * t.size, t.tolist(),

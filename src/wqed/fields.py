@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (CollectiveRates, ModelParams, Regime, classify_regime,
-                    coupling_weights, snapped_phase_factor)
+                    collective_rates, coupling_weights, snapped_phase_factor)
 from . import specfun
 from .specfun import e1_scaled
 
@@ -356,9 +356,10 @@ def drive_sweep(grid: SpaceTimeGrid, rates: CollectiveRates,
 
     Entry k of an envelope is the field for ``params.with_drive(omega_s[k])``,
     but the grid, the channel rates and every drive-independent kernel are
-    evaluated once for the whole sweep.  ``rates`` holds the pair's regime
-    and channel rates, the same for every carrier; the drive weights come
-    from ``coupling_weights`` at each carrier.  The forward field takes
+    evaluated once for the whole sweep.  ``rates`` must be
+    ``collective_rates(params)``, the same for every carrier, and a pair
+    that does not match is refused; the drive weights come from
+    ``coupling_weights`` at each carrier.  The forward field takes
     the shifts (x, x - d), the backward field (-x, -(x - d)); the pole
     kernels do not depend on the drive and are evaluated once per
     direction and branch.
@@ -385,7 +386,10 @@ def drive_sweep(grid: SpaceTimeGrid, rates: CollectiveRates,
             or np.any(omega <= 0):
         raise ValueError("drive carriers must be a 1-d array of "
                          "positive finite frequencies")
-    c_plus, c_minus = coupling_weights(params, rates.regime, omega)
+    if rates != collective_rates(params):
+        raise ValueError("rates do not match params: pass "
+                         "collective_rates(params)")
+    c_plus, c_minus = coupling_weights(params, omega)
     branch = FieldBranch(branch)
     if branch is FieldBranch.AUTO:
         steady = _steady_gate(grid, rates, params, omega)
@@ -477,18 +481,27 @@ def interqubit_field(grid: SpaceTimeGrid, rates: CollectiveRates,
 # ---------------------------------------------------------------------------
 # stationary scattering spectra
 
-def markov_spectra(omega, rates: CollectiveRates, params: ModelParams):
+def _probe_frequencies(omega):
+    """``omega`` as a float array, refused unless positive and finite."""
+    omega = np.asarray(omega, dtype=float)
+    if not np.all(np.isfinite(omega)) or np.any(omega <= 0):
+        raise ValueError("probe frequencies must be positive and finite")
+    return omega
+
+
+def markov_spectra(omega, params: ModelParams):
     """(T, R) of a monochromatic photon at ``omega`` in the Markov reduction.
 
     Both channels come from one set of channel weights and one propagation
     factor P at the probe frequency, so the forms hold in every
     interference regime: the transmission amplitude is
     1 + i pi (g/A) [c+ (1 + P*) + c- (1 - P*)] and the reflection
-    bracket c+ (1 + P) + c- (1 - P).
+    bracket c+ (1 + P) + c- (1 - P).  ``omega`` must be positive and
+    finite.
     """
-    omega = np.asarray(omega, dtype=float)
-    c_plus, c_minus = coupling_weights(params, rates.regime, omega)
-    phase = snapped_phase_factor(params, rates.regime, omega)
+    omega = _probe_frequencies(omega)
+    c_plus, c_minus = coupling_weights(params, omega)
+    phase = snapped_phase_factor(params, omega)
     g_over_a = params.coupling / params.amplitude
     amp = 1.0 + 1j * np.pi * g_over_a * (
         c_plus * (1.0 + np.conj(phase)) + c_minus * (1.0 - np.conj(phase)))
@@ -502,9 +515,10 @@ def nonmarkov_spectra(omega, params: ModelParams):
 
     Both lattice amplitudes share the denominator
     (omega - Omega + i Gamma/2)^2 + (Gamma/2)^2 e^{2 i k_omega d}; where it
-    vanishes they take their limits, T = 0 and R = 1.
+    vanishes they take their limits, T = 0 and R = 1.  ``omega`` must be
+    positive and finite.
     """
-    omega = np.asarray(omega, dtype=float)
+    omega = _probe_frequencies(omega)
     half = 0.5 * params.gamma
     detune = omega - params.omega_q
     kd = params.phase_across(omega)
@@ -585,17 +599,19 @@ def interqubit_resonance_peak(x, params: ModelParams):
 # ---------------------------------------------------------------------------
 # beat-note scan of the steady forward energy density
 
-def beat_note_series(params: ModelParams, rates: CollectiveRates,
-                     x0: float, n_periods: int = 40, n_samples: int = 4096):
+def beat_note_series(params: ModelParams, x0: float, n_periods: int = 40,
+                     n_samples: int = 4096):
     """Steady |u(x0, t)|^2 sampled uniformly over ``n_periods`` beats.
 
     The window starts just after the incident front has passed x0 and
     spans ``n_periods`` periods of the drive detuning.  The samples form
     a Behind grid, so x0 must lie behind the pair and outside the
-    exclusion zone.  ``n_samples`` must exceed 2 * ``n_periods``, so that
-    the beat lies below the Nyquist frequency of the samples.  Returns
-    (t, energy).
+    exclusion zone.  ``n_periods`` must be at least 1, and ``n_samples``
+    must exceed 2 * ``n_periods``, so that the beat lies below the Nyquist
+    frequency of the samples.  Returns (t, energy).
     """
+    if n_periods < 1:
+        raise ValueError(f"n_periods must be at least 1, got {n_periods}")
     if n_samples <= 2 * n_periods:
         raise ValueError(f"n_samples must exceed 2 * n_periods, got "
                          f"n_samples = {n_samples}, n_periods = {n_periods}")
@@ -607,17 +623,20 @@ def beat_note_series(params: ModelParams, rates: CollectiveRates,
     window = n_periods * period
     t = t0 + np.linspace(0.0, window, n_samples, endpoint=False)
     grid = space_time_grid(params, [x0], t, region=Region.BEHIND)
-    _, u, _, _ = drive_sweep(grid, rates, params, [params.omega_s], "steady")
+    _, u, _, _ = drive_sweep(grid, collective_rates(params), params,
+                             [params.omega_s], "steady")
     return t, np.abs(u[0, :, 0]) ** 2
 
 
 def beat_note_fft(energy, params: ModelParams, n_periods: int = 40):
     """FFT of a beat-note series from ``beat_note_series``.
 
-    ``energy`` samples a window of ``n_periods`` detuning beats uniformly.
-    Returns (frequencies, |spectrum|, peak_frequency, expected_frequency)
-    with frequencies in Hz.
+    ``energy`` samples a window of ``n_periods`` (at least 1) detuning
+    beats uniformly.  Returns (frequencies, |spectrum|, peak_frequency,
+    expected_frequency) with frequencies in Hz.
     """
+    if n_periods < 1:
+        raise ValueError(f"n_periods must be at least 1, got {n_periods}")
     energy = np.asarray(energy, dtype=float)
     detune = params.omega_s - params.omega_q
     window = n_periods * 2.0 * np.pi / abs(detune)

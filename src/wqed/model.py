@@ -159,19 +159,20 @@ def classify_regime(params: ModelParams) -> Regime:
     the symmetric channel is dark (OddPi); anything else is Generic.
     """
     kd = params.qubit_phase
-    n = int(np.round(kd / np.pi))
+    n = round(kd / np.pi)    # half to even, as np.round, but on a float
     if abs(kd - n * np.pi) <= PHASE_SNAP_TOL and n != 0:
         return Regime.EVEN_PI if n % 2 == 0 else Regime.ODD_PI
     return Regime.GENERIC
 
 
-def snapped_phase_factor(params: ModelParams, regime: Regime, omega):
+def snapped_phase_factor(params: ModelParams, omega):
     """Propagation factor e^{i k_omega d} with the resonant part snapped.
 
     In the pinned regimes the factor is written e^{i k_Omega d} * e^{i eps}
     with e^{i k_Omega d} replaced by its exact +-1, so that quantities
     which must vanish by interference vanish exactly instead of to ~1e-9.
     """
+    regime = classify_regime(params)
     eps = np.asarray(omega - params.omega_q) * params.distance / params.v_g
     if regime is Regime.EVEN_PI:
         return np.exp(1j * eps)
@@ -187,25 +188,26 @@ class CollectiveRates:
     ``gamma_plus``/``gamma_minus`` are the complex rates of the symmetric
     and antisymmetric superpositions, Gamma/2 * (1 +- e^{i k_Omega d});
     their real parts are radiative widths, their imaginary parts coherent
-    shifts.  Like the regime, they do not depend on the drive.
+    shifts.  They do not depend on the drive.
     """
 
     gamma_plus: complex
     gamma_minus: complex
-    regime: Regime
 
 
-def channel_rates(params: ModelParams, regime: Regime):
+def collective_rates(params: ModelParams) -> CollectiveRates:
     """Complex collective rates Gamma/2 (1 +- P), P = e^{i k_Omega d} snapped.
 
     In a pinned regime P is exactly +-1, so the dark rate is an exact 0.
+    The rates are the same for every drive.
     """
     half = 0.5 * params.gamma
-    phase = snapped_phase_factor(params, regime, params.omega_q)
-    return half * (1.0 + phase), half * (1.0 - phase)
+    phase = snapped_phase_factor(params, params.omega_q)
+    return CollectiveRates(complex(half * (1.0 + phase)),
+                           complex(half * (1.0 - phase)))
 
 
-def coupling_weights(params: ModelParams, regime: Regime, omega):
+def coupling_weights(params: ModelParams, omega):
     """Excitation weights (c_plus, c_minus) of the two channels at ``omega``.
 
     With P = e^{i k_omega d} from ``snapped_phase_factor``,
@@ -219,26 +221,17 @@ def coupling_weights(params: ModelParams, regime: Regime, omega):
     the same expression), and the quotient is never formed.
     """
     omega = np.asarray(omega, dtype=float)
+    regime = classify_regime(params)
     a_g = params.amplitude * params.coupling
-    gamma_plus, gamma_minus = channel_rates(params, regime)
-    phase = snapped_phase_factor(params, regime, omega)
+    rates = collective_rates(params)
+    phase = snapped_phase_factor(params, omega)
     detune = params.omega_q - omega
     if regime is not Regime.GENERIC:
         eps = (omega - params.omega_q) * params.distance / params.v_g
         dark = a_g * (1j * params.distance / params.v_g) \
             * np.exp(0.5j * eps) * np.sinc(0.5 * eps / np.pi)
     c_plus = dark if regime is Regime.ODD_PI \
-        else a_g * (1.0 + phase) / (detune - 1j * gamma_plus)
+        else a_g * (1.0 + phase) / (detune - 1j * rates.gamma_plus)
     c_minus = dark if regime is Regime.EVEN_PI \
-        else a_g * (1.0 - phase) / (detune - 1j * gamma_minus)
+        else a_g * (1.0 - phase) / (detune - 1j * rates.gamma_minus)
     return c_plus, c_minus
-
-
-def collective_rates(params: ModelParams) -> CollectiveRates:
-    """The pair's regime and collective rates, the same for every drive.
-
-    A carrier's channel weights come from ``coupling_weights``.
-    """
-    regime = classify_regime(params)
-    gamma_plus, gamma_minus = channel_rates(params, regime)
-    return CollectiveRates(complex(gamma_plus), complex(gamma_minus), regime)

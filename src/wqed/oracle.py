@@ -29,7 +29,8 @@ import numpy as np
 from scipy import special
 
 from .amplitudes import QubitState, qubit_amplitudes
-from .model import CollectiveRates, ModelParams, coupling_weights
+from .model import (CollectiveRates, ModelParams, collective_rates,
+                    coupling_weights)
 
 # ---------------------------------------------------------------------------
 # frequency-integral oracle for the wave kernels
@@ -270,15 +271,18 @@ def _quad_field(sign: float, x: float, t: float, rates: CollectiveRates,
     """Scattered field at (x, t) from the kernels at s1 = sign*(x or x-d)/v_g.
 
     ``sign`` is 1 for the forward field and -1 for the backward one; the
-    centers are the two collective poles and the drive carrier.
+    centers are the two collective poles and the drive carrier.  ``rates``
+    must be ``collective_rates(params)``.
     """
+    if rates != collective_rates(params):
+        raise ValueError("rates do not match params: pass "
+                         "collective_rates(params)")
     centers = (params.omega_q - 1j * rates.gamma_plus,
                params.omega_q - 1j * rates.gamma_minus, params.omega_s)
     kp1, kp2, km1, km2, ks1, ks2 = (
         quad_kernel(sign * shift / params.v_g, t, a, params)
         for a in centers for shift in (x, x - params.distance))
-    c_plus, c_minus = map(complex, coupling_weights(params, rates.regime,
-                                                    params.omega_s))
+    c_plus, c_minus = map(complex, coupling_weights(params, params.omega_s))
     return -0.5 * params.coupling * (c_plus * (kp1 + kp2 - ks1 - ks2)
                                      + c_minus * (km1 - km2 - ks1 + ks2))
 
@@ -315,7 +319,7 @@ def markov_ode(params: ModelParams, t_final: float, n_steps: int | None = None,
     ----------
     params : ModelParams
     t_final : float
-        End time in seconds.
+        End time in seconds, finite and > 0.
     n_steps : int, optional
         Fixed RK4 step count, >= 1; defaults to resolving both the decay
         rate and the drive detuning with step 0.005 of the fastest scale.
@@ -326,8 +330,8 @@ def markov_ode(params: ModelParams, t_final: float, n_steps: int | None = None,
     -------
     QubitState
     """
-    if t_final <= 0:
-        raise ValueError("t_final must be positive")
+    if not (cmath.isfinite(t_final) and t_final > 0):
+        raise ValueError("t_final must be positive and finite")
     if n_steps is not None and n_steps < 1:
         raise ValueError(f"n_steps must be at least 1, got {n_steps}")
     if keep_every < 1:
@@ -392,22 +396,24 @@ def markov_ode(params: ModelParams, t_final: float, n_steps: int | None = None,
 # ---------------------------------------------------------------------------
 # spectral-amplitude oracle: straight time quadrature of the formal solution
 
-def quad_spectral(omega: float, t: float, rates: CollectiveRates,
-                  params: ModelParams):
+def quad_spectral(omega: float, t: float, params: ModelParams):
     """Scattered (forward, backward) mode amplitudes by time quadrature.
 
     Integrates the closed qubit amplitudes against e^{i(omega-Omega)t'}
     with adaptive quadrature, which checks every step of the spectral
-    algebra downstream of the qubit dynamics.
+    algebra downstream of the qubit dynamics.  omega and t must be finite.
     """
     from scipy.integrate import quad as _quad
+
+    if not (cmath.isfinite(omega) and cmath.isfinite(t)):
+        raise ValueError("omega and t must be finite")
 
     g = params.coupling
     kd = omega * params.distance / params.v_g
     rot = omega - params.omega_q
 
     def beta(tp):
-        st = qubit_amplitudes(rates, params, np.array([tp]))
+        st = qubit_amplitudes(params, np.array([tp]))
         return st.beta_1[0], st.beta_2[0]
 
     def integrand(tp, which, part):
@@ -522,12 +528,12 @@ def continuum_evolve(params: ModelParams, t_final: float,
         ``pulse_width`` must be set; the initial forward spectrum is the
         corresponding unit-norm Gaussian.
     t_final : float
-        End time in seconds, > 0.
+        End time in seconds, finite and > 0.
     n_modes : int
         Size of the ``make_continuum_grid`` comb, >= 2.
     launch_delay : float
-        Time at which the packet centre crosses the first qubit.  Zero
-        starts the packet on top of the qubit (the sudden-switch-on
+        Finite time at which the packet centre crosses the first qubit.
+        Zero starts the packet on top of the qubit (the sudden-switch-on
         drive of the closed-form amplitudes); a delay of several inverse
         pulse widths prepares a clean incoming scattering state instead.
 
@@ -535,8 +541,10 @@ def continuum_evolve(params: ModelParams, t_final: float,
     -------
     ContinuumResult
     """
-    if t_final <= 0:
-        raise ValueError("t_final must be positive")
+    if not (cmath.isfinite(t_final) and t_final > 0):
+        raise ValueError("t_final must be positive and finite")
+    if not cmath.isfinite(launch_delay):
+        raise ValueError("launch_delay must be finite")
     grid = make_continuum_grid(params, n_modes=n_modes)
     omega, w = grid.omega, grid.weights
     g = params.coupling
@@ -549,7 +557,7 @@ def continuum_evolve(params: ModelParams, t_final: float,
     if launch_delay:
         gamma0 *= np.exp(1j * omega * launch_delay)
     norm0 = np.sum(w * np.abs(gamma0) ** 2)
-    if abs(norm0 - 1.0) > 1e-6:
+    if not abs(norm0 - 1.0) <= 1e-6:
         raise ValueError(
             f"discretized initial spectrum has norm {norm0:.8f}; "
             "refine the continuum grid"

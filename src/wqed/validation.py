@@ -94,8 +94,7 @@ def amplitudes_vs_ode(cases):
     worst = 0.0
     for p in cases:
         ode = oracle.markov_ode(p, 20.0 / p.gamma, keep_every=50)
-        rates = model.collective_rates(p)
-        state = amplitudes.qubit_amplitudes(rates, p, ode.t)
+        state = amplitudes.qubit_amplitudes(p, ode.t)
         err = max(np.max(np.abs(state.beta_1 - ode.beta_1)),
                   np.max(np.abs(state.beta_2 - ode.beta_2)))
         size = max(np.max(np.abs(ode.beta_1)), np.max(np.abs(ode.beta_2)))
@@ -123,11 +122,10 @@ def peaks_vs_steady(cases):
 
 def spectral_vs_quadrature(p, omegas, t):
     """Spectral amplitudes vs time quadrature, relative to its larger one."""
-    rates = model.collective_rates(p)
     worst = 0.0
     for omega in omegas:
-        spec = amplitudes.spectral_amplitudes(rates, p, np.asarray([omega]), t)
-        fwd, bwd = oracle.quad_spectral(omega, t, rates, p)
+        spec = amplitudes.spectral_amplitudes(p, np.asarray([omega]), t)
+        fwd, bwd = oracle.quad_spectral(omega, t, p)
         err = max(abs(spec.forward[0] - fwd), abs(spec.backward[0] - bwd))
         worst = max(worst, float(err / max(abs(fwd), abs(bwd))))
     return worst

@@ -73,8 +73,8 @@ def all_presets(weak_generic, weak_even, weak_odd, strong_odd):
     }
 
 
-def _per_regime_channel_rates(params, regime):
-    """``model.channel_rates`` in its per-regime writing, as a reference.
+def _per_regime_rates(params, regime):
+    """``model.collective_rates`` in its per-regime writing, as a reference.
 
     The pinned regimes return (Gamma, 0) or (0, Gamma) outright; only the
     generic one forms Gamma/2 (1 +- e^{i k_Omega d}).
@@ -97,7 +97,7 @@ def _per_regime_coupling_weights(params, regime, omega):
     """
     omega = np.asarray(omega, dtype=float)
     a_g = params.amplitude * params.coupling
-    gamma_plus, gamma_minus = _per_regime_channel_rates(params, regime)
+    gamma_plus, gamma_minus = _per_regime_rates(params, regime)
     eps = (omega - params.omega_q) * params.distance / params.v_g
     detune = params.omega_q - omega
     if regime is Regime.GENERIC:
@@ -116,8 +116,8 @@ def _per_regime_coupling_weights(params, regime, omega):
 
 @pytest.fixture(scope="session")
 def per_regime_model():
-    """The per-regime writings of (channel_rates, coupling_weights)."""
-    return _per_regime_channel_rates, _per_regime_coupling_weights
+    """The per-regime writings of (collective_rates, coupling_weights)."""
+    return _per_regime_rates, _per_regime_coupling_weights
 
 
 def _centers_by_name(params):
@@ -312,7 +312,7 @@ def _mp_transient_field(params, rates, x, t, omega):
     """
     d, v_g = params.distance, params.v_g
     c_plus, c_minus = (complex(c[0]) for c in coupling_weights(
-        params, rates.regime, np.array([omega])))
+        params, np.array([omega])))
     centers = (params.omega_q - 1j * rates.gamma_plus,
                params.omega_q - 1j * rates.gamma_minus, omega)
     with mpmath.workdps(40):

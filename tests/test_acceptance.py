@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from wqed import fields, validation
-from wqed.model import ModelParams, collective_rates
+from wqed.model import ModelParams
 from wqed.oracle import continuum_evolve
 
 OMEGA_Q = 2.0 * np.pi * 5.0e9
@@ -30,8 +30,7 @@ def test_resonant_mirror_exactness():
     worst = 0.0
     for phase in (0.5, 1.0, 2.0, 5.0):
         p = ModelParams.from_phase(OMEGA_Q, 0.01 * OMEGA_Q, phase)
-        r = collective_rates(p)
-        trans, refl = fields.markov_spectra(p.omega_q, r, p)
+        trans, refl = fields.markov_spectra(p.omega_q, p)
         worst = max(worst, abs(float(trans)), abs(float(refl) - 1.0))
     _verdict("resonant mirror exactness", worst, 1e-12)
 
@@ -40,17 +39,15 @@ def test_markov_lattice_agreement_and_departure():
     start = time.perf_counter()
     # weak coupling, quarter-wave: the two treatments nearly coincide
     p = ModelParams.from_phase(OMEGA_Q, 0.01 * OMEGA_Q, 0.5)
-    r = collective_rates(p)
     omega = np.linspace(0.98, 1.02, 2001) * p.omega_q
     (t_markov, r_markov), (t_exact, r_exact) = (
-        fields.markov_spectra(omega, r, p), fields.nonmarkov_spectra(omega, p))
+        fields.markov_spectra(omega, p), fields.nonmarkov_spectra(omega, p))
     close = max(np.max(np.abs(t_markov - t_exact)),
                 np.max(np.abs(r_markov - r_exact)))
     # strong coupling, long line: retardation splits them wide open
     p = ModelParams.from_phase(OMEGA_Q, 0.1 * OMEGA_Q, 5.0)
-    r = collective_rates(p)
     omega = np.linspace(0.8, 1.2, 2001) * p.omega_q
-    apart = np.max(np.abs(fields.markov_spectra(omega, r, p)[0]
+    apart = np.max(np.abs(fields.markov_spectra(omega, p)[0]
                           - fields.nonmarkov_spectra(omega, p)[0]))
     elapsed = time.perf_counter() - start
     _verdict("weak-coupling agreement sup-norm", close, 0.02,
@@ -91,8 +88,7 @@ def test_beating_spectrum_hits_the_detuning_bin():
     periods = {}
     for detune in (0.01, 0.02):
         p = p0.with_drive((1.0 + detune) * p0.omega_q)
-        r = collective_rates(p)
-        _, energy = fields.beat_note_series(p, r, 2.0 * p.distance,
+        _, energy = fields.beat_note_series(p, 2.0 * p.distance,
                                             n_periods=40, n_samples=4096)
         freqs, _, peak, expected = fields.beat_note_fft(energy, p, 40)
         bin_width = freqs[1] - freqs[0]

@@ -33,36 +33,33 @@ def test_phase_integral_removable_zero():
 
 
 def test_qubit_amplitudes_start_from_rest(weak_generic):
-    r = collective_rates(weak_generic)
-    state = qubit_amplitudes(r, weak_generic, 0.0)
+    state = qubit_amplitudes(weak_generic, 0.0)
     assert abs(state.beta_1[0]) == 0.0
     assert abs(state.beta_2[0]) == 0.0
 
 
 def test_qubit_amplitudes_reject_negative_times(weak_generic):
-    r = collective_rates(weak_generic)
     with pytest.raises(ValueError):
-        qubit_amplitudes(r, weak_generic, [-1e-9])
+        qubit_amplitudes(weak_generic, [-1e-9])
 
 
 def test_spectral_amplitudes_reject_negative_time(weak_generic):
-    r = collective_rates(weak_generic)
     with pytest.raises(ValueError, match="non-negative"):
-        spectral_amplitudes(r, weak_generic, [weak_generic.omega_q], -1e-9)
+        spectral_amplitudes(weak_generic, [weak_generic.omega_q], -1e-9)
 
 
 @pytest.mark.parametrize("call", [
-    pytest.param(lambda r, p: qubit_amplitudes(r, p, [np.nan, np.inf]),
+    pytest.param(lambda p: qubit_amplitudes(p, [np.nan, np.inf]),
                  id="qubit_t"),
-    pytest.param(lambda r, p: spectral_amplitudes(r, p, [p.omega_q, np.nan],
-                                                  1e-9), id="spectral_omega"),
-    pytest.param(lambda r, p: spectral_amplitudes(r, p, [p.omega_q], np.inf),
+    pytest.param(lambda p: spectral_amplitudes(p, [p.omega_q, np.nan], 1e-9),
+                 id="spectral_omega"),
+    pytest.param(lambda p: spectral_amplitudes(p, [p.omega_q], np.inf),
                  id="spectral_t")])
 def test_amplitudes_refuse_non_finite_inputs(call, weak_generic):
     # a NaN or infinite time or frequency would come back as NaN
     # amplitudes with only a RuntimeWarning
     with pytest.raises(ValueError, match="finite"):
-        call(collective_rates(weak_generic), weak_generic)
+        call(weak_generic)
 
 
 def test_qubit_amplitudes_match_ode_generic(weak_generic):
@@ -84,9 +81,8 @@ def test_subradiant_beat_survives_at_even_phase(weak_even, weak_generic):
     contrasts = {}
     for tag, base in (("even", weak_even), ("generic", weak_generic)):
         p = base.with_drive(detune * base.omega_q)
-        r = collective_rates(p)
         t = np.linspace(15.0, 20.0, 512) / p.gamma
-        pop = qubit_amplitudes(r, p, t).population
+        pop = qubit_amplitudes(p, t).population
         contrasts[tag] = (pop.max() - pop.min()) / pop.mean()
     assert contrasts["even"] > 0.02
     assert contrasts["generic"] < 5e-3
@@ -97,7 +93,7 @@ def test_channel_time_integrals_build_from_phase_integrals(weak_generic):
     r = collective_rates(p)
     omega = np.array([0.999, 1.0, 1.004]) * p.omega_q
     t = 5.0 / p.gamma
-    d_plus, d_minus = channel_time_integrals(r, p, omega, t)
+    d_plus, d_minus = channel_time_integrals(p, omega, t)
     ref_plus = phase_integral(omega - p.omega_q + 1j * r.gamma_plus, t) \
         - phase_integral(omega - p.omega_s, t)
     np.testing.assert_allclose(d_plus, ref_plus, rtol=1e-14)
@@ -116,8 +112,7 @@ def test_spectral_amplitudes_forward_backward_coincide_at_resonance(weak_odd):
     # at k_Omega*d = pi and omega = Omega the propagation factors are equal
     # and opposite for the two qubits, so |forward| = |backward|
     p = weak_odd
-    r = collective_rates(p)
-    spec = spectral_amplitudes(r, p, np.asarray([p.omega_q]), 8.0 / p.gamma)
+    spec = spectral_amplitudes(p, np.asarray([p.omega_q]), 8.0 / p.gamma)
     assert abs(abs(spec.forward[0]) - abs(spec.backward[0])) < 1e-12
 
 
@@ -135,8 +130,8 @@ def test_rates_belong_to_the_pair_not_the_drive(phase, ratio):
     omega = np.linspace(0.9, 1.1, 33) * p.omega_q
 
     def bits(r):
-        state = qubit_amplitudes(r, p, t)
-        spec = spectral_amplitudes(r, p, omega, 5.0 / p.gamma)
+        state = qubit_amplitudes(p, t)
+        spec = spectral_amplitudes(p, omega, 5.0 / p.gamma)
         field = np.complex128(quad_field_forward(2.3 * p.distance,
                                                  20.0 / p.gamma, r, p))
         return [a.tobytes() for a in (state.beta_1, state.beta_2,

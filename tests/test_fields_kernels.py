@@ -283,7 +283,7 @@ def _phase_budget(got, ref, a, t):
 def _channel_terms(p, rates, y1, y2, omega):
     """The six (weight, s1, center) terms of one transient channel sum."""
     c_plus, c_minus = (c.reshape(-1, 1, 1) for c in coupling_weights(
-        p, rates.regime, omega))
+        p, omega))
     a_plus = p.omega_q - 1j * rates.gamma_plus
     a_minus = p.omega_q - 1j * rates.gamma_minus
     half = -0.5 * p.coupling

@@ -345,8 +345,7 @@ def test_reflected_peak_exceeds_unity_then_relaxes(weak_generic):
 
 def test_beat_note_spectrum_peaks_at_detuning(weak_even):
     p = weak_even.with_drive(1.01 * weak_even.omega_q)
-    r = collective_rates(p)
-    _, energy = fields.beat_note_series(p, r, 2.0 * p.distance,
+    _, energy = fields.beat_note_series(p, 2.0 * p.distance,
                                         n_periods=40, n_samples=4096)
     freqs, mag, peak, expected = fields.beat_note_fft(energy, p, 40)
     bin_width = freqs[1] - freqs[0]
@@ -360,16 +359,24 @@ def test_beat_note_needs_more_than_two_samples_a_beat(weak_even, n_periods,
     # at or below two samples a beat the FFT peak aliases, or sits on the
     # Nyquist bin, where its height depends on the beat's phase
     p = weak_even.with_drive(1.01 * weak_even.omega_q)
-    r = collective_rates(p)
     with pytest.raises(ValueError, match="n_samples .* n_periods"):
-        fields.beat_note_series(p, r, 2.0 * p.distance, n_periods=n_periods,
+        fields.beat_note_series(p, 2.0 * p.distance, n_periods=n_periods,
                                 n_samples=n_samples)
-    t, _ = fields.beat_note_series(p, r, 2.0 * p.distance, n_periods=n_periods,
+    t, _ = fields.beat_note_series(p, 2.0 * p.distance, n_periods=n_periods,
                                    n_samples=2 * n_periods + 1)
     assert t.size == 2 * n_periods + 1
 
 
+@pytest.mark.parametrize("n_periods", [0, -3])
+def test_beat_functions_need_a_whole_period(weak_even, n_periods):
+    # n_periods = 0 gave one repeated sample time and a ZeroDivisionError
+    p = weak_even.with_drive(1.01 * weak_even.omega_q)
+    with pytest.raises(ValueError, match="n_periods must be at least 1"):
+        fields.beat_note_series(p, 2.0 * p.distance, n_periods=n_periods)
+    with pytest.raises(ValueError, match="n_periods must be at least 1"):
+        fields.beat_note_fft(np.ones(64), p, n_periods)
+
+
 def test_beat_note_needs_detuning(weak_even):
-    r = collective_rates(weak_even)
     with pytest.raises(ValueError):
-        fields.beat_note_series(weak_even, r, 2.0 * weak_even.distance)
+        fields.beat_note_series(weak_even, 2.0 * weak_even.distance)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from wqed.model import (
+    PHASE_SNAP_TOL,
     ModelParams,
     Regime,
-    channel_rates,
     classify_regime,
     collective_rates,
     coupling_weights,
@@ -120,7 +120,8 @@ def test_pinned_regimes_have_exact_dark_channel(weak_even, weak_odd):
 
 def test_generic_rates_match_half_gamma_formula(weak_generic):
     p = weak_generic
-    gp, gm = channel_rates(p, Regime.GENERIC)
+    r = collective_rates(p)
+    gp, gm = r.gamma_plus, r.gamma_minus
     phase = np.exp(1j * p.qubit_phase)
     assert gp == pytest.approx(0.5 * p.gamma * (1.0 + phase), rel=1e-12)
     assert gm == pytest.approx(0.5 * p.gamma * (1.0 - phase), rel=1e-12)
@@ -130,7 +131,7 @@ def test_dark_channel_weight_finite_at_resonance(weak_even, weak_odd):
     # the dark channel's weight is a removable 0/0 at omega_s = Omega
     for p in (weak_even, weak_odd):
         regime = classify_regime(p)
-        c_plus, c_minus = coupling_weights(p, regime, p.omega_s)
+        c_plus, c_minus = coupling_weights(p, p.omega_s)
         dark = c_minus if regime is Regime.EVEN_PI else c_plus
         assert np.isfinite(dark)
         # exact limit A g (i d / v_g)
@@ -142,7 +143,7 @@ def test_dark_weight_sinc_matches_direct_quotient_off_resonance(weak_even):
     # away from resonance the sinc rewriting must equal the raw quotient
     p = weak_even
     omega = p.omega_q * (1.0 + 3e-4)
-    c_plus, c_minus = coupling_weights(p, Regime.EVEN_PI, omega)
+    c_plus, c_minus = coupling_weights(p, omega)
     a_g = p.amplitude * p.coupling
     # the raw quotient with the snapped carrier e^{i k_Omega d} = +1
     eps = (omega - p.omega_q) * p.distance / p.v_g
@@ -150,17 +151,27 @@ def test_dark_weight_sinc_matches_direct_quotient_off_resonance(weak_even):
     assert complex(c_minus) == pytest.approx(complex(raw), rel=1e-9)
 
 
-def test_generic_and_even_weights_continuous_across_branch():
-    # at k_Omega*d = 2pi +- 1e-4 and a drive far off resonance the generic
-    # and pinned evaluations must agree to the snap error
-    omega_s = OMEGA_Q * 1.05  # detuning 5 Gamma, well clear of the resonance
-    for side in (-1e-4, 1e-4):
-        p = ModelParams.from_phase(OMEGA_Q, 0.01 * OMEGA_Q,
-                                   2.0 + side / np.pi, omega_s=omega_s)
-        generic = coupling_weights(p, Regime.GENERIC, omega_s)
-        pinned = coupling_weights(p, Regime.EVEN_PI, omega_s)
-        for a, b in zip(generic, pinned):
-            assert complex(a) == pytest.approx(complex(b), rel=5e-3)
+def test_rates_and_weights_continuous_across_the_snap():
+    # k_Omega*d just inside PHASE_SNAP_TOL of 2 pi is EvenPi, just outside
+    # it Generic; the two pairs differ by 2e-11 rad in phase, and their
+    # rates and weights by the snap: measured 5.05e-10 Gamma for the rates
+    # and at most 5.1e-10 (bright) and 3.1e-9 (dark) relative for the
+    # weights, at carriers 5 to 10 Gamma off resonance on either side
+    carriers = np.array([0.9, 0.95, 1.05, 1.1]) * OMEGA_Q
+    for side in (-1.0, 1.0):
+        inside, outside = (
+            ModelParams.from_phase(OMEGA_Q, 0.01 * OMEGA_Q,
+                                   2.0 + side * k * PHASE_SNAP_TOL / np.pi)
+            for k in (0.99, 1.01))
+        assert classify_regime(inside) is Regime.EVEN_PI
+        assert classify_regime(outside) is Regime.GENERIC
+        pinned, generic = collective_rates(inside), collective_rates(outside)
+        for a, b in ((pinned.gamma_plus, generic.gamma_plus),
+                     (pinned.gamma_minus, generic.gamma_minus)):
+            assert abs(a - b) < 1e-9 * inside.gamma
+        for a, b in zip(coupling_weights(inside, carriers),
+                        coupling_weights(outside, carriers)):
+            assert np.max(np.abs(a - b) / np.abs(b)) < 1e-8
 
 
 def _same_bits(got, want):
@@ -178,21 +189,21 @@ def _same_bits(got, want):
 def test_model_matches_per_regime_writing_bit_for_bit(phase_over_pi, regime,
                                                       per_regime_model):
     # rates and weights built on the snapped P give the bits of the
-    # per-regime writing, for every regime argument, at omega = Omega and
-    # on a 2,000-carrier axis; the dark rate is an exact +0
+    # per-regime writing of the parameters' own regime, at omega = Omega
+    # and on a 2,000-carrier axis; the dark rate is an exact +0
     p = ModelParams.from_phase(OMEGA_Q, 0.01 * OMEGA_Q, phase_over_pi)
     assert classify_regime(p) is regime
     rates_ref, weights_ref = per_regime_model
-    for each in Regime:
-        for got, want in zip(channel_rates(p, each), rates_ref(p, each)):
+    r = collective_rates(p)
+    rates = (r.gamma_plus, r.gamma_minus)
+    for got, want in zip(rates, rates_ref(p, regime)):
+        assert _same_bits(got, want)
+    for omega in (p.omega_q, np.linspace(0.8, 1.2, 2000) * p.omega_q):
+        for got, want in zip(coupling_weights(p, omega),
+                             weights_ref(p, regime, omega)):
             assert _same_bits(got, want)
-        for omega in (p.omega_q, np.linspace(0.8, 1.2, 2000) * p.omega_q):
-            for got, want in zip(coupling_weights(p, each, omega),
-                                 weights_ref(p, each, omega)):
-                assert _same_bits(got, want)
     if regime is not Regime.GENERIC:
-        dark = channel_rates(p, regime)[regime is Regime.EVEN_PI]
-        assert _same_bits(dark, 0j)
+        assert _same_bits(rates[regime is Regime.EVEN_PI], 0j)
 
 
 def test_regime_tag_prints_bare_value():

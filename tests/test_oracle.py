@@ -100,8 +100,10 @@ def test_markov_ode_rejects_nonpositive_keep_every(keep_every, weak_generic):
                    keep_every=keep_every)
 
 
-@pytest.mark.parametrize("t_final", [0.0, -1e-9])
+@pytest.mark.parametrize("t_final", [0.0, -1e-9, np.inf, np.nan])
 def test_continuum_rejects_nonpositive_t_final(t_final, weak_generic):
+    # an infinite or NaN t_final raised OverflowError or numpy's
+    # NaN-to-integer error
     p = ModelParams.create(weak_generic.omega_q, weak_generic.gamma,
                            weak_generic.distance,
                            pulse_width=0.5 * weak_generic.gamma)
@@ -366,7 +368,7 @@ def test_quad_kernel_refuses_too_many_nodes_before_allocating(weak_generic):
     assert peak < 16384
 
 
-@pytest.mark.parametrize("t_final", [0.0, -1e-9])
+@pytest.mark.parametrize("t_final", [0.0, -1e-9, np.inf, np.nan])
 def test_markov_ode_rejects_nonpositive_t_final(t_final, weak_generic):
     with pytest.raises(ValueError, match="t_final"):
         markov_ode(weak_generic, t_final)
@@ -433,6 +435,40 @@ def test_quadrature_density_resolves_the_memory_kernel(ratio, phase):
 def test_memory_kernel_refuses_bad_times(t, message, strong_odd):
     with pytest.raises(ValueError, match=message):
         memory_kernel_coefficients(t, strong_odd)
+
+
+def _pulse(p):
+    return ModelParams.create(p.omega_q, p.gamma, p.distance,
+                              pulse_width=0.5 * p.gamma)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda p: oracle.quad_spectral(p.omega_q, np.nan, p),
+                 "finite", id="quad_spectral_t_nan"),
+    pytest.param(lambda p: oracle.quad_spectral(np.nan, 1e-9, p),
+                 "finite", id="quad_spectral_omega_nan"),
+    pytest.param(lambda p: oracle.quad_spectral(np.inf, 1e-9, p),
+                 "finite", id="quad_spectral_omega_inf"),
+    pytest.param(lambda p: continuum_evolve(_pulse(p), 1.0 / p.gamma,
+                                            n_modes=256, launch_delay=np.nan),
+                 "launch_delay", id="launch_delay_nan"),
+    pytest.param(lambda p: continuum_evolve(_pulse(p), 1.0 / p.gamma,
+                                            n_modes=256, launch_delay=np.inf),
+                 "launch_delay", id="launch_delay_inf")])
+def test_oracles_refuse_non_finite_inputs(call, message, weak_generic):
+    # t = NaN gave (0j, 0j) from quad_spectral, and launch_delay = NaN an
+    # all-NaN trajectory
+    with pytest.raises(ValueError, match=message):
+        call(weak_generic)
+
+
+def test_continuum_refuses_a_nan_initial_norm(weak_generic, monkeypatch):
+    # the norm check must fail on NaN, not only on a norm far from 1
+    monkeypatch.setattr(oracle, "gaussian_spectrum",
+                        lambda params, omega: np.full(np.shape(omega), np.nan))
+    with pytest.raises(ValueError, match="norm nan"):
+        continuum_evolve(_pulse(weak_generic), 1.0 / weak_generic.gamma,
+                         n_modes=256)
 
 
 def test_memory_kernel_refuses_too_many_nodes_before_allocating(strong_odd):

@@ -33,8 +33,7 @@ def _params(gamma_ratio, phase_over_pi):
 @pytest.mark.parametrize("phase_over_pi", [0.5, 1.0, 2.0, 5.0])
 def test_resonance_is_a_perfect_mirror(phase_over_pi):
     p = ModelParams.from_phase(OMEGA_Q, 0.01 * OMEGA_Q, phase_over_pi)
-    r = collective_rates(p)
-    t_res, r_res = fields.markov_spectra(p.omega_q, r, p)
+    t_res, r_res = fields.markov_spectra(p.omega_q, p)
     assert abs(t_res) < 1e-12
     assert abs(r_res - 1.0) < 1e-12
 
@@ -44,28 +43,40 @@ def test_resonance_is_a_perfect_mirror(phase_over_pi):
 def test_resonance_is_a_perfect_mirror_at_any_phase(gamma_ratio, phase):
     # both the Markov and the exact-lattice forms, snapped or not
     p = _params(gamma_ratio, phase)
-    r = collective_rates(p)
-    for t_res, r_res in (fields.markov_spectra(p.omega_q, r, p),
+    for t_res, r_res in (fields.markov_spectra(p.omega_q, p),
                          fields.nonmarkov_spectra(p.omega_q, p)):
         assert abs(t_res) < 1e-12
         assert abs(r_res - 1.0) < 1e-12
 
 
 def test_far_detuning_is_transparent(weak_generic):
+    # 50 Gamma = Omega/2 either side; 100 Gamma below is omega = 0, which
+    # the spectra refuse
     p = weak_generic
-    r = collective_rates(p)
     for sign in (-1.0, 1.0):
-        omega = p.omega_q + sign * 100.0 * p.gamma
-        trans, refl = fields.markov_spectra(omega, r, p)
+        omega = p.omega_q + sign * 50.0 * p.gamma
+        trans, refl = fields.markov_spectra(omega, p)
         assert abs(trans - 1.0) < 0.01
         assert abs(refl) < 0.01
 
 
+@pytest.mark.parametrize("probe", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("spectra", [fields.markov_spectra,
+                                     fields.nonmarkov_spectra],
+                         ids=["markov", "nonmarkov"])
+def test_spectra_refuse_probes_that_are_not_positive_and_finite(
+        spectra, probe, weak_generic):
+    # omega = -1 rad/s gave T = 1.00008 (Markov) and 0.9999 (lattice), and
+    # NaN a NaN row, as if they were photons
+    omega = np.array([weak_generic.omega_q, probe])
+    with pytest.raises(ValueError, match="positive and finite"):
+        spectra(omega, weak_generic)
+
+
 def test_transmittance_accepts_arrays(weak_generic):
     p = weak_generic
-    r = collective_rates(p)
     omega = np.linspace(0.99, 1.01, 101) * p.omega_q
-    t_arr, r_arr = fields.markov_spectra(omega, r, p)
+    t_arr, r_arr = fields.markov_spectra(omega, p)
     assert t_arr.shape == omega.shape
     assert np.all((t_arr >= 0) & (t_arr <= 1.0 + 1e-12))
     assert np.all(r_arr >= 0)
@@ -76,10 +87,9 @@ def test_markov_flux_defect_scales_with_detuning(weak_generic):
     # quadratically as the probe detunes; the leak stays below 1e-3 within
     # +-0.1% of Omega and below 2% over the figures' +-2% window
     p = weak_generic
-    r = collective_rates(p)
 
     def leak(omega):
-        trans, refl = fields.markov_spectra(omega, r, p)
+        trans, refl = fields.markov_spectra(omega, p)
         return trans + refl - 1.0
 
     near = np.linspace(0.999, 1.001, 201) * p.omega_q
@@ -119,10 +129,9 @@ def test_exact_lattice_resonance_values(weak_generic, strong_odd):
 
 def test_markov_matches_lattice_at_weak_coupling(weak_generic):
     p = weak_generic
-    r = collective_rates(p)
     omega = np.linspace(0.98, 1.02, 2001) * p.omega_q
     (t_markov, r_markov), (t_exact, r_exact) = (
-        fields.markov_spectra(omega, r, p), fields.nonmarkov_spectra(omega, p))
+        fields.markov_spectra(omega, p), fields.nonmarkov_spectra(omega, p))
     diff_t = np.abs(t_markov - t_exact)
     diff_r = np.abs(r_markov - r_exact)
     assert max(diff_t.max(), diff_r.max()) < 0.02
@@ -130,9 +139,8 @@ def test_markov_matches_lattice_at_weak_coupling(weak_generic):
 
 def test_markov_departs_from_lattice_at_strong_retardation(strong_odd):
     p = strong_odd
-    r = collective_rates(p)
     omega = np.linspace(0.8, 1.2, 2001) * p.omega_q
-    diff_t = np.abs(fields.markov_spectra(omega, r, p)[0]
+    diff_t = np.abs(fields.markov_spectra(omega, p)[0]
                     - fields.nonmarkov_spectra(omega, p)[0])
     assert diff_t.max() > 0.1
 
@@ -143,5 +151,5 @@ def test_reflectance_limit_matches_far_steady_field(weak_even):
     r = collective_rates(p)
     grid = fields.space_time_grid(p, [-40.0 * p.distance], [5e-6])
     v = fields.backward_field(grid, r, p, branch="steady").v
-    _, target = fields.markov_spectra(p.omega_s, r, p)
+    _, target = fields.markov_spectra(p.omega_s, p)
     assert abs(np.abs(v[0, 0]) ** 2 - target) < 5e-3
