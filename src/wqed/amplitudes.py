@@ -106,9 +106,16 @@ def channel_time_integrals(params: ModelParams, omega, t):
 
     D_pm(omega, t) = phi(omega - Omega + i gamma_pm, t) - phi(omega - omega_s, t)
     with phi(z, t) = (e^{izt} - 1)/z.  These are the building blocks of the
-    scattered spectrum at finite time.
+    scattered spectrum at finite time.  ``omega`` must be finite and > 0,
+    ``t`` finite and >= 0.
     """
     omega = np.asarray(omega, dtype=float)
+    if not (np.all(np.isfinite(omega)) and np.all(np.isfinite(t))):
+        raise ValueError("frequencies and time must be finite")
+    if np.any(np.less(t, 0)):
+        raise ValueError("time must be non-negative")
+    if not np.all(omega > 0):
+        raise ValueError("frequencies must be positive")
     rates = collective_rates(params)
     drive = phase_integral(omega - params.omega_s, t)
     return tuple(phase_integral(omega - params.omega_q + 1j * gamma, t) - drive
@@ -131,10 +138,6 @@ def spectral_amplitudes(params: ModelParams, omega, t) -> SpectralAmplitude:
     SpectralAmplitude
     """
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
-    if not (np.all(np.isfinite(omega)) and np.isfinite(t)):
-        raise ValueError("frequencies and time must be finite")
-    if t < 0:
-        raise ValueError("time must be non-negative")
     d_plus, d_minus = channel_time_integrals(params, omega, t)
     c_plus, c_minus = coupling_weights(params, params.omega_s)
     phase = snapped_phase_factor(params, omega)

@@ -191,9 +191,11 @@ def read_scenario(path):
 
     Raises ScenarioError with the configparser line number on syntax
     errors, names the offending section/key on unknown entries, and names
-    both keys when [model] spells one quantity two ways.
+    both keys when [model] spells one quantity two ways.  A value is its
+    literal text, '%' included, and [DEFAULT] is an unknown section like
+    any other: no header matches the empty default-section name.
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path) as handle:
             parser.read_file(handle, source=path)
@@ -375,57 +377,29 @@ def write_csv(path, lines, columns, rows):
 
 
 def _json_cell(value):
-    """A number as a float if it is finite, else as its CSV text.
+    """A cell as JSON: text as itself, a finite number as a float, and a
+    non-finite number as its CSV text.
 
     Strict JSON has no NaN or infinity, so those cells carry the text
     the CSV writes for them ("nan", "inf", "-inf").
     """
+    if isinstance(value, str):
+        return value
     value = float(value)
     return value if math.isfinite(value) else "%.17g" % value
 
 
-# the string encoder json.dump applies to every str it writes
-_json_text = json.encoder.encode_basestring_ascii
-
-
-def _json_column(column):
-    """``_json_cell`` of every cell of one column, as JSON text.
-
-    The first cell picks the type, as in ``write_csv``: text cells are
-    JSON strings, numbers floats, and a non-finite number the string of
-    its CSV text.
-    """
-    if isinstance(column[0], str):
-        return list(map(_json_text, column))
-    values = np.asarray(column, dtype=float)
-    texts = list(map(float.__repr__, values.tolist()))
-    for i in np.flatnonzero(~np.isfinite(values)):
-        texts[i] = '"%.17g"' % values[i]
-    return texts
-
-
-def _json_list(items, depth):
-    """JSON texts ``items`` as a list laid out like ``json.dump(indent=1)``."""
-    if not items:
-        return "[]"
-    pad = "\n" + " " * (depth + 1)
-    return "[" + pad + ("," + pad).join(items) + "\n" + " " * depth + "]"
+def _json_document(payload):
+    """``payload`` as strict JSON text with a one-space indent."""
+    return json.dumps(payload, indent=1, allow_nan=False) + "\n"
 
 
 def write_json(path, lines, columns, rows):
-    """Write the table as JSON: {"meta", "columns", "rows"}, one-space indent.
-
-    The bytes are those of ``json.dump(..., indent=1)`` over the rows of
-    ``_json_cell`` values, assembled column by column.
-    """
-    cells = [_json_column(column) for column in zip(*rows)]
-    parts = {"meta": list(map(_json_text, lines)),
-             "columns": list(map(_json_text, columns)),
-             "rows": [_json_list(row, 2) for row in zip(*cells)]}
-    with open(path, "w") as handle:
-        handle.write("{\n" + ",\n".join(
-            f' "{key}": {_json_list(items, 1)}' for key, items in parts.items())
-            + "\n}\n")
+    """Write the table as JSON: {"meta", "columns", "rows"}, one-space indent,
+    every cell mapped by ``_json_cell``."""
+    Path(path).write_text(_json_document(
+        {"meta": lines, "columns": columns,
+         "rows": [list(map(_json_cell, row)) for row in rows]}))
 
 
 def _json_path(out):
@@ -668,8 +642,7 @@ def cmd_oracle_check(args):
         results.append({"name": name, "max_err": _json_cell(err),
                         "tol": tol, "passed": passed})
     if args.json:
-        report = json.dumps({"checks": results}, indent=1,
-                            allow_nan=False) + "\n"
+        report = _json_document({"checks": results})
         written = _write_outputs([(args.out or f"{args.command}.json",
                                    lambda path: Path(path).write_text(report))])
         print(f"wrote {written[0]}")

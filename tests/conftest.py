@@ -6,8 +6,6 @@ times at nanoseconds.
 """
 
 import cmath
-import json
-import math
 
 import mpmath
 import numpy as np
@@ -698,33 +696,6 @@ def _per_cell_write_csv(path, lines, columns, rows):
 def per_cell_write_csv():
     """The CSV writer that formats and joins cell by cell."""
     return _per_cell_write_csv
-
-
-def _json_dump_write_json(path, lines, columns, rows):
-    """``cli.write_json`` in its ``json.dump`` writing, as a reference.
-
-    Every cell is mapped on its own, a string to itself, a finite number
-    to a float and a non-finite one to its %.17g text, and the payload
-    goes through ``json.dump`` with a one-space indent.
-    """
-    def cell(value):
-        if isinstance(value, str):
-            return value
-        value = float(value)
-        return value if math.isfinite(value) else "%.17g" % value
-
-    payload = {"meta": list(lines), "columns": list(columns),
-               "rows": [[cell(v) for v in row] for row in rows]}
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=1, sort_keys=False,
-                  allow_nan=False)
-        handle.write("\n")
-
-
-@pytest.fixture(scope="session")
-def json_dump_write_json():
-    """The JSON mirror writer that maps and dumps cell by cell."""
-    return _json_dump_write_json
 
 
 def _per_point_field_rows(params, x_over_d, ratios, omega, t, branch, label):

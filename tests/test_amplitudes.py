@@ -62,6 +62,22 @@ def test_amplitudes_refuse_non_finite_inputs(call, weak_generic):
         call(weak_generic)
 
 
+@pytest.mark.parametrize("function", [channel_time_integrals,
+                                      spectral_amplitudes],
+                         ids=["channel", "spectral"])
+@pytest.mark.parametrize("omega_over_q, t, match", [
+    (np.nan, 1e-9, "finite"), (1.0, np.inf, "finite"),
+    (1.0, -1e-6, "non-negative"), (0.0, 1e-9, "positive"),
+    (-1.0, 1e-9, "positive")],
+    ids=["omega_nan", "t_inf", "t_negative", "omega_zero", "omega_negative"])
+def test_spectral_inputs_are_refused(function, omega_over_q, t, match,
+                                     weak_generic):
+    # frequencies must be finite and > 0, the time finite and >= 0: else
+    # the integrals come back NaN, overflow, or describe no physical mode
+    with pytest.raises(ValueError, match=match):
+        function(weak_generic, [omega_over_q * weak_generic.omega_q], t)
+
+
 def test_qubit_amplitudes_match_ode_generic(weak_generic):
     p = weak_generic.with_drive(1.005 * weak_generic.omega_q)
     assert validation.amplitudes_vs_ode([p]) < 1e-6

@@ -2,6 +2,7 @@
 
 import json
 import lzma
+import math
 import os
 import re
 import subprocess
@@ -23,6 +24,11 @@ NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 def run_cli(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     return cli.main(argv)
+
+
+def refuse_constant(token):
+    """``parse_constant`` of a strict reader: NaN and Infinity are errors."""
+    raise ValueError(f"non-standard JSON constant {token}")
 
 
 def read_csv(path):
@@ -78,12 +84,8 @@ def test_json_mirror_is_strict_json(tmp_path, monkeypatch):
     code = run_cli(["field", "--preset", "fig10", "--json"],
                    tmp_path, monkeypatch)
     assert code == 0
-
-    def refuse(token):
-        raise ValueError(f"non-standard JSON constant {token}")
-
     payload = json.loads((tmp_path / "fig10.json").read_text(),
-                         parse_constant=refuse)
+                         parse_constant=refuse_constant)
     _, _, rows = read_csv(tmp_path / "fig10.csv")
     limit = [(got, want) for got, want in zip(payload["rows"], rows)
              if want[1] == "-inf"]
@@ -255,6 +257,32 @@ def test_unknown_section_is_rejected(tmp_path, monkeypatch, capsys):
     code = run_cli(["spectrum", "--config", str(config)], tmp_path, monkeypatch)
     assert code == 2
     assert "turbo" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("[output]\npath = a%b.csv\n", None),
+    ("[model]\nomega_q_ghz = %(x)s\n", "omega_q_ghz"),
+    ("[DEFAULT]\namplitude = 3\n", "[DEFAULT]"),
+    ("[model]\namplitude = 2\n[DEFAULT]\nfoo = 1\n", "[DEFAULT]"),
+], ids=["percent-path", "percent-value", "default-alone",
+        "default-beside-model"])
+def test_ini_values_are_literal_and_default_is_refused(text, reason, tmp_path,
+                                                       monkeypatch, capsys):
+    # a value is its literal text, '%' included, and [DEFAULT] is refused
+    # like any other unknown section rather than applied to every section
+    config = tmp_path / "case.ini"
+    config.write_text(text)
+    code = run_cli(["peaks", "--preset", "fig8", "--config", str(config)],
+                   tmp_path, monkeypatch)
+    written = sorted(path.name for path in tmp_path.iterdir()
+                     if path != config)
+    if reason is None:
+        assert code == 0 and written == ["a%b.csv"]
+        return
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and reason in err[0]
+    assert written == []
 
 
 def test_unknown_key_is_rejected(tmp_path, monkeypatch, capsys):
@@ -434,33 +462,52 @@ def test_write_csv_matches_per_cell_writing(rows, tmp_path,
 
 
 @pytest.mark.parametrize("rows", [EDGE_ROWS, []], ids=["edge", "empty"])
-def test_write_json_matches_json_dump_writing(rows, tmp_path,
-                                              json_dump_write_json):
+def test_write_json_matches_json_dump_writing(rows, tmp_path):
+    # the cell mapping over EDGE_ROWS, and json.dumps' one-space layout
     lines = ["wqed test", "x = %.17g" % 0.1, 'quote " and \u00e9']
     cli.write_json(tmp_path / "got.json", lines, EDGE_COLUMNS, rows)
-    json_dump_write_json(tmp_path / "ref.json", lines, EDGE_COLUMNS, rows)
-    assert (tmp_path / "got.json").read_bytes() \
-        == (tmp_path / "ref.json").read_bytes()
+    raw = (tmp_path / "got.json").read_bytes()
+    assert raw.isascii() and b'"quote \\" and \\u00e9"' in raw
+    payload = json.loads(raw, parse_constant=refuse_constant)
+    assert raw.decode() == json.dumps(payload, indent=1) + "\n"
+    assert payload["meta"] == lines and payload["columns"] == EDGE_COLUMNS
+    assert len(payload["rows"]) == len(rows)
+    texts = []
+    for got, want in zip(payload["rows"], rows):
+        assert got[0] == want[0]
+        for cell, value in zip(got[1:], want[1:]):
+            value = float(value)
+            if math.isfinite(value):
+                # the same float, -0.0's sign and the subnormals included
+                assert type(cell) is float and cell.hex() == value.hex()
+            else:
+                texts.append(cell)
+    assert texts == (["nan", "inf", "-inf"] if rows else [])
 
 
 @pytest.mark.parametrize("preset", ["fig9", "fig10"])
-def test_json_mirror_matches_json_dump_writing(preset, tmp_path, monkeypatch,
-                                               json_dump_write_json):
-    # the mirrors of the field presets, fig10's non-finite cells included
-    tables = []
-    real_write_json = cli.write_json
-
-    def recording(path, lines, columns, rows):
-        tables.append((lines, columns, rows))
-        real_write_json(path, lines, columns, rows)
-
-    monkeypatch.setattr(cli, "write_json", recording)
+def test_json_mirror_matches_json_dump_writing(preset, tmp_path, monkeypatch):
+    # every mirror row is its CSV row read back: a text cell is the same
+    # text, a finite cell the float of its CSV text bit for bit, and a
+    # non-finite cell (fig10's nan and -inf) the CSV text itself
     assert run_cli(["field", "--preset", preset, "--json"],
                    tmp_path, monkeypatch) == 0
-    (table,) = tables
-    json_dump_write_json(tmp_path / "ref.json", *table)
-    assert (tmp_path / f"{preset}.json").read_bytes() \
-        == (tmp_path / "ref.json").read_bytes()
+    meta, header, rows = read_csv(tmp_path / f"{preset}.csv")
+    payload = json.loads((tmp_path / f"{preset}.json").read_text(),
+                         parse_constant=refuse_constant)
+    assert payload["meta"] == meta and payload["columns"] == header
+    assert len(payload["rows"]) == len(rows)
+    non_finite = 0
+    for got, want in zip(payload["rows"], rows):
+        assert len(got) == len(want)
+        for cell, text in zip(got, want):
+            if isinstance(cell, str):
+                assert cell == text and not NUMBER.fullmatch(text)
+                non_finite += text in ("nan", "inf", "-inf")
+            else:
+                assert type(cell) is float
+                assert cell.hex() == float(text).hex()
+    assert (non_finite > 0) == (preset == "fig10")
 
 
 @pytest.mark.parametrize("x_over_d, ratios, t, branch", [
