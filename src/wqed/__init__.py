@@ -27,7 +27,6 @@ from .specfun import (
 )
 from .amplitudes import (
     QubitState,
-    SpectralAmplitude,
     phase_integral,
     qubit_amplitudes,
     channel_time_integrals,
@@ -59,7 +58,7 @@ __all__ = [
     "ModelParams", "CollectiveRates", "Regime",
     "classify_regime", "collective_rates",
     "exp_integral_e1", "e1_scaled", "si_lower", "cosine_integral",
-    "QubitState", "SpectralAmplitude", "phase_integral",
+    "QubitState", "phase_integral",
     "qubit_amplitudes", "channel_time_integrals", "spectral_amplitudes",
     "Region", "FieldBranch", "SpaceTimeGrid", "FieldSlice",
     "space_time_grid", "closed_kernel",

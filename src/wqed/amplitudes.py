@@ -32,22 +32,6 @@ class QubitState:
         return np.abs(self.beta_1) ** 2 + np.abs(self.beta_2) ** 2
 
 
-@dataclass(frozen=True)
-class SpectralAmplitude:
-    """Scattered parts of the continuum amplitudes at time t.
-
-    ``forward`` is the scattered correction to the right-moving mode
-    amplitude (the incident delta-spike at the carrier is kept analytic
-    and added at the field level); ``backward`` is the full left-moving
-    amplitude, which has no incident part.
-    """
-
-    omega: np.ndarray
-    t: float
-    forward: np.ndarray
-    backward: np.ndarray
-
-
 def phase_integral(z, t):
     """Stable (e^{i z t} - 1) / z, the elementary time-integral factor.
 
@@ -122,8 +106,13 @@ def channel_time_integrals(params: ModelParams, omega, t):
                  for gamma in (rates.gamma_plus, rates.gamma_minus))
 
 
-def spectral_amplitudes(params: ModelParams, omega, t) -> SpectralAmplitude:
-    """Scattered continuum amplitudes at frequency omega and time t.
+def spectral_amplitudes(params: ModelParams, omega, t):
+    """Scattered (forward, backward) continuum amplitudes at time t.
+
+    ``forward`` is the scattered correction to the right-moving mode
+    amplitude: the incident delta-spike at the carrier is kept analytic
+    and added at the field level.  ``backward`` is the whole left-moving
+    amplitude, which has no incident part.
 
     Parameters
     ----------
@@ -131,12 +120,14 @@ def spectral_amplitudes(params: ModelParams, omega, t) -> SpectralAmplitude:
     omega : float or array_like
         Mode frequencies (rad/s), finite and > 0.
     t : float
-        Elapsed time since the kick, finite and >= 0.
+        One elapsed time since the kick, finite and >= 0.
 
     Returns
     -------
-    SpectralAmplitude
+    (forward, backward) : complex ndarrays, one value per omega
     """
+    if np.ndim(t) != 0:
+        raise ValueError("time must be a scalar")
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     d_plus, d_minus = channel_time_integrals(params, omega, t)
     c_plus, c_minus = coupling_weights(params, params.omega_s)
@@ -148,5 +139,4 @@ def spectral_amplitudes(params: ModelParams, omega, t) -> SpectralAmplitude:
                           + (1.0 - np.conj(phase)) * c_minus * d_minus)
     backward = -0.5 * g * ((1.0 + phase) * c_plus * d_plus
                            + (1.0 - phase) * c_minus * d_minus)
-    return SpectralAmplitude(omega=omega, t=float(t),
-                             forward=forward, backward=backward)
+    return forward, backward

@@ -401,31 +401,26 @@ def quad_spectral(omega: float, t: float, params: ModelParams):
 
     Integrates the closed qubit amplitudes against e^{i(omega-Omega)t'}
     with adaptive quadrature, which checks every step of the spectral
-    algebra downstream of the qubit dynamics.  omega and t must be finite.
+    algebra downstream of the qubit dynamics.  omega must be finite and
+    > 0, t finite.
     """
     from scipy.integrate import quad as _quad
 
     if not (cmath.isfinite(omega) and cmath.isfinite(t)):
         raise ValueError("omega and t must be finite")
+    if not omega > 0:
+        raise ValueError("omega must be positive")
 
     g = params.coupling
     kd = omega * params.distance / params.v_g
     rot = omega - params.omega_q
 
-    def beta(tp):
+    def integrand(tp, which):
         st = qubit_amplitudes(params, np.array([tp]))
-        return st.beta_1[0], st.beta_2[0]
+        return (st.beta_1, st.beta_2)[which][0] * np.exp(1j * rot * tp)
 
-    def integrand(tp, which, part):
-        b = beta(tp)[which] * np.exp(1j * rot * tp)
-        return b.real if part == 0 else b.imag
-
-    pieces = []
-    for which in (0, 1):
-        re, _ = _quad(integrand, 0.0, t, args=(which, 0), limit=400)
-        im, _ = _quad(integrand, 0.0, t, args=(which, 1), limit=400)
-        pieces.append(re + 1j * im)
-    int_b1, int_b2 = pieces
+    int_b1, int_b2 = (_quad(integrand, 0.0, t, args=(which,), limit=400,
+                            complex_func=True)[0] for which in (0, 1))
     forward = -1j * g * (int_b1 + np.exp(-1j * kd) * int_b2)
     backward = -1j * g * (int_b1 + np.exp(+1j * kd) * int_b2)
     return forward, backward

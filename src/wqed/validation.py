@@ -124,9 +124,9 @@ def spectral_vs_quadrature(p, omegas, t):
     """Spectral amplitudes vs time quadrature, relative to its larger one."""
     worst = 0.0
     for omega in omegas:
-        spec = amplitudes.spectral_amplitudes(p, np.asarray([omega]), t)
+        (forward,), (backward,) = amplitudes.spectral_amplitudes(p, omega, t)
         fwd, bwd = oracle.quad_spectral(omega, t, p)
-        err = max(abs(spec.forward[0] - fwd), abs(spec.backward[0] - bwd))
+        err = max(abs(forward - fwd), abs(backward - bwd))
         worst = max(worst, float(err / max(abs(fwd), abs(bwd))))
     return worst
 

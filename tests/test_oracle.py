@@ -449,6 +449,10 @@ def _pulse(p):
                  "finite", id="quad_spectral_omega_nan"),
     pytest.param(lambda p: oracle.quad_spectral(np.inf, 1e-9, p),
                  "finite", id="quad_spectral_omega_inf"),
+    pytest.param(lambda p: oracle.quad_spectral(0.0, 1e-8, p),
+                 "positive", id="quad_spectral_omega_zero"),
+    pytest.param(lambda p: oracle.quad_spectral(-p.omega_q, 1e-8, p),
+                 "positive", id="quad_spectral_omega_negative"),
     pytest.param(lambda p: continuum_evolve(_pulse(p), 1.0 / p.gamma,
                                             n_modes=256, launch_delay=np.nan),
                  "launch_delay", id="launch_delay_nan"),
@@ -456,8 +460,8 @@ def _pulse(p):
                                             n_modes=256, launch_delay=np.inf),
                  "launch_delay", id="launch_delay_inf")])
 def test_oracles_refuse_non_finite_inputs(call, message, weak_generic):
-    # t = NaN gave (0j, 0j) from quad_spectral, and launch_delay = NaN an
-    # all-NaN trajectory
+    # t = NaN gave (0j, 0j) from quad_spectral, omega <= 0 amplitudes of
+    # modes that do not exist, and launch_delay = NaN an all-NaN trajectory
     with pytest.raises(ValueError, match=message):
         call(weak_generic)
 
