@@ -22,9 +22,11 @@ Scenarios are INI files (flat ``key = value`` under sections); named
 presets embed the parameter sets of the survey figures.  Output is CSV
 with ``#``-prefixed metadata lines, and every run with the same scenario
 produces byte-identical output (fixed 17-significant-digit floats, no
-timestamps).  Each figure subcommand returns its table, assembled column by
-column from whole arrays, and ``main`` writes every table in one place,
-through one row template per table.
+timestamps).  Each figure subcommand returns its table as whole column
+arrays, and ``main`` writes every table in one place, as a numpy record
+table whose numbers ``write_csv`` formats column by column in numpy: the
+bytes are those of '%.17g' % value, which formats the few cells the numpy
+path leaves out.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -359,21 +362,254 @@ def _header_lines(scenario, extra=()):
     return lines
 
 
+def _table(columns, arrays):
+    """The record table of one field per column, named by ``columns``."""
+    arrays = [np.asarray(array) for array in arrays]
+    table = np.empty(len(arrays[0]) if arrays else 0,
+                     dtype=[(name, array.dtype)
+                            for name, array in zip(columns, arrays)])
+    for name, array in zip(columns, arrays):
+        table[name] = array
+    return table
+
+
+def _record_table(columns, rows):
+    """``rows`` as a record table; a record table is returned as it is.
+
+    A sequence of row tuples keeps one type per column: the first row
+    makes a column text (str) if its cell is a str, float64 otherwise.
+    """
+    if isinstance(rows, np.ndarray):
+        return rows
+    cells = list(zip(*rows)) or [()] * len(columns)
+    return _table(columns, [
+        np.array(column, dtype=str if column and isinstance(column[0], str)
+                 else np.float64) for column in cells])
+
+
+# A number's '%.17g' text is laid out in _CELL byte slots, the unused ones
+# 0: a sign, the "0.000" of a fixed-point number below 1, 17 digits with
+# room for the point after any of them, and "e+dd".  The writer drops the 0
+# bytes.  A magnitude in [_FAST_MIN, _FAST_MAX) is formatted in numpy; zero,
+# nan and inf are constants; any other value, and one whose 17-digit
+# rounding lies within _TIE of a tie, is formatted by '%.17g' itself.
+_CELL = 28
+_FAST_MIN, _FAST_MAX = 1e-29, 1e29
+_TIE = 1e-6
+_SPLIT = 134217729.0                    # 2**27 + 1, Veltkamp's split factor
+_POW10_MIN, _POW10_MAX = -13, 46        # 10**(16 - e) for e in [-30, 29]
+_PREFIX = b"0.000"
+_CONSTANTS = [0.0, -0.0, np.inf, -np.inf, np.nan]  # 2 * isinf + signbit; nan
+
+
+def _split(a):
+    """Veltkamp's split of float64 ``a`` into two 26-bit halves."""
+    c = a * _SPLIT
+    high = c - (c - a)
+    return high, a - high
+
+
+def _text_cells(texts, width=None):
+    """Byte strings as rows of a uint8 matrix, padded with 0."""
+    cells = np.array(texts, dtype=bytes if width is None else f"S{width}")
+    return cells.view(np.uint8).reshape(len(texts), cells.itemsize)
+
+
+def _powers_of_ten():
+    """10**k for k in [_POW10_MIN, _POW10_MAX] as the rows hi, lo and hi's
+    two halves: hi is 10**k rounded to float64, lo the rest rounded.
+
+    Built from Python integers: int / int and int -> float round
+    correctly, so hi + lo is 10**k to within 2**-106 of it.
+    """
+    hi, lo = [], []
+    for k in range(_POW10_MIN, _POW10_MAX + 1):
+        if k >= 0:
+            hi.append(float(10 ** k))
+            lo.append(float(10 ** k - int(hi[-1])))
+        else:
+            den = 10 ** -k
+            hi.append(1 / den)
+            num, dyadic = hi[-1].as_integer_ratio()
+            lo.append((dyadic - num * den) / (dyadic * den))
+    return np.array([hi, lo, *_split(np.array(hi))])
+
+
+_POW10 = _powers_of_ten()
+_POW10.setflags(write=False)
+_CONSTANT_CELLS = _text_cells(["%.17g" % value for value in _CONSTANTS],
+                              _CELL)
+_CONSTANT_CELLS.setflags(write=False)
+
+
+def _scaled(mag, e):
+    """mag * 10**(16 - e) as p + r, p = fl(mag * hi) and r the rest.
+
+    Dekker's product gives mag * hi exactly as p plus a float64; with
+    mag * lo added, p + r is off by less than 1e-13 at 1e16 <= p + r.
+    """
+    hi, lo, hi_high, hi_low = _POW10.take(16 - _POW10_MIN - e, axis=1)
+    high, low = _split(mag)
+    p = mag * hi
+    err = high * hi_high
+    err -= p
+    err += high * hi_low
+    err += low * hi_high
+    err += low * hi_low
+    err += mag * lo
+    return p, err
+
+
+def _significands(mag):
+    """17-digit decimal significands of positive ``mag`` in the window.
+
+    Returns (sig, e, tie): mag rounded half-even to 17 digits is
+    sig * 10**(e - 16) with 10**16 <= sig < 10**17, and ``tie`` marks the
+    cells whose fraction lies within _TIE of one half.
+    """
+    e = np.floor(np.log10(mag)).astype(np.int64)
+    p, r = _scaled(mag, e)
+    # next to a power of ten log10 may miss the decade by one
+    shift = ((p > 1e17) | ((p == 1e17) & (r >= 0))).view(np.int8) \
+        - ((p < 1e16) | ((p == 1e16) & (r < 0))).view(np.int8)
+    fix = shift != 0
+    e[fix] += shift[fix]
+    p[fix], r[fix] = _scaled(mag[fix], e[fix])
+    near = np.rint(r)
+    sig = p.astype(np.int64) + near.astype(np.int64)
+    tie = np.abs(np.abs(r - near) - 0.5) < _TIE
+    carry = sig == 10 ** 17             # rounded up into the next decade
+    sig[carry] = 10 ** 16
+    e[carry] += 1
+    return sig, e, tie
+
+
+def _digits(sig):
+    """The 17 decimal digits of each ``sig``, most significant first."""
+    digits = np.empty((17,) + sig.shape, np.uint8)
+    high = sig // 10 ** 8
+    low = (sig - high * 10 ** 8).astype(np.int32)
+    for part, last in ((low, 16), (high.astype(np.int32), 8)):
+        for j in range(last, last - 8, -1):
+            tens = part // 10
+            digits[j] = part - 10 * tens
+            part = tens
+    digits[0] = part
+    return digits
+
+
+_SLOT = np.arange(18, dtype=np.uint8)[:, None, None]     # a slot's index
+_SLOT.setflags(write=False)
+
+
+def _number_cells(x, out):
+    """Write '%.17g' % v of each float64 v = x[i, j] into the first _CELL
+    bytes of out[i, j], the unused ones 0."""
+    u8 = np.uint8
+    mag = np.abs(x)
+    fast = (mag >= _FAST_MIN) & (mag < _FAST_MAX)
+    constant = (mag == 0) | ~np.isfinite(mag)
+    mag[~fast] = 1.0
+    sig, e, tie = _significands(mag)
+    e = e.astype(np.int8)
+    fixed = (e >= -4) & (e < 17)            # '%g' writes no exponent
+    above = (fixed & (e >= 0)).view(u8)
+    below = (fixed & (e < 0)).view(u8)
+    # digit j is written through the last nonzero one and through the
+    # integer part; the point follows digit ``point`` (0 with an exponent,
+    # 17 for none below 1), and it is written if a digit follows it
+    digits = np.zeros((19,) + x.shape, u8)  # a row of 0 on either side
+    digits[1:18] = _digits(sig)
+    kept = np.maximum(np.max((digits[1:18] != 0) * (_SLOT[:17] + 1), axis=0),
+                      above * (e + 1).view(u8))
+    digits[1:18] += 48
+    digits[1:18] *= _SLOT[:17] < kept
+    point = above * e.view(u8) + below * 17
+    point_char = (kept > point + 1).view(u8) * 46
+    mantissa = (_SLOT <= point) * digits[1:]
+    mantissa += (_SLOT == point + 1) * point_char
+    mantissa += (_SLOT > point + 1) * digits[:-1]
+    out[..., 0] = np.signbit(x).view(u8) * 45
+    lead = below * (1 - e).view(u8)     # "0." and the zeros after it
+    for j, char in enumerate(_PREFIX):
+        out[..., 1 + j] = (lead > j).view(u8) * char
+    for j in range(18):
+        out[..., 6 + j] = mantissa[j]
+    exponent = (~fixed).view(u8)
+    tens = np.abs(e) // 10
+    out[..., 24] = exponent * 101
+    out[..., 25] = exponent * (43 + 2 * (e < 0).view(u8))
+    out[..., 26] = exponent * (tens + 48)
+    out[..., 27] = exponent * (np.abs(e) - 10 * tens + 48)
+    value = x[constant]
+    out[constant, :_CELL] = _CONSTANT_CELLS[np.where(
+        np.isnan(value), 4, 2 * np.isinf(value) + np.signbit(value))]
+    slow = ~(fast | constant) | tie
+    out[slow, :_CELL] = _text_cells(
+        ["%.17g" % v for v in x[slow].tolist()], _CELL)
+
+
+def _label_cells(column, encoding):
+    """Text cells as rows of bytes, encoded once per run of equal labels."""
+    starts = np.concatenate(([True], column[1:] != column[:-1]))
+    labels = [label.encode(encoding)
+              for label in column[starts].tolist()]
+    if any(b"\0" in label for label in labels):
+        raise ValueError("a CSV text cell holds a NUL character")
+    return _text_cells(labels)[np.cumsum(starts) - 1]
+
+
+_CHUNK_CELLS = 1 << 13
+
+
+def _csv_lines(table, encoding):
+    """The CSV lines of a record table, as one uint8 array of bytes.
+
+    Each cell takes a fixed slot of a row matrix, the unused bytes 0, and
+    one compaction of the matrix drops them.
+    """
+    names = table.dtype.names
+    text = [table.dtype[name].kind == "U" for name in names]
+    labels = {i: _label_cells(table[name], encoding)
+              for i, name in enumerate(names) if text[i]}
+    width = max([_CELL] + [cells.shape[1] for cells in labels.values()])
+    rows = np.zeros((len(table), len(names), width + 1), np.uint8)
+    for i, cells in labels.items():
+        rows[:, i, :cells.shape[1]] = cells
+    start = 0
+    for is_text, run in itertools.groupby(text):
+        stop = start + len(list(run))
+        if not is_text:     # a run of number columns at a time
+            _number_cells(np.stack([table[name] for name in names[start:stop]],
+                                   axis=1, dtype=np.float64),
+                          rows[:, start:stop])
+        start = stop
+    rows[:, :, width] = ord(",")
+    rows[:, -1, width] = ord("\n")
+    rows = rows.reshape(-1)
+    return rows[rows != 0]
+
+
 def write_csv(path, lines, columns, rows):
     """Write '#'-commented metadata, a column header, and %.17g rows.
 
-    ``rows`` is a sequence of row tuples whose columns keep one type: the
-    first row picks the template, ``%s`` for a text cell and ``%.17g`` for
-    any number, and every row is written through it.  An empty table is
-    its header alone.
+    ``rows`` is a record table, or row tuples that ``_record_table`` makes
+    into one; ``len(rows)`` is the row count.  A text field is written as
+    it is, any other as the bytes of '%.17g' % value.  The numbers are
+    formatted column by column in numpy, _CHUNK_CELLS cells at a time, by
+    ``_number_cells``; '%.17g' itself formats the cells it does not settle
+    (a magnitude outside [_FAST_MIN, _FAST_MAX), or a rounding within _TIE
+    of a tie).  An empty table is its header alone.
     """
+    table = _record_table(columns, rows)
+    step = max(1, _CHUNK_CELLS // max(1, len(table.dtype)))
     with open(path, "w", newline="") as handle:
         handle.writelines(f"# {line}\n" for line in lines)
         handle.write(",".join(columns) + "\n")
-        if rows:
-            template = ",".join("%s" if isinstance(cell, str) else "%.17g"
-                                for cell in rows[0]) + "\n"
-            handle.writelines(template % row for row in rows)
+        handle.flush()
+        for start in range(0, len(table), step):
+            handle.buffer.write(_csv_lines(table[start:start + step],
+                                           handle.encoding))
 
 
 def _json_cell(value):
@@ -396,10 +632,12 @@ def _json_document(payload):
 
 def write_json(path, lines, columns, rows):
     """Write the table as JSON: {"meta", "columns", "rows"}, one-space indent,
-    every cell mapped by ``_json_cell``."""
+    every cell mapped by ``_json_cell``; ``rows`` as ``write_csv`` takes
+    them."""
     Path(path).write_text(_json_document(
         {"meta": lines, "columns": columns,
-         "rows": [list(map(_json_cell, row)) for row in rows]}))
+         "rows": [list(map(_json_cell, row))
+                  for row in _record_table(columns, rows).tolist()]}))
 
 
 def _json_path(out):
@@ -431,24 +669,26 @@ def _write_outputs(outputs):
     return [path for path, _ in outputs]
 
 
-def _emit(scenario, json_mirror, extra, columns, rows, notes):
-    """Write a figure table, headed by the scenario's lines and ``extra``,
-    and its mirror; then print what was written, followed by ``notes``."""
+def _emit(scenario, json_mirror, extra, columns, arrays, notes):
+    """Write a figure table of the column ``arrays``, headed by the
+    scenario's lines and ``extra``, and its mirror; then print what was
+    written, followed by ``notes``."""
     lines = _header_lines(scenario, extra)
+    table = _table(columns, arrays)
     outputs = [(scenario["out"],
-                lambda path: write_csv(path, lines, columns, rows))]
+                lambda path: write_csv(path, lines, columns, table))]
     if json_mirror:
         outputs.append((_json_path(scenario["out"]),
-                        lambda path: write_json(path, lines, columns, rows)))
+                        lambda path: write_json(path, lines, columns, table)))
     written = _write_outputs(outputs)
-    print(f"wrote {', '.join(written)} ({len(rows)} rows)")
+    print(f"wrote {', '.join(written)} ({len(table)} rows)")
     for note in notes:
         print(note)
 
 
 # ---------------------------------------------------------------------------
 # subcommands: each figure command returns its table as (extra header
-# lines, columns, rows, stdout notes), and ``main`` writes it
+# lines, column names, column arrays, stdout notes), and ``main`` writes it
 
 def cmd_spectrum(scenario):
     """Markov vs exact transmittance/reflectance sweep."""
@@ -470,14 +710,19 @@ def cmd_spectrum(scenario):
     flux = t_markov + r_markov - 1.0
     columns = ["omega_over_Omega", "T_markov", "R_markov",
                "T_nonmarkov", "R_nonmarkov", "flux_sum"]
-    rows = list(zip(*(column.tolist() for column in
-                      (ratio, t_markov, r_markov, t_exact, r_exact, flux))))
+    arrays = [ratio, t_markov, r_markov, t_exact, r_exact, flux]
     extra = ["sweep = %.17g .. %.17g, %d points" % (lo, hi, points),
              "max_abs_T_difference = %.17g"
              % float(np.max(np.abs(t_markov - t_exact))),
              "max_abs_R_difference = %.17g"
              % float(np.max(np.abs(r_markov - r_exact)))]
-    return extra, columns, rows, []
+    return extra, columns, arrays, []
+
+
+def _concatenated(parts):
+    """Column arrays of the blocks ``parts`` (lists of column arrays),
+    stacked block after block."""
+    return [np.concatenate(column) for column in zip(*parts)]
 
 
 _FIELD_COLUMNS = ["curve", "x_over_d", "omega_s_over_omega_q",
@@ -485,14 +730,15 @@ _FIELD_COLUMNS = ["curve", "x_over_d", "omega_s_over_omega_q",
                   "energy_u", "energy_v", "energy_w"]
 
 
-def _field_rows(params, x_over_d, ratios, omega, t, branch, label):
-    """Field-table rows over every drive carrier and x, carrier-major.
+def _field_columns(params, x_over_d, ratios, omega, t, branch, label):
+    """Field-table columns over every drive carrier and x, carrier-major.
 
     One engine call covers the whole outer product; ``omega`` holds the
     carriers in rad/s and ``ratios`` their omega_s/omega_q column values.
-    Each column is built once over the product and the columns are zipped
-    into rows.  The energies are |z|^2 / A^2 of Python complex values:
-    numpy's vectorized modulus rounds differently in the last bit.
+    The energies are |z|**2 / A**2 as Python computes them for a complex
+    z: ``np.hypot`` is the modulus of Python's ``abs`` and
+    ``np.float_power`` the libm ``pow`` of its ``**``, where ``np.abs`` and
+    ``np.square`` round differently in the last bit.
     """
     x_over_d = np.asarray(x_over_d, dtype=float)
     ratios = np.asarray(ratios, dtype=float)
@@ -501,14 +747,15 @@ def _field_rows(params, x_over_d, ratios, omega, t, branch, label):
                                        params, omega, branch)
     envelopes = [env[:, 0].ravel() for env in envelopes]
     amp2 = params.amplitude ** 2
-    columns = [[label] * (ratios.size * x_over_d.size),
-               np.tile(x_over_d, ratios.size).tolist(),
-               np.repeat(ratios, x_over_d.size).tolist()]
+    columns = [np.full(ratios.size * x_over_d.size, label),
+               np.tile(x_over_d, ratios.size),
+               np.repeat(ratios, x_over_d.size)]
     for env in envelopes:
-        columns += [env.real.tolist(), env.imag.tolist()]
+        columns += [env.real, env.imag]
     for env in envelopes:
-        columns.append([abs(z) ** 2 / amp2 for z in env.tolist()])
-    return list(zip(*columns))
+        columns.append(np.float_power(np.hypot(env.real, env.imag), 2.0)
+                       / amp2)
+    return columns
 
 
 def cmd_field(scenario):
@@ -532,41 +779,42 @@ def cmd_field(scenario):
     elif blocks is None:
         raise ScenarioError("field command needs grid.x_over_d "
                             "(or a figure preset)")
-    rows = []
+    parts = []
     for block in blocks:
         kind = block["kind"]
         if kind == "line":
             ratios = np.linspace(block["omega_lo"], block["omega_hi"],
                                  int(block["points"]))
             for xod in block["x_over_d"]:
-                rows.extend(_field_rows(p, [xod], ratios, ratios * p.omega_q,
-                                        t, branch, "line:x=%gd" % xod))
+                parts.append(_field_columns(p, [xod], ratios,
+                                            ratios * p.omega_q, t, branch,
+                                            "line:x=%gd" % xod))
         elif kind == "scan":
             x_over_d = np.linspace(block["x_lo"], block["x_hi"],
                                    int(block["points"]))
             for ratio in block["omega_s_over_omega_q"]:
-                rows.extend(_field_rows(p, x_over_d, [ratio],
-                                        [float(ratio) * p.omega_q], t, branch,
-                                        "scan:ws=%g" % ratio))
+                parts.append(_field_columns(p, x_over_d, [ratio],
+                                            [float(ratio) * p.omega_q], t,
+                                            branch, "scan:ws=%g" % ratio))
         elif kind == "fixed":
             # the configured drive at a handful of x values (one call each,
             # since they may lie in different regions)
             ratio = float(p.omega_s / p.omega_q)
             label = "fixed:ws=%g" % ratio
             for xod in block["x_over_d"]:
-                rows.extend(_field_rows(p, [xod], [ratio], [p.omega_s], t,
-                                        branch, label))
+                parts.append(_field_columns(p, [xod], [ratio], [p.omega_s],
+                                            t, branch, label))
         else:   # the x = -inf reflectance limit
             ratios = np.linspace(block["omega_lo"], block["omega_hi"],
                                  int(block["points"]))
             _, refl = fields.markov_spectra(ratios * p.omega_q, p)
-            nans = [float("nan")] * ratios.size
-            rows.extend(zip(["line:x=-inf"] * ratios.size,
-                            [-np.inf] * ratios.size, ratios.tolist(),
-                            *[nans] * 7, refl.tolist(), nans))
+            nans = np.full(ratios.size, np.nan)
+            parts.append([np.full(ratios.size, "line:x=-inf"),
+                          np.full(ratios.size, -np.inf), ratios,
+                          *[nans] * 7, refl, nans])
     extra = ["t_s = %.17g" % t, f"branch = {branch}",
              "energies normalized by amplitude^2"]
-    return extra, _FIELD_COLUMNS, rows, []
+    return extra, _FIELD_COLUMNS, _concatenated(parts), []
 
 
 def cmd_beating(scenario):
@@ -578,7 +826,7 @@ def cmd_beating(scenario):
                          [0.01, 0.02])
     n_periods = _count(cfg, "beating", "n_periods", 40)
     n_samples = _count(cfg, "beating", "n_samples", 4096, minimum=2)
-    rows = []
+    parts = []
     extra = ["x0_m = %.17g" % x0,
              "n_periods = %d" % n_periods, "n_samples = %d" % n_samples]
     notes = []
@@ -588,14 +836,14 @@ def cmd_beating(scenario):
         t, energy = fields.beat_note_series(drive, x0, n_periods=n_periods,
                                             n_samples=n_samples)
         _, _, peak, expected = fields.beat_note_fft(energy, drive, n_periods)
-        rows.extend(zip([label] * t.size, t.tolist(),
-                        (energy / drive.amplitude ** 2).tolist()))
+        parts.append([np.full(t.size, label), t,
+                      energy / drive.amplitude ** 2])
         extra.append("beat_peak_hz[%s] = %.17g (expected %.17g, "
                      "period %.17g s)" % (label, peak, expected,
                                           1.0 / expected))
         notes.append(f"  {label}: FFT peak {peak:.6g} Hz, "
                      f"expected {expected:.6g} Hz")
-    return extra, ["curve", "t_s", "energy_u"], rows, notes
+    return extra, ["curve", "t_s", "energy_u"], _concatenated(parts), notes
 
 
 def cmd_peaks(scenario):
@@ -614,13 +862,12 @@ def cmd_peaks(scenario):
     direct = np.abs(v[0, 0]) ** 2 / p.amplitude ** 2
     peak_formula = fields.reflected_resonance_peak(x, p)
     columns = ["x_over_d", "peak_value", "energy_at_resonance"]
-    rows = list(zip(x_over_d.tolist(), peak_formula.tolist(),
-                    direct.tolist()))
+    arrays = [x_over_d, peak_formula, direct]
     extra = ["t_s = %.17g" % t,
              "max_peak_value = %.17g" % float(np.max(peak_formula)),
              "max_abs_formula_vs_direct = %.17g"
              % float(np.max(np.abs(peak_formula - direct)))]
-    return extra, columns, rows, []
+    return extra, columns, arrays, []
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,7 @@ _SERIES_MAX_REAL = 0.5
 _SERIES_TERMS = 39
 _SERIES_COEFS = (1.0 / (np.arange(1, _SERIES_TERMS + 1)
                         * np.cumprod(np.arange(1.0, _SERIES_TERMS + 1))))[::-1]
+_SERIES_COEFS.setflags(write=False)
 # Start depth of the continued fraction: _CF_DEPTHS[k] for |z| below
 # _CF_BANDS[k], the last depth beyond the last band.  Each is the depth
 # at which the bound falls below _CF_EPS everywhere in its band with
@@ -60,11 +61,13 @@ _SERIES_COEFS = (1.0 / (np.arange(1, _SERIES_TERMS + 1)
 _CF_BANDS = (8.0, 10.0, 15.0, 20.0, 30.0, 40.0, 60.0, 100.0, 150.0, 300.0,
              1000.0)
 _CF_DEPTHS = np.array([36, 28, 22, 16, 12, 10, 8, 6, 5, 4, 3, 2])
+_CF_DEPTHS.setflags(write=False)
 # The band of |z| by whole |z| up to the last edge: the edges are whole
 # numbers, so floor(|z|) lies in the band of |z| itself, and one table
 # read replaces a binary search.
 _CF_BAND_OF = np.searchsorted(_CF_BANDS, np.arange(_CF_BANDS[-1] + 1),
                               side="right").astype(np.uint8)
+_CF_BAND_OF.setflags(write=False)
 _CF_MAX_ITER = 5000
 # Largest truncation bound accepted without evaluating deeper.
 _CF_EPS = 1e-16

@@ -699,7 +699,7 @@ def per_cell_write_csv():
 
 
 def _per_point_field_rows(params, x_over_d, ratios, omega, t, branch, label):
-    """``cli._field_rows`` in its per-point writing, as a reference.
+    """``cli._field_columns`` in its per-point writing, as a reference.
 
     The same one ``drive_sweep`` call, read off carrier by carrier and
     point by point into row tuples of numpy scalars.

@@ -450,18 +450,39 @@ EDGE_ROWS = [
 ]
 
 
-@pytest.mark.parametrize("rows", [EDGE_ROWS, []], ids=["edge", "empty"])
+def preset_table(preset):
+    """(columns, record table) of a preset's figure, as ``main`` writes it."""
+    command = cli.PRESETS[preset]["command"]
+    scenario = cli.build_scenario(
+        cli.build_parser().parse_args([command, "--preset", preset]))
+    _, columns, arrays, _ = cli._FIGURES[command](scenario)
+    return columns, cli._table(columns, arrays)
+
+
+PRESET_NAMES = sorted(cli.PRESETS, key=lambda name: int(name[3:]))
+
+
+@pytest.mark.parametrize("rows", [EDGE_ROWS, [], *PRESET_NAMES],
+                         ids=["edge", "empty", *PRESET_NAMES])
 def test_write_csv_matches_per_cell_writing(rows, tmp_path,
                                             per_cell_write_csv):
+    # the edge cells and every preset's table; the per-cell writer formats
+    # a record table's numbers from its Python floats
     lines = ["wqed test", "x = %.17g" % 0.1]
-    cli.write_csv(tmp_path / "got.csv", lines, EDGE_COLUMNS, rows)
-    per_cell_write_csv(tmp_path / "ref.csv", lines, EDGE_COLUMNS, rows)
+    columns = EDGE_COLUMNS
+    if isinstance(rows, str):
+        columns, rows = preset_table(rows)
+    cli.write_csv(tmp_path / "got.csv", lines, columns, rows)
+    per_cell_write_csv(tmp_path / "ref.csv", lines, columns,
+                       rows.tolist() if isinstance(rows, np.ndarray) else rows)
     got = (tmp_path / "got.csv").read_bytes()
     assert got == (tmp_path / "ref.csv").read_bytes()
     assert got.count(b"\n") == len(lines) + 1 + len(rows)
 
 
-@pytest.mark.parametrize("rows", [EDGE_ROWS, []], ids=["edge", "empty"])
+@pytest.mark.parametrize("rows", [EDGE_ROWS, [],
+                                  cli._record_table(EDGE_COLUMNS, EDGE_ROWS)],
+                         ids=["edge", "empty", "record_table"])
 def test_write_json_matches_json_dump_writing(rows, tmp_path):
     # the cell mapping over EDGE_ROWS, and json.dumps' one-space layout
     lines = ["wqed test", "x = %.17g" % 0.1, 'quote " and \u00e9']
@@ -473,7 +494,8 @@ def test_write_json_matches_json_dump_writing(rows, tmp_path):
     assert payload["meta"] == lines and payload["columns"] == EDGE_COLUMNS
     assert len(payload["rows"]) == len(rows)
     texts = []
-    for got, want in zip(payload["rows"], rows):
+    for got, want in zip(payload["rows"], rows.tolist()
+                         if isinstance(rows, np.ndarray) else rows):
         assert got[0] == want[0]
         for cell, value in zip(got[1:], want[1:]):
             value = float(value)
@@ -482,7 +504,7 @@ def test_write_json_matches_json_dump_writing(rows, tmp_path):
                 assert type(cell) is float and cell.hex() == value.hex()
             else:
                 texts.append(cell)
-    assert texts == (["nan", "inf", "-inf"] if rows else [])
+    assert texts == (["nan", "inf", "-inf"] if len(rows) else [])
 
 
 @pytest.mark.parametrize("preset", ["fig9", "fig10"])
@@ -523,10 +545,10 @@ def test_field_rows_match_per_point_writing(x_over_d, ratios, t, branch,
                                     amplitude=0.37)
     omega = np.asarray(ratios) * params.omega_q
     args = (params, x_over_d, ratios, omega, t, branch, "block")
-    rows = cli._field_rows(*args)
+    table = cli._table(cli._FIELD_COLUMNS, cli._field_columns(*args))
     ref = per_point_field_rows(*args)
-    assert len(rows) == len(ref) == len(ratios) * len(x_over_d)
-    cli.write_csv(tmp_path / "got.csv", [], cli._FIELD_COLUMNS, rows)
+    assert len(table) == len(ref) == len(ratios) * len(x_over_d)
+    cli.write_csv(tmp_path / "got.csv", [], cli._FIELD_COLUMNS, table)
     per_cell_write_csv(tmp_path / "ref.csv", [], cli._FIELD_COLUMNS, ref)
     assert (tmp_path / "got.csv").read_bytes() \
         == (tmp_path / "ref.csv").read_bytes()
