@@ -26,7 +26,8 @@ timestamps).  Each figure subcommand returns its table as whole column
 arrays, and ``main`` writes every table in one place, as a numpy record
 table whose numbers ``write_csv`` formats column by column in numpy: the
 bytes are those of '%.17g' % value, which formats the few cells the numpy
-path leaves out.
+path leaves out.  Scenario files are read as UTF-8, and every file the CLI
+writes is written as UTF-8 (JSON: ASCII) bytes, whatever the locale.
 """
 
 from __future__ import annotations
@@ -190,7 +191,7 @@ def _parse_value(raw):
 
 
 def read_scenario(path):
-    """Read an INI scenario file into {section: {key: value}}.
+    """Read a UTF-8 INI scenario file into {section: {key: value}}.
 
     Raises ScenarioError with the configparser line number on syntax
     errors, names the offending section/key on unknown entries, and names
@@ -200,7 +201,7 @@ def read_scenario(path):
     """
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             parser.read_file(handle, source=path)
     except OSError as exc:
         raise ScenarioError(f"cannot read config: {exc}") from exc
@@ -219,9 +220,10 @@ def read_scenario(path):
                 raise ScenarioError(
                     f"unknown key '{key}' in section [{section}]; allowed: "
                     + ", ".join(allowed))
-            # a path is text, even when it looks like a number or a list
-            scenario[section][key] = raw if section == "output" \
-                else _parse_value(raw)
+            # a path is text, even when it looks like a number or a list,
+            # and names the file of its UTF-8 bytes, as a byte argument would
+            scenario[section][key] = os.fsdecode(raw.encode()) \
+                if section == "output" else _parse_value(raw)
     # one quantity, one spelling per file; a file may still respell what a
     # preset gives, since _build_params prefers the SI spelling
     model = scenario.get("model", {})
@@ -371,20 +373,6 @@ def _table(columns, arrays):
     for name, array in zip(columns, arrays):
         table[name] = array
     return table
-
-
-def _record_table(columns, rows):
-    """``rows`` as a record table; a record table is returned as it is.
-
-    A sequence of row tuples keeps one type per column: the first row
-    makes a column text (str) if its cell is a str, float64 otherwise.
-    """
-    if isinstance(rows, np.ndarray):
-        return rows
-    cells = list(zip(*rows)) or [()] * len(columns)
-    return _table(columns, [
-        np.array(column, dtype=str if column and isinstance(column[0], str)
-                 else np.float64) for column in cells])
 
 
 # A number's '%.17g' text is laid out in _CELL byte slots, the unused ones
@@ -549,11 +537,10 @@ def _number_cells(x, out):
         ["%.17g" % v for v in x[slow].tolist()], _CELL)
 
 
-def _label_cells(column, encoding):
-    """Text cells as rows of bytes, encoded once per run of equal labels."""
+def _label_cells(column):
+    """Text cells as rows of UTF-8 bytes, encoded once per label run."""
     starts = np.concatenate(([True], column[1:] != column[:-1]))
-    labels = [label.encode(encoding)
-              for label in column[starts].tolist()]
+    labels = [label.encode() for label in column[starts].tolist()]
     if any(b"\0" in label for label in labels):
         raise ValueError("a CSV text cell holds a NUL character")
     return _text_cells(labels)[np.cumsum(starts) - 1]
@@ -562,7 +549,7 @@ def _label_cells(column, encoding):
 _CHUNK_CELLS = 1 << 13
 
 
-def _csv_lines(table, encoding):
+def _csv_lines(table):
     """The CSV lines of a record table, as one uint8 array of bytes.
 
     Each cell takes a fixed slot of a row matrix, the unused bytes 0, and
@@ -570,7 +557,7 @@ def _csv_lines(table, encoding):
     """
     names = table.dtype.names
     text = [table.dtype[name].kind == "U" for name in names]
-    labels = {i: _label_cells(table[name], encoding)
+    labels = {i: _label_cells(table[name])
               for i, name in enumerate(names) if text[i]}
     width = max([_CELL] + [cells.shape[1] for cells in labels.values()])
     rows = np.zeros((len(table), len(names), width + 1), np.uint8)
@@ -590,26 +577,23 @@ def _csv_lines(table, encoding):
     return rows[rows != 0]
 
 
-def write_csv(path, lines, columns, rows):
+def write_csv(path, lines, columns, table):
     """Write '#'-commented metadata, a column header, and %.17g rows.
 
-    ``rows`` is a record table, or row tuples that ``_record_table`` makes
-    into one; ``len(rows)`` is the row count.  A text field is written as
-    it is, any other as the bytes of '%.17g' % value.  The numbers are
+    ``table`` is a record table of one field per column; ``len(table)`` is
+    the row count.  The file is UTF-8 bytes: a text field is written as it
+    is, any other as the bytes of '%.17g' % value.  The numbers are
     formatted column by column in numpy, _CHUNK_CELLS cells at a time, by
     ``_number_cells``; '%.17g' itself formats the cells it does not settle
     (a magnitude outside [_FAST_MIN, _FAST_MAX), or a rounding within _TIE
     of a tie).  An empty table is its header alone.
     """
-    table = _record_table(columns, rows)
     step = max(1, _CHUNK_CELLS // max(1, len(table.dtype)))
-    with open(path, "w", newline="") as handle:
-        handle.writelines(f"# {line}\n" for line in lines)
-        handle.write(",".join(columns) + "\n")
-        handle.flush()
+    with open(path, "wb") as handle:
+        handle.write("".join([*(f"# {line}\n" for line in lines),
+                              ",".join(columns), "\n"]).encode())
         for start in range(0, len(table), step):
-            handle.buffer.write(_csv_lines(table[start:start + step],
-                                           handle.encoding))
+            handle.write(_csv_lines(table[start:start + step]))
 
 
 def _json_cell(value):
@@ -626,18 +610,16 @@ def _json_cell(value):
 
 
 def _json_document(payload):
-    """``payload`` as strict JSON text with a one-space indent."""
-    return json.dumps(payload, indent=1, allow_nan=False) + "\n"
+    """``payload`` as strict JSON with a one-space indent, in ASCII bytes."""
+    return (json.dumps(payload, indent=1, allow_nan=False) + "\n").encode()
 
 
-def write_json(path, lines, columns, rows):
-    """Write the table as JSON: {"meta", "columns", "rows"}, one-space indent,
-    every cell mapped by ``_json_cell``; ``rows`` as ``write_csv`` takes
-    them."""
-    Path(path).write_text(_json_document(
+def write_json(path, lines, columns, table):
+    """Write the record table as JSON: {"meta", "columns", "rows"}, one-space
+    indent, every cell mapped by ``_json_cell``."""
+    Path(path).write_bytes(_json_document(
         {"meta": lines, "columns": columns,
-         "rows": [list(map(_json_cell, row))
-                  for row in _record_table(columns, rows).tolist()]}))
+         "rows": [list(map(_json_cell, row)) for row in table.tolist()]}))
 
 
 def _json_path(out):
@@ -891,7 +873,7 @@ def cmd_oracle_check(args):
     if args.json:
         report = _json_document({"checks": results})
         written = _write_outputs([(args.out or f"{args.command}.json",
-                                   lambda path: Path(path).write_text(report))])
+                                   lambda path: Path(path).write_bytes(report))])
         print(f"wrote {written[0]}")
     n_passed = sum(r["passed"] for r in results)
     print(f"{n_passed}/{len(results)} checks passed")

@@ -631,14 +631,22 @@ def beat_note_series(params: ModelParams, x0: float, n_periods: int = 40,
 def beat_note_fft(energy, params: ModelParams, n_periods: int = 40):
     """FFT of a beat-note series from ``beat_note_series``.
 
-    ``energy`` samples a window of ``n_periods`` (at least 1) detuning
-    beats uniformly.  Returns (frequencies, |spectrum|, peak_frequency,
-    expected_frequency) with frequencies in Hz.
+    ``energy`` samples a window of ``n_periods`` (at least 1) beats of a
+    detuned drive uniformly, in more than 2 * ``n_periods`` finite values,
+    as ``beat_note_series`` gives them.  Returns (frequencies, |spectrum|,
+    peak_frequency, expected_frequency) with frequencies in Hz.
     """
     if n_periods < 1:
         raise ValueError(f"n_periods must be at least 1, got {n_periods}")
     energy = np.asarray(energy, dtype=float)
+    if energy.size <= 2 * n_periods:
+        raise ValueError(f"energy needs more than 2 * n_periods samples, got "
+                         f"{energy.size} for n_periods = {n_periods}")
+    if not np.all(np.isfinite(energy)):
+        raise ValueError("energy holds a non-finite sample")
     detune = params.omega_s - params.omega_q
+    if detune == 0:
+        raise ValueError("beat note needs a detuned drive")
     window = n_periods * 2.0 * np.pi / abs(detune)
     spectrum = np.fft.rfft(energy - energy.mean())
     freqs = np.fft.rfftfreq(energy.size, d=window / energy.size)

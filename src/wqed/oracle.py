@@ -476,8 +476,8 @@ class ContinuumResult:
     beta_2: np.ndarray
     norm: np.ndarray
     grid: ContinuumGrid
-    gamma_final: np.ndarray = field(repr=False, default=None)
-    delta_final: np.ndarray = field(repr=False, default=None)
+    gamma_final: np.ndarray = field(repr=False)
+    delta_final: np.ndarray = field(repr=False)
 
     @property
     def transmitted_flux(self) -> float:

@@ -679,17 +679,17 @@ def _per_cell_write_csv(path, lines, columns, rows):
     """``cli.write_csv`` in its per-cell writing, as a reference.
 
     Every cell is formatted on its own: text as itself, anything else as
-    %.17g, joined by commas row by row.
+    %.17g, joined by commas row by row, and each line written as UTF-8.
     """
     def fmt(value):
         return value if isinstance(value, str) else "%.17g" % value
 
-    with open(path, "w", newline="") as handle:
+    with open(path, "wb") as handle:
         for line in lines:
-            handle.write(f"# {line}\n")
-        handle.write(",".join(columns) + "\n")
+            handle.write(f"# {line}\n".encode())
+        handle.write((",".join(columns) + "\n").encode())
         for row in rows:
-            handle.write(",".join(fmt(v) for v in row) + "\n")
+            handle.write((",".join(fmt(v) for v in row) + "\n").encode())
 
 
 @pytest.fixture(scope="session")

@@ -441,13 +441,18 @@ def test_closed_stdout_after_a_table_keeps_the_table(tmp_path):
 
 
 # a table of the cells that %.17g writes in its own ways: nan, +-inf, -0.0,
-# the smallest subnormal, the largest decades, Python ints and a text column
+# the smallest subnormal, the largest decades, an integer column and a text
+# column; and the same table with no rows
 EDGE_COLUMNS = ["label", "a", "b", "c", "d", "n"]
-EDGE_ROWS = [
-    ("p", float("nan"), float("inf"), -0.0, 5e-324, 3),
-    ("q:x=-1d", float("-inf"), 1e308, 0.1, -5e-324, -12),
-    ("r", 1.0 / 3.0, -1e308, 2.5e-310, np.float64(1e-300), 0),
-]
+EDGE_TABLE = cli._table(EDGE_COLUMNS, [
+    ["p", "q:x=-1d", "r"],
+    [math.nan, -math.inf, 1.0 / 3.0],
+    [math.inf, 1e308, -1e308],
+    [-0.0, 0.1, 2.5e-310],
+    [5e-324, -5e-324, 1e-300],
+    [3, -12, 0],
+])
+EMPTY_TABLE = EDGE_TABLE[:0]
 
 
 def preset_table(preset):
@@ -462,40 +467,44 @@ def preset_table(preset):
 PRESET_NAMES = sorted(cli.PRESETS, key=lambda name: int(name[3:]))
 
 
-@pytest.mark.parametrize("rows", [EDGE_ROWS, [], *PRESET_NAMES],
+@pytest.mark.parametrize("table", [EDGE_TABLE, EMPTY_TABLE, *PRESET_NAMES],
                          ids=["edge", "empty", *PRESET_NAMES])
-def test_write_csv_matches_per_cell_writing(rows, tmp_path,
+def test_write_csv_matches_per_cell_writing(table, tmp_path,
                                             per_cell_write_csv):
     # the edge cells and every preset's table; the per-cell writer formats
     # a record table's numbers from its Python floats
-    lines = ["wqed test", "x = %.17g" % 0.1]
+    lines = ["wqed test", "x = %.17g" % 0.1, "caption: \u00e9"]
     columns = EDGE_COLUMNS
-    if isinstance(rows, str):
-        columns, rows = preset_table(rows)
-    cli.write_csv(tmp_path / "got.csv", lines, columns, rows)
-    per_cell_write_csv(tmp_path / "ref.csv", lines, columns,
-                       rows.tolist() if isinstance(rows, np.ndarray) else rows)
+    if isinstance(table, str):
+        columns, table = preset_table(table)
+    cli.write_csv(tmp_path / "got.csv", lines, columns, table)
+    per_cell_write_csv(tmp_path / "ref.csv", lines, columns, table.tolist())
     got = (tmp_path / "got.csv").read_bytes()
     assert got == (tmp_path / "ref.csv").read_bytes()
-    assert got.count(b"\n") == len(lines) + 1 + len(rows)
+    assert got.count(b"\n") == len(lines) + 1 + len(table)
 
 
-@pytest.mark.parametrize("rows", [EDGE_ROWS, [],
-                                  cli._record_table(EDGE_COLUMNS, EDGE_ROWS)],
-                         ids=["edge", "empty", "record_table"])
-def test_write_json_matches_json_dump_writing(rows, tmp_path):
-    # the cell mapping over EDGE_ROWS, and json.dumps' one-space layout
+def test_write_csv_refuses_a_nul_in_a_text_cell(tmp_path):
+    # the writer drops the 0 bytes of its cell slots, so a NUL would vanish
+    table = cli._table(["curve", "v"], [["a\0b"], [1.0]])
+    with pytest.raises(ValueError, match="NUL"):
+        cli.write_csv(tmp_path / "got.csv", [], ["curve", "v"], table)
+
+
+@pytest.mark.parametrize("table", [EDGE_TABLE, EMPTY_TABLE],
+                         ids=["edge", "empty"])
+def test_write_json_matches_json_dump_writing(table, tmp_path):
+    # the cell mapping over the edge table, and json.dumps' one-space layout
     lines = ["wqed test", "x = %.17g" % 0.1, 'quote " and \u00e9']
-    cli.write_json(tmp_path / "got.json", lines, EDGE_COLUMNS, rows)
+    cli.write_json(tmp_path / "got.json", lines, EDGE_COLUMNS, table)
     raw = (tmp_path / "got.json").read_bytes()
     assert raw.isascii() and b'"quote \\" and \\u00e9"' in raw
     payload = json.loads(raw, parse_constant=refuse_constant)
     assert raw.decode() == json.dumps(payload, indent=1) + "\n"
     assert payload["meta"] == lines and payload["columns"] == EDGE_COLUMNS
-    assert len(payload["rows"]) == len(rows)
+    assert len(payload["rows"]) == len(table)
     texts = []
-    for got, want in zip(payload["rows"], rows.tolist()
-                         if isinstance(rows, np.ndarray) else rows):
+    for got, want in zip(payload["rows"], table.tolist()):
         assert got[0] == want[0]
         for cell, value in zip(got[1:], want[1:]):
             value = float(value)
@@ -504,7 +513,7 @@ def test_write_json_matches_json_dump_writing(rows, tmp_path):
                 assert type(cell) is float and cell.hex() == value.hex()
             else:
                 texts.append(cell)
-    assert texts == (["nan", "inf", "-inf"] if len(rows) else [])
+    assert texts == (["nan", "inf", "-inf"] if len(table) else [])
 
 
 @pytest.mark.parametrize("preset", ["fig9", "fig10"])
@@ -781,6 +790,57 @@ def test_output_path_is_read_as_text(path, tmp_path, monkeypatch):
     assert code == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         ["out.ini", path])
+
+
+# an ASCII locale with neither UTF-8 mode nor locale coercion, and UTF-8 mode
+LOCALES = {"ascii": {"LC_ALL": "C", "PYTHONUTF8": "0",
+                     "PYTHONCOERCECLOCALE": "0"},
+           "utf8": {"PYTHONUTF8": "1"}}
+# write_csv of a non-ASCII meta line and label; the code is ASCII, since an
+# ASCII locale cannot decode a non-ASCII command line
+WRITE_NON_ASCII = (
+    "import sys\n"
+    "from wqed import cli\n"
+    "cli.write_csv(sys.argv[1], ['caption: \\u00e9'], ['curve', 'v'],\n"
+    "              cli._table(['curve', 'v'], [['\\u00e9:x=1d'], [0.5]]))\n")
+
+
+def run_in_locale(locale, argv, cwd):
+    """``python argv`` in ``cwd``, importing this ``wqed``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+               **LOCALES[locale])
+    return subprocess.run([sys.executable] + argv, cwd=cwd, env=env,
+                          capture_output=True)
+
+
+def test_write_csv_bytes_do_not_depend_on_the_locale(tmp_path):
+    for locale in LOCALES:
+        proc = run_in_locale(locale, ["-c", WRITE_NON_ASCII,
+                                      f"{locale}.csv"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / f"{locale}.csv").read_bytes() \
+            == b"# caption: \xc3\xa9\ncurve,v\n\xc3\xa9:x=1d,0.5\n"
+
+
+def test_config_is_read_as_utf8_in_any_locale(tmp_path):
+    # a UTF-8 [output] path names the file of its bytes, and the run writes
+    # the same tables and stdout as in UTF-8 mode
+    name = "r\u00e9s".encode()
+    outputs = {}
+    for locale in LOCALES:
+        (tmp_path / locale).mkdir()
+        (tmp_path / locale / "u.ini").write_bytes(
+            b"[output]\npath = " + name + b".csv\n")
+        proc = run_in_locale(locale, ["-m", "wqed.cli", "spectrum", "--preset",
+                                      "fig2", "--config", "u.ini", "--json"],
+                             tmp_path / locale)
+        assert proc.returncode == 0, proc.stderr
+        outputs[locale] = [proc.stdout] + [
+            (tmp_path / locale / os.fsdecode(name + suffix)).read_bytes()
+            for suffix in (b".csv", b".json")]
+    assert outputs["ascii"] == outputs["utf8"]
+    assert outputs["ascii"][0] == b"wrote " + name + b".csv, " + name \
+        + b".json (2001 rows)\n"
 
 
 @pytest.mark.parametrize("flag", [["--preset", "fig2"],

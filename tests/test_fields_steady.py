@@ -380,3 +380,19 @@ def test_beat_functions_need_a_whole_period(weak_even, n_periods):
 def test_beat_note_needs_detuning(weak_even):
     with pytest.raises(ValueError):
         fields.beat_note_series(weak_even, 2.0 * weak_even.distance)
+
+
+@pytest.mark.parametrize("detuning, energy, reason", [
+    (0.0, np.ones(64), "detuned drive"),
+    (0.01, np.ones(1), "more than 2 \\* n_periods"),
+    (0.01, np.ones(20), "more than 2 \\* n_periods"),
+    (0.01, np.r_[np.ones(63), np.nan], "non-finite"),
+    (0.01, np.r_[np.ones(63), -np.inf], "non-finite"),
+], ids=["resonant", "one-sample", "two-a-beat", "nan", "inf"])
+def test_beat_note_fft_refuses_what_the_series_refuses(weak_even, detuning,
+                                                       energy, reason):
+    # a resonant drive divided by zero, and a short or non-finite series
+    # gave a 0 Hz peak
+    p = weak_even.with_drive((1.0 + detuning) * weak_even.omega_q)
+    with pytest.raises(ValueError, match=reason):
+        fields.beat_note_fft(energy, p, n_periods=10)

@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(),
-                    flags=re.M | re.S)
+BLOCKS = re.findall(r"^```python\n(.*?)^```",
+                    README.read_text(encoding="utf-8"), flags=re.M | re.S)
 
 
 def test_readme_has_python_blocks():

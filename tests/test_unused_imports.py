@@ -6,7 +6,8 @@ the names an import statement binds with the names the module reads.
 through ``__all__`` are exempt.  A private top-level name of ``src/wqed``
 (one underscore, not a dunder) must be read somewhere in the package or
 the tests: as a name, as an attribute, or by a ``from`` import.  Only the
-tests may read it from outside its own module.
+tests may read it from outside its own module.  No file I/O of the package
+takes its encoding from the locale.
 """
 
 import ast
@@ -187,3 +188,48 @@ def test_every_conftest_definition_is_read():
     conftest = (ROOT / "tests" / "conftest.py").read_text()
     assert [name for name in top_level_names(conftest)
             if name not in reads] == []
+
+
+def locale_dependent_io(source: str) -> list[int]:
+    """Lines of the calls whose file encoding is the locale's: an ``open``
+    in text mode that names no ``encoding``, and any ``read_text`` or
+    ``write_text``.  ``os.open`` makes no file object and is left out."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) \
+                and func.attr in ("read_text", "write_text"):
+            lines.append(node.lineno)
+            continue
+        if isinstance(func, ast.Name) and func.id == "open":
+            position = 1                    # open(file, mode, ...)
+        elif isinstance(func, ast.Attribute) and func.attr == "open" \
+                and not (isinstance(func.value, ast.Name)
+                         and func.value.id == "os"):
+            position = 0                    # path.open(mode, ...)
+        else:
+            continue
+        keywords = {keyword.arg: keyword.value for keyword in node.keywords}
+        mode = node.args[position] if len(node.args) > position \
+            else keywords.get("mode")
+        binary = isinstance(mode, ast.Constant) and "b" in str(mode.value)
+        if not binary and "encoding" not in keywords:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_scan_finds_locale_dependent_io():
+    source = ("open(p)\nopen(p, 'w', newline='')\nopen(p, 'rb')\n"
+              "open(p, mode='wb')\nopen(p, encoding='utf-8')\n"
+              "open('b.txt')\nq.open()\nq.open('rb')\nos.open(p, 0)\n"
+              "q.read_text(encoding='utf-8')\nq.write_text(s)\n"
+              "q.write_bytes(b)\n")
+    assert locale_dependent_io(source) == [1, 2, 6, 7, 10, 11]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "wqed").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_file_io_depends_on_the_locale(path):
+    assert locale_dependent_io(path.read_text(encoding="utf-8")) == []
