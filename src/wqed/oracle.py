@@ -2,10 +2,13 @@
 
 Nothing in here reuses the engine's special functions or kernel algebra:
 the defining frequency integrals are done by composite Gauss-Legendre
-panels with an analytic high-frequency tail (scipy's sine/cosine integrals,
-an implementation independent of the hand-built ones), one panel sum for
-both the master kernel and the qubit memory kernel, whose integrand is
-the kernel's at center Omega up to a constant factor, the driven two-qubit
+panels, one panel sum for both the master kernel and the qubit memory
+kernel, whose integrand is the kernel's at center Omega up to a constant
+factor.  The master kernel's panels stop at 5 times the largest
+frequency, and beyond that 12 terms of 1/(omega - a) in powers of
+a/omega are added in closed form, their moments from scipy's sine/cosine
+integrals (an implementation independent of the hand-built ones) and a
+recurrence, or from Gauss-Laguerre on a turned path.  The driven two-qubit
 system is integrated in time by a plain RK4 on complex scalars, and the
 full qubit+continuum Schroedinger equation is evolved on a discretized
 frequency comb.  Each keeps its plain discretization (panels and nodes,
@@ -41,7 +44,7 @@ from .model import (CollectiveRates, ModelParams, collective_rates,
 # nodes are summed CHUNK_NODES at a time.  Panel phases come from a coarse
 # table of one exponential per PHASE_FINE panels times a fine table of
 # PHASE_FINE entries; a chunk starts on a multiple of PHASE_FINE panels.
-# At 8 panels per period the kernel is within 2.3e-10 of max(|K|, 1e-3) of
+# At 8 panels per period the kernel is within 1.7e-10 of max(|K|, 1e-3) of
 # the same sum at 32 (tests/test_oracle.py bounds it at 1e-9).
 POINTS_PER_PERIOD = 8
 PANEL_ORDER = 8
@@ -49,22 +52,54 @@ MAX_NODES = 2.0e7
 CHUNK_NODES = 65536
 PHASE_FINE = 64
 
+# The panels run up to the cutoff W = CUTOFF_FACTOR times the largest
+# frequency in the problem; beyond it 1/(omega - a) = sum_k a^{k-1}/omega^k
+# is integrated in closed form to TAIL_TERMS terms, which leaves out about
+# CUTOFF_FACTOR^-TAIL_TERMS = 4.1e-9 of the tail.  Each term's moment
+# takes a recurrence below |W s| = TAIL_SWITCH and a TAIL_NODES-point
+# Gauss-Laguerre sum from there on (``_tail_moments``).
+CUTOFF_FACTOR = 5.0
+TAIL_TERMS = 12
+TAIL_SWITCH = 6.0
+TAIL_NODES = 64
+
 # The PANEL_ORDER-point Gauss-Legendre rule on [-1, 1], read-only.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(PANEL_ORDER)
 _GL_NODES.setflags(write=False)
 _GL_WEIGHTS.setflags(write=False)
+# The TAIL_NODES-point Gauss-Laguerre rule on [0, inf), read-only.
+_GLAG_NODES, _GLAG_WEIGHTS = np.polynomial.laguerre.laggauss(TAIL_NODES)
+_GLAG_NODES.setflags(write=False)
+_GLAG_WEIGHTS.setflags(write=False)
 
 
-def _tail_inverse_omega(s: float, cutoff: float) -> complex:
-    """Closed form of int_W^inf e^{i omega s} / omega domega (s != 0)."""
-    y = abs(s) * cutoff
-    si_y, ci_y = special.sici(y)
-    return -ci_y - 1j * np.sign(s) * (si_y - 0.5 * np.pi)
+def _tail_moments(s: float, cutoff: float) -> np.ndarray:
+    """I_k = int_W^inf e^{i omega s} omega^{-k} domega, k = 1..TAIL_TERMS.
 
-
-def _tail_inverse_omega_sq(s: float, cutoff: float) -> complex:
-    """Closed form of int_W^inf e^{i omega s} / omega^2 domega."""
-    return np.exp(1j * cutoff * s) / cutoff + 1j * s * _tail_inverse_omega(s, cutoff)
+    I_k = W^{1-k} E_k(-iy) with W the cutoff and y = W s (s != 0), and
+    I_k at -s is the conjugate of I_k at s.  For y > 0, turning the path
+    at omega = W up the line W (1 + iu) gives
+    E_k(-iy) = (i e^{iy}/y) int_0^inf e^{-v} (1 + iv/y)^{-k} dv, whose
+    integrand is smooth with its one singularity y away, so from
+    y = TAIL_SWITCH on it is a TAIL_NODES-point Gauss-Laguerre sum.  Below
+    that, E_1 comes from scipy's sine and cosine integrals and the rest
+    from the upward recurrence E_k = (e^{iy} + iy E_{k-1})/(k - 1), which
+    multiplies the error of E_1 by at most y^{k-1}/(k-1)!.
+    """
+    y = cutoff * abs(s)
+    edge = np.exp(1j * y)
+    if y < TAIL_SWITCH:
+        si_y, ci_y = special.sici(y)
+        e_k = [-ci_y - 1j * (si_y - 0.5 * np.pi)]
+        for k in range(1, TAIL_TERMS):
+            e_k.append((edge + 1j * y * e_k[-1]) / k)
+        e_k = np.array(e_k)
+    else:
+        ratio = 1.0 / (1.0 + 1j * _GLAG_NODES / y)
+        powers = np.cumprod(np.tile(ratio, (TAIL_TERMS, 1)), axis=0)
+        e_k = (1j * edge / y) * (powers @ _GLAG_WEIGHTS)
+    moments = e_k * cutoff ** -np.arange(float(TAIL_TERMS))
+    return moments if s > 0 else moments.conj()
 
 
 def _phase_tables(s: float, width: float, n_panels: int):
@@ -204,19 +239,22 @@ def _panel_sum(s1: float, t: float, a: complex, width: float,
 
 
 def quad_kernel(s1: float, t: float, a: complex, params: ModelParams,
-                cutoff_factor: float = 20.0) -> complex:
+                cutoff_factor: float = CUTOFF_FACTOR) -> complex:
     """Defining frequency integral of the master kernel, by brute force.
 
     Evaluates K(s1, t; a) = int_0^inf phi(omega - a, t) e^{i omega (s1 - t)}
     domega with phi(z, t) = (e^{izt} - 1)/z, for the same arguments as
     ``fields.closed_kernel``: the retarded coordinate s1, (x or x - d)/v_g
     forward and -(x or x - d)/v_g backward, the time t and the center a.
-    Up to a hard cutoff the integral is the panel sum ``_panel_sum``, on
-    panels at most 1/POINTS_PER_PERIOD of the fastest oscillation wide (and
-    a quarter of the line width of a decaying center); beyond it the
-    integrand's 1/omega and a/omega^2 tails are added in closed form.
-    Same integral, same nodes, no E1 and no closed-form algebra, so it
-    stays independent of the engine.
+    Up to a hard cutoff W, by default CUTOFF_FACTOR times the largest
+    frequency in the problem, the integral is the panel sum ``_panel_sum``,
+    on panels at most 1/POINTS_PER_PERIOD of the fastest oscillation wide
+    (and a quarter of the line width of a decaying center); beyond it
+    1/(omega - a) is expanded in powers of a/omega, and the first
+    TAIL_TERMS terms are added in closed form (``_tail_moments``), which
+    leaves out about (|a|/W)^TAIL_TERMS of the tail.  Same integral, same
+    nodes, none of the engine's E1 and no closed-form algebra, so it stays
+    independent of the engine.
 
     Parameters
     ----------
@@ -231,7 +269,8 @@ def quad_kernel(s1: float, t: float, a: complex, params: ModelParams,
         Only sets the cutoff, through Omega and the drive carrier.
     cutoff_factor : float
         Hard frequency cutoff as a multiple of the largest frequency in the
-        problem, finite and > 0.
+        problem, finite and > 1, so that the tail's series in a/omega
+        converges.
 
     Returns
     -------
@@ -240,8 +279,8 @@ def quad_kernel(s1: float, t: float, a: complex, params: ModelParams,
     a = complex(a)
     if not all(map(cmath.isfinite, (s1, t, a))):
         raise ValueError("s1, t and a must be finite")
-    if not (cmath.isfinite(cutoff_factor) and cutoff_factor > 0):
-        raise ValueError("cutoff_factor must be finite and positive")
+    if not (cmath.isfinite(cutoff_factor) and cutoff_factor > 1):
+        raise ValueError("cutoff_factor must be finite and above 1")
     if t <= 0:
         raise ValueError("t must be positive")
     s2 = s1 - t
@@ -258,11 +297,10 @@ def quad_kernel(s1: float, t: float, a: complex, params: ModelParams,
     n_panels = _panel_count(cutoff, h)
     total = _panel_sum(s1, t, a, cutoff / n_panels, n_panels)
 
-    # Analytic tail: 1/(omega - a) ~ 1/omega + a/omega^2 beyond the cutoff.
-    tail = np.exp(-1j * a * t) * (_tail_inverse_omega(s1, cutoff)
-                                  + a * _tail_inverse_omega_sq(s1, cutoff)) \
-        - (_tail_inverse_omega(s2, cutoff)
-           + a * _tail_inverse_omega_sq(s2, cutoff))
+    # Analytic tail: 1/(omega - a) = sum_k a^{k-1}/omega^k beyond the cutoff.
+    powers = a ** np.arange(TAIL_TERMS)
+    tail = np.exp(-1j * a * t) * (powers @ _tail_moments(s1, cutoff)) \
+        - powers @ _tail_moments(s2, cutoff)
     return complex(total + tail)
 
 

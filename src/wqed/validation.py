@@ -170,7 +170,7 @@ def checks(full=False):
         ("E1 large-argument asymptotics", 1.0e-4,
          lambda rng: e1_asymptotics(rng, 100)),
         ("E1(1) reference value", 1.0e-6, lambda rng: e1_reference()),
-        (f"damped kernels vs quadrature ({n_kernels} samples)", 1.0e-3,
+        (f"damped kernels vs quadrature ({n_kernels} samples)", 1.0e-5,
          lambda rng: max(kernel_errors(
              rng, n_kernels, {"closed": fields.closed_kernel}).values())),
         ("qubit amplitudes vs Markov ODE", 1.0e-6,

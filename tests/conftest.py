@@ -21,14 +21,15 @@ from wqed.oracle import (
     CHUNK_NODES,
     CONTINUUM_KEEP_EVERY,
     CONTINUUM_STEP,
+    CUTOFF_FACTOR,
     PANEL_ORDER,
     PHASE_FINE,
     POINTS_PER_PERIOD,
+    TAIL_TERMS,
     ContinuumResult,
     _phase_tables,
     _rise,
-    _tail_inverse_omega,
-    _tail_inverse_omega_sq,
+    _tail_moments,
     gaussian_spectrum,
     make_continuum_grid,
 )
@@ -397,7 +398,7 @@ def _per_node_quad_kernel(s1, t, a, params):
     """
     s2 = s1 - t
     a = complex(a)
-    cutoff = 20.0 * max(params.omega_q, params.omega_s, abs(a))
+    cutoff = CUTOFF_FACTOR * max(params.omega_q, params.omega_s, abs(a))
     h = 2.0 * np.pi / (POINTS_PER_PERIOD * max(abs(s1), abs(s2), t))
     if a.imag < 0:
         h = min(h, -a.imag / 4.0)
@@ -416,10 +417,9 @@ def _per_node_quad_kernel(s1, t, a, params):
         phi = np.where(small, 1j * t * (1.0 + 0.5j * zt),
                        (np.exp(1j * zt) - 1.0) / np.where(small, 1.0, z))
         total += np.sum(phi * np.exp(1j * omega * s2) * ref_w[None, :])
-    tail = np.exp(-1j * a * t) * (_tail_inverse_omega(s1, cutoff)
-                                  + a * _tail_inverse_omega_sq(s1, cutoff)) \
-        - (_tail_inverse_omega(s2, cutoff)
-           + a * _tail_inverse_omega_sq(s2, cutoff))
+    powers = a ** np.arange(TAIL_TERMS)
+    tail = np.exp(-1j * a * t) * (powers @ _tail_moments(s1, cutoff)) \
+        - powers @ _tail_moments(s2, cutoff)
     return complex(total + tail)
 
 

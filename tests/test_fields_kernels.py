@@ -52,8 +52,10 @@ def test_closed_kernels_match_quadrature(tag, way, center, kernel_centers):
 
 
 def test_closed_kernels_tight_agreement_with_long_tail(kernel_centers):
-    # with a longer quadrature cutoff the oracle itself sharpens and the
-    # agreement drops well below the routine tolerance
+    # with its 12-term analytic tail the oracle at its default cutoff is
+    # sharp enough to hold the closed kernels far below the routine
+    # tolerance (measured 2.8e-11 and 3.4e-11, so the bound leaves a
+    # margin of about 3)
     p = _preset("generic")
     centers = kernel_centers(p)
     t = 20.0 / p.gamma
@@ -62,9 +64,9 @@ def test_closed_kernels_tight_agreement_with_long_tail(kernel_centers):
                        ("drive", 1.5 * p.distance / p.v_g)):
         a = centers[center]
         closed = fields.closed_kernel(s1, t, a)
-        brute = quad_kernel(s1, t, a, p, cutoff_factor=40.0)
+        brute = quad_kernel(s1, t, a, p)
         worst = max(worst, abs(complex(closed) - brute) / abs(brute))
-    assert worst < 1e-5
+    assert worst < 1e-10
 
 
 def test_kernel_winding_across_the_wavefront(kernel_centers):

@@ -9,6 +9,7 @@ lattice transmittance.
 
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,10 +18,14 @@ from wqed import oracle, validation
 from wqed.model import ModelParams
 from wqed.oracle import (
     CHUNK_NODES,
+    CUTOFF_FACTOR,
     MAX_NODES,
     PANEL_ORDER,
     PHASE_FINE,
     POINTS_PER_PERIOD,
+    TAIL_SWITCH,
+    TAIL_TERMS,
+    _tail_moments,
     continuum_evolve,
     gaussian_spectrum,
     half_line_limits,
@@ -177,7 +182,7 @@ def test_factored_quadrature_matches_per_node_writing_at_tiny_times(
 def _panel_width(s1, t, p):
     """The quadrature's panel width for a center no larger than Omega."""
     h = 2.0 * np.pi / (POINTS_PER_PERIOD * max(abs(s1), abs(s1 - t), t))
-    cutoff = 20.0 * max(p.omega_q, p.omega_s)
+    cutoff = CUTOFF_FACTOR * max(p.omega_q, p.omega_s)
     return cutoff / int(np.ceil(cutoff / h))
 
 
@@ -211,7 +216,7 @@ def test_near_panel_split_matches_per_node_writing(place, weak_generic,
                                    0.5)
         s1, t = 2.0 * p.distance / p.v_g, 1e-19
         a = p.omega_q
-        assert 20.0 * p.omega_q < a + 2e-8 / t
+        assert CUTOFF_FACTOR * p.omega_q < a + 2e-8 / t
     assert a <= p.omega_q    # so the cutoff, and the width, are Omega's
     ref = per_node_quad_kernel(s1, t, a, p)
     got = quad_kernel(s1, t, a, p)
@@ -239,9 +244,9 @@ def test_quadrature_density_resolves_the_kernel(ratio, phase, center, sign,
                                                 shift, lapse, kernel_centers):
     # the kernel at POINTS_PER_PERIOD against the same quadrature at four
     # times the density, from just past the light front to 60/Gamma; the
-    # dense rule stays under MAX_NODES (about 5e6 nodes at Gamma = 0.01
-    # Omega and t = 60/Gamma).  Measured at most 2.3e-10 over 4,500 draws,
-    # so the bound leaves a margin of about 4.
+    # dense rule stays under MAX_NODES (about 1.2e6 nodes at Gamma = 0.01
+    # Omega and t = 60/Gamma).  Measured at most 1.7e-10 over 4,500 draws,
+    # so the bound leaves a margin of about 6.
     p = ModelParams.from_phase(OMEGA_Q, ratio * OMEGA_Q, phase,
                                omega_s=1.005 * OMEGA_Q)
     a = kernel_centers(p)[center]
@@ -250,6 +255,60 @@ def test_quadrature_density_resolves_the_kernel(ratio, phase, center, sign,
     got = quad_kernel(s1, t, a, p)
     dense = _at_density(4 * POINTS_PER_PERIOD, quad_kernel, s1, t, a, p)
     assert abs(got - dense) <= 1e-9 * max(abs(dense), 1e-3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(ratio=st.sampled_from([0.01, 0.1]),
+       phase=st.sampled_from([0.8, 2.0, 5.0]),
+       center=st.sampled_from(["decay_plus", "decay_minus", "drive",
+                               "resonant"]),
+       sign=st.sampled_from([1.0, -1.0]),
+       shift=st.floats(0.1, 5.0),
+       lapse=st.floats(1e-4, 1.0))
+def test_quad_kernel_matches_the_multiprecision_kernel(ratio, phase, center,
+                                                       sign, shift, lapse,
+                                                       kernel_centers,
+                                                       mp_kernel):
+    # the quadrature against the closed kernel at 40 digits over the
+    # density test's space.  Measured at most 6.2e-8 of max(|K|, 1e-3), on
+    # a fine grid round the worst spot, where |K| dips just below the
+    # floor; the largest absolute error on a 43,200-point grid of the
+    # space, 8.2e-10, over the 1e-3 floor caps it at 8.2e-7 wherever |K|
+    # dips, so the bound holds a margin of 16 over the measured worst and
+    # 1.2 over that cap
+    p = ModelParams.from_phase(OMEGA_Q, ratio * OMEGA_Q, phase,
+                               omega_s=1.005 * OMEGA_Q)
+    a = kernel_centers(p)[center]
+    s1 = sign * shift * p.distance / p.v_g
+    t = max(s1, 0.0) + lapse * 60.0 / p.gamma
+    got = quad_kernel(s1, t, a, p)
+    ref = complex(mp_kernel(s1, t, a))
+    assert abs(got - ref) <= 1e-6 * max(abs(ref), 1e-3)
+
+
+def test_tail_moments_match_mpmath():
+    # I_k(s) = W^{1-k} E_k(-iWs) at 30 digits for every tail term, over
+    # |Ws| from 1e-3 to 1e6 of both signs and on either side of the switch
+    # from the recurrence to Gauss-Laguerre; I_k at -s is the conjugate
+    # of I_k at s.  W is a power of two near the validation presets'
+    # cutoff, so that W s is exact and the phase e^{iWs} takes no
+    # rounding (measured at most 3.5e-13 relative, at the switch, so the
+    # bound leaves a margin of about 4)
+    cutoff = 2.0 ** 37
+    ys = np.concatenate([np.geomspace(1e-3, 1e6, 28),
+                         TAIL_SWITCH * np.array([1.0 - 1e-9, 1.0, 1.1])])
+    worst = 0.0
+    with mpmath.workdps(30):
+        for y in ys:
+            s = y / cutoff
+            z = -1j * mpmath.mpf(cutoff) * mpmath.mpf(s)
+            ref = np.array([complex(mpmath.mpf(cutoff) ** (1 - k)
+                                    * mpmath.expint(k, z))
+                            for k in range(1, TAIL_TERMS + 1)])
+            for got, want in ((_tail_moments(s, cutoff), ref),
+                              (_tail_moments(-s, cutoff), ref.conj())):
+                worst = max(worst, np.max(np.abs(got - want) / np.abs(want)))
+    assert worst <= 1.5e-12
 
 
 @pytest.mark.parametrize("center", ["drive", "decay_plus"])
@@ -261,7 +320,7 @@ def test_product_sum_matches_node_column_writing_past_a_chunk_multiple(
     p = validation._presets()["generic"]
     a = kernel_centers(p)[center]
     target = 11 * (CHUNK_NODES // PANEL_ORDER) + 5
-    cutoff = 20.0 * max(p.omega_q, p.omega_s, abs(a))
+    cutoff = CUTOFF_FACTOR * max(p.omega_q, p.omega_s, abs(a))
     t = (target - 0.5) * 2.0 * np.pi / (POINTS_PER_PERIOD * cutoff)
     s1 = 0.3 * t    # so t is the fastest scale
     h = 2.0 * np.pi / (POINTS_PER_PERIOD * t)
@@ -284,7 +343,7 @@ def test_quad_kernel_memory_stays_within_its_buffers(weak_generic,
     # 2.69 MB)
     p = weak_generic.with_drive(1.005 * weak_generic.omega_q)
     a = kernel_centers(p)["decay_plus"]
-    cutoff = 20.0 * max(p.omega_q, p.omega_s, abs(a))
+    cutoff = CUTOFF_FACTOR * max(p.omega_q, p.omega_s, abs(a))
     n_panels = int(MAX_NODES // PANEL_ORDER) - 1000
     t = (n_panels - 0.5) * 2.0 * np.pi / (POINTS_PER_PERIOD * cutoff)
     chunk = CHUNK_NODES // PANEL_ORDER
@@ -303,13 +362,15 @@ def test_quad_kernel_memory_stays_within_its_buffers(weak_generic,
 
 def test_quad_kernel_sharpens_with_cutoff(weak_generic, kernel_centers):
     # doubling the frequency cutoff must shrink the tail error, and the
-    # two cutoffs must agree at the coarser one's accuracy
+    # two cutoffs must agree at the default one's accuracy (measured
+    # 1.3e-10 here, where the doubled cutoff is 6.2e-12 off the closed
+    # kernel; the bound leaves a margin of about 4)
     p = weak_generic.with_drive(1.005 * weak_generic.omega_q)
     a = kernel_centers(p)["decay_plus"]
     s1, t = 2.0 * p.distance / p.v_g, 15.0 / p.gamma
-    short = quad_kernel(s1, t, a, p, cutoff_factor=20.0)
-    long = quad_kernel(s1, t, a, p, cutoff_factor=40.0)
-    assert abs(short - long) / abs(long) < 1e-3
+    short = quad_kernel(s1, t, a, p)
+    long = quad_kernel(s1, t, a, p, cutoff_factor=2.0 * CUTOFF_FACTOR)
+    assert abs(short - long) / abs(long) < 5e-10
     assert abs(short - long) > 0  # the tail is genuinely being integrated
 
 
@@ -337,11 +398,13 @@ def test_quad_kernel_refuses_non_finite_arguments(arg, value, weak_generic):
         quad_kernel(args["s1"], args["t"], args["a"], p)
 
 
-@pytest.mark.parametrize("factor", [-1.0, 0.0, np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("factor", [-1.0, 0.0, 0.5, 1.0, np.nan, np.inf,
+                                    -np.inf])
 def test_quad_kernel_refuses_a_bad_cutoff_factor(factor, weak_generic):
     # a negative factor would integrate up to a negative cutoff, 0 has no
-    # panel width and NaN or inf no panel count; each is refused before
-    # any table is built
+    # panel width, NaN or inf no panel count, and at a factor of 1 or less
+    # the tail's series in a/omega diverges at the largest center; each is
+    # refused before any table is built
     p = weak_generic
     tracemalloc.start()
     try:

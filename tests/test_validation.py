@@ -7,8 +7,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from wqed import amplitudes, validation
+from wqed import amplitudes, cli, fields, oracle, validation
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -38,6 +39,41 @@ def test_amplitude_measures_catch_wrong_amplitudes(monkeypatch, weak_generic):
     assert validation.spectral_vs_quadrature(p, [0.995 * p.omega_q],
                                              10.0 / p.gamma) \
         > tols["spectral amplitudes vs quadrature"]
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["quick", "full"])
+def test_kernel_row_catches_a_kernel_off_by_1e_4(full, monkeypatch):
+    # a closed kernel 1e-4 too large passed the row at its former 1e-3
+    # tolerance; the rows run in table order on the suite's one stream, as
+    # in ``wqed oracle-check``, up to the kernel row
+    closed = fields.closed_kernel
+    monkeypatch.setattr(fields, "closed_kernel",
+                        lambda *args: closed(*args) * (1.0 + 1e-4))
+    rng = np.random.default_rng(validation.SEED)
+    for name, tol, measure in validation.checks(full):
+        err = measure(rng)
+        if name.startswith("damped kernels vs quadrature"):
+            break
+    assert err > tol
+
+
+def test_quick_oracle_check_keeps_its_node_budget(monkeypatch, capsys):
+    # the panels one quick pass hands to the quadrature, counted instead
+    # of timed: 282,982 over its 12 kernel calls with the cutoff at
+    # 5 times the largest frequency (1,131,911 at 20 times), pinned with
+    # a margin of 2%
+    panels = []
+    panel_sum = oracle._panel_sum
+
+    def counting(s1, t, a, width, n_panels):
+        panels.append(n_panels)
+        return panel_sum(s1, t, a, width, n_panels)
+
+    monkeypatch.setattr(oracle, "_panel_sum", counting)
+    assert cli.main(["oracle-check"]) == 0
+    assert capsys.readouterr().out.endswith("7/7 checks passed\n")
+    assert len(panels) == 12
+    assert sum(panels) <= 288_600
 
 
 def test_scipy_stays_in_the_oracle_layer():
