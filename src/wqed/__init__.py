@@ -50,7 +50,6 @@ from .fields import (
     reflected_resonance_peak,
     interqubit_resonance_peak,
     beat_note_series,
-    beat_note_fft,
 )
 
 __all__ = [
@@ -66,5 +65,5 @@ __all__ = [
     "interqubit_field", "drive_sweep",
     "markov_spectra", "nonmarkov_spectra",
     "transmitted_resonance_peak", "reflected_resonance_peak",
-    "interqubit_resonance_peak", "beat_note_series", "beat_note_fft",
+    "interqubit_resonance_peak", "beat_note_series",
 ]

@@ -815,9 +815,9 @@ def cmd_beating(scenario):
     for det in detunings:
         drive = p.with_drive((1.0 + det) * p.omega_q)
         label = "det=%g" % det
-        t, energy = fields.beat_note_series(drive, x0, n_periods=n_periods,
-                                            n_samples=n_samples)
-        _, _, peak, expected = fields.beat_note_fft(energy, drive, n_periods)
+        t, energy, peak = fields.beat_note_series(
+            drive, x0, n_periods=n_periods, n_samples=n_samples)
+        expected = abs(drive.omega_s - drive.omega_q) / (2.0 * np.pi)
         parts.append([np.full(t.size, label), t,
                       energy / drive.amplitude ** 2])
         extra.append("beat_peak_hz[%s] = %.17g (expected %.17g, "

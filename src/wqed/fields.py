@@ -234,6 +234,14 @@ class SpaceTimeGrid:
     region: Region
 
 
+def _check_phases(omega, t):
+    """Refuse a phase omega * t at or past 2^53, where it has no fractional
+    bits and the rounding of t alone moves it by a radian or more."""
+    if t >= 2 ** 53 / omega:
+        raise ValueError("times too late: a phase max(omega_q, omega_s) * t "
+                         "must stay below 2^53")
+
+
 def space_time_grid(params: ModelParams, x, t,
                     region: Region | None = None) -> SpaceTimeGrid:
     """Build and validate an observation grid.
@@ -251,11 +259,7 @@ def space_time_grid(params: ModelParams, x, t,
         raise ValueError("grid coordinates must be finite")
     if np.any(t <= 0):
         raise ValueError("times must be strictly positive")
-    # past 2^53 a phase omega t has no fractional bits, so the rounding of
-    # t alone moves it by a radian or more
-    if t.max() >= 2 ** 53 / max(params.omega_q, params.omega_s):
-        raise ValueError("times too late: a phase max(omega_q, omega_s) * t "
-                         "must stay below 2^53")
+    _check_phases(max(params.omega_q, params.omega_s), t.max())
     d = params.distance
     if np.all(x < 0):
         inferred = Region.BEFORE
@@ -386,6 +390,7 @@ def drive_sweep(grid: SpaceTimeGrid, rates: CollectiveRates,
             or np.any(omega <= 0):
         raise ValueError("drive carriers must be a 1-d array of "
                          "positive finite frequencies")
+    _check_phases(max(params.omega_q, omega.max()), grid.t.max())
     if rates != collective_rates(params):
         raise ValueError("rates do not match params: pass "
                          "collective_rates(params)")
@@ -601,14 +606,17 @@ def interqubit_resonance_peak(x, params: ModelParams):
 
 def beat_note_series(params: ModelParams, x0: float, n_periods: int = 40,
                      n_samples: int = 4096):
-    """Steady |u(x0, t)|^2 sampled uniformly over ``n_periods`` beats.
+    """Steady |u(x0, t)|^2 over ``n_periods`` beats, and its beat frequency.
 
     The window starts just after the incident front has passed x0 and
-    spans ``n_periods`` periods of the drive detuning.  The samples form
-    a Behind grid, so x0 must lie behind the pair and outside the
-    exclusion zone.  ``n_periods`` must be at least 1, and ``n_samples``
-    must exceed 2 * ``n_periods``, so that the beat lies below the Nyquist
-    frequency of the samples.  Returns (t, energy).
+    spans ``n_periods`` periods of the drive detuning, which must not be
+    zero.  The samples form a Behind grid, so x0 must lie behind the pair
+    and outside the exclusion zone.  ``n_periods`` must be at least 1, and
+    ``n_samples`` must exceed 2 * ``n_periods``, so that the beat lies
+    below the Nyquist frequency of the samples.  Returns (t, energy,
+    peak_hz): peak_hz is the largest bin of the spectrum of the energy less
+    its mean, on the frequency axis of this window, whose bins are
+    |omega_s - Omega| / (2 pi n_periods) Hz apart.
     """
     if n_periods < 1:
         raise ValueError(f"n_periods must be at least 1, got {n_periods}")
@@ -625,31 +633,7 @@ def beat_note_series(params: ModelParams, x0: float, n_periods: int = 40,
     grid = space_time_grid(params, [x0], t, region=Region.BEHIND)
     _, u, _, _ = drive_sweep(grid, collective_rates(params), params,
                              [params.omega_s], "steady")
-    return t, np.abs(u[0, :, 0]) ** 2
-
-
-def beat_note_fft(energy, params: ModelParams, n_periods: int = 40):
-    """FFT of a beat-note series from ``beat_note_series``.
-
-    ``energy`` samples a window of ``n_periods`` (at least 1) beats of a
-    detuned drive uniformly, in more than 2 * ``n_periods`` finite values,
-    as ``beat_note_series`` gives them.  Returns (frequencies, |spectrum|,
-    peak_frequency, expected_frequency) with frequencies in Hz.
-    """
-    if n_periods < 1:
-        raise ValueError(f"n_periods must be at least 1, got {n_periods}")
-    energy = np.asarray(energy, dtype=float)
-    if energy.size <= 2 * n_periods:
-        raise ValueError(f"energy needs more than 2 * n_periods samples, got "
-                         f"{energy.size} for n_periods = {n_periods}")
-    if not np.all(np.isfinite(energy)):
-        raise ValueError("energy holds a non-finite sample")
-    detune = params.omega_s - params.omega_q
-    if detune == 0:
-        raise ValueError("beat note needs a detuned drive")
-    window = n_periods * 2.0 * np.pi / abs(detune)
-    spectrum = np.fft.rfft(energy - energy.mean())
-    freqs = np.fft.rfftfreq(energy.size, d=window / energy.size)
-    peak = freqs[int(np.argmax(np.abs(spectrum)))]
-    return freqs, np.abs(spectrum), float(peak), abs(detune) / (2.0 * np.pi)
-
+    energy = np.abs(u[0, :, 0]) ** 2
+    spectrum = np.abs(np.fft.rfft(energy - energy.mean()))
+    freqs = np.fft.rfftfreq(n_samples, d=window / n_samples)
+    return t, energy, float(freqs[int(np.argmax(spectrum))])

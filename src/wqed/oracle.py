@@ -238,16 +238,16 @@ def _panel_sum(s1: float, t: float, a: complex, width: float,
     return complex(total + lead @ per_node[:, 0] - trail @ per_node[:, 1])
 
 
-def quad_kernel(s1: float, t: float, a: complex, params: ModelParams,
-                cutoff_factor: float = CUTOFF_FACTOR) -> complex:
+def quad_kernel(s1: float, t: float, a: complex,
+                params: ModelParams) -> complex:
     """Defining frequency integral of the master kernel, by brute force.
 
     Evaluates K(s1, t; a) = int_0^inf phi(omega - a, t) e^{i omega (s1 - t)}
     domega with phi(z, t) = (e^{izt} - 1)/z, for the same arguments as
     ``fields.closed_kernel``: the retarded coordinate s1, (x or x - d)/v_g
     forward and -(x or x - d)/v_g backward, the time t and the center a.
-    Up to a hard cutoff W, by default CUTOFF_FACTOR times the largest
-    frequency in the problem, the integral is the panel sum ``_panel_sum``,
+    Up to a hard cutoff W, CUTOFF_FACTOR times the largest frequency in
+    the problem, the integral is the panel sum ``_panel_sum``,
     on panels at most 1/POINTS_PER_PERIOD of the fastest oscillation wide
     (and a quarter of the line width of a decaying center); beyond it
     1/(omega - a) is expanded in powers of a/omega, and the first
@@ -267,10 +267,6 @@ def quad_kernel(s1: float, t: float, a: complex, params: ModelParams,
         Omega.
     params : ModelParams
         Only sets the cutoff, through Omega and the drive carrier.
-    cutoff_factor : float
-        Hard frequency cutoff as a multiple of the largest frequency in the
-        problem, finite and > 1, so that the tail's series in a/omega
-        converges.
 
     Returns
     -------
@@ -279,8 +275,6 @@ def quad_kernel(s1: float, t: float, a: complex, params: ModelParams,
     a = complex(a)
     if not all(map(cmath.isfinite, (s1, t, a))):
         raise ValueError("s1, t and a must be finite")
-    if not (cmath.isfinite(cutoff_factor) and cutoff_factor > 1):
-        raise ValueError("cutoff_factor must be finite and above 1")
     if t <= 0:
         raise ValueError("t must be positive")
     s2 = s1 - t
@@ -288,7 +282,7 @@ def quad_kernel(s1: float, t: float, a: complex, params: ModelParams,
         raise ValueError("kernel is singular where a shifted coordinate "
                          "or the light front vanishes exactly")
 
-    cutoff = cutoff_factor * max(params.omega_q, params.omega_s, abs(a))
+    cutoff = CUTOFF_FACTOR * max(params.omega_q, params.omega_s, abs(a))
     fastest = max(abs(s1), abs(s2), t)
     h = 2.0 * np.pi / (POINTS_PER_PERIOD * fastest)
     line_width = -a.imag

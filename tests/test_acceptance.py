@@ -60,18 +60,24 @@ def test_kernel_ensemble_against_quadrature(printed_kernel):
     # 200 random (kernel, x, t) samples across the three regimes; each
     # quadrature value is computed once and scores both writings of the
     # first exponential-integral argument: the rotated one (the engine's)
-    # must pass, the printed one must fail in each direction
+    # must pass, the printed one must fail in each direction.  The bound is
+    # about ten times the measured 8.0e-10, so that the engine's kernel
+    # scaled by 1 + 1e-5 fails it too
+    tol = 1e-8
     start = time.perf_counter()
     worst = validation.kernel_errors(
         np.random.default_rng(20260822), 200,
-        {"rotated": fields.closed_kernel, "printed": printed_kernel})
+        {"rotated": fields.closed_kernel, "printed": printed_kernel,
+         "scaled": lambda s1, t, a: (1.0 + 1e-5) * fields.closed_kernel(
+             s1, t, a)})
     elapsed = time.perf_counter() - start
     _verdict("kernel ensemble vs quadrature (200 samples)",
-             max(worst["rotated", "fwd"], worst["rotated", "bwd"]), 1e-3,
+             max(worst["rotated", "fwd"], worst["rotated", "bwd"]), tol,
              f"printed writing {worst['printed', 'fwd']:.3e} forward, "
              f"{worst['printed', 'bwd']:.3e} backward, each must exceed "
              f"1e-3; {elapsed:.1f} s")
     assert min(worst["printed", "fwd"], worst["printed", "bwd"]) > 1e-3
+    assert min(worst["scaled", "fwd"], worst["scaled", "bwd"]) > tol
     assert elapsed < 120.0
 
 
@@ -83,16 +89,19 @@ def test_qubit_amplitudes_vs_ode():
 
 
 def test_beating_spectrum_hits_the_detuning_bin():
+    # the beat is |omega_s - Omega| / 2 pi, and a window of n_periods beats
+    # has FFT bins 1/n_periods of it apart
     p0 = ModelParams.from_phase(OMEGA_Q, 0.01 * OMEGA_Q, 2.0)
+    n_periods = 40
     worst_bins = 0.0
     periods = {}
     for detune in (0.01, 0.02):
         p = p0.with_drive((1.0 + detune) * p0.omega_q)
-        _, energy = fields.beat_note_series(p, 2.0 * p.distance,
-                                            n_periods=40, n_samples=4096)
-        freqs, _, peak, expected = fields.beat_note_fft(energy, p, 40)
-        bin_width = freqs[1] - freqs[0]
-        worst_bins = max(worst_bins, abs(peak - expected) / bin_width)
+        _, _, peak = fields.beat_note_series(p, 2.0 * p.distance,
+                                             n_periods=n_periods,
+                                             n_samples=4096)
+        beat = detune * p0.omega_q / (2.0 * np.pi)
+        worst_bins = max(worst_bins, abs(peak - beat) / (beat / n_periods))
         periods[detune] = 1.0e9 / peak
     _verdict("beat peak offset in FFT bins", worst_bins, 1.0,
              f"periods {periods[0.01]:.1f} ns and {periods[0.02]:.1f} ns")

@@ -761,6 +761,16 @@ def test_phases_past_two_to_the_53_are_refused(command, config_text,
     assert "2^53" in err
 
 
+def test_carrier_phases_past_two_to_the_53_are_refused(tmp_path, monkeypatch,
+                                                       capsys):
+    # fig6's drive is Omega, whose phase stays below 2^53 at this time, but
+    # its resonance line runs its carriers up to 1.02 Omega, past it
+    t = 0.995 * 2 ** 53 / (2.0 * np.pi * 5.0e9)
+    err = refused_error("field", "[grid]\nt_s = %r\n" % t, tmp_path,
+                        monkeypatch, capsys)
+    assert "2^53" in err
+
+
 @pytest.mark.parametrize("argv, config_text, reason", [
     (["spectrum"], None, "--preset and/or --config"),
     (["spectrum", "--preset", "fig99"], None, "unknown preset 'fig99'"),

@@ -95,3 +95,16 @@ def test_drive_sweep_rejects_bad_carriers(weak_generic):
     for bad in ([[p.omega_q]], [-p.omega_q], [np.nan]):
         with pytest.raises(ValueError):
             fields.drive_sweep(grid, r, p, bad)
+
+
+def test_drive_sweep_refuses_carrier_phases_past_two_to_the_53(weak_generic):
+    # the grid bounds the phases of its params' carriers only; past 2^53 a
+    # phase omega t has no fractional bits
+    p = weak_generic
+    r = collective_rates(p)
+    t = np.nextafter(2 ** 53 / p.omega_q, 0.0)
+    grid = fields.space_time_grid(p, [3 * p.distance], [t])
+    fields.drive_sweep(grid, r, p, [p.omega_q], "steady")
+    with pytest.raises(ValueError, match=r"2\^53"):
+        fields.drive_sweep(grid, r, p, [p.omega_q, 1.02 * p.omega_q],
+                           "steady")

@@ -241,27 +241,50 @@ def test_auto_branch_labels_the_slice(weak_generic):
     assert np.max(np.abs(late.u - forced.u)) < 1e-6
 
 
-def test_forward_field_matches_quadrature_oracle(weak_generic):
-    # the oracle integrates the scattered part only; the closed field adds
-    # the incident carrier on top of it
-    p = weak_generic.with_drive(1.005 * weak_generic.omega_q)
-    r = collective_rates(p)
-    x, t = 3.0 * p.distance, 2.0e-7
-    grid = fields.space_time_grid(p, [x], [t])
-    closed = fields.forward_field(grid, r, p, branch="transient").u[0, 0]
-    scattered = quad_field_forward(x, t, r, p)
-    incident = fields.incident_plane_wave(x, t, p)
-    assert abs(closed - incident - scattered) / abs(closed) < 1e-4
+# The fields against the quadrature oracle are bounded at about ten times
+# their measured errors, 8.6e-11 forward and 3.4e-11 backward, so that a
+# kernel 1e-5 off fails both.
+FIELD_ORACLE_BOUND = 1e-9
 
 
-def test_backward_field_matches_quadrature_oracle(weak_generic):
+def _field_oracle_error(weak_generic, forward):
+    """Relative error of the transient forward (or backward) field against
+    the quadrature oracle at one point."""
     p = weak_generic.with_drive(1.005 * weak_generic.omega_q)
     r = collective_rates(p)
-    x, t = -2.0 * p.distance, 2.0e-7
+    t = 2.0e-7
+    if forward:
+        # the oracle integrates the scattered part only; the closed field
+        # adds the incident carrier on top of it
+        x = 3.0 * p.distance
+        grid = fields.space_time_grid(p, [x], [t])
+        closed = fields.forward_field(grid, r, p, branch="transient").u[0, 0]
+        scattered = quad_field_forward(x, t, r, p)
+        incident = fields.incident_plane_wave(x, t, p)
+        return abs(closed - incident - scattered) / abs(closed)
+    x = -2.0 * p.distance
     grid = fields.space_time_grid(p, [x], [t])
     closed = fields.backward_field(grid, r, p, branch="transient").v[0, 0]
     scattered = quad_field_backward(x, t, r, p)
-    assert abs(closed - scattered) / abs(scattered) < 1e-4
+    return abs(closed - scattered) / abs(scattered)
+
+
+def test_forward_field_matches_quadrature_oracle(weak_generic):
+    assert _field_oracle_error(weak_generic, True) < FIELD_ORACLE_BOUND
+
+
+def test_backward_field_matches_quadrature_oracle(weak_generic):
+    assert _field_oracle_error(weak_generic, False) < FIELD_ORACLE_BOUND
+
+
+def test_a_kernel_off_by_1e_5_fails_the_field_oracle_bounds(weak_generic,
+                                                           monkeypatch):
+    # every transient field's channel sum goes through _kernel_sum
+    kernel_sum = fields._kernel_sum
+    monkeypatch.setattr(fields, "_kernel_sum",
+                        lambda terms, t: (1.0 + 1e-5) * kernel_sum(terms, t))
+    for forward in (True, False):
+        assert _field_oracle_error(weak_generic, forward) > FIELD_ORACLE_BOUND
 
 
 def test_interqubit_slice_is_additive(weak_generic):
@@ -344,13 +367,13 @@ def test_reflected_peak_exceeds_unity_then_relaxes(weak_generic):
 
 
 def test_beat_note_spectrum_peaks_at_detuning(weak_even):
+    # the beat is |omega_s - Omega| / 2 pi, and a window of 40 beats has
+    # FFT bins 1/40 of it apart
     p = weak_even.with_drive(1.01 * weak_even.omega_q)
-    _, energy = fields.beat_note_series(p, 2.0 * p.distance,
-                                        n_periods=40, n_samples=4096)
-    freqs, mag, peak, expected = fields.beat_note_fft(energy, p, 40)
-    bin_width = freqs[1] - freqs[0]
-    assert abs(peak - expected) <= bin_width
-    assert expected == pytest.approx(0.01 * p.omega_q / (2 * np.pi))
+    _, _, peak = fields.beat_note_series(p, 2.0 * p.distance,
+                                         n_periods=40, n_samples=4096)
+    beat = 0.01 * p.omega_q / (2 * np.pi)
+    assert abs(peak - beat) <= beat / 40
 
 
 @pytest.mark.parametrize("n_periods, n_samples", [(40, 80), (100, 100)])
@@ -362,8 +385,9 @@ def test_beat_note_needs_more_than_two_samples_a_beat(weak_even, n_periods,
     with pytest.raises(ValueError, match="n_samples .* n_periods"):
         fields.beat_note_series(p, 2.0 * p.distance, n_periods=n_periods,
                                 n_samples=n_samples)
-    t, _ = fields.beat_note_series(p, 2.0 * p.distance, n_periods=n_periods,
-                                   n_samples=2 * n_periods + 1)
+    t, _, _ = fields.beat_note_series(p, 2.0 * p.distance,
+                                      n_periods=n_periods,
+                                      n_samples=2 * n_periods + 1)
     assert t.size == 2 * n_periods + 1
 
 
@@ -373,26 +397,8 @@ def test_beat_functions_need_a_whole_period(weak_even, n_periods):
     p = weak_even.with_drive(1.01 * weak_even.omega_q)
     with pytest.raises(ValueError, match="n_periods must be at least 1"):
         fields.beat_note_series(p, 2.0 * p.distance, n_periods=n_periods)
-    with pytest.raises(ValueError, match="n_periods must be at least 1"):
-        fields.beat_note_fft(np.ones(64), p, n_periods)
 
 
 def test_beat_note_needs_detuning(weak_even):
     with pytest.raises(ValueError):
         fields.beat_note_series(weak_even, 2.0 * weak_even.distance)
-
-
-@pytest.mark.parametrize("detuning, energy, reason", [
-    (0.0, np.ones(64), "detuned drive"),
-    (0.01, np.ones(1), "more than 2 \\* n_periods"),
-    (0.01, np.ones(20), "more than 2 \\* n_periods"),
-    (0.01, np.r_[np.ones(63), np.nan], "non-finite"),
-    (0.01, np.r_[np.ones(63), -np.inf], "non-finite"),
-], ids=["resonant", "one-sample", "two-a-beat", "nan", "inf"])
-def test_beat_note_fft_refuses_what_the_series_refuses(weak_even, detuning,
-                                                       energy, reason):
-    # a resonant drive divided by zero, and a short or non-finite series
-    # gave a 0 Hz peak
-    p = weak_even.with_drive((1.0 + detuning) * weak_even.omega_q)
-    with pytest.raises(ValueError, match=reason):
-        fields.beat_note_fft(energy, p, n_periods=10)

@@ -360,7 +360,8 @@ def test_quad_kernel_memory_stays_within_its_buffers(weak_generic,
     assert peak <= tables + columns + vectors + product
 
 
-def test_quad_kernel_sharpens_with_cutoff(weak_generic, kernel_centers):
+def test_quad_kernel_sharpens_with_cutoff(weak_generic, kernel_centers,
+                                         monkeypatch):
     # doubling the frequency cutoff must shrink the tail error, and the
     # two cutoffs must agree at the default one's accuracy (measured
     # 1.3e-10 here, where the doubled cutoff is 6.2e-12 off the closed
@@ -369,7 +370,8 @@ def test_quad_kernel_sharpens_with_cutoff(weak_generic, kernel_centers):
     a = kernel_centers(p)["decay_plus"]
     s1, t = 2.0 * p.distance / p.v_g, 15.0 / p.gamma
     short = quad_kernel(s1, t, a, p)
-    long = quad_kernel(s1, t, a, p, cutoff_factor=2.0 * CUTOFF_FACTOR)
+    monkeypatch.setattr(oracle, "CUTOFF_FACTOR", 2.0 * CUTOFF_FACTOR)
+    long = quad_kernel(s1, t, a, p)
     assert abs(short - long) / abs(long) < 5e-10
     assert abs(short - long) > 0  # the tail is genuinely being integrated
 
@@ -396,25 +398,6 @@ def test_quad_kernel_refuses_non_finite_arguments(arg, value, weak_generic):
     args[arg] = value
     with pytest.raises(ValueError, match="finite"):
         quad_kernel(args["s1"], args["t"], args["a"], p)
-
-
-@pytest.mark.parametrize("factor", [-1.0, 0.0, 0.5, 1.0, np.nan, np.inf,
-                                    -np.inf])
-def test_quad_kernel_refuses_a_bad_cutoff_factor(factor, weak_generic):
-    # a negative factor would integrate up to a negative cutoff, 0 has no
-    # panel width, NaN or inf no panel count, and at a factor of 1 or less
-    # the tail's series in a/omega diverges at the largest center; each is
-    # refused before any table is built
-    p = weak_generic
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match="cutoff_factor"):
-            quad_kernel(2.0 * p.distance / p.v_g, 40.0 / p.gamma, p.omega_s,
-                        p, cutoff_factor=factor)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 16384
 
 
 def test_quad_kernel_refuses_too_many_nodes_before_allocating(weak_generic):
