@@ -93,7 +93,7 @@ def amplitudes_vs_ode(cases):
     """Qubit amplitudes vs the Markov ODE, relative to its largest |beta|."""
     worst = 0.0
     for p in cases:
-        ode = oracle.markov_ode(p, 20.0 / p.gamma, keep_every=50)
+        ode = oracle.markov_ode(p, 20.0 / p.gamma)
         state = amplitudes.qubit_amplitudes(p, ode.t)
         err = max(np.max(np.abs(state.beta_1 - ode.beta_1)),
                   np.max(np.abs(state.beta_2 - ode.beta_2)))
@@ -169,13 +169,13 @@ def checks(full=False):
          lambda rng: si_ci_asymptotics(rng, 200)),
         ("E1 large-argument asymptotics", 1.0e-4,
          lambda rng: e1_asymptotics(rng, 100)),
-        ("E1(1) reference value", 1.0e-6, lambda rng: e1_reference()),
-        (f"damped kernels vs quadrature ({n_kernels} samples)", 1.0e-5,
+        ("E1(1) reference value", 1.0e-15, lambda rng: e1_reference()),
+        (f"damped kernels vs quadrature ({n_kernels} samples)", 1.0e-8,
          lambda rng: max(kernel_errors(
              rng, n_kernels, {"closed": fields.closed_kernel}).values())),
-        ("qubit amplitudes vs Markov ODE", 1.0e-6,
+        ("qubit amplitudes vs Markov ODE", 1.0e-13,
          lambda rng: amplitudes_vs_ode([presets["generic"], presets["even"]])),
-        ("resonance peaks vs steady fields", 1.0e-8,
+        ("resonance peaks vs steady fields", 1.0e-14,
          lambda rng: peaks_vs_steady(
              [presets["generic"].with_drive(_OMEGA_Q)])),
     ]

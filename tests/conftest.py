@@ -568,10 +568,12 @@ def per_node_memory_coefficients():
 
 
 def _per_call_markov_ode(params, t_final, n_steps, keep_every=1):
-    """``oracle.markov_ode`` in its per-call writing, as a reference.
+    """The RK4 writing of ``oracle.markov_ode``, kept as its reference.
 
-    The same RK4 on the same system, stepped by evaluating the four stages
-    of every step instead of applying the affine step map; no error check.
+    The same two-qubit system with its raw phases, stepped by a classical
+    RK4 that evaluates its four stages every step and keeps every
+    ``keep_every``-th step; the step propagator replaced it, and it stays
+    as the fourth-order approximation that must converge on it.
     """
     gamma, g = params.gamma, params.coupling
     detuning = params.omega_s - params.omega_q
@@ -606,7 +608,7 @@ def _per_call_markov_ode(params, t_final, n_steps, keep_every=1):
 
 @pytest.fixture(scope="session")
 def per_call_markov_ode():
-    """The Markov RK4 with its four stages evaluated on every step."""
+    """The Markov RK4 that the exact step propagator replaced."""
     return _per_call_markov_ode
 
 

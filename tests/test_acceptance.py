@@ -85,7 +85,7 @@ def test_qubit_amplitudes_vs_ode():
     cases = [ModelParams.from_phase(OMEGA_Q, 0.01 * OMEGA_Q, phase)
              for phase in (0.5, 2.0)]
     _verdict("qubit amplitudes vs Markov ODE",
-             validation.amplitudes_vs_ode(cases), 1e-6)
+             validation.amplitudes_vs_ode(cases), 1e-13)
 
 
 def test_beating_spectrum_hits_the_detuning_bin():
@@ -141,4 +141,4 @@ def test_special_function_suite():
     _verdict("si reflection identity", identity_err, 1e-12)
     _verdict("large-argument asymptotics", asymptotics, 1e-4)
     _verdict("exponential-integral reference point",
-             validation.e1_reference(), 1e-6)
+             validation.e1_reference(), 1e-15)

@@ -86,12 +86,12 @@ def test_spectral_amplitudes_refuse_an_array_time(t_over_gamma, weak_generic):
 
 def test_qubit_amplitudes_match_ode_generic(weak_generic):
     p = weak_generic.with_drive(1.005 * weak_generic.omega_q)
-    assert validation.amplitudes_vs_ode([p]) < 1e-6
+    assert validation.amplitudes_vs_ode([p]) < 1e-13
 
 
 def test_qubit_amplitudes_match_ode_even(weak_even):
     p = weak_even.with_drive(1.01 * weak_even.omega_q)
-    assert validation.amplitudes_vs_ode([p]) < 1e-6
+    assert validation.amplitudes_vs_ode([p]) < 1e-13
 
 
 def test_subradiant_beat_survives_at_even_phase(weak_even, weak_generic):

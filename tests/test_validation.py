@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wqed import amplitudes, cli, fields, oracle, validation
+from wqed import amplitudes, cli, fields, model, oracle, validation
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -57,6 +57,48 @@ def test_kernel_row_catches_a_kernel_off_by_1e_4(full, monkeypatch):
     assert err > tol
 
 
+def _faulty_rates(params):
+    rates = model.collective_rates(params)
+    return dataclasses.replace(rates,
+                               gamma_minus=rates.gamma_minus * (1.0 + 1e-9))
+
+
+def _faulty_weights(params, omega):
+    c_plus, c_minus = model.coupling_weights(params, omega)
+    return c_plus * (1.0 + 1e-9), c_minus
+
+
+def _scaled(fn, scale):
+    return lambda *args: fn(*args) * scale
+
+
+# (module, name, faulty replacement, the one row it fails); the rows read
+# 1.45e-10, 9.44e-10, 2.05e-9 and 1.0e-7 against 1e-13, 1e-13, 1e-14 and 1e-8
+_FAULTS = {
+    "gamma_minus_1e-9": (amplitudes, "collective_rates", _faulty_rates,
+                         "qubit amplitudes vs Markov ODE"),
+    "c_plus_1e-9": (amplitudes, "coupling_weights", _faulty_weights,
+                    "qubit amplitudes vs Markov ODE"),
+    "kernel_limit_1e-9": (fields, "_kernel_limit", _scaled(
+        fields._kernel_limit, 1.0 + 1e-9), "resonance peaks vs steady fields"),
+    "closed_kernel_1e-7": (fields, "closed_kernel", _scaled(
+        fields.closed_kernel, 1.0 + 1e-7),
+        "damped kernels vs quadrature (12 samples)"),
+}
+
+
+@pytest.mark.parametrize("fault", list(_FAULTS))
+def test_quick_oracle_check_fails_a_small_fault(fault, monkeypatch, capsys):
+    # each fault passed every printed row at the rows' former bounds
+    module, name, faulty, row = _FAULTS[fault]
+    monkeypatch.setattr(module, name, faulty)
+    assert cli.main(["oracle-check"]) == 1
+    failed = [line.split(": max_err=")[0][len("FAIL "):]
+              for line in capsys.readouterr().out.splitlines()
+              if line.startswith("FAIL ")]
+    assert failed == [row]
+
+
 def test_quick_oracle_check_keeps_its_node_budget(monkeypatch, capsys):
     # the panels one quick pass hands to the quadrature, counted instead
     # of timed: 282,982 over its 12 kernel calls with the cutoff at
@@ -77,21 +119,33 @@ def test_quick_oracle_check_keeps_its_node_budget(monkeypatch, capsys):
 
 
 def test_scipy_stays_in_the_oracle_layer():
-    importers = []
+    importers, linalg = [], []
     for path in sorted((SRC / "wqed").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             names = [alias.name for alias in node.names] \
                 if isinstance(node, ast.Import) else \
-                [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+                [f"{node.module}.{alias.name}" for alias in node.names] \
+                if isinstance(node, ast.ImportFrom) and node.level == 0 else []
             if any(name.split(".")[0] == "scipy" for name in names):
                 importers.append(path.stem)
+            if any(name.split(".")[:2] == ["scipy", "linalg"]
+                   for name in names):
+                linalg.append(path.stem)
     assert sorted(set(importers)) == ["oracle"]
-    # and the CLI module loads none of it
+    # scipy.linalg alone takes a fresh interpreter's RSS up about 6 MB
+    assert linalg == []
+    # the CLI module loads none of scipy, and a quick oracle-check no
+    # scipy.linalg
     probe = "import sys, wqed.cli; print(sorted(m for m in sys.modules " \
             "if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, cwd=SRC, check=True)
     assert proc.stdout.strip() == "[]"
+    probe = "import sys, wqed.cli; wqed.cli.main(['oracle-check']); " \
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, cwd=SRC, check=True)
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def _package_imports(path):
@@ -121,3 +175,38 @@ def test_oracles_and_engine_do_not_import_each_other():
     assert not imports["oracle"] & {"specfun", "fields"}
     for engine in ("specfun", "model", "amplitudes", "fields"):
         assert not imports[engine] & {"oracle", "validation"}, engine
+
+
+def test_the_ode_oracle_reads_only_its_params():
+    # ``markov_ode`` and the oracle functions it calls read no name that
+    # ``oracle`` binds from an engine module, but the QubitState they fill,
+    # and only raw fields and phases of their ModelParams
+    tree = ast.parse((SRC / "wqed" / "oracle.py").read_text())
+    engine = {"model", "amplitudes", "fields", "specfun"}
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            bound.update(alias.asname or alias.name for alias in node.names
+                         if node.module in engine or alias.name in engine)
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+    scanned, todo, read, params_read = set(), ["markov_ode"], set(), set()
+    while todo:
+        name = todo.pop()
+        if name in scanned:
+            continue
+        scanned.add(name)
+        for node in (n for stmt in defs[name].body for n in ast.walk(stmt)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+                if node.id in defs:
+                    todo.append(node.id)
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id == "params":
+                params_read.add(node.attr)
+    assert scanned == {"markov_ode", "_expm"}
+    assert {"collective_rates", "coupling_weights", "ModelParams"} <= bound
+    assert read & bound == {"QubitState"}
+    assert params_read == {"gamma", "coupling", "amplitude", "qubit_phase",
+                           "drive_phase", "omega_s", "omega_q"}
