@@ -6,9 +6,9 @@ qubits coupled to an open one-dimensional waveguide: qubit amplitudes,
 forward/backward/inter-qubit field envelopes, transmittance and
 reflectance spectra, and the steady-state resonance formulas.  The
 ``oracle`` module carries independent brute-force cross-checks
-(oscillatory quadrature, ODE integration, a discretized-continuum
-Schroedinger evolution) used by the validation suite, and ``cli``
-exposes the scenario-driven CSV front end.
+(oscillatory quadrature, matrix exponentials of the amplitude equations,
+an exact discretized-continuum evolution) used by the validation suite,
+and ``cli`` exposes the scenario-driven CSV front end.
 """
 
 from .version import __version__

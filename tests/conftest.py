@@ -19,8 +19,6 @@ from wqed.oracle import (
     _GL_NODES,
     _GL_WEIGHTS,
     CHUNK_NODES,
-    CONTINUUM_KEEP_EVERY,
-    CONTINUUM_STEP,
     CUTOFF_FACTOR,
     PANEL_ORDER,
     PHASE_FINE,
@@ -612,18 +610,28 @@ def per_call_markov_ode():
     return _per_call_markov_ode
 
 
-def _rhs_continuum_evolve(params, t_final, n_modes, launch_delay=0.0):
-    """``oracle.continuum_evolve`` in its right-hand-side writing.
+# The continuum RK4's step is CONTINUUM_STEP over the largest
+# rotating-frame frequency on the comb, and every CONTINUUM_KEEP_EVERY-th
+# step is kept.
+CONTINUUM_STEP = 0.02
+CONTINUUM_KEEP_EVERY = 200
 
-    The same comb, step, initial packet and classical RK4, with every stage
-    evaluating the full right-hand side over the comb (one exponential per
-    mode per stage) instead of the comb sums.
+
+def _rhs_continuum_evolve(params, t_final, n_modes, launch_delay=0.0,
+                          step=CONTINUUM_STEP):
+    """The RK4 writing of ``oracle.continuum_evolve``, kept as its reference.
+
+    The same comb and initial packet, stepped by a classical RK4 at ``step``
+    over the largest rotating-frame frequency, with every stage evaluating
+    the full right-hand side over the comb (one exponential per mode per
+    stage).  The Chebyshev propagator replaced it, and it stays as the
+    fourth-order approximation that must converge on it.
     """
     grid = make_continuum_grid(params, n_modes=n_modes)
     omega, w = grid.omega, grid.weights
     g = params.coupling
     rot = omega - params.omega_q
-    dt = CONTINUUM_STEP / np.max(np.abs(rot))
+    dt = step / np.max(np.abs(rot))
     n_steps = int(np.ceil(t_final / dt))
     dt = t_final / n_steps
     gam = gaussian_spectrum(params, omega).astype(np.complex128)
@@ -673,7 +681,7 @@ def _rhs_continuum_evolve(params, t_final, n_modes, launch_delay=0.0):
 
 @pytest.fixture(scope="session")
 def rhs_continuum_evolve():
-    """The continuum RK4 with the full right-hand side at every stage."""
+    """The continuum RK4 that the Chebyshev propagator replaced."""
     return _rhs_continuum_evolve
 
 

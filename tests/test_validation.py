@@ -36,8 +36,8 @@ def test_amplitude_measures_catch_wrong_amplitudes(monkeypatch, weak_generic):
     p = weak_generic.with_drive(1.005 * weak_generic.omega_q)
     assert validation.amplitudes_vs_ode([p]) \
         > tols["qubit amplitudes vs Markov ODE"]
-    assert validation.spectral_vs_quadrature(p, [0.995 * p.omega_q],
-                                             10.0 / p.gamma) \
+    assert validation.spectral_vs_quadrature(np.random.default_rng(3), 1,
+                                             [p]) \
         > tols["spectral amplitudes vs quadrature"]
 
 
@@ -53,6 +53,30 @@ def test_kernel_row_catches_a_kernel_off_by_1e_4(full, monkeypatch):
     for name, tol, measure in validation.checks(full):
         err = measure(rng)
         if name.startswith("damped kernels vs quadrature"):
+            break
+    assert err > tol
+
+
+@pytest.mark.parametrize("fault", ["amplitudes", "c_plus"])
+def test_spectral_row_fails_a_1e_10_fault(fault, monkeypatch):
+    # spectral amplitudes or their c_plus weight 1e-10 too large passed the
+    # spectral row at its former 1e-9 bound and two fixed frequencies; they
+    # read 1.0e-10 against 1e-12 now.  The rows run in table order on the
+    # suite's one stream, as in ``wqed oracle-check --full``, up to it
+    spectral, weights = amplitudes.spectral_amplitudes, model.coupling_weights
+    if fault == "amplitudes":
+        monkeypatch.setattr(amplitudes, "spectral_amplitudes",
+                            lambda *args: tuple(a * (1.0 + 1e-10)
+                                                for a in spectral(*args)))
+    else:
+        monkeypatch.setattr(amplitudes, "coupling_weights",
+                            lambda params, omega: (
+                                weights(params, omega)[0] * (1.0 + 1e-10),
+                                weights(params, omega)[1]))
+    rng = np.random.default_rng(validation.SEED)
+    for name, tol, measure in validation.checks(full=True):
+        err = measure(rng)
+        if name == "spectral amplitudes vs quadrature":
             break
     assert err > tol
 
@@ -177,10 +201,28 @@ def test_oracles_and_engine_do_not_import_each_other():
         assert not imports[engine] & {"oracle", "validation"}, engine
 
 
+# oracle entry point: (the oracle functions it reaches, the engine-bound
+# names they read, the ModelParams fields they read)
+_PARAMS_ONLY_ORACLES = {
+    "markov_ode": ({"markov_ode", "_expm"}, {"QubitState"},
+                   {"gamma", "coupling", "amplitude", "qubit_phase",
+                    "drive_phase", "omega_s", "omega_q"}),
+    "quad_spectral": ({"quad_spectral", "_expm"}, set(),
+                      {"gamma", "coupling", "amplitude", "qubit_phase",
+                       "drive_phase", "omega_s", "omega_q", "distance",
+                       "v_g"}),
+    "continuum_evolve": ({"continuum_evolve", "make_continuum_grid",
+                          "gaussian_spectrum"}, set(),
+                         {"coupling", "omega_s", "omega_q", "distance",
+                          "v_g", "pulse_width"}),
+}
+
+
 def test_the_ode_oracle_reads_only_its_params():
-    # ``markov_ode`` and the oracle functions it calls read no name that
-    # ``oracle`` binds from an engine module, but the QubitState they fill,
-    # and only raw fields and phases of their ModelParams
+    # ``markov_ode``, ``quad_spectral`` and ``continuum_evolve``, and the
+    # oracle functions they call, read no name that ``oracle`` binds from
+    # an engine module but the QubitState they fill, and only raw fields
+    # and phases of their ModelParams
     tree = ast.parse((SRC / "wqed" / "oracle.py").read_text())
     engine = {"model", "amplitudes", "fields", "specfun"}
     bound = set()
@@ -188,25 +230,29 @@ def test_the_ode_oracle_reads_only_its_params():
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             bound.update(alias.asname or alias.name for alias in node.names
                          if node.module in engine or alias.name in engine)
+    assert {"collective_rates", "coupling_weights", "ModelParams",
+            "QubitState"} <= bound
     defs = {node.name: node for node in tree.body
             if isinstance(node, ast.FunctionDef)}
-    scanned, todo, read, params_read = set(), ["markov_ode"], set(), set()
-    while todo:
-        name = todo.pop()
-        if name in scanned:
-            continue
-        scanned.add(name)
-        for node in (n for stmt in defs[name].body for n in ast.walk(stmt)):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-                if node.id in defs:
-                    todo.append(node.id)
-            if isinstance(node, ast.Attribute) \
-                    and isinstance(node.value, ast.Name) \
-                    and node.value.id == "params":
-                params_read.add(node.attr)
-    assert scanned == {"markov_ode", "_expm"}
-    assert {"collective_rates", "coupling_weights", "ModelParams"} <= bound
-    assert read & bound == {"QubitState"}
-    assert params_read == {"gamma", "coupling", "amplitude", "qubit_phase",
-                           "drive_phase", "omega_s", "omega_q"}
+    for start, (reached, engine_read, fields_read) \
+            in _PARAMS_ONLY_ORACLES.items():
+        scanned, todo, read, params_read = set(), [start], set(), set()
+        while todo:
+            name = todo.pop()
+            if name in scanned:
+                continue
+            scanned.add(name)
+            for node in (n for stmt in defs[name].body
+                         for n in ast.walk(stmt)):
+                if isinstance(node, ast.Name) \
+                        and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                    if node.id in defs:
+                        todo.append(node.id)
+                if isinstance(node, ast.Attribute) \
+                        and isinstance(node.value, ast.Name) \
+                        and node.value.id == "params":
+                    params_read.add(node.attr)
+        assert scanned == reached, start
+        assert read & bound == engine_read, start
+        assert params_read == fields_read, start
