@@ -916,7 +916,7 @@ def build_parser():
     check.add_argument("--json", action="store_true",
                        help="also write a JSON report")
     check.add_argument("--full", action="store_true",
-                       help="include the slow continuum and memory checks")
+                       help="include the slow spectral and continuum checks")
     return parser
 
 

@@ -1,10 +1,8 @@
 """Brute-force reference evaluations for validating the closed forms.
 
 Nothing in here reuses the engine's special functions or kernel algebra:
-the defining frequency integrals are done by composite Gauss-Legendre
-panels, one panel sum for both the master kernel and the qubit memory
-kernel, whose integrand is the kernel's at center Omega up to a constant
-factor.  The master kernel's panels stop at 5 times the largest
+the master kernel's defining frequency integral is done by composite
+Gauss-Legendre panels.  The panels stop at 5 times the largest
 frequency, and beyond that 12 terms of 1/(omega - a) in powers of
 a/omega are added in closed form, their moments from scipy's sine/cosine
 integrals (an implementation independent of the hand-built ones) and a
@@ -171,8 +169,7 @@ def _panel_sum(s1: float, t: float, a: complex, width: float,
     two phases do not cancel at the nodes next to a real center, and
     with the first-order expansion of phi where |(omega - a) t| < 1e-8,
     their phases taken as coarse x fine directly; their columns are
-    zeroed, and take no reciprocal.  s1 may be zero here; ``a`` is a
-    complex center.
+    zeroed, and take no reciprocal.  ``a`` is a complex center.
     """
     s2 = s1 - t
     off = 0.5 * (_GL_NODES + 1.0) * width    # node offsets inside a panel
@@ -356,17 +353,31 @@ def _expm(m: np.ndarray) -> np.ndarray:
     return total
 
 
+def _driven_pair(params: ModelParams) -> np.ndarray:
+    """B of the driven pair w = (beta_1, beta_2, e^{-i Delta t}), w' = B w.
+
+    -Gamma/2 on the qubits' diagonal, -(Gamma/2) e^{i k_Omega d} off it,
+    the drive column -i g A (1, e^{i k_omega_s d}) and -i Delta for the
+    drive itself, all from the raw propagation phases (no regime snapping).
+    """
+    half = 0.5 * params.gamma
+    cross = -half * np.exp(1j * params.qubit_phase)    # raw e^{i k_Omega d}
+    amp = -1j * params.coupling * params.amplitude
+    return np.array([
+        [-half, cross, amp],
+        [cross, -half, amp * np.exp(1j * params.drive_phase)],
+        [0.0, 0.0, -1j * (params.omega_s - params.omega_q)]])
+
+
 def markov_ode(params: ModelParams, t_final: float) -> QubitState:
     """Exact solution of the driven dissipative two-qubit system.
 
-    Uses the raw propagation phases (no regime snapping) and the analytic
-    delta-pulse drive, so it shares no algebra with the closed qubit
-    amplitudes it is used to check.  With the drive e^{-i Delta t} carried
-    as a third component, w = (beta_1, beta_2, e^{-i Delta t}) obeys the
-    constant-coefficient system w' = B w: B holds -Gamma/2 on the qubits'
-    diagonal, -(Gamma/2) e^{i k_Omega d} off it, the drive column
-    -i g A (1, e^{i k_omega_s d}) and -i Delta for the drive itself.  So
-    w(t) = e^{Bt} w(0) with w(0) = (0, 0, 1), and one step propagator
+    Uses the raw propagation phases and the analytic delta-pulse drive, so
+    it shares no algebra with the closed qubit amplitudes it is used to
+    check.  With the drive e^{-i Delta t} carried as a third component,
+    w = (beta_1, beta_2, e^{-i Delta t}) obeys the constant-coefficient
+    system w' = B w (``_driven_pair``).  So w(t) = e^{Bt} w(0) with
+    w(0) = (0, 0, 1), and one step propagator
     E = e^{B t_final/ODE_SAMPLES} (``_expm``) gives the samples E^k w(0),
     k = 0 ... ODE_SAMPLES.
 
@@ -382,15 +393,8 @@ def markov_ode(params: ModelParams, t_final: float) -> QubitState:
     """
     if not (cmath.isfinite(t_final) and t_final > 0):
         raise ValueError("t_final must be positive and finite")
-    half = 0.5 * params.gamma
-    cross = -half * np.exp(1j * params.qubit_phase)    # raw e^{i k_Omega d}
-    amp = -1j * params.coupling * params.amplitude
-    b = np.array([
-        [-half, cross, amp],
-        [cross, -half, amp * np.exp(1j * params.drive_phase)],
-        [0.0, 0.0, -1j * (params.omega_s - params.omega_q)]])
     h = t_final / ODE_SAMPLES
-    step = _expm(b * h)
+    step = _expm(_driven_pair(params) * h)
     w = np.empty((ODE_SAMPLES + 1, 3), dtype=complex)
     w[0] = (0.0, 0.0, 1.0)
     for k in range(ODE_SAMPLES):
@@ -408,11 +412,11 @@ def quad_spectral(omega: float, t: float, params: ModelParams):
     The mode amplitudes integrate the qubit amplitudes:
     forward' = -ig (beta_1 + e^{-i k_omega d} beta_2) e^{i nu t} and
     backward' the same with e^{+i k_omega d}, nu = omega - Omega.  Carried
-    along with the system of ``markov_ode``,
+    along with the driven pair (``_driven_pair``),
     w = (beta_1 e^{i nu t}, beta_2 e^{i nu t}, e^{i (omega - omega_s) t},
-    forward, backward) obeys w' = M w with constant M: ``markov_ode``'s
-    qubit block shifted by i nu on its diagonal, its drive column,
-    i (omega - omega_s) for the drive and the two mode rows.  So
+    forward, backward) obeys w' = M w with constant M: the pair's B
+    shifted by i nu on its diagonal, which turns the drive's -i Delta into
+    i (omega - omega_s), and the two mode rows.  So
     w(t) = e^{Mt} w(0) with w(0) = (0, 0, 1, 0, 0), one ``_expm`` with
     raw propagation phases (no regime snapping), which checks every step
     of the spectral algebra.  omega must be finite and > 0, t finite, >= 0.
@@ -423,18 +427,13 @@ def quad_spectral(omega: float, t: float, params: ModelParams):
         raise ValueError("omega must be positive")
     if t < 0:
         raise ValueError("t must be non-negative")
-    half = 0.5 * params.gamma
-    cross = -half * np.exp(1j * params.qubit_phase)    # raw e^{i k_Omega d}
-    amp = -1j * params.coupling * params.amplitude
+    nu = omega - params.omega_q
     emit = -1j * params.coupling
-    decay = -half + 1j * (omega - params.omega_q)
     kd = omega * params.distance / params.v_g
-    m = np.array([
-        [decay, cross, amp, 0.0, 0.0],
-        [cross, decay, amp * np.exp(1j * params.drive_phase), 0.0, 0.0],
-        [0.0, 0.0, 1j * (omega - params.omega_s), 0.0, 0.0],
-        [emit, emit * np.exp(-1j * kd), 0.0, 0.0, 0.0],
-        [emit, emit * np.exp(1j * kd), 0.0, 0.0, 0.0]])
+    m = np.zeros((5, 5), dtype=complex)
+    m[:3, :3] = _driven_pair(params) + 1j * nu * np.eye(3)
+    m[3, :2] = emit, emit * np.exp(-1j * kd)
+    m[4, :2] = emit, emit * np.exp(1j * kd)
     w = _expm(m * t)[:, 2]
     return w[3], w[4]
 
@@ -616,65 +615,3 @@ def continuum_evolve(params: ModelParams, t_final: float,
     return ContinuumResult(t=t, beta_1=beta_1, beta_2=beta_2, norm=norm,
                            grid=grid, gamma_final=psi[2:n_modes + 2] * back,
                            delta_final=psi[n_modes + 2:] * back)
-
-
-# ---------------------------------------------------------------------------
-# memory-kernel check behind the Markov reduction
-
-# Hard frequency cutoff of the memory-kernel integrals, in units of Omega;
-# the panels follow the kernel quadrature's POINTS_PER_PERIOD and
-# PANEL_ORDER.
-MEMORY_CUTOFF_FACTOR = 20.0
-
-
-def memory_kernel_coefficients(t: float, params: ModelParams):
-    """Numeric damping coefficients of the exact qubit memory kernel.
-
-    Returns (self_coef, cross_coef): twice the frequency integrals of
-    g^2 I(omega, t) and g^2 cos(k_omega d) I(omega, t) up to 20 Omega, with
-    I = int_0^t e^{-i(omega-Omega)tau} dtau.  As t grows these approach
-    Gamma/2 (real part; the imaginary part is the cutoff-dependent line
-    shift absorbed into Omega) and (Gamma/2) e^{i k_Omega d}.
-
-    I is the kernel integrand at center Omega times -i e^{i Omega t}:
-    I(omega, t) e^{i omega s1} = -i e^{i Omega t} phi(omega - Omega, t)
-    e^{i omega (s1 - t)}.  So with S(s1) the ``_panel_sum`` of the kernel
-    integrand at center Omega, self = -2i g^2 e^{i Omega t} S(0) and, as
-    cos(k_omega d) is the mean of e^{+-i omega d/v_g}, cross is the same
-    factor times the mean of S(d/v_g) and S(-d/v_g).  Like ``quad_kernel``
-    it refuses a non-finite or non-positive t, and more than MAX_NODES
-    nodes before any table is built.
-    """
-    if not cmath.isfinite(t):
-        raise ValueError("t must be finite")
-    if t <= 0:
-        raise ValueError("t must be positive")
-    cutoff = MEMORY_CUTOFF_FACTOR * params.omega_q
-    delay = params.distance / params.v_g
-    h = 2.0 * np.pi / (POINTS_PER_PERIOD * max(t, delay))
-    n_panels = _panel_count(cutoff, h)
-    width = cutoff / n_panels
-    a = complex(params.omega_q)
-    factor = -2j * params.coupling ** 2 * np.exp(1j * params.omega_q * t)
-    self_sum = _panel_sum(0.0, t, a, width, n_panels)
-    cross_sum = 0.5 * (_panel_sum(delay, t, a, width, n_panels)
-                       + _panel_sum(-delay, t, a, width, n_panels))
-    return factor * self_sum, factor * cross_sum
-
-
-def half_line_limits(params: ModelParams):
-    """Late-time limits (self, cross) of ``memory_kernel_coefficients``.
-
-    The self coefficient's real part settles on Gamma/2.  The cross
-    coefficient settles on its positive-frequency (half-line) value
-    2 g^2 (pi cos kd + i (cos kd Ci(kd) + sin kd (Si(kd) + pi/2))) at
-    kd = k_Omega d, which keeps the principal-value part the Markov
-    coupling (Gamma/2) e^{i k_Omega d} drops.
-    """
-    g2 = params.coupling ** 2
-    kd = params.qubit_phase
-    si_v, ci_v = special.sici(kd)
-    cross = 2.0 * g2 * (np.pi * np.cos(kd)
-                        + 1j * (np.cos(kd) * ci_v
-                                + np.sin(kd) * (si_v + np.pi / 2)))
-    return 0.5 * params.gamma, cross

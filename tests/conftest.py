@@ -506,9 +506,8 @@ def _node_column_panel_sum(s1, t, a, width, n_panels):
 def _with_node_column_sum(fn, *args):
     """``fn(*args)`` with the oracle's panel sum in the node-column writing.
 
-    ``quad_kernel`` and ``memory_kernel_coefficients`` called this way keep
-    their checks, panel choice and tail, and sum their panels as
-    ``_node_column_panel_sum`` does.
+    ``quad_kernel`` called this way keeps its checks, panel choice and
+    tail, and sums its panels as ``_node_column_panel_sum`` does.
     """
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(oracle, "_panel_sum", _node_column_panel_sum)
@@ -519,50 +518,6 @@ def _with_node_column_sum(fn, *args):
 def with_node_column_sum():
     """Call an oracle function with the node-column panel sum swapped in."""
     return _with_node_column_sum
-
-
-def _per_node_memory_coefficients(t, params):
-    """``oracle.memory_kernel_coefficients`` in its per-node writing.
-
-    Same panels and nodes up to 20 Omega, with every node evaluating
-    I(omega, t) = (1 - e^{-i(omega - Omega)t})/(i(omega - Omega)), or its
-    first-order expansion where |(omega - Omega) t| < 1e-8, and
-    cos(omega d/v_g) on its own instead of the kernel's panel sum.
-    """
-    g2 = params.coupling ** 2
-    cutoff = 20.0 * params.omega_q
-    fastest = max(t, params.distance / params.v_g)
-    h = 2.0 * np.pi / (POINTS_PER_PERIOD * fastest)
-    n_panels = int(np.ceil(cutoff / h))
-    ref_x, ref_w = np.polynomial.legendre.leggauss(PANEL_ORDER)
-    ref_x = 0.5 * (ref_x + 1.0)
-    width = cutoff / n_panels
-    ref_w = 0.5 * ref_w * width
-    self_total = 0.0 + 0.0j
-    cross_total = 0.0 + 0.0j
-    chunk = 262144 // PANEL_ORDER
-    for start in range(0, n_panels, chunk):
-        stop = min(start + chunk, n_panels)
-        left = (np.arange(start, stop) * width)[:, None]
-        omega = left + ref_x[None, :] * width
-        z = omega - params.omega_q
-        zt = z * t
-        small = np.abs(zt) < 1e-8
-        mem = np.where(
-            small,
-            t * (1.0 - 0.5j * zt),
-            (1.0 - np.exp(-1j * zt)) / np.where(small, 1.0, 1j * z),
-        )
-        kd = omega * params.distance / params.v_g
-        self_total += np.sum(mem * ref_w[None, :])
-        cross_total += np.sum(np.cos(kd) * mem * ref_w[None, :])
-    return 2.0 * g2 * self_total, 2.0 * g2 * cross_total
-
-
-@pytest.fixture(scope="session")
-def per_node_memory_coefficients():
-    """The memory-kernel quadrature with I(omega, t) formed at every node."""
-    return _per_node_memory_coefficients
 
 
 def _per_call_markov_ode(params, t_final, n_steps, keep_every=1):

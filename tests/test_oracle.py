@@ -2,8 +2,7 @@
 
 The oracles earn their role as referees here: the ODE propagator is checked
 against 30-digit mpmath and the RK4 it replaced, the oscillatory quadrature
-by cutoff doubling, the memory kernel against its closed half-line limit,
-and the discretized continuum against a dense eigendecomposition and the
+by cutoff doubling, and the discretized continuum against a dense eigendecomposition and the
 RK4 it replaced, by norm conservation and by scattering a real wavepacket
 against the exact lattice transmittance.
 """
@@ -30,10 +29,8 @@ from wqed.oracle import (
     _tail_moments,
     continuum_evolve,
     gaussian_spectrum,
-    half_line_limits,
     make_continuum_grid,
     markov_ode,
-    memory_kernel_coefficients,
     quad_kernel,
 )
 
@@ -513,63 +510,6 @@ def test_gaussian_spectrum_needs_a_pulse_width(weak_generic):
         gaussian_spectrum(weak_generic, [weak_generic.omega_q])
 
 
-def test_memory_kernel_reaches_half_line_limits(strong_odd):
-    # at late times the self coefficient settles on Gamma/2 and the cross
-    # coefficient on the positive-frequency (half-line) value, which keeps
-    # the principal-value correction the Markov form drops
-    p = strong_odd
-    assert validation.memory_vs_half_line(p) < 5e-3
-    # at k_Omega*d = 5*pi the half-line value is also close to the Markov
-    # coupling (Gamma/2) e^{i k d}: the residual integral decays with kd
-    half, cross = half_line_limits(p)
-    assert abs(cross - half * np.exp(1j * p.qubit_phase)) / half < 5e-3
-
-
-@pytest.mark.parametrize("phase", [0.8, 2.0, 5.0], ids=["generic", "even", "odd"])
-def test_memory_kernel_matches_per_node_writing(phase,
-                                                per_node_memory_coefficients,
-                                                with_node_column_sum):
-    # the memory integrand is the kernel integrand at center Omega times
-    # -i e^{i Omega t}, so the kernel's panel sum at s1 = 0 and +-d/v_g
-    # sums the same nodes as the per-node writing of I(omega, t); only
-    # rounding separates them (measured at most 6.8e-14, at t = 2000/Omega).
-    # Against the node-column writing of the same panel sums, real
-    # reciprocals only, it moves at most 1.8e-15.
-    p = ModelParams.from_phase(OMEGA_Q, 0.1 * OMEGA_Q, phase)
-    for t in np.array([0.5, 3.0, 50.0, 400.0, 2000.0]) / p.omega_q:
-        got = memory_kernel_coefficients(t, p)
-        ref = per_node_memory_coefficients(t, p)
-        column = with_node_column_sum(memory_kernel_coefficients, t, p)
-        scale = max(abs(ref[0]), abs(ref[1]))
-        for g, r, c in zip(got, ref, column):
-            assert abs(g - r) <= 1e-12 * scale, t * p.omega_q
-            assert abs(g - c) <= 1e-13 * scale, t * p.omega_q
-
-
-@settings(max_examples=10, deadline=None)
-@given(ratio=st.sampled_from([0.001, 0.01, 0.1]), phase=st.floats(0.05, 6.0))
-def test_quadrature_density_resolves_the_memory_kernel(ratio, phase):
-    # both coefficients at t = 400/Omega against four times the density,
-    # relative to the larger one; measured at most 3.5e-14 over 40 draws,
-    # so the bound leaves a margin of about 30
-    p = ModelParams.from_phase(OMEGA_Q, ratio * OMEGA_Q, phase)
-    t = 400.0 / p.omega_q
-    got = memory_kernel_coefficients(t, p)
-    dense = _at_density(4 * POINTS_PER_PERIOD, memory_kernel_coefficients,
-                        t, p)
-    scale = max(abs(dense[0]), abs(dense[1]))
-    for g, d in zip(got, dense):
-        assert abs(g - d) <= 1e-12 * scale
-
-
-@pytest.mark.parametrize("t, message", [
-    (0.0, "positive"), (-1e-9, "positive"), (np.nan, "finite"),
-    (np.inf, "finite")])
-def test_memory_kernel_refuses_bad_times(t, message, strong_odd):
-    with pytest.raises(ValueError, match=message):
-        memory_kernel_coefficients(t, strong_odd)
-
-
 def _pulse(p):
     return ModelParams.create(p.omega_q, p.gamma, p.distance,
                               pulse_width=0.5 * p.gamma)
@@ -612,19 +552,6 @@ def test_continuum_refuses_a_nan_initial_norm(weak_generic, monkeypatch):
                          n_modes=256)
 
 
-def test_memory_kernel_refuses_too_many_nodes_before_allocating(strong_odd):
-    # t = 1 ms needs about 1.3e10 nodes; the refusal comes before the
-    # phase tables are built (measured peak: 1.1 KiB)
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match="nodes"):
-            memory_kernel_coefficients(1e-3, strong_odd)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 16384
-
-
 def test_continuum_grid_covers_pulse_and_normalizes():
     p = ModelParams.from_phase(OMEGA_Q, 0.01 * OMEGA_Q, 0.5,
                                omega_s=1.4 * OMEGA_Q,
@@ -663,7 +590,8 @@ def test_continuum_preserves_norm(weak_generic):
 def test_continuum_norm_fails_a_truncated_series(weak_generic, monkeypatch):
     # the Chebyshev coefficients below 1e-12 dropped: the series stops
     # there, and the norm drifts by 5.2e-12, past the 1e-13 bound of
-    # test_continuum_preserves_norm
+    # test_continuum_preserves_norm, and the printed row's packet by
+    # 4.6e-11, past the row's 1e-12 bound
     jv = oracle.special.jv
     cut = SimpleNamespace(jv=lambda k, x: np.where(
         np.abs(jv(k, x)) < 1e-12, 0.0, jv(k, x)))
@@ -673,6 +601,10 @@ def test_continuum_norm_fails_a_truncated_series(weak_generic, monkeypatch):
                            pulse_width=0.5 * weak_generic.gamma)
     res = continuum_evolve(p, 5.0 / p.gamma, n_modes=1024)
     assert validation.norm_drift(res) > 1e-13
+    rows = {name: (tol, measure)
+            for name, tol, measure in validation.checks(full=True)}
+    tol, measure = rows["continuum norm drift"]
+    assert measure(np.random.default_rng(validation.SEED)) > tol
 
 
 def test_continuum_scatters_onto_exact_lattice_fluxes():

@@ -96,8 +96,16 @@ def _scaled(fn, scale):
     return lambda *args: fn(*args) * scale
 
 
-# (module, name, faulty replacement, the one row it fails); the rows read
-# 1.45e-10, 9.44e-10, 2.05e-9 and 1.0e-7 against 1e-13, 1e-13, 1e-14 and 1e-8
+def _scaled_property(name, scale):
+    """A ``ModelParams`` property ``scale`` times its value."""
+    prop = getattr(model.ModelParams, name)
+    return property(lambda self: prop.fget(self) * scale)
+
+
+# (owner, name, faulty replacement, the one row it fails); the rows read
+# 1.45e-10, 9.44e-10, 2.05e-9, 1.0e-7, 4.11e-9 and 6.57e-9 against 1e-13,
+# 1e-13, 1e-14, 1e-8, 1e-14 and 1e-13.  The two ModelParams faults reach
+# the oracles too, and no other quick row sees them
 _FAULTS = {
     "gamma_minus_1e-9": (amplitudes, "collective_rates", _faulty_rates,
                          "qubit amplitudes vs Markov ODE"),
@@ -108,6 +116,10 @@ _FAULTS = {
     "closed_kernel_1e-7": (fields, "closed_kernel", _scaled(
         fields.closed_kernel, 1.0 + 1e-7),
         "damped kernels vs quadrature (12 samples)"),
+    "coupling_1e-9": (model.ModelParams, "coupling", _scaled_property(
+        "coupling", 1.0 + 1e-9), "resonance peaks vs steady fields"),
+    "qubit_phase_1e-9": (model.ModelParams, "qubit_phase", _scaled_property(
+        "qubit_phase", 1.0 + 1e-9), "qubit amplitudes vs Markov ODE"),
 }
 
 
@@ -121,6 +133,22 @@ def test_quick_oracle_check_fails_a_small_fault(fault, monkeypatch, capsys):
               for line in capsys.readouterr().out.splitlines()
               if line.startswith("FAIL ")]
     assert failed == [row]
+
+
+def test_full_oracle_check_passes_its_ten_rows(capsys):
+    # the --full table end to end, as a user runs it (about 0.3 s)
+    assert cli.main(["oracle-check", "--full"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(": max_err=")[0] for line in lines[:-1]] == [
+        "PASS " + name for name in (
+            "si reflection identity", "si/ci large-argument asymptotics",
+            "E1 large-argument asymptotics", "E1(1) reference value",
+            "damped kernels vs quadrature (24 samples)",
+            "qubit amplitudes vs Markov ODE",
+            "resonance peaks vs steady fields",
+            "spectral amplitudes vs quadrature", "continuum norm drift",
+            "continuum fluxes vs exact lattice T/R")]
+    assert lines[-1] == "10/10 checks passed"
 
 
 def test_quick_oracle_check_keeps_its_node_budget(monkeypatch, capsys):
@@ -204,10 +232,13 @@ def test_oracles_and_engine_do_not_import_each_other():
 # oracle entry point: (the oracle functions it reaches, the engine-bound
 # names they read, the ModelParams fields they read)
 _PARAMS_ONLY_ORACLES = {
-    "markov_ode": ({"markov_ode", "_expm"}, {"QubitState"},
+    "quad_kernel": ({"quad_kernel", "_panel_count", "_panel_sum",
+                     "_phase_tables", "_rise", "_tail_moments"}, set(),
+                    {"omega_q", "omega_s"}),
+    "markov_ode": ({"markov_ode", "_driven_pair", "_expm"}, {"QubitState"},
                    {"gamma", "coupling", "amplitude", "qubit_phase",
                     "drive_phase", "omega_s", "omega_q"}),
-    "quad_spectral": ({"quad_spectral", "_expm"}, set(),
+    "quad_spectral": ({"quad_spectral", "_driven_pair", "_expm"}, set(),
                       {"gamma", "coupling", "amplitude", "qubit_phase",
                        "drive_phase", "omega_s", "omega_q", "distance",
                        "v_g"}),
@@ -219,10 +250,10 @@ _PARAMS_ONLY_ORACLES = {
 
 
 def test_the_ode_oracle_reads_only_its_params():
-    # ``markov_ode``, ``quad_spectral`` and ``continuum_evolve``, and the
-    # oracle functions they call, read no name that ``oracle`` binds from
-    # an engine module but the QubitState they fill, and only raw fields
-    # and phases of their ModelParams
+    # ``quad_kernel``, ``markov_ode``, ``quad_spectral`` and
+    # ``continuum_evolve``, and the oracle functions they call, read no
+    # name that ``oracle`` binds from an engine module but the QubitState
+    # they fill, and only raw fields and phases of their ModelParams
     tree = ast.parse((SRC / "wqed" / "oracle.py").read_text())
     engine = {"model", "amplitudes", "fields", "specfun"}
     bound = set()
